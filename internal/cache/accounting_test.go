@@ -73,7 +73,7 @@ func TestLiteralPutRefreshKeepsUsageHistory(t *testing.T) {
 	now = t0.Add(time.Minute)
 	c.Put("hot", res, time.Millisecond) // refresh
 
-	e := c.shardFor("hot").entries["hot"]
+	e := c.shardFor("hot").byKey["hot"]
 	if e.Uses != 5 {
 		t.Errorf("refresh dropped usage history: Uses = %d, want 5", e.Uses)
 	}

@@ -20,16 +20,28 @@ import (
 	"vizq/internal/tde/exec"
 )
 
-// Cache-tier metrics, shared process-wide: the hit-tier counters are how
-// the per-stage latency story of Sect. 3.2 becomes visible at runtime.
+// tierCounters are one cache level's process-wide metrics: the hit-tier
+// counters are how the per-stage latency story of Sect. 3.2 becomes visible
+// at runtime. evictSampled counts how many entries eviction rounds examined,
+// which bounds eviction cost and exposes sampling health.
+type tierCounters struct {
+	exact, derived, misses, evictions, evictSampled *obs.Counter
+}
+
 var (
-	cLitHits    = obs.C("cache.literal.hits")
-	cLitMisses  = obs.C("cache.literal.misses")
-	cLitEvicts  = obs.C("cache.literal.evictions")
-	cIntExact   = obs.C("cache.intelligent.exact_hits")
-	cIntDerived = obs.C("cache.intelligent.derived_hits")
-	cIntMisses  = obs.C("cache.intelligent.misses")
-	cIntEvicts  = obs.C("cache.intelligent.evictions")
+	litCounters = tierCounters{
+		exact:        obs.C("cache.literal.hits"),
+		misses:       obs.C("cache.literal.misses"),
+		evictions:    obs.C("cache.literal.evictions"),
+		evictSampled: obs.C("cache.literal.evict_sampled"),
+	}
+	intCounters = tierCounters{
+		exact:        obs.C("cache.intelligent.exact_hits"),
+		derived:      obs.C("cache.intelligent.derived_hits"),
+		misses:       obs.C("cache.intelligent.misses"),
+		evictions:    obs.C("cache.intelligent.evictions"),
+		evictSampled: obs.C("cache.intelligent.evict_sampled"),
+	}
 	// cStaleServed counts degraded reads: expired entries served inside
 	// their StaleUntil grace window because the backend was unreachable.
 	cStaleServed = obs.C("cache.stale_served")
@@ -53,6 +65,9 @@ type Entry struct {
 	// FreshUntil and StaleUntil the entry is served only by GetStale —
 	// the graceful-degradation path taken when the backend is down.
 	StaleUntil time.Time
+
+	key   string // store key: Text, or Query.Key()
+	group string // Query.GroupKey(), the subsumption bucket; "" for literal entries
 }
 
 // fresh reports whether the entry may satisfy a normal Get at now.
@@ -127,159 +142,39 @@ func DefaultOptions() Options {
 	return Options{MaxEntries: 4096, MaxBytes: 256 << 20, MaxResultBytes: 32 << 20}
 }
 
-// LiteralCache maps low-level query text to results: it catches internal
-// queries "that end up having the same textual representation but where a
-// match could not be proven upfront". Shards are selected by text hash.
-type LiteralCache struct {
+// store is what both cache levels share: the lock-striped shards and the
+// operations that do not depend on how a level keys its entries.
+type store struct {
 	opt    Options
-	shards []*litShard
+	shards []*shard
 }
 
-// NewLiteralCache creates a literal cache.
-func NewLiteralCache(opt Options) *LiteralCache {
+func newStore(opt Options, m *tierCounters) store {
 	n := shardCount(opt)
 	sopt := perShardOptions(opt, n)
-	c := &LiteralCache{opt: opt, shards: make([]*litShard, n)}
+	c := store{opt: opt, shards: make([]*shard, n)}
 	for i := range c.shards {
-		c.shards[i] = &litShard{opt: sopt, entries: make(map[string]*Entry), clock: time.Now}
-	}
-	return c
-}
-
-func (c *LiteralCache) shardFor(text string) *litShard {
-	return c.shards[shardIndex(text, len(c.shards))]
-}
-
-// Get looks up a query text.
-func (c *LiteralCache) Get(text string) (*exec.Result, bool) {
-	return c.shardFor(text).get(text)
-}
-
-// GetStale looks up a query text for a degraded read: it will serve an
-// expired entry as long as it is within its StaleUntil grace window.
-// Callers use it only after the fresh path failed (breaker open, retries
-// exhausted), so a hit is counted as stale-served, never as a normal hit.
-func (c *LiteralCache) GetStale(text string) (*exec.Result, bool) {
-	return c.shardFor(text).getStale(text)
-}
-
-// Put stores a result under its text.
-func (c *LiteralCache) Put(text string, res *exec.Result, cost time.Duration) {
-	if c.opt.MaxResultBytes > 0 && res.SizeBytes() > c.opt.MaxResultBytes {
-		return
-	}
-	c.shardFor(text).put(text, res, cost)
-}
-
-// Clear empties the cache (connection closed or refreshed).
-func (c *LiteralCache) Clear() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = make(map[string]*Entry)
-		s.curBytes = 0
-		s.mu.Unlock()
-	}
-}
-
-// Len returns the number of entries.
-func (c *LiteralCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Shards reports the effective lock-stripe count.
-func (c *LiteralCache) Shards() int { return len(c.shards) }
-
-// Stats returns counters aggregated across shards.
-func (c *LiteralCache) Stats() Stats {
-	var st Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.add(s.stats)
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// setClock pins the cache's clock (tests).
-func (c *LiteralCache) setClock(fn func() time.Time) {
-	for _, s := range c.shards {
-		s.clock = fn
-	}
-}
-
-// snapshot copies all live entries (persistence).
-func (c *LiteralCache) snapshot() []*Entry {
-	var out []*Entry
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for _, e := range s.entries {
-			out = append(out, e)
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// IntelligentCache maps internal query structure to results and matches new
-// queries by subsumption, post-processing stored results locally. Shards
-// are selected by GroupKey hash, keeping each subsumption bucket (one data
-// source + view) within a single shard.
-type IntelligentCache struct {
-	opt    Options
-	shards []*intelShard
-}
-
-// NewIntelligentCache creates an intelligent cache.
-func NewIntelligentCache(opt Options) *IntelligentCache {
-	n := shardCount(opt)
-	sopt := perShardOptions(opt, n)
-	c := &IntelligentCache{opt: opt, shards: make([]*intelShard, n)}
-	for i := range c.shards {
-		c.shards[i] = &intelShard{
+		c.shards[i] = &shard{
 			opt:     sopt,
 			byKey:   make(map[string]*Entry),
 			buckets: make(map[string][]*Entry),
 			clock:   time.Now,
+			m:       m,
 		}
 	}
 	return c
 }
 
-func (c *IntelligentCache) shardFor(q *query.Query) *intelShard {
-	return c.shards[shardIndex(q.GroupKey(), len(c.shards))]
-}
-
-// Get answers q from the cache: an exact structural match first, otherwise
-// the first stored candidate that provably subsumes q, with roll-up,
-// residual filtering and projection applied locally ("while currently we
-// accept the first match...").
-func (c *IntelligentCache) Get(q *query.Query) (*exec.Result, bool) {
-	return c.shardFor(q).get(q)
-}
-
-// GetStale answers q for a degraded read, accepting entries past their
-// fresh lifetime but within their StaleUntil grace window — exact match
-// first, then subsumption like Get. Used when the backend is unreachable.
-func (c *IntelligentCache) GetStale(q *query.Query) (*exec.Result, bool) {
-	return c.shardFor(q).getStale(q)
-}
-
-// Put stores a result for the (already executed) query.
-func (c *IntelligentCache) Put(q *query.Query, res *exec.Result, cost time.Duration) {
-	if c.opt.MaxResultBytes > 0 && res.SizeBytes() > c.opt.MaxResultBytes {
+// put admits e into shard sh unless its result is oversized.
+func (c *store) put(sh *shard, e *Entry) {
+	if c.opt.MaxResultBytes > 0 && e.Result.SizeBytes() > c.opt.MaxResultBytes {
 		return
 	}
-	c.shardFor(q).put(q, res, cost)
+	sh.put(e)
 }
 
-// Clear empties the cache.
-func (c *IntelligentCache) Clear() {
+// Clear empties the cache (connection closed or refreshed).
+func (c *store) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.byKey = make(map[string]*Entry)
@@ -290,7 +185,7 @@ func (c *IntelligentCache) Clear() {
 }
 
 // Len returns the number of entries.
-func (c *IntelligentCache) Len() int {
+func (c *store) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -301,10 +196,10 @@ func (c *IntelligentCache) Len() int {
 }
 
 // Shards reports the effective lock-stripe count.
-func (c *IntelligentCache) Shards() int { return len(c.shards) }
+func (c *store) Shards() int { return len(c.shards) }
 
 // Stats returns counters aggregated across shards.
-func (c *IntelligentCache) Stats() Stats {
+func (c *store) Stats() Stats {
 	var st Stats
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -315,14 +210,14 @@ func (c *IntelligentCache) Stats() Stats {
 }
 
 // setClock pins the cache's clock (tests).
-func (c *IntelligentCache) setClock(fn func() time.Time) {
+func (c *store) setClock(fn func() time.Time) {
 	for _, s := range c.shards {
 		s.clock = fn
 	}
 }
 
 // Entries snapshots the cache content (persistence).
-func (c *IntelligentCache) Entries() []*Entry {
+func (c *store) Entries() []*Entry {
 	var out []*Entry
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -332,4 +227,73 @@ func (c *IntelligentCache) Entries() []*Entry {
 		s.mu.Unlock()
 	}
 	return out
+}
+
+// LiteralCache maps low-level query text to results: it catches internal
+// queries "that end up having the same textual representation but where a
+// match could not be proven upfront". Shards are selected by text hash.
+type LiteralCache struct{ store }
+
+// NewLiteralCache creates a literal cache.
+func NewLiteralCache(opt Options) *LiteralCache {
+	return &LiteralCache{newStore(opt, &litCounters)}
+}
+
+func (c *LiteralCache) shardFor(text string) *shard {
+	return c.shards[shardIndex(text, len(c.shards))]
+}
+
+// Get looks up a query text.
+func (c *LiteralCache) Get(text string) (*exec.Result, bool) {
+	return c.shardFor(text).get(text, nil, false)
+}
+
+// GetStale looks up a query text for a degraded read: it will serve an
+// expired entry as long as it is within its StaleUntil grace window.
+// Callers use it only after the fresh path failed (breaker open, retries
+// exhausted), so a hit is counted as stale-served, never as a normal hit.
+func (c *LiteralCache) GetStale(text string) (*exec.Result, bool) {
+	return c.shardFor(text).get(text, nil, true)
+}
+
+// Put stores a result under its text.
+func (c *LiteralCache) Put(text string, res *exec.Result, cost time.Duration) {
+	c.put(c.shardFor(text), &Entry{Text: text, key: text, Result: res, Cost: cost})
+}
+
+// IntelligentCache maps internal query structure to results and matches new
+// queries by subsumption, post-processing stored results locally. Shards
+// are selected by GroupKey hash, keeping each subsumption bucket (one data
+// source + view) within a single shard.
+type IntelligentCache struct{ store }
+
+// NewIntelligentCache creates an intelligent cache.
+func NewIntelligentCache(opt Options) *IntelligentCache {
+	return &IntelligentCache{newStore(opt, &intCounters)}
+}
+
+func (c *IntelligentCache) shardFor(q *query.Query) *shard {
+	return c.shards[shardIndex(q.GroupKey(), len(c.shards))]
+}
+
+// Get answers q from the cache: an exact structural match first, otherwise
+// the first stored candidate that provably subsumes q, with roll-up,
+// residual filtering and projection applied locally ("while currently we
+// accept the first match...").
+func (c *IntelligentCache) Get(q *query.Query) (*exec.Result, bool) {
+	return c.shardFor(q).get(q.Key(), q, false)
+}
+
+// GetStale answers q for a degraded read, accepting entries past their
+// fresh lifetime but within their StaleUntil grace window — exact match
+// first, then subsumption like Get. Used when the backend is unreachable.
+func (c *IntelligentCache) GetStale(q *query.Query) (*exec.Result, bool) {
+	return c.shardFor(q).get(q.Key(), q, true)
+}
+
+// Put stores a result for the (already executed) query.
+func (c *IntelligentCache) Put(q *query.Query, res *exec.Result, cost time.Duration) {
+	gk := q.GroupKey()
+	sh := c.shards[shardIndex(gk, len(c.shards))]
+	c.put(sh, &Entry{Query: q.Clone(), key: q.Key(), group: gk, Result: res, Cost: cost})
 }

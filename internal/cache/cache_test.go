@@ -178,6 +178,51 @@ func TestDeriveAvgFromPartials(t *testing.T) {
 	}
 }
 
+// Rolling a grouped result with no surviving rows up to a global aggregate
+// must still give the one row the engine gives (count 0, null sum/min/avg);
+// Derive used to return zero rows.
+func TestDeriveGlobalAggregateOverEmptyInput(t *testing.T) {
+	nothing := query.RangeFilter("distance", storage.IntValue(-10), storage.IntValue(-5))
+	noCarrier := query.InFilter("carrier", storage.StrValue("no-such-carrier"))
+	for _, c := range []struct {
+		name          string
+		stored, extra []query.Filter
+	}{
+		{"empty stored result", []query.Filter{nothing}, nil},
+		{"residual filter drops every row", nil, []query.Filter{noCarrier}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := &query.Query{
+				DataSource: "flights",
+				View:       query.View{Table: "flights"},
+				Filters:    append(append([]query.Filter(nil), c.stored...), c.extra...),
+				Measures: []query.Measure{
+					{Fn: query.Count, As: "n"},
+					{Fn: query.Sum, Col: "distance", As: "dist"},
+					{Fn: query.Min, Col: "delay", As: "mindelay"},
+					{Fn: query.Avg, Col: "delay", As: "avgdelay"},
+				},
+			}
+			s := AdjustForReuse(r)
+			s.Dims = []query.Dim{{Col: "carrier"}, {Col: "origin"}}
+			s.Filters = c.stored
+			sres := run(t, s)
+			if len(c.stored) > 0 && sres.N != 0 {
+				t.Fatalf("stored result has %d rows, want 0", sres.N)
+			}
+			want, err := getEngine(t).QuerySerial(context.Background(), r.ToTQL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := Derive(s, sres, r)
+			if !ok {
+				t.Fatal("derive failed")
+			}
+			sameResult(t, got, want)
+		})
+	}
+}
+
 func TestDeriveAvgWithoutPartialsNeedsSameDims(t *testing.T) {
 	s := &query.Query{
 		DataSource: "flights",

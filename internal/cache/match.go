@@ -161,6 +161,15 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 		cnts []int64
 		set  []bool
 	}
+	newAcc := func() *acc {
+		return &acc{
+			keys: make([]storage.Value, len(r.Dims)),
+			vals: make([]storage.Value, len(r.Measures)),
+			sums: make([]float64, len(r.Measures)),
+			cnts: make([]int64, len(r.Measures)),
+			set:  make([]bool, len(r.Measures)),
+		}
+	}
 	groups := map[string]*acc{}
 	var order []*acc
 	var keyBuf []byte
@@ -182,13 +191,7 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &acc{
-				keys: make([]storage.Value, len(r.Dims)),
-				vals: make([]storage.Value, len(r.Measures)),
-				sums: make([]float64, len(r.Measures)),
-				cnts: make([]int64, len(r.Measures)),
-				set:  make([]bool, len(r.Measures)),
-			}
+			g = newAcc()
 			for i := range r.Dims {
 				g.keys[i] = sres.Value(row, dimSrc[i])
 			}
@@ -236,6 +239,11 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 		}
 	}
 
+	if len(r.Dims) == 0 && len(order) == 0 {
+		// A global aggregate has one row even over no input (count 0, null
+		// sums), like the engine's.
+		order = append(order, newAcc())
+	}
 	for _, g := range order {
 		row := make([]storage.Value, 0, len(outSchema))
 		row = append(row, g.keys...)

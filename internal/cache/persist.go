@@ -23,14 +23,9 @@ type persistedCache struct {
 	Entries []persistedEntry
 }
 
-// Save writes the intelligent cache contents to a file.
-func (c *IntelligentCache) Save(path string) error {
-	entries := c.Entries()
-	p := persistedCache{Version: 1, Entries: make([]persistedEntry, 0, len(entries))}
-	for _, e := range entries {
-		p.Entries = append(p.Entries, persistedEntry{Query: e.Query, Result: e.Result, CostNS: int64(e.Cost)})
-	}
-	data, err := json.Marshal(p)
+// saveJSON writes v to path atomically (temp file, then rename).
+func saveJSON(path string, v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
@@ -41,18 +36,32 @@ func (c *IntelligentCache) Save(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// Load restores persisted entries into the cache; missing files are not an
-// error (fresh session).
-func (c *IntelligentCache) Load(path string) error {
+// loadJSON reads path into v. A missing file is a fresh session, not an
+// error: it reports false with a nil error.
+func loadJSON(path string, v any) (bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			err = nil
 		}
-		return err
+		return false, err
 	}
+	return true, json.Unmarshal(data, v)
+}
+
+// Save writes the intelligent cache contents to a file.
+func (c *IntelligentCache) Save(path string) error {
+	p := persistedCache{Version: 1}
+	for _, e := range c.Entries() {
+		p.Entries = append(p.Entries, persistedEntry{Query: e.Query, Result: e.Result, CostNS: int64(e.Cost)})
+	}
+	return saveJSON(path, p)
+}
+
+// Load restores persisted entries into the cache.
+func (c *IntelligentCache) Load(path string) error {
 	var p persistedCache
-	if err := json.Unmarshal(data, &p); err != nil {
+	if ok, err := loadJSON(path, &p); !ok || err != nil {
 		return err
 	}
 	for _, e := range p.Entries {
@@ -79,32 +88,16 @@ type persistedLiteralCache struct {
 // levels across sessions).
 func (c *LiteralCache) Save(path string) error {
 	p := persistedLiteralCache{Version: 1}
-	for _, e := range c.snapshot() {
+	for _, e := range c.Entries() {
 		p.Entries = append(p.Entries, persistedLiteral{Text: e.Text, Result: e.Result, CostNS: int64(e.Cost)})
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return saveJSON(path, p)
 }
 
-// Load restores persisted literal entries; a missing file is a fresh
-// session, not an error.
+// Load restores persisted literal entries.
 func (c *LiteralCache) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
 	var p persistedLiteralCache
-	if err := json.Unmarshal(data, &p); err != nil {
+	if ok, err := loadJSON(path, &p); !ok || err != nil {
 		return err
 	}
 	for _, e := range p.Entries {

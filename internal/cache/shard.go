@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"vizq/internal/obs"
 	"vizq/internal/query"
 	"vizq/internal/tde/exec"
 )
@@ -27,13 +26,6 @@ const defaultShardCount = 16
 // evictSampleSize is the per-round eviction sample (Redis uses 5; 8 biases
 // slightly toward accuracy since our score spread is wide).
 const evictSampleSize = 8
-
-// Per-shard eviction metrics: sampled counts how many entries eviction
-// rounds examined, which bounds eviction cost and exposes sampling health.
-var (
-	cLitEvictSampled = obs.C("cache.literal.evict_sampled")
-	cIntEvictSampled = obs.C("cache.intelligent.evict_sampled")
-)
 
 // shardIndex hashes a key onto one of n shards (FNV-1a, inlined to keep the
 // hot path allocation-free).
@@ -84,121 +76,14 @@ func perShardOptions(opt Options, n int) Options {
 	return s
 }
 
-// litShard is one lock-striped stripe of the literal cache.
-type litShard struct {
-	mu       sync.Mutex
-	opt      Options // per-shard budgets
-	entries  map[string]*Entry
-	curBytes int64
-	stats    Stats
-	clock    func() time.Time
-}
-
-func (s *litShard) get(text string) (*exec.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock()
-	e, ok := s.entries[text]
-	if ok && !e.fresh(now) {
-		// An expired entry is a miss for the fresh path; once even the
-		// stale grace window has passed it is dead weight and is dropped.
-		if !e.usableStale(now) {
-			delete(s.entries, text)
-			s.curBytes -= e.sizeBytes()
-		}
-		ok = false
-	}
-	if !ok {
-		s.stats.Misses++
-		cLitMisses.Inc()
-		return nil, false
-	}
-	e.Uses++
-	e.LastUsed = now
-	s.stats.ExactHits++
-	cLitHits.Inc()
-	return e.Result, true
-}
-
-// getStale is the degraded-read path: it serves entries that are fresh or
-// merely expired (within grace), never entries past StaleUntil.
-func (s *litShard) getStale(text string) (*exec.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock()
-	e, ok := s.entries[text]
-	if !ok || !e.usableStale(now) {
-		return nil, false
-	}
-	e.Uses++
-	e.LastUsed = now
-	s.stats.StaleServed++
-	cStaleServed.Inc()
-	return e.Result, true
-}
-
-func (s *litShard) put(text string, res *exec.Result, cost time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock()
-	e := &Entry{Text: text, Result: res, Cost: cost, Created: now, LastUsed: now}
-	setLifetimes(e, s.opt, now)
-	if old, ok := s.entries[text]; ok {
-		s.curBytes -= old.sizeBytes()
-		// Refreshing a key must not make a hot entry look cold: carry the
-		// usage history across the replacement so eviction scoring still
-		// sees the entry's real popularity and age. Freshness is NOT
-		// carried: the new result restarts its own lifetime.
-		e.Uses = old.Uses
-		e.Created = old.Created
-	}
-	s.entries[text] = e
-	s.curBytes += e.sizeBytes()
-	s.evictLocked()
-}
-
-// setLifetimes stamps an entry's fresh/stale horizon from the shard's
-// options at write time.
-func setLifetimes(e *Entry, opt Options, now time.Time) {
-	if opt.FreshFor > 0 {
-		e.FreshUntil = now.Add(opt.FreshFor)
-		if opt.StaleGrace > 0 {
-			e.StaleUntil = e.FreshUntil.Add(opt.StaleGrace)
-		}
-	}
-}
-
-func (s *litShard) evictLocked() {
-	now := s.clock()
-	for (s.opt.MaxEntries > 0 && len(s.entries) > s.opt.MaxEntries) ||
-		(s.opt.MaxBytes > 0 && s.curBytes > s.opt.MaxBytes) {
-		var worst *Entry
-		var worstKey string
-		sampled := 0
-		for k, e := range s.entries {
-			if worst == nil || e.score(now) < worst.score(now) {
-				worst, worstKey = e, k
-			}
-			sampled++
-			if sampled >= evictSampleSize {
-				break
-			}
-		}
-		if worst == nil {
-			return
-		}
-		cLitEvictSampled.Add(int64(sampled))
-		delete(s.entries, worstKey)
-		s.curBytes -= worst.sizeBytes()
-		s.stats.Evictions++
-		cLitEvicts.Inc()
-	}
-}
-
-// intelShard is one lock-striped stripe of the intelligent cache. All
-// entries sharing a GroupKey live in the same shard, so subsumption
-// matching stays shard-local.
-type intelShard struct {
+// shard is one lock-striped stripe of either cache: an entry store keyed by
+// Entry.key (query text for the literal cache, structural key for the
+// intelligent cache). Expiry on contact, usage carry-over on refresh, byte
+// accounting and sampled eviction live here once. The intelligent cache
+// additionally files every entry in a subsumption bucket by GroupKey — all
+// entries sharing a GroupKey live in the same shard, so matching stays
+// shard-local; the literal cache is this store with no buckets.
+type shard struct {
 	mu       sync.Mutex
 	opt      Options // per-shard budgets
 	byKey    map[string]*Entry
@@ -206,133 +91,76 @@ type intelShard struct {
 	curBytes int64
 	stats    Stats
 	clock    func() time.Time
+	m        *tierCounters
 }
 
-func (s *intelShard) get(q *query.Query) (*exec.Result, bool) {
+// get answers from the shard. q is nil for the literal cache (exact key
+// only); for the intelligent cache an exact structural match is tried first,
+// then the subsumption bucket. With stale set this is the degraded-read
+// path: entries that are merely expired (within grace) also qualify, a hit
+// counts as stale-served and a miss is not counted.
+func (s *shard) get(key string, q *query.Query, stale bool) (*exec.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock()
-	if e, ok := s.byKey[q.Key()]; ok {
-		if !e.fresh(now) {
-			// Expired: invisible to the fresh path. Entries past even the
-			// stale grace window are dropped outright.
-			if !e.usableStale(now) {
-				s.removeLocked(e)
-			}
-		} else if res, ok := Derive(e.Query, e.Result, q); ok {
-			// Exact key match may still need projection/ordering when the
+	usable := (*Entry).fresh
+	if stale {
+		usable = (*Entry).usableStale
+	}
+	e, res, exact := s.findLocked(key, q, usable, now)
+	if e == nil {
+		if !stale {
+			s.stats.Misses++
+			s.m.misses.Inc()
+		}
+		return nil, false
+	}
+	// The hit is accounted only here, after Derive succeeded — a failed
+	// derive falls through as a miss and must not bump Uses or a hit count.
+	e.Uses++
+	e.LastUsed = now
+	switch {
+	case stale:
+		s.stats.StaleServed++
+		cStaleServed.Inc()
+	case exact:
+		s.stats.ExactHits++
+		s.m.exact.Inc()
+	default:
+		s.stats.DerivedHits++
+		s.m.derived.Inc()
+	}
+	return res, true
+}
+
+// findLocked is the one lookup: the exact key, then a scan of q's
+// subsumption bucket, both restricted to entries the usable predicate
+// accepts at now. The scan takes the first candidate that derives q, or
+// with Options.BestMatch the subsuming candidate with the fewest stored
+// rows (the dominant local cost is the rows to filter and re-group).
+// Entries past their stale grace window are dropped on contact: they can
+// satisfy no read, and left in place they would consume the byte/entry
+// budget until eviction pressure.
+func (s *shard) findLocked(key string, q *query.Query, usable func(*Entry, time.Time) bool, now time.Time) (e *Entry, res *exec.Result, exact bool) {
+	if e, ok := s.byKey[key]; ok {
+		switch {
+		case !e.usableStale(now):
+			s.removeLocked(e)
+		case !usable(e, now):
+		case q == nil:
+			return e, e.Result, true
+		default:
+			// An exact key match may still need projection/ordering when the
 			// stored query was adjusted; Derive handles identity cheaply.
-			// The hit is accounted only after Derive succeeds — a failed
-			// derive must fall through as a miss, not bump Uses or
-			// ExactHits.
-			e.Uses++
-			e.LastUsed = now
-			s.stats.ExactHits++
-			cIntExact.Inc()
-			return res, true
-		}
-	}
-	s.sweepBucketLocked(q.GroupKey(), now)
-	if s.opt.BestMatch {
-		// Least-post-processing selection: the dominant local cost is the
-		// number of stored rows to filter and re-group.
-		var best *Entry
-		for _, e := range s.buckets[q.GroupKey()] {
-			if !e.fresh(now) || !Subsumes(e.Query, q) {
-				continue
-			}
-			if best == nil || e.Result.N < best.Result.N {
-				best = e
-			}
-		}
-		if best != nil {
-			if res, ok := Derive(best.Query, best.Result, q); ok {
-				best.Uses++
-				best.LastUsed = now
-				s.stats.DerivedHits++
-				cIntDerived.Inc()
-				return res, true
-			}
-		}
-	} else {
-		for _, e := range s.buckets[q.GroupKey()] {
-			if !e.fresh(now) {
-				continue
-			}
 			if res, ok := Derive(e.Query, e.Result, q); ok {
-				e.Uses++
-				e.LastUsed = now
-				s.stats.DerivedHits++
-				cIntDerived.Inc()
-				return res, true
+				return e, res, true
 			}
 		}
 	}
-	s.stats.Misses++
-	cIntMisses.Inc()
-	return nil, false
-}
-
-// getStale is the degraded-read path: exact structural match first, then
-// subsumption, accepting entries that are fresh or merely expired (within
-// their grace window), never entries past StaleUntil.
-func (s *intelShard) getStale(q *query.Query) (*exec.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock()
-	s.sweepBucketLocked(q.GroupKey(), now)
-	if e, ok := s.byKey[q.Key()]; ok && e.usableStale(now) {
-		if res, ok := Derive(e.Query, e.Result, q); ok {
-			e.Uses++
-			e.LastUsed = now
-			s.stats.StaleServed++
-			cStaleServed.Inc()
-			return res, true
-		}
+	if q == nil {
+		return nil, nil, false
 	}
-	for _, e := range s.buckets[q.GroupKey()] {
-		if !e.usableStale(now) {
-			continue
-		}
-		if res, ok := Derive(e.Query, e.Result, q); ok {
-			e.Uses++
-			e.LastUsed = now
-			s.stats.StaleServed++
-			cStaleServed.Inc()
-			return res, true
-		}
-	}
-	return nil, false
-}
-
-func (s *intelShard) put(q *query.Query, res *exec.Result, cost time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := q.Key()
-	now := s.clock()
-	e := &Entry{Query: q.Clone(), Result: res, Cost: cost, Created: now, LastUsed: now}
-	setLifetimes(e, s.opt, now)
-	if old, ok := s.byKey[key]; ok {
-		s.removeLocked(old)
-		// Carry usage history across a refresh (same rationale as the
-		// literal cache): hot entries stay hot. Freshness is NOT carried:
-		// the new result restarts its own lifetime.
-		e.Uses = old.Uses
-		e.Created = old.Created
-	}
-	s.byKey[key] = e
-	s.buckets[q.GroupKey()] = append(s.buckets[q.GroupKey()], e)
-	s.curBytes += e.sizeBytes()
-	s.evictLocked()
-}
-
-// sweepBucketLocked drops entries past their stale grace window from one
-// subsumption bucket before it is scanned: dead entries can never satisfy
-// a fresh or degraded read, so leaving them in place (as skip-only scans
-// would) lets them consume the byte/entry budget until eviction pressure.
-// The exact-key path drops dead entries on contact; this keeps the bucket
-// scans symmetric.
-func (s *intelShard) sweepBucketLocked(gk string, now time.Time) {
+	gk := q.GroupKey()
 	var dead []*Entry
 	for _, e := range s.buckets[gk] {
 		if !e.usableStale(now) {
@@ -342,26 +170,77 @@ func (s *intelShard) sweepBucketLocked(gk string, now time.Time) {
 	for _, e := range dead {
 		s.removeLocked(e)
 	}
-}
-
-func (s *intelShard) removeLocked(e *Entry) {
-	key := e.Query.Key()
-	delete(s.byKey, key)
-	gk := e.Query.GroupKey()
-	bucket := s.buckets[gk]
-	for i, b := range bucket {
-		if b == e {
-			s.buckets[gk] = append(bucket[:i], bucket[i+1:]...)
-			break
+	var best *Entry
+	for _, e := range s.buckets[gk] {
+		if !usable(e, now) {
+			continue
+		}
+		if !s.opt.BestMatch {
+			if res, ok := Derive(e.Query, e.Result, q); ok {
+				return e, res, false
+			}
+		} else if (best == nil || e.Result.N < best.Result.N) && Subsumes(e.Query, q) {
+			best = e
 		}
 	}
-	if len(s.buckets[gk]) == 0 {
-		delete(s.buckets, gk)
+	if best != nil {
+		if res, ok := Derive(best.Query, best.Result, q); ok {
+			return best, res, false
+		}
+	}
+	return nil, nil, false
+}
+
+// put stores e (its key, group, Result and Cost set by the caller),
+// stamping its lifetimes and replacing any entry under the same key.
+func (s *shard) put(e *Entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.clock()
+	e.Created, e.LastUsed = now, now
+	if s.opt.FreshFor > 0 {
+		e.FreshUntil = now.Add(s.opt.FreshFor)
+		if s.opt.StaleGrace > 0 {
+			e.StaleUntil = e.FreshUntil.Add(s.opt.StaleGrace)
+		}
+	}
+	if old, ok := s.byKey[e.key]; ok {
+		s.removeLocked(old)
+		// Refreshing a key must not make a hot entry look cold: carry the
+		// usage history across the replacement so eviction scoring still
+		// sees the entry's real popularity and age. Freshness is NOT
+		// carried: the new result restarts its own lifetime.
+		e.Uses = old.Uses
+		e.Created = old.Created
+	}
+	s.byKey[e.key] = e
+	if e.Query != nil {
+		s.buckets[e.group] = append(s.buckets[e.group], e)
+	}
+	s.curBytes += e.sizeBytes()
+	s.evictLocked()
+}
+
+func (s *shard) removeLocked(e *Entry) {
+	delete(s.byKey, e.key)
+	if e.Query != nil {
+		bucket := s.buckets[e.group]
+		for i, b := range bucket {
+			if b == e {
+				bucket = append(bucket[:i], bucket[i+1:]...)
+				break
+			}
+		}
+		if len(bucket) == 0 {
+			delete(s.buckets, e.group)
+		} else {
+			s.buckets[e.group] = bucket
+		}
 	}
 	s.curBytes -= e.sizeBytes()
 }
 
-func (s *intelShard) evictLocked() {
+func (s *shard) evictLocked() {
 	now := s.clock()
 	for (s.opt.MaxEntries > 0 && len(s.byKey) > s.opt.MaxEntries) ||
 		(s.opt.MaxBytes > 0 && s.curBytes > s.opt.MaxBytes) {
@@ -379,9 +258,9 @@ func (s *intelShard) evictLocked() {
 		if worst == nil {
 			return
 		}
-		cIntEvictSampled.Add(int64(sampled))
+		s.m.evictSampled.Add(int64(sampled))
 		s.removeLocked(worst)
 		s.stats.Evictions++
-		cIntEvicts.Inc()
+		s.m.evictions.Inc()
 	}
 }

@@ -124,7 +124,7 @@ func TestLiteralPutRefreshRestartsFreshness(t *testing.T) {
 	if _, ok := c.Get("q"); !ok {
 		t.Fatal("refreshed entry inherited the old entry's expiry")
 	}
-	e := c.shardFor("q").entries["q"]
+	e := c.shardFor("q").byKey["q"]
 	if !e.FreshUntil.Equal(now.Add(time.Minute)) {
 		t.Fatalf("FreshUntil = %v, want %v", e.FreshUntil, now.Add(time.Minute))
 	}

@@ -367,18 +367,8 @@ func (cl *Cluster) Dispatch(ctx context.Context, user string, q *query.Query) (i
 		return idx, err
 	}
 	_, err = conn.Query(ctx, q)
-	cl.report(ctx, idx, err)
+	cl.Balancer.Report(ctx, idx, err)
 	return idx, err
-}
-
-// report feeds one query outcome into balancer health tracking, skipping
-// transport failures attributable to the caller's own context (they say
-// nothing about the node).
-func (cl *Cluster) report(ctx context.Context, idx int, err error) {
-	if err != nil && connection.IsTransport(err) && !connection.Blameworthy(ctx, err) {
-		return
-	}
-	cl.Balancer.ReportResult(idx, err)
 }
 
 // QueryOn runs one query for user directly against node idx, bypassing
@@ -391,7 +381,7 @@ func (cl *Cluster) QueryOn(ctx context.Context, idx int, user string, q *query.Q
 		return err
 	}
 	_, err = conn.Query(ctx, q)
-	cl.report(ctx, idx, err)
+	cl.Balancer.Report(ctx, idx, err)
 	return err
 }
 

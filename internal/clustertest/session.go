@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"vizq/internal/connection"
 	"vizq/internal/dataserver"
 	"vizq/internal/query"
 	"vizq/internal/tde/storage"
@@ -83,15 +82,14 @@ func (s *Session) Query(ctx context.Context, q *query.Query) error {
 		}
 	}
 	_, err := s.conn.Query(ctx, q)
-	s.cl.report(ctx, s.node, err)
-	if err == nil || !connection.Blameworthy(ctx, err) || !s.failover {
+	if blamed := s.cl.Balancer.Report(ctx, s.node, err); !blamed || !s.failover {
 		return err
 	}
 	if merr := s.moveLocked(); merr != nil {
 		return merr
 	}
 	_, err = s.conn.Query(ctx, q)
-	s.cl.report(ctx, s.node, err)
+	s.cl.Balancer.Report(ctx, s.node, err)
 	return err
 }
 

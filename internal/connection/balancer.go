@@ -2,14 +2,13 @@ package connection
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"vizq/internal/remote"
+	"vizq/internal/resilience"
 	"vizq/internal/tde/exec"
 )
 
@@ -122,7 +121,13 @@ func (b *Balancer) score(i int) float64 {
 // through int first turns negative once the counter passes MaxInt64 and
 // indexes out of bounds.
 func (b *Balancer) PickIndex() int {
-	return b.pickExcluding(-1)
+	start := b.next.Add(1)
+	if i := b.best(start, -1, true); i >= 0 {
+		return i
+	}
+	// Never-all-ejected: every node is ejected or draining, so fall back
+	// to plain scoring over all of them.
+	return b.best(start, -1, false)
 }
 
 // PickIndexExcluding chooses a routable node other than skip, for the
@@ -134,94 +139,57 @@ func (b *Balancer) PickIndexExcluding(skip int) int {
 	if len(b.pools) == 1 {
 		return -1
 	}
-	return b.bestRoutable(b.next.Add(1), skip)
+	return b.best(b.next.Add(1), skip, true)
 }
 
-// bestRoutable scans all nodes from start, returning the lowest-scored
-// routable node that is not skip, or -1 if none qualifies.
-func (b *Balancer) bestRoutable(start uint64, skip int) int {
+// best scans all nodes from start, returning the lowest-scored node that is
+// not skip (and, with routableOnly, is routable), or -1 if none qualifies.
+func (b *Balancer) best(start uint64, skip int, routableOnly bool) int {
 	n := uint64(len(b.pools))
-	best := math.Inf(1)
-	bestIdx := -1
+	best, bestIdx := 0.0, -1
 	for i := uint64(0); i < n; i++ {
 		idx := int((start + i) % n)
-		if idx == skip || !b.Routable(idx) {
+		if idx == skip || (routableOnly && !b.Routable(idx)) {
 			continue
 		}
-		if s := b.score(idx); s < best {
+		if s := b.score(idx); bestIdx < 0 || s < best {
 			best, bestIdx = s, idx
 		}
 	}
 	return bestIdx
 }
 
-// pickExcluding is PickIndex with an optional node to skip (-1 = none).
-func (b *Balancer) pickExcluding(skip int) int {
-	start := b.next.Add(1)
-	n := uint64(len(b.pools))
-	if bestIdx := b.bestRoutable(start, skip); bestIdx >= 0 {
-		return bestIdx
+// Report feeds one dispatch outcome on node i into health tracking and
+// reports whether the node was blamed for it. A failure attributable to
+// the caller (cancel, deadline — resilience.Caller) says nothing about the
+// node and is not reported at all.
+func (b *Balancer) Report(ctx context.Context, i int, err error) (blamed bool) {
+	k := resilience.Classify(ctx, err)
+	if k != resilience.Caller {
+		b.ReportResult(i, err)
 	}
-	// Never-all-ejected: every node is ejected or draining (or the only
-	// node was skipped), so fall back to plain scoring over all of them.
-	bestIdx := int(start % n)
-	best := b.score(bestIdx)
-	for i := uint64(1); i < n; i++ {
-		idx := int((start + i) % n)
-		if s := b.score(idx); s < best {
-			best, bestIdx = s, idx
-		}
-	}
-	return bestIdx
-}
-
-// pick chooses the next pool to dispatch to.
-func (b *Balancer) pick() *Pool { return b.pools[b.PickIndex()] }
-
-// Blameworthy reports whether a dispatch error should count against the
-// node that produced it: a transport-classified failure that is not
-// attributable to the caller. Caller cancellations and deadline timeouts
-// are excluded — IsTransport classifies them as transport, but the conn
-// deadline is set *from* the caller's context, so a timeout says "the
-// caller ran out of patience", not "the node is down". (The conn
-// deadline and the context timer race by microseconds, so checking
-// ctx.Err() alone misattributes timeouts that land first.) Node death in
-// this system manifests as refused/reset/EOF, which stay blameworthy.
-func Blameworthy(ctx context.Context, err error) bool {
-	if err == nil || !IsTransport(err) || ctx.Err() != nil {
-		return false
-	}
-	return !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, os.ErrDeadlineExceeded)
+	return k == resilience.Transport
 }
 
 // Query dispatches one query to a node, feeding the outcome into health
-// tracking. On a blameworthy transport error it retries once on a
-// different routable node — a single node crashing mid-dispatch should
+// tracking. When the node is blamed for a transport error it retries once
+// on a different routable node — a single node crashing mid-dispatch should
 // cost one internal retry, not a user-visible error. Failures
 // attributable to the caller (cancel, deadline) neither count against
 // the node nor trigger the retry.
 func (b *Balancer) Query(ctx context.Context, tql string) (*exec.Result, error) {
 	i := b.PickIndex()
 	res, err := b.pools[i].Query(ctx, tql)
-	if err == nil || !IsTransport(err) {
-		b.ReportResult(i, err)
+	if !b.Report(ctx, i, err) {
 		return res, err
 	}
-	if !Blameworthy(ctx, err) {
-		return res, err
-	}
-	b.ReportResult(i, err)
 	j := b.PickIndexExcluding(i)
 	if j < 0 {
 		return res, err
 	}
 	cHealthRetry.Inc()
 	res, err = b.pools[j].Query(ctx, tql)
-	if err == nil || !IsTransport(err) || Blameworthy(ctx, err) {
-		b.ReportResult(j, err)
-	}
+	b.Report(ctx, j, err)
 	return res, err
 }
 

@@ -222,7 +222,7 @@ func (b *Balancer) NodeDraining(i int) bool {
 // node and restarts its cooldown.
 func (b *Balancer) ReportResult(i int, err error) {
 	h := b.health
-	failure := err != nil && IsTransport(err)
+	failure := IsTransport(err)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if i < 0 || i >= len(h.nodes) {

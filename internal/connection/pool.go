@@ -9,13 +9,12 @@ package connection
 import (
 	"context"
 	"errors"
-	"io"
-	"net"
 	"sync"
 	"time"
 
 	"vizq/internal/obs"
 	"vizq/internal/remote"
+	"vizq/internal/resilience"
 	"vizq/internal/tde/exec"
 )
 
@@ -166,24 +165,13 @@ func (p *Pool) Release(c *remote.Conn) {
 	p.mu.Lock()
 	switch {
 	case c.Closed():
-		p.live--
-		p.stats.Discards++
-		p.mu.Unlock()
-		cDiscards.Inc()
-		gLive.Add(-1)
-		p.signal()
-		return
+		p.retireLocked(&p.stats.Discards, cDiscards)
 	case p.closed || (p.cfg.MaxAge > 0 && c.Age() > p.cfg.MaxAge):
-		p.live--
-		p.stats.Evictions++
-		p.mu.Unlock()
-		cEvicts.Inc()
-		gLive.Add(-1)
+		p.retireLocked(&p.stats.Evictions, cEvicts)
 		c.Close()
-		p.signal()
-		return
+	default:
+		p.idle = append(p.idle, c)
 	}
-	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 	p.signal()
 }
@@ -191,13 +179,20 @@ func (p *Pool) Release(c *remote.Conn) {
 // Discard drops a broken connection without pooling it.
 func (p *Pool) Discard(c *remote.Conn) {
 	p.mu.Lock()
-	p.live--
-	p.stats.Discards++
+	p.retireLocked(&p.stats.Discards, cDiscards)
 	p.mu.Unlock()
-	cDiscards.Inc()
-	gLive.Add(-1)
 	c.Close()
 	p.signal()
+}
+
+// retireLocked takes one live connection out of the pool's books as either
+// an eviction (healthy, retired by policy) or a discard (broken) — the one
+// place that keeps Dials == Live + Evictions + Discards.
+func (p *Pool) retireLocked(stat *int64, c *obs.Counter) {
+	p.live--
+	*stat++
+	c.Inc()
+	gLive.Add(-1)
 }
 
 // signal broadcasts "capacity may be free" to every blocked Acquire by
@@ -221,10 +216,7 @@ func (p *Pool) evictLocked() {
 	for _, c := range p.idle {
 		if c.IdleFor() > p.cfg.IdleTimeout {
 			c.Close()
-			p.live--
-			p.stats.Evictions++
-			cEvicts.Inc()
-			gLive.Add(-1)
+			p.retireLocked(&p.stats.Evictions, cEvicts)
 			continue
 		}
 		kept = append(kept, c)
@@ -267,29 +259,16 @@ func (p *Pool) withConn(ctx context.Context, fn func(*remote.Conn) (*exec.Result
 	return res, nil
 }
 
-// IsTransport reports whether err means the connection itself is suspect:
-// the peer hung up (EOF/reset/closed), the socket misbehaved (net.OpError),
-// or the request was abandoned mid-flight (timeout/cancellation) leaving a
-// response frame potentially still on the wire. Query-level errors — the
-// server answered with a well-formed error response — return false. It is
-// also the retry/breaker classifier the resilience layer uses: transport
-// errors are worth retrying, query errors prove the backend is alive.
+// IsTransport reports whether err means the connection itself is suspect —
+// the peer hung up, the socket misbehaved, or the request was abandoned
+// mid-flight leaving a response frame potentially still on the wire — as
+// opposed to a query-level error, where the server answered with a
+// well-formed error response. It is resilience.Classify read without a
+// caller context, and the retry/breaker classifier the resilience layer is
+// built with: transport errors are worth retrying, query errors prove the
+// backend is alive.
 func IsTransport(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var op *net.OpError
-	if errors.As(err, &op) {
-		return true
-	}
-	var ne interface{ Timeout() bool }
-	return errors.As(err, &ne) && ne.Timeout()
+	return resilience.Classify(context.Background(), err).ConnSuspect()
 }
 
 // Close shuts the pool and all idle connections.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vizq/internal/cache"
@@ -42,13 +41,9 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 	var pending []int
 	_, probe := obs.StartSpan(ctx, obs.SpanCacheProbe)
 	for i, q := range batch {
-		if !p.opt.DisableIntelligentCache {
-			if res, ok := p.intelligent.Get(q); ok {
-				atomic.AddInt64(&p.stats.CacheHits, 1)
-				cCacheHits.Inc()
-				results[i] = res
-				continue
-			}
+		if res, ok := p.probeIntelligent(q, &p.n.cacheHits, cCacheHits); ok {
+			results[i] = res
+			continue
 		}
 		pending = append(pending, i)
 	}
@@ -213,8 +208,7 @@ func (p *Processor) fuseGroups(batch []*query.Query, remoteIdx []int) []fuseGrou
 			order = append(order, sig)
 		} else {
 			mergeMeasures(b.fused, q)
-			atomic.AddInt64(&p.stats.FusedAway, 1)
-			cFusedAway.Inc()
+			count(&p.n.fusedAway, cFusedAway)
 		}
 		b.members = append(b.members, i)
 	}
@@ -255,10 +249,7 @@ func mergeMeasures(dst, src *query.Query) {
 
 // runFused executes a fused query and derives each member's result.
 func (p *Processor) runFused(ctx context.Context, batch []*query.Query, g fuseGroup, results []*exec.Result, errs []error) {
-	sent := g.sent
-	if !p.opt.DisableReuseAdjustment {
-		sent = cache.AdjustForReuse(sent)
-	}
+	sent := p.adjust(g.sent)
 	start := time.Now()
 	res, err := p.executeRemote(ctx, sent)
 	if err != nil {
@@ -276,13 +267,15 @@ func (p *Processor) runFused(ctx context.Context, batch []*query.Query, g fuseGr
 	_, pp := obs.StartSpan(ctx, obs.SpanPostProcess)
 	defer pp.Finish()
 	for _, i := range g.members {
-		derived, ok := cache.Derive(sent, res, batch[i])
-		if !ok {
-			errs[i] = fmt.Errorf("core: fused result does not cover member query")
+		derived, err := deriveBack(sent, res, batch[i])
+		if err != nil {
+			errs[i] = err
 			continue
 		}
 		results[i] = derived
-		if !p.opt.DisableIntelligentCache {
+		// A degraded answer is served, never stored: cached, it would come
+		// back later labeled stale, or worse, as fresh.
+		if !p.opt.DisableIntelligentCache && !derived.Stale {
 			p.intelligent.Put(batch[i], derived, cost)
 		}
 	}
@@ -294,7 +287,6 @@ func (p *Processor) runFused(ctx context.Context, batch []*query.Query, g fuseGr
 func (p *Processor) answerLocal(ctx context.Context, batch []*query.Query, j int, preds []int, done map[int]chan struct{}, results []*exec.Result, errs []error) {
 	ctx, sp := obs.StartSpan(ctx, obs.SpanLocalAnswer)
 	defer sp.Finish()
-	waited := false
 	for _, i := range preds {
 		ch, ok := done[i]
 		if !ok {
@@ -306,22 +298,11 @@ func (p *Processor) answerLocal(ctx context.Context, batch []*query.Query, j int
 			errs[j] = ctx.Err()
 			return
 		}
-		waited = true
-		if !p.opt.DisableIntelligentCache {
-			if res, ok := p.intelligent.Get(batch[j]); ok {
-				atomic.AddInt64(&p.stats.LocalAnswers, 1)
-				cLocal.Inc()
-				results[j] = res
-				return
-			}
+		if res, ok := p.probeIntelligent(batch[j], &p.n.localAnswers, cLocal); ok {
+			results[j] = res
+			return
 		}
 	}
-	_ = waited
 	// Fallback: the planned derivation did not hold at runtime.
-	res, err := p.Execute(ctx, batch[j])
-	if err != nil {
-		errs[j] = err
-		return
-	}
-	results[j] = res
+	results[j], errs[j] = p.Execute(ctx, batch[j])
 }

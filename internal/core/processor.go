@@ -115,7 +115,11 @@ type Processor struct {
 	rs          *resilience.Resilience
 	opt         Options
 
-	stats Stats
+	// n is the live form of Stats.
+	n struct {
+		remoteQueries, cacheHits, literalHits, fusedAway, localAnswers,
+		tempTables, flightLeader, flightShared, staleServed atomic.Int64
+	}
 }
 
 // NewProcessor wires a pipeline. intelligent and literal may be nil (both
@@ -151,15 +155,15 @@ func (p *Processor) ClearCaches() {
 // Stats snapshots counters.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		RemoteQueries: atomic.LoadInt64(&p.stats.RemoteQueries),
-		CacheHits:     atomic.LoadInt64(&p.stats.CacheHits),
-		LiteralHits:   atomic.LoadInt64(&p.stats.LiteralHits),
-		FusedAway:     atomic.LoadInt64(&p.stats.FusedAway),
-		LocalAnswers:  atomic.LoadInt64(&p.stats.LocalAnswers),
-		TempTables:    atomic.LoadInt64(&p.stats.TempTables),
-		FlightLeader:  atomic.LoadInt64(&p.stats.FlightLeader),
-		FlightShared:  atomic.LoadInt64(&p.stats.FlightShared),
-		StaleServed:   atomic.LoadInt64(&p.stats.StaleServed),
+		RemoteQueries: p.n.remoteQueries.Load(),
+		CacheHits:     p.n.cacheHits.Load(),
+		LiteralHits:   p.n.literalHits.Load(),
+		FusedAway:     p.n.fusedAway.Load(),
+		LocalAnswers:  p.n.localAnswers.Load(),
+		TempTables:    p.n.tempTables.Load(),
+		FlightLeader:  p.n.flightLeader.Load(),
+		FlightShared:  p.n.flightShared.Load(),
+		StaleServed:   p.n.staleServed.Load(),
 	}
 }
 
@@ -171,21 +175,14 @@ func (p *Processor) Execute(ctx context.Context, q *query.Query) (*exec.Result, 
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.SpanQuery)
 	defer sp.Finish()
-	if !p.opt.DisableIntelligentCache {
-		_, ps := obs.StartSpan(ctx, obs.SpanCacheProbe)
-		res, ok := p.intelligent.Get(q)
-		ps.Finish()
-		if ok {
-			atomic.AddInt64(&p.stats.CacheHits, 1)
-			cCacheHits.Inc()
-			sp.Annotate("answer", "cache")
-			return res, nil
-		}
+	_, ps := obs.StartSpan(ctx, obs.SpanCacheProbe)
+	res, ok := p.probeIntelligent(q, &p.n.cacheHits, cCacheHits)
+	ps.Finish()
+	if ok {
+		sp.Annotate("answer", "cache")
+		return res, nil
 	}
-	sent := q
-	if !p.opt.DisableReuseAdjustment {
-		sent = cache.AdjustForReuse(q)
-	}
+	sent := p.adjust(q)
 	res, err := p.executeRemote(ctx, sent)
 	if err != nil {
 		return nil, err
@@ -193,80 +190,100 @@ func (p *Processor) Execute(ctx context.Context, q *query.Query) (*exec.Result, 
 	if res.Stale {
 		sp.Annotate("answer", "stale")
 	}
-	if sent == q {
+	return deriveBack(sent, res, q)
+}
+
+// probeIntelligent asks the intelligent cache for q and counts a hit in the
+// given pipeline counter (cache hit or, inside a batch, local answer).
+func (p *Processor) probeIntelligent(q *query.Query, stat *atomic.Int64, c *obs.Counter) (*exec.Result, bool) {
+	if p.opt.DisableIntelligentCache {
+		return nil, false
+	}
+	res, ok := p.intelligent.Get(q)
+	if ok {
+		count(stat, c)
+	}
+	return res, ok
+}
+
+// count bumps one pipeline counter: the per-processor Stats field and its
+// process-wide obs twin.
+func count(stat *atomic.Int64, c *obs.Counter) {
+	stat.Add(1)
+	c.Inc()
+}
+
+// adjust returns the query actually sent for q: q itself, or its
+// reuse-adjusted form (Sect. 3.2) whose result deriveBack turns back into
+// q's answer.
+func (p *Processor) adjust(q *query.Query) *query.Query {
+	if p.opt.DisableReuseAdjustment {
+		return q
+	}
+	return cache.AdjustForReuse(q)
+}
+
+// deriveBack computes want's answer from the result of the query that was
+// sent in its place (an adjusted or fused form of it).
+func deriveBack(sent *query.Query, res *exec.Result, want *query.Query) (*exec.Result, error) {
+	if sent == want {
 		return res, nil
 	}
-	derived, ok := cache.Derive(sent, res, q)
+	derived, ok := cache.Derive(sent, res, want)
 	if !ok {
-		return nil, fmt.Errorf("core: adjusted query does not cover the original")
+		return nil, errors.New("core: sent query does not cover the requested one")
 	}
 	// Deriving builds a new result: the degraded-read tag must survive it.
 	derived.Stale = res.Stale
 	return derived, nil
 }
 
-// executeRemote sends a query to the data source, going through the literal
-// cache, coalescing concurrent identical executions via single-flight, and
-// externalizing oversized IN lists into session temp tables.
+// executeRemote answers the query as sent to the data source: literal
+// cache, then one fetch — shared with concurrent identical misses via
+// single-flight — and, should the fetch fail like an outage, a degraded
+// read from an expired cache entry. A query that externalizes filters
+// (Sect. 3.1) skips the literal cache and coalescing: what goes over the
+// wire is not its text but a rewrite naming session-private temp tables.
 func (p *Processor) executeRemote(ctx context.Context, q *query.Query) (*exec.Result, error) {
-	big := p.bigFilters(q)
-	if len(big) > 0 {
-		// Each retry re-runs the whole externalization: temp tables created
-		// by a failed attempt died with its poisoned connection anyway.
-		res, err := func() (*exec.Result, error) {
-			tk, err := p.opt.Scheduler.Admit(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer tk.Done()
-			return resilience.Do(ctx, p.rs, func(ctx context.Context) (*exec.Result, error) {
-				return p.executeWithTempTables(ctx, q, big)
-			})
-		}()
-		if err != nil {
-			if stale, ok := p.staleFallback(q, q.ToTQL(), err); ok {
-				return stale, nil
-			}
-			return nil, err
-		}
-		return res, nil
+	temp := false
+	for _, f := range q.Filters {
+		temp = temp || p.externalized(f)
 	}
 	text := q.ToTQL()
-	if !p.opt.DisableLiteralCache {
+	if !temp && !p.opt.DisableLiteralCache {
 		_, ps := obs.StartSpan(ctx, obs.SpanCacheProbe)
 		res, ok := p.literal.Get(text)
 		ps.Finish()
 		if ok {
-			atomic.AddInt64(&p.stats.LiteralHits, 1)
-			cLiteralHits.Inc()
+			count(&p.n.literalHits, cLiteralHits)
 			return res, nil
 		}
 	}
-	if p.opt.DisableSingleFlight {
-		res, err := p.fetchRemote(ctx, q, text)
-		if err != nil {
-			if stale, ok := p.staleFallback(q, text, err); ok {
-				return stale, nil
-			}
-		}
-		return res, err
-	}
-	// Coalesce on the query text (the same structural key the literal cache
-	// uses): concurrent misses for one query — many sessions rendering the
-	// same fresh dashboard — execute remotely once, and the waiters share
-	// the leader's result. Only the leader populates the caches.
-	res, shared, err := p.flight.Do(ctx, text, func() (*exec.Result, error) {
-		return p.fetchRemote(ctx, q, text)
-	})
-	if shared {
-		atomic.AddInt64(&p.stats.FlightShared, 1)
+	var res *exec.Result
+	var err error
+	if temp || p.opt.DisableSingleFlight {
+		res, err = p.fetchRemote(ctx, q, text, temp)
 	} else {
-		atomic.AddInt64(&p.stats.FlightLeader, 1)
+		// Coalesce on the query text (the same structural key the literal
+		// cache uses): concurrent misses for one query — many sessions
+		// rendering the same fresh dashboard — execute remotely once, and
+		// the waiters share the leader's result. Only the leader runs
+		// fetchRemote, so waiters consume no admission slot and only the
+		// leader populates the caches.
+		var shared bool
+		res, shared, err = p.flight.Do(ctx, text, func() (*exec.Result, error) {
+			return p.fetchRemote(ctx, q, text, false)
+		})
+		if shared {
+			p.n.flightShared.Add(1)
+		} else {
+			p.n.flightLeader.Add(1)
+		}
 	}
 	if err != nil {
 		// Degraded read: every coalesced waiter takes this path on its own
 		// copy of the leader's error, so all of them share the stale answer.
-		if stale, ok := p.staleFallback(q, text, err); ok {
+		if stale, ok := p.staleFallback(ctx, q, text, err); ok {
 			return stale, nil
 		}
 	}
@@ -274,16 +291,14 @@ func (p *Processor) executeRemote(ctx context.Context, q *query.Query) (*exec.Re
 }
 
 // staleFallback tries to answer q from an expired cache entry within its
-// grace window after the fresh path failed. Only outage-shaped errors
-// qualify — a breaker fast-fail or a transport failure; query-level errors
-// (the backend answered, the query is wrong) are never masked by old data.
-func (p *Processor) staleFallback(q *query.Query, text string, err error) (*exec.Result, bool) {
-	if !p.rs.ServeStale() {
-		return nil, false
-	}
-	// A load shed qualifies like an outage: the backend was never asked,
-	// and a slightly old dashboard beats an error during an overload burst.
-	if !errors.Is(err, resilience.ErrOpen) && !errors.Is(err, sched.ErrShed) && !connection.IsTransport(err) {
+// grace window after the fresh path failed. Everything but a query-level
+// error qualifies: a transport failure or a breaker fast-fail is an outage,
+// and a load shed counts like one (the backend was never asked, and a
+// slightly old dashboard beats an error during an overload burst). A
+// query-level error — the backend answered, the query is wrong — is never
+// masked by old data.
+func (p *Processor) staleFallback(ctx context.Context, q *query.Query, text string, err error) (*exec.Result, bool) {
+	if !p.rs.ServeStale() || resilience.Classify(ctx, err) == resilience.QueryError {
 		return nil, false
 	}
 	var res *exec.Result
@@ -299,7 +314,7 @@ func (p *Processor) staleFallback(q *query.Query, text string, err error) (*exec
 	if !ok {
 		return nil, false
 	}
-	atomic.AddInt64(&p.stats.StaleServed, 1)
+	p.n.staleServed.Add(1)
 	// Tag a shallow copy: the cached entry itself must stay untagged so a
 	// later fresh hit is not mislabeled.
 	tagged := *res
@@ -316,11 +331,13 @@ func (p *Processor) Metadata(ctx context.Context, table string) (*exec.Result, e
 	})
 }
 
-// fetchRemote runs one remote round-trip — admission-controlled when a
-// scheduler is configured, retried under the resilience policy when one is
-// configured — and populates both cache levels. Under single-flight only
-// the leader runs here, so coalesced waiters never consume admission slots.
-func (p *Processor) fetchRemote(ctx context.Context, q *query.Query, text string) (*exec.Result, error) {
+// fetchRemote is the one place a query reaches the data source: admitted by
+// the scheduler when one is configured, retried under the resilience policy
+// when one is configured, counted, and cached at the whole fetch's measured
+// cost. temp says q externalizes filters; each retry re-runs the whole
+// externalization, since temp tables created by a failed attempt died with
+// its poisoned connection anyway.
+func (p *Processor) fetchRemote(ctx context.Context, q *query.Query, text string, temp bool) (*exec.Result, error) {
 	tk, err := p.opt.Scheduler.Admit(ctx)
 	if err != nil {
 		return nil, err
@@ -328,42 +345,40 @@ func (p *Processor) fetchRemote(ctx context.Context, q *query.Query, text string
 	defer tk.Done()
 	start := time.Now()
 	res, err := resilience.Do(ctx, p.rs, func(ctx context.Context) (*exec.Result, error) {
+		if temp {
+			return p.executeWithTempTables(ctx, q)
+		}
 		return p.pool.Query(ctx, text)
 	})
 	if err != nil {
 		return nil, err
 	}
 	cost := time.Since(start)
-	atomic.AddInt64(&p.stats.RemoteQueries, 1)
-	cRemoteSent.Inc()
-	if !p.opt.DisableLiteralCache {
+	count(&p.n.remoteQueries, cRemoteSent)
+	if !temp && !p.opt.DisableLiteralCache {
 		p.literal.Put(text, res, cost)
 	}
+	// An externalized query is cached under its ORIGINAL structure: the
+	// temp-table join is an execution detail, the semantics are q's filters.
 	if !p.opt.DisableIntelligentCache {
 		p.intelligent.Put(q, res, cost)
 	}
 	return res, nil
 }
 
-func (p *Processor) bigFilters(q *query.Query) []int {
-	if p.opt.MaxInlineFilterValues <= 0 {
-		return nil
-	}
-	var out []int
-	for i, f := range q.Filters {
-		if f.Kind == query.FilterIn && len(f.In) > p.opt.MaxInlineFilterValues {
-			out = append(out, i)
-		}
-	}
-	return out
+// externalized reports whether f's enumeration is too large to send inline
+// (Sect. 3.1/5.3).
+func (p *Processor) externalized(f query.Filter) bool {
+	n := p.opt.MaxInlineFilterValues
+	return n > 0 && f.Kind == query.FilterIn && len(f.In) > n
 }
 
-// executeWithTempTables externalizes the given IN filters as temporary
+// executeWithTempTables externalizes q's oversized IN filters as temporary
 // tables in the remote session and rewrites the query to join against them
 // ("externalization of large enumerations with temporary secondary
 // structures", Sect. 3.1). The query must run on the connection holding the
 // temp tables, so the pipeline pins one for the duration.
-func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query, big []int) (*exec.Result, error) {
+func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query) (*exec.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, obs.SpanTempTable)
 	defer sp.Finish()
 	conn, err := p.pool.Acquire(ctx)
@@ -374,13 +389,9 @@ func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query, b
 
 	rewritten := q.Clone()
 	var keep []query.Filter
-	bigSet := map[int]bool{}
-	for _, i := range big {
-		bigSet[i] = true
-	}
 	joinIdx := 0
-	for i, f := range q.Filters {
-		if !bigSet[i] {
+	for _, f := range q.Filters {
+		if !p.externalized(f) {
 			keep = append(keep, f)
 			continue
 		}
@@ -401,25 +412,11 @@ func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query, b
 		if err != nil {
 			return nil, err
 		}
-		atomic.AddInt64(&p.stats.TempTables, 1)
-		cTempTables.Inc()
+		count(&p.n.tempTables, cTempTables)
 		rewritten.View.Joins = append(rewritten.View.Joins, query.JoinSpec{
 			Table: name, LeftCol: f.Col, RightCol: "val",
 		})
 	}
 	rewritten.Filters = keep
-
-	start := time.Now()
-	res, err := conn.Query(ctx, rewritten.ToTQL())
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(&p.stats.RemoteQueries, 1)
-	cRemoteSent.Inc()
-	// Cache under the ORIGINAL structure: the temp-table join is an
-	// execution detail, the semantics are the original filters.
-	if !p.opt.DisableIntelligentCache {
-		p.intelligent.Put(q, res, time.Since(start))
-	}
-	return res, nil
+	return conn.Query(ctx, rewritten.ToTQL())
 }

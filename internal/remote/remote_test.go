@@ -119,6 +119,39 @@ func TestSessionTempTables(t *testing.T) {
 	}
 }
 
+// The pipeline names every externalized filter "filter0", so a session
+// re-creates the same alias once per click. Each re-create must replace the
+// earlier table: before the fix they piled up in the engine until the
+// session closed (and RefreshSysTables grew with them).
+func TestTempTableRecreateDropsEarlierTable(t *testing.T) {
+	srv := startServer(t, Config{})
+	ctx := context.Background()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	vals, err := c.Query(ctx, `(topn (distinct (project (table flights) (carrier carrier))) 3 (asc carrier))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := func() int { return len(srv.eng.Database().Tables(engine.TempSchema)) }
+	before := temps()
+	var name string
+	for i := 0; i < 1000; i++ {
+		if name, err = c.CreateTempTable(ctx, "filter0", vals); err != nil {
+			t.Fatal(err)
+		}
+		if got := temps(); got != before+1 {
+			t.Fatalf("after re-create %d: %d temp tables, want %d", i, got, before+1)
+		}
+	}
+	// The latest table is the live one.
+	if _, err := c.Query(ctx, `(aggregate (table `+name+`) (groupby) (aggs (n count *)))`); err != nil {
+		t.Fatalf("latest temp table unusable: %v", err)
+	}
+}
+
 func TestMetadataOp(t *testing.T) {
 	srv := startServer(t, Config{})
 	c, err := Dial(srv.Addr())

@@ -139,8 +139,9 @@ type Resilience struct {
 }
 
 // New builds a Resilience from cfg. retryable classifies errors worth
-// retrying (typically connection.IsTransport); a nil classifier retries
-// nothing and the breaker never records failures.
+// retrying (in production connection.IsTransport, Classify's
+// connection-suspect kinds; tests substitute their own); a nil classifier
+// retries nothing and the breaker never records failures.
 func New(cfg Config, retryable func(error) bool) *Resilience {
 	cfg = cfg.withDefaults()
 	if retryable == nil {

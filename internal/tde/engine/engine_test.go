@@ -483,3 +483,43 @@ func TestTableToResultRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A freshly opened database has no dictionary index yet: the first IN
+// filters build it, and concurrent queries share the Dictionary. The lazy
+// build used to be unsynchronized ("concurrent map read and map write");
+// under -race this fails without the sync.Once in Dictionary.Lookup.
+func TestConcurrentInFiltersOnFreshlyOpenedDB(t *testing.T) {
+	db, err := workload.BuildFlightsDB(workload.FlightsConfig{Rows: 500, Days: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/db.tde"
+	if err := storage.SaveDatabase(db, path); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			<-start
+			res, err := e.Query(ctx(), `
+				(aggregate (select (table flights) (in carrier ["WN" "AA" "DL"]))
+					(groupby carrier) (aggs (n count *)))`)
+			if err == nil && res.N != 3 {
+				err = fmt.Errorf("in-list groups = %d, want 3", res.N)
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

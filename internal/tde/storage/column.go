@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Dictionary holds the distinct values of a dictionary-compressed string
@@ -14,7 +15,10 @@ type Dictionary struct {
 	Values []string
 	Coll   Collation
 
-	index map[string]int32 // collation key -> token, built lazily
+	// index maps collation key -> token. It is built on the first Lookup,
+	// under indexOnce: concurrent queries share one Dictionary.
+	indexOnce sync.Once
+	index     map[string]int32
 }
 
 // NewDictionary builds a dictionary over the distinct values, sorting them by
@@ -33,14 +37,16 @@ func (d *Dictionary) Value(tok int32) string { return d.Values[tok] }
 
 // Lookup returns the token for s under the collation, if present.
 func (d *Dictionary) Lookup(s string) (int32, bool) {
-	if d.index == nil {
-		d.index = make(map[string]int32, len(d.Values))
-		for i, v := range d.Values {
-			d.index[d.Coll.Key(v)] = int32(i)
-		}
-	}
+	d.indexOnce.Do(d.buildIndex)
 	tok, ok := d.index[d.Coll.Key(s)]
 	return tok, ok
+}
+
+func (d *Dictionary) buildIndex() {
+	d.index = make(map[string]int32, len(d.Values))
+	for i, v := range d.Values {
+		d.index[d.Coll.Key(v)] = int32(i)
+	}
 }
 
 // LowerBound returns the first token whose value is >= s under the collation

@@ -14,6 +14,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== orphan check (every internal package has an importer)"
+scripts/orphan_check.sh
+
 echo "== vizlint ./..."
 go run ./cmd/vizlint ./...
 
@@ -27,6 +30,9 @@ else
     echo "== go test -shuffle=on ./... (race pass skipped)"
     go test -shuffle=on ./...
 fi
+
+echo "== bench module (links against core/cache/connection/dataserver): vet + test"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== cluster kill/restart smoke (clustertest lifecycle)"
 go test -run TestLifecycleKillRestartSmoke ./internal/clustertest -count=1
