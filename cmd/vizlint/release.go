@@ -10,9 +10,9 @@ import (
 //
 //   - connection.Pool: every Acquire must be paired with Release or
 //     Discard on every path (or handed to someone who will);
-//   - single-flight leader slots: a call registered in the calls map must
-//     be deleted before the leader returns, or every later caller for
-//     that key blocks on a done channel that never closes;
+//   - single-flight leader slots: a caller that Join leads must Finish the
+//     call before it returns (or hand it to someone who will), or every
+//     later caller for that key waits on a call that never finishes;
 //   - breaker probe slots: allow() admitting a half-open probe must be
 //     balanced by releaseProbe, RecordSuccess or RecordFailure — the
 //     PR 4 probe-leak class, promoted from a one-off fix to a check;
@@ -103,53 +103,54 @@ var flightSpec = &resourceSpec{
 	acquire: flightAcquire,
 	release: flightRelease,
 	leakReturn: func(name string) string {
-		return fmt.Sprintf("return path leaves single-flight slot %s registered (missing delete; followers block forever)", name)
+		return fmt.Sprintf("return path leaves single-flight call %s unfinished (missing Finish; followers wait forever)", name)
 	},
 	leakExit: func(name string) string {
-		return fmt.Sprintf("single-flight slot %s is never deleted on the fall-through path (followers block forever)", name)
+		return fmt.Sprintf("single-flight call %s is never finished on the fall-through path (followers wait forever)", name)
 	},
 }
 
-// flightAcquire recognizes `x.calls[key] = c`: registering a leader in a
-// single-flight map. The tracked token is the map expression itself
-// ("f.calls"), so the matching release is `delete(f.calls, key)`.
+// flightAcquire recognizes `c, leader := x.Join(key)`. The call is only the
+// caller's to finish when it leads: the branch where leader is false (a
+// follower) holds nothing.
 func flightAcquire(as *ast.AssignStmt) *acquired {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+	if len(as.Rhs) != 1 || len(as.Lhs) != 2 {
 		return nil
 	}
-	idx, ok := as.Lhs[0].(*ast.IndexExpr)
+	call, ok := as.Rhs[0].(*ast.CallExpr)
 	if !ok {
 		return nil
 	}
-	sel, ok := idx.X.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "calls" {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Join" || len(call.Args) != 1 {
 		return nil
 	}
-	key := exprKey(sel)
-	if key == "" {
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok || id.Name == "_" {
 		return nil
 	}
-	return &acquired{name: key}
+	acq := &acquired{name: id.Name}
+	if leader, ok := as.Lhs[1].(*ast.Ident); ok && leader.Name != "_" {
+		acq.guard = leader.Name
+	}
+	return acq
 }
 
-// flightRelease recognizes `delete(x.calls, key)` on a tracked map.
+// flightRelease recognizes `x.Finish(key, c, ...)` for a tracked c.
 func flightRelease(call *ast.CallExpr, st flowState) []string {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "delete" || len(call.Args) != 2 {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Finish" {
 		return nil
 	}
-	sel, ok := call.Args[0].(*ast.SelectorExpr)
-	if !ok {
-		return nil
+	var names []string
+	for _, a := range call.Args {
+		if id, ok := a.(*ast.Ident); ok {
+			if _, tracked := st[id.Name]; tracked {
+				names = append(names, id.Name)
+			}
+		}
 	}
-	key := exprKey(sel)
-	if key == "" {
-		return nil
-	}
-	if _, tracked := st[key]; !tracked {
-		return nil
-	}
-	return []string{key}
+	return names
 }
 
 // --- breaker probe slots ------------------------------------------------

@@ -41,21 +41,26 @@ func LeakOnFallThrough(ctx context.Context, p *rpool) {
 
 type fcall struct{ done chan struct{} }
 
-type flightFixture struct {
-	calls map[string]*fcall
-}
+func (c *fcall) Wait(ctx context.Context) error { return nil }
 
-// LeaderForgetsDelete registers a single-flight leader slot and returns
-// without deleting it on the error path: every follower for that key
-// blocks on a done channel that never closes. (1 finding)
-func (f *flightFixture) LeaderForgetsDelete(key string, fail bool) error {
-	c := &fcall{done: make(chan struct{})}
-	f.calls[key] = c
+type flightFixture struct{}
+
+func (f *flightFixture) Join(key string) (*fcall, bool)         { return &fcall{}, true }
+func (f *flightFixture) Finish(key string, c *fcall, err error) {}
+
+// LeaderForgetsFinish leads a single-flight call and returns without
+// finishing it on the error path: every follower for that key waits on a
+// call that never finishes. The follower branch is exempt — it leads
+// nothing. (1 finding)
+func (f *flightFixture) LeaderForgetsFinish(ctx context.Context, key string, fail bool) error {
+	c, leader := f.Join(key)
+	if !leader {
+		return c.Wait(ctx)
+	}
 	if fail {
 		return errFixture
 	}
-	delete(f.calls, key)
-	close(c.done)
+	f.Finish(key, c, nil)
 	return nil
 }
 

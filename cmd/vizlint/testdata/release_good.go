@@ -45,17 +45,26 @@ func HandedToCallback(ctx context.Context, p *gpool, fn func(*gconn)) error {
 
 type gcall struct{ done chan struct{} }
 
-type gflight struct {
-	calls map[string]*gcall
-}
+func (c *gcall) Wait(ctx context.Context) error { return nil }
 
-// LeaderDeletesSlot mirrors the single-flight leader protocol: register,
-// work, delete, then wake the followers.
-func (f *gflight) LeaderDeletesSlot(key string) {
-	c := &gcall{done: make(chan struct{})}
-	f.calls[key] = c
-	defer close(c.done)
-	delete(f.calls, key)
+type gflight struct{}
+
+func (f *gflight) Join(key string) (*gcall, bool)         { return &gcall{}, true }
+func (f *gflight) Finish(key string, c *gcall, err error) {}
+
+// LeaderFinishesOnEveryPath mirrors the single-flight protocol: a follower
+// waits, a leader finishes the call whether its work failed or not.
+func (f *gflight) LeaderFinishesOnEveryPath(ctx context.Context, key string, work func() error) error {
+	c, leader := f.Join(key)
+	if !leader {
+		return c.Wait(ctx)
+	}
+	if err := work(); err != nil {
+		f.Finish(key, c, err)
+		return err
+	}
+	f.Finish(key, c, nil)
+	return nil
 }
 
 type gbreaker struct{}

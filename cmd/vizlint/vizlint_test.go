@@ -208,7 +208,7 @@ func TestAtomicsSilentOnGoodCode(t *testing.T) {
 
 func TestReleaseFiresOnBadCode(t *testing.T) {
 	findings := lintFixture(t, "release_bad.go", "vizq/internal/fixture")
-	// LeakOnEarlyReturn, LeakOnFallThrough, LeaderForgetsDelete,
+	// LeakOnEarlyReturn, LeakOnFallThrough, LeaderForgetsFinish,
 	// ProbeLeakOnEarlyReturn, DiscardedProbe, and EnqueueForgetsRemove.
 	if got := countCheck(findings, "release"); got != 6 {
 		dump(t, findings)

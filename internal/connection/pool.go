@@ -67,6 +67,12 @@ type Pool struct {
 	waiter chan struct{}
 	closed bool
 	stats  Stats
+
+	// The last costWindow round trips, for Spread: fixed is each one's
+	// round trip minus its statements' execution time, stmt the mean
+	// execution time of its statements.
+	fixed, stmt [costWindow]time.Duration
+	samples     int
 }
 
 // NewPool creates a pool for the given server address.
@@ -224,39 +230,100 @@ func (p *Pool) evictLocked() {
 	p.idle = kept
 }
 
-// Query acquires a connection, runs the query and releases it.
+// Query acquires a connection, runs one statement and releases it.
 func (p *Pool) Query(ctx context.Context, tql string) (*exec.Result, error) {
-	return p.withConn(ctx, func(c *remote.Conn) (*exec.Result, error) {
-		return c.Query(ctx, tql)
-	})
+	answers, err := p.QueryMany(ctx, []string{tql})
+	if err != nil {
+		return nil, err
+	}
+	return answers[0].Result, answers[0].Err
 }
 
-// Metadata acquires a connection, retrieves a table's schema and releases
-// it, with the same poisoning rules as Query.
-func (p *Pool) Metadata(ctx context.Context, table string) (*exec.Result, error) {
-	return p.withConn(ctx, func(c *remote.Conn) (*exec.Result, error) {
-		return c.Metadata(ctx, table)
-	})
-}
-
-// withConn runs one round trip on a pooled connection. A transport error
-// poisons the connection; a query-level error does not.
-func (p *Pool) withConn(ctx context.Context, fn func(*remote.Conn) (*exec.Result, error)) (*exec.Result, error) {
+// QueryMany runs stmts as one request on one pooled connection. The
+// statements run one after another there, so however they are grouped the
+// source never sees more than Max at once. A statement's own error leaves
+// the connection in the pool; a transport error discards it, and the
+// answers returned with it are the statements whose frames arrived.
+func (p *Pool) QueryMany(ctx context.Context, stmts []string) ([]remote.Answer, error) {
 	c, err := p.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, err := fn(c)
+	start := time.Now()
+	answers, err := c.QueryMany(ctx, stmts)
 	if err != nil {
-		if res == nil && IsTransport(err) {
-			p.Discard(c)
-		} else {
-			p.Release(c)
-		}
+		p.Discard(c)
+		return answers, err
+	}
+	p.Release(c)
+	p.observe(time.Since(start), answers)
+	return answers, nil
+}
+
+// Metadata acquires a connection, retrieves a table's schema and releases
+// it; a transport error discards the connection, a query-level one does not.
+func (p *Pool) Metadata(ctx context.Context, table string) (*exec.Result, error) {
+	c, err := p.Acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.Metadata(ctx, table)
+	if IsTransport(err) {
+		p.Discard(c)
 		return nil, err
 	}
 	p.Release(c)
-	return res, nil
+	return res, err
+}
+
+// costWindow is how many recent round trips Spread remembers.
+const costWindow = 16
+
+// observe records one round trip for Spread: what it cost beyond the
+// server-reported execution of its statements, and what a statement took.
+func (p *Pool) observe(rtt time.Duration, answers []remote.Answer) {
+	if len(answers) == 0 {
+		return
+	}
+	var run time.Duration
+	for _, a := range answers {
+		run += time.Duration(a.ExecNS)
+	}
+	p.mu.Lock()
+	i := p.samples % costWindow
+	p.fixed[i] = max(rtt-run, 0)
+	p.stmt[i] = run / time.Duration(len(answers))
+	p.samples++
+	p.mu.Unlock()
+}
+
+// Spread says how many requests a wave of n statements should travel in.
+// Statements sharing a request run one after another on one connection, so
+// fewer requests save round trips and cost dynamic dispatch: it pays when a
+// round trip's fixed cost — the windowed minimum of round trip minus
+// execution time, the min-RTT filter of BBR — exceeds what a typical
+// statement takes to execute. Then Spread returns min(n, Max): every
+// connection the source allows gets one request. Otherwise, and before the
+// pool has seen a round trip, it returns n: one statement per request.
+func (p *Pool) Spread(n int) int {
+	if n <= p.cfg.Max {
+		return n
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := min(p.samples, costWindow)
+	if k == 0 {
+		return n
+	}
+	fixed, stmt := p.fixed[0], time.Duration(0)
+	for i := 0; i < k; i++ {
+		fixed = min(fixed, p.fixed[i])
+		stmt += p.stmt[i]
+	}
+	if fixed > stmt/time.Duration(k) {
+		return p.cfg.Max
+	}
+	return n
 }
 
 // IsTransport reports whether err means the connection itself is suspect —

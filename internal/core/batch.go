@@ -20,8 +20,8 @@ import (
 //     their predecessors' results.
 //  3. Fuse remote queries that differ only in their projection lists
 //     (Sect. 3.4).
-//  4. Submit remote queries concurrently; answer each local query as soon
-//     as one of its predecessors completes.
+//  4. Send the remote queries as one wave (executeRemote); answer each
+//     local query as soon as one of its predecessors completes.
 //
 // Results are returned in batch order.
 func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*exec.Result, error) {
@@ -83,25 +83,14 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 	plan.Annotatef("groups", "%d", len(groups))
 	plan.Finish()
 
-	// Phase 3: concurrent remote submission. done[i] closes when query i's
-	// result is cached and available.
+	// Phase 3: one remote wave of every group's sent query. done[i] closes
+	// when query i's result is cached and available.
 	done := make(map[int]chan struct{}, len(remoteIdx))
 	for _, i := range remoteIdx {
 		done[i] = make(chan struct{})
 	}
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g fuseGroup) {
-			defer wg.Done()
-			p.runFused(ctx, batch, g, results, errs)
-			for _, i := range g.members {
-				close(done[i])
-			}
-		}(g)
-	}
-
 	// Phase 4: locals fire as soon as any predecessor completes.
+	var wg sync.WaitGroup
 	for _, j := range localIdx {
 		wg.Add(1)
 		go func(j int) {
@@ -109,6 +98,24 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 			p.answerLocal(ctx, batch, j, pred[j], done, results, errs)
 		}(j)
 	}
+	wave := make([]*query.Query, len(groups))
+	for gi, g := range groups {
+		wave[gi] = p.adjust(g.sent)
+	}
+	start := time.Now()
+	p.executeRemote(ctx, wave, func(gi int, res *exec.Result, err error) {
+		g := groups[gi]
+		if err != nil {
+			for _, i := range g.members {
+				errs[i] = err
+			}
+		} else {
+			p.answerGroup(ctx, batch, g.members, wave[gi], res, time.Since(start), results, errs)
+		}
+		for _, i := range g.members {
+			close(done[i])
+		}
+	})
 	wg.Wait()
 
 	for i, err := range errs {
@@ -247,26 +254,17 @@ func mergeMeasures(dst, src *query.Query) {
 	}
 }
 
-// runFused executes a fused query and derives each member's result.
-func (p *Processor) runFused(ctx context.Context, batch []*query.Query, g fuseGroup, results []*exec.Result, errs []error) {
-	sent := p.adjust(g.sent)
-	start := time.Now()
-	res, err := p.executeRemote(ctx, sent)
-	if err != nil {
-		for _, i := range g.members {
-			errs[i] = err
-		}
-		return
-	}
+// answerGroup derives each member of a fused group from the result of the
+// query sent for the group.
+func (p *Processor) answerGroup(ctx context.Context, batch []*query.Query, members []int, sent *query.Query, res *exec.Result, cost time.Duration, results []*exec.Result, errs []error) {
 	// Each derived member is cached at the fused execution's measured cost:
 	// re-running any member means re-running the fused remote query, and the
 	// eviction policy ranks entries by the work a miss would cost. A
 	// hardcoded nominal cost would undersell expensive fused queries and
 	// evict exactly the entries worth keeping.
-	cost := time.Since(start)
 	_, pp := obs.StartSpan(ctx, obs.SpanPostProcess)
 	defer pp.Finish()
-	for _, i := range g.members {
+	for _, i := range members {
 		derived, err := deriveBack(sent, res, batch[i])
 		if err != nil {
 			errs[i] = err

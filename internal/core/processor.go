@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -182,15 +183,18 @@ func (p *Processor) Execute(ctx context.Context, q *query.Query) (*exec.Result, 
 		sp.Annotate("answer", "cache")
 		return res, nil
 	}
+	// A wave of one.
 	sent := p.adjust(q)
-	res, err := p.executeRemote(ctx, sent)
+	var got *exec.Result
+	var err error
+	p.executeRemote(ctx, []*query.Query{sent}, func(_ int, r *exec.Result, e error) { got, err = r, e })
 	if err != nil {
 		return nil, err
 	}
-	if res.Stale {
+	if got.Stale {
 		sp.Annotate("answer", "stale")
 	}
-	return deriveBack(sent, res, q)
+	return deriveBack(sent, got, q)
 }
 
 // probeIntelligent asks the intelligent cache for q and counts a hit in the
@@ -238,56 +242,131 @@ func deriveBack(sent *query.Query, res *exec.Result, want *query.Query) (*exec.R
 	return derived, nil
 }
 
-// executeRemote answers the query as sent to the data source: literal
-// cache, then one fetch — shared with concurrent identical misses via
-// single-flight — and, should the fetch fail like an outage, a degraded
-// read from an expired cache entry. A query that externalizes filters
-// (Sect. 3.1) skips the literal cache and coalescing: what goes over the
-// wire is not its text but a rewrite naming session-private temp tables.
-func (p *Processor) executeRemote(ctx context.Context, q *query.Query) (*exec.Result, error) {
-	temp := false
-	for _, f := range q.Filters {
-		temp = temp || p.externalized(f)
-	}
-	text := q.ToTQL()
-	if !temp && !p.opt.DisableLiteralCache {
-		_, ps := obs.StartSpan(ctx, obs.SpanCacheProbe)
-		res, ok := p.literal.Get(text)
-		ps.Finish()
-		if ok {
-			count(&p.n.literalHits, cLiteralHits)
-			return res, nil
+// stmt is one query of a remote wave on its way to the data source.
+type stmt struct {
+	i    int          // position in the wave
+	q    *query.Query // the query as sent
+	text string
+	temp bool        // externalizes filters (Sect. 3.1): travels alone
+	call *cache.Call // the single-flight call this statement leads or follows
+	res  *exec.Result
+	err  error
+}
+
+// executeRemote answers a wave of queries as sent to the data source — the
+// remote queries of one batch, or the one query of an Execute — and calls
+// done(i, res, err) for wave[i] as soon as its answer is known. Each query
+// probes the literal cache, then joins single-flight on its text: a query
+// already in flight is waited for, not sent. The queries this wave leads go
+// out in pool.Spread(n) requests, each one fetchRemote. Should a query's
+// answer fail like an outage, a degraded read from an expired cache entry
+// stands in. A query that externalizes filters skips the literal cache and
+// coalescing and travels in a request of its own: what goes over the wire
+// is not its text but a rewrite naming session-private temp tables.
+func (p *Processor) executeRemote(ctx context.Context, wave []*query.Query, done func(i int, res *exec.Result, err error)) {
+	stmts := make([]stmt, len(wave))
+	var hits, lead, temps, follow []*stmt
+	for i, q := range wave {
+		s := &stmts[i]
+		s.i, s.q, s.text = i, q, q.ToTQL()
+		for _, f := range q.Filters {
+			s.temp = s.temp || p.externalized(f)
 		}
-	}
-	var res *exec.Result
-	var err error
-	if temp || p.opt.DisableSingleFlight {
-		res, err = p.fetchRemote(ctx, q, text, temp)
-	} else {
-		// Coalesce on the query text (the same structural key the literal
-		// cache uses): concurrent misses for one query — many sessions
-		// rendering the same fresh dashboard — execute remotely once, and
-		// the waiters share the leader's result. Only the leader runs
-		// fetchRemote, so waiters consume no admission slot and only the
-		// leader populates the caches.
-		var shared bool
-		res, shared, err = p.flight.Do(ctx, text, func() (*exec.Result, error) {
-			return p.fetchRemote(ctx, q, text, false)
-		})
-		if shared {
-			p.n.flightShared.Add(1)
-		} else {
+		if !s.temp && !p.opt.DisableLiteralCache {
+			_, ps := obs.StartSpan(ctx, obs.SpanCacheProbe)
+			res, ok := p.literal.Get(s.text)
+			ps.Finish()
+			if ok {
+				count(&p.n.literalHits, cLiteralHits)
+				s.res = res
+				hits = append(hits, s)
+				continue
+			}
+		}
+		switch {
+		case s.temp:
+			temps = append(temps, s)
+		case p.opt.DisableSingleFlight:
+			lead = append(lead, s)
+		default:
+			// Coalesce on the query text (the same structural key the literal
+			// cache uses): concurrent misses for one query — many sessions
+			// rendering the same fresh dashboard — execute remotely once, and
+			// the followers share the leader's result. Only leaders are sent,
+			// so followers consume no admission slot and only leaders
+			// populate the caches.
+			call, leader := p.flight.Join(s.text)
+			s.call = call
+			if !leader {
+				p.n.flightShared.Add(1)
+				follow = append(follow, s)
+				continue
+			}
 			p.n.flightLeader.Add(1)
+			lead = append(lead, s)
 		}
 	}
-	if err != nil {
-		// Degraded read: every coalesced waiter takes this path on its own
-		// copy of the leader's error, so all of them share the stale answer.
-		if stale, ok := p.staleFallback(ctx, q, text, err); ok {
-			return stale, nil
+
+	reqs := make([][]*stmt, 0, len(temps)+len(lead))
+	for i := range temps {
+		reqs = append(reqs, temps[i:i+1])
+	}
+	if n := len(lead); n > 0 {
+		k := p.pool.Spread(n)
+		for r := 0; r < k; r++ {
+			reqs = append(reqs, lead[r*n/k:(r+1)*n/k])
 		}
 	}
-	return res, err
+	answer := func(s *stmt) {
+		// Degraded read: every follower takes this path on its own copy of
+		// the leader's error, so all of them share the stale answer.
+		if s.err != nil {
+			if stale, ok := p.staleFallback(ctx, s.q, s.text, s.err); ok {
+				s.res, s.err = stale, nil
+			}
+		}
+		done(s.i, s.res, s.err)
+	}
+
+	// Every request and every followed flight proceeds on its own, and the
+	// literal hits are answered while they do. A wave of one starts no
+	// goroutine.
+	var wg sync.WaitGroup
+	inline := len(hits) == 0 && len(reqs)+len(follow) == 1
+	run := func(f func()) {
+		if inline {
+			f()
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	for _, req := range reqs {
+		run(func() {
+			p.fetchRemote(ctx, req)
+			for _, s := range req {
+				if s.call != nil {
+					p.flight.Finish(s.text, s.call, s.res, s.err)
+				}
+			}
+			for _, s := range req {
+				answer(s)
+			}
+		})
+	}
+	for _, s := range follow {
+		run(func() {
+			s.res, s.err = s.call.Wait(ctx)
+			answer(s)
+		})
+	}
+	for _, s := range hits {
+		done(s.i, s.res, nil)
+	}
+	wg.Wait()
 }
 
 // staleFallback tries to answer q from an expired cache entry within its
@@ -331,39 +410,72 @@ func (p *Processor) Metadata(ctx context.Context, table string) (*exec.Result, e
 	})
 }
 
-// fetchRemote is the one place a query reaches the data source: admitted by
-// the scheduler when one is configured, retried under the resilience policy
-// when one is configured, counted, and cached at the whole fetch's measured
-// cost. temp says q externalizes filters; each retry re-runs the whole
-// externalization, since temp tables created by a failed attempt died with
-// its poisoned connection anyway.
-func (p *Processor) fetchRemote(ctx context.Context, q *query.Query, text string, temp bool) (*exec.Result, error) {
+// fetchRemote is the one place queries reach the data source. req is one
+// request: a query that externalizes filters, or one or more plain queries
+// that run one after another on one pooled connection. The request is
+// admitted by the scheduler when one is configured and retried under the
+// resilience policy when one is configured; a retry resends only the
+// queries whose answers never arrived (an externalized query re-runs its
+// whole externalization, since temp tables created by a failed attempt died
+// with its poisoned connection). Every answered query is counted and cached
+// at the request's measured cost.
+func (p *Processor) fetchRemote(ctx context.Context, req []*stmt) {
 	tk, err := p.opt.Scheduler.Admit(ctx)
 	if err != nil {
-		return nil, err
+		for _, s := range req {
+			s.err = err
+		}
+		return
 	}
 	defer tk.Done()
 	start := time.Now()
-	res, err := resilience.Do(ctx, p.rs, func(ctx context.Context) (*exec.Result, error) {
-		if temp {
-			return p.executeWithTempTables(ctx, q)
-		}
-		return p.pool.Query(ctx, text)
+	pending := req
+	_, err = resilience.Do(ctx, p.rs, func(ctx context.Context) (struct{}, error) {
+		var err error
+		pending, err = p.send(ctx, pending)
+		return struct{}{}, err
 	})
-	if err != nil {
-		return nil, err
+	for _, s := range pending {
+		s.err = err
 	}
 	cost := time.Since(start)
-	count(&p.n.remoteQueries, cRemoteSent)
-	if !temp && !p.opt.DisableLiteralCache {
-		p.literal.Put(text, res, cost)
+	for _, s := range req {
+		if s.err != nil {
+			continue
+		}
+		count(&p.n.remoteQueries, cRemoteSent)
+		if !s.temp && !p.opt.DisableLiteralCache {
+			p.literal.Put(s.text, s.res, cost)
+		}
+		// An externalized query is cached under its ORIGINAL structure: the
+		// temp-table join is an execution detail, the semantics are its
+		// filters.
+		if !p.opt.DisableIntelligentCache {
+			p.intelligent.Put(s.q, s.res, cost)
+		}
 	}
-	// An externalized query is cached under its ORIGINAL structure: the
-	// temp-table join is an execution detail, the semantics are q's filters.
-	if !p.opt.DisableIntelligentCache {
-		p.intelligent.Put(q, res, cost)
+}
+
+// send makes one attempt at a request's pending queries. It returns the
+// ones whose answers did not arrive, with the error that stopped them.
+func (p *Processor) send(ctx context.Context, pending []*stmt) ([]*stmt, error) {
+	if s := pending[0]; s.temp {
+		res, err := p.executeWithTempTables(ctx, s.q)
+		if err != nil {
+			return pending, err
+		}
+		s.res = res
+		return nil, nil
 	}
-	return res, nil
+	texts := make([]string, len(pending))
+	for i, s := range pending {
+		texts[i] = s.text
+	}
+	answers, err := p.pool.QueryMany(ctx, texts)
+	for i, a := range answers {
+		pending[i].res, pending[i].err = a.Result, a.Err
+	}
+	return pending[len(answers):], err
 }
 
 // externalized reports whether f's enumeration is too large to send inline

@@ -104,3 +104,40 @@ func TestPeerDropPoisonsConn(t *testing.T) {
 		t.Fatal("connection must be marked broken after a round-trip error")
 	}
 }
+
+// TestDeadlineBetweenFramesBreaksConn is the frame-bleed test for query
+// requests, which are answered by one frame per statement: a deadline that
+// fires after the first frame leaves the second on the wire. The call must
+// return the answer that arrived, the connection must be marked broken, and
+// the late frame must never answer a later request.
+func TestDeadlineBetweenFramesBreaksConn(t *testing.T) {
+	// One row costs 2ms: the first statement answers at once, the second
+	// (one row per day) only after 120ms.
+	srv := startServer(t, Config{PerRowCost: 2 * time.Millisecond})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	answers, err := c.QueryMany(ctx, []string{
+		`(aggregate (table flights) (groupby) (aggs (n count *)))`,
+		`(aggregate (table flights) (groupby date) (aggs (n count *)))`,
+	})
+	if err == nil {
+		t.Fatal("expected a deadline error between the two frames")
+	}
+	if len(answers) != 1 || answers[0].Err != nil || answers[0].Result.N != 1 {
+		t.Fatalf("answers before the deadline = %+v, want the first statement's", answers)
+	}
+	if !c.Closed() {
+		t.Fatal("connection must be marked broken after a deadline between frames")
+	}
+
+	time.Sleep(200 * time.Millisecond) // the second frame is on the wire now
+	if res, err := c.Query(context.Background(), `(aggregate (table flights) (groupby) (aggs (n count *)))`); err == nil {
+		t.Fatalf("broken connection answered a later request with %d rows", res.N)
+	}
+}

@@ -17,6 +17,7 @@ import (
 var (
 	mRoundTripNS = obs.H("remote.roundtrip.ns")
 	cBroken      = obs.C("remote.conns_broken")
+	cRequests    = obs.C("remote.requests") // query requests; each carries one or more statements
 )
 
 // Conn is one client connection to a simulated remote database. A single
@@ -76,7 +77,9 @@ func (c *Conn) IdleFor() time.Duration {
 	return time.Since(c.lastUse)
 }
 
-func (c *Conn) roundTrip(ctx context.Context, req *Request) (*Response, error) {
+// roundTrip sends req and reads n response frames. On a transport error it
+// returns the frames that arrived before it.
+func (c *Conn) roundTrip(ctx context.Context, req *Request, n int) ([]*Response, error) {
 	_, sp := obs.StartSpan(ctx, obs.SpanRemote)
 	defer sp.Finish()
 	sp.Annotate("op", string(req.Op))
@@ -96,23 +99,37 @@ func (c *Conn) roundTrip(ctx context.Context, req *Request) (*Response, error) {
 		c.breakLocked()
 		return nil, err
 	}
-	resp, err := readFrame[Response](c.r)
-	if err != nil {
-		c.breakLocked()
-		return nil, err
+	resps := make([]*Response, 0, n)
+	for len(resps) < n {
+		resp, err := readFrame[Response](c.r)
+		if err != nil {
+			c.breakLocked()
+			return resps, err
+		}
+		resps = append(resps, resp)
 	}
 	c.lastUse = time.Now()
 	mRoundTripNS.ObserveDuration(time.Since(start))
-	if resp.Err != "" {
-		return nil, fmt.Errorf("remote: %s", resp.Err)
+	return resps, nil
+}
+
+// call is a one-frame round trip whose response error is the call's error.
+func (c *Conn) call(ctx context.Context, req *Request) (*Response, error) {
+	resps, err := c.roundTrip(ctx, req, 1)
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
+	if resps[0].Err != "" {
+		return nil, fmt.Errorf("remote: %s", resps[0].Err)
+	}
+	return resps[0], nil
 }
 
 // breakLocked takes the connection out of service after a transport fault.
-// On a deadline-exceeded read the response frame may still be in flight; a
-// reused connection would read that stale frame as the answer to its next
-// request (cross-request frame bleed), so any write/read error is terminal.
+// On a deadline-exceeded read the response frame may still be in flight —
+// or, in a query request, the rest of its frames; a reused connection would
+// read them as the answer to its next request (cross-request frame bleed),
+// so any write/read error is terminal.
 // Callers hold c.mu, hence the direct conn.Close rather than c.Close.
 func (c *Conn) breakLocked() {
 	if c.closed {
@@ -125,26 +142,53 @@ func (c *Conn) breakLocked() {
 
 // Ping checks liveness.
 func (c *Conn) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, &Request{Op: OpPing})
+	_, err := c.call(ctx, &Request{Op: OpPing})
 	return err
 }
 
-// Query executes TQL on the server.
+// Answer is one statement's response within a query request.
+type Answer struct {
+	Result *exec.Result
+	// Err is the statement's own error: the server answered, and the
+	// connection is fine.
+	Err error
+	// ExecNS is the server-reported execution time of the statement.
+	ExecNS int64
+}
+
+// QueryMany sends stmts as one query request: the server pays its latency
+// once, runs them in order and answers each in its own frame. The error is a
+// transport failure, after which the connection is broken and the answers
+// are those of the statements whose frames arrived.
+func (c *Conn) QueryMany(ctx context.Context, stmts []string) ([]Answer, error) {
+	cRequests.Inc()
+	resps, err := c.roundTrip(ctx, &Request{Op: OpQuery, Stmts: stmts}, len(stmts))
+	answers := make([]Answer, len(resps))
+	for i, r := range resps {
+		answers[i] = Answer{Result: r.Result, ExecNS: r.ExecNS}
+		switch {
+		case r.Err != "":
+			answers[i].Err = fmt.Errorf("remote: %s", r.Err)
+		case r.Result == nil:
+			answers[i].Err = errors.New("remote: empty result")
+		}
+	}
+	return answers, err
+}
+
+// Query executes one TQL statement on the server.
 func (c *Conn) Query(ctx context.Context, tql string) (*exec.Result, error) {
-	resp, err := c.roundTrip(ctx, &Request{Op: OpQuery, TQL: tql})
+	answers, err := c.QueryMany(ctx, []string{tql})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Result == nil {
-		return nil, errors.New("remote: empty result")
-	}
-	return resp.Result, nil
+	return answers[0].Result, answers[0].Err
 }
 
 // CreateTempTable uploads rows as a session-local temporary table and
 // returns its qualified name for use in subsequent queries.
 func (c *Conn) CreateTempTable(ctx context.Context, alias string, rows *exec.Result) (string, error) {
-	resp, err := c.roundTrip(ctx, &Request{Op: OpTempCreate, Name: alias, Result: rows})
+	resp, err := c.call(ctx, &Request{Op: OpTempCreate, Name: alias, Result: rows})
 	if err != nil {
 		return "", err
 	}
@@ -153,13 +197,13 @@ func (c *Conn) CreateTempTable(ctx context.Context, alias string, rows *exec.Res
 
 // DropTempTable removes a session temp table by alias.
 func (c *Conn) DropTempTable(ctx context.Context, alias string) error {
-	_, err := c.roundTrip(ctx, &Request{Op: OpTempDrop, Name: alias})
+	_, err := c.call(ctx, &Request{Op: OpTempDrop, Name: alias})
 	return err
 }
 
 // Metadata returns a table's schema as a zero-row result.
 func (c *Conn) Metadata(ctx context.Context, table string) (*exec.Result, error) {
-	resp, err := c.roundTrip(ctx, &Request{Op: OpMetadata, Name: table})
+	resp, err := c.call(ctx, &Request{Op: OpMetadata, Name: table})
 	if err != nil {
 		return nil, err
 	}

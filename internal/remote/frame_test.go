@@ -1,0 +1,120 @@
+package remote
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestQueryManyAnswersEachStatement: one query request pays the latency
+// once and answers every statement in its own frame; a statement's error is
+// its own, and the connection stays usable.
+func TestQueryManyAnswersEachStatement(t *testing.T) {
+	const latency = 40 * time.Millisecond
+	srv := startServer(t, Config{Latency: latency})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	start := time.Now()
+	answers, err := c.QueryMany(context.Background(), []string{
+		`(aggregate (table flights) (groupby carrier) (aggs (n count *)))`,
+		`(table nosuch)`,
+		`(aggregate (table flights) (groupby) (aggs (n count *)))`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el >= 2*latency {
+		t.Errorf("three statements took %v: the latency must be paid once per request", el)
+	}
+	if len(answers) != 3 {
+		t.Fatalf("%d answers, want 3", len(answers))
+	}
+	if answers[0].Err != nil || answers[0].Result.N == 0 || answers[0].ExecNS <= 0 {
+		t.Errorf("first statement: %+v", answers[0])
+	}
+	if answers[1].Err == nil || !strings.Contains(answers[1].Err.Error(), "not found") {
+		t.Errorf("second statement err = %v, want its own query error", answers[1].Err)
+	}
+	if answers[2].Err != nil || answers[2].Result.Value(0, 0).I != 5000 {
+		t.Errorf("third statement after a failed one: %+v", answers[2])
+	}
+	if st := srv.Stats(); st.Requests != 1 || st.Queries != 3 {
+		t.Errorf("server stats = %+v, want 1 request carrying 3 statements", st)
+	}
+	if c.Closed() {
+		t.Fatal("a statement's error must not break the connection")
+	}
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: the length in a frame header is only a
+// claim. A header announcing 1 GiB followed by little or nothing must fail
+// with a truncated frame after allocating about what arrived, not 1 GiB.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	for _, sent := range []int{0, 100, 300 << 10} {
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], 1<<30)
+		in := append(hdr[:], bytes.Repeat([]byte{'x'}, sent)...)
+		r := bufio.NewReader(bytes.NewReader(in))
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readFrame[Response](r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d payload bytes: err = %v, want a truncated frame", sent, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%d payload bytes under a 1 GiB header: allocated %d bytes, want < 1 MiB", sent, got)
+		}
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder as a peer would,
+// reading frames until the first error: both directions must fail cleanly,
+// never panic, and a request that decodes must survive re-encoding. The
+// seed corpus (testdata/fuzz/FuzzReadFrame) holds a valid request, a
+// streamed two-statement response, a truncated header and an oversize one.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bufio.NewReader(bytes.NewReader(data))
+		for {
+			if _, err := readFrame[Response](r); err != nil {
+				break
+			}
+		}
+		r = bufio.NewReader(bytes.NewReader(data))
+		for {
+			req, err := readFrame[Request](r)
+			if err != nil {
+				break
+			}
+			var buf bytes.Buffer
+			w := bufio.NewWriter(&buf)
+			if err := writeFrame(w, req); err != nil {
+				t.Fatalf("re-encoding a decoded request: %v", err)
+			}
+			again, err := readFrame[Request](bufio.NewReader(&buf))
+			if err != nil {
+				t.Fatalf("decoding a re-encoded request: %v", err)
+			}
+			if !reflect.DeepEqual(again, req) {
+				t.Fatalf("request changed in a round trip: %+v -> %+v", req, again)
+			}
+		}
+	})
+}

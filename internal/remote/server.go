@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,10 @@ type Config struct {
 
 // Stats counts server-side activity.
 type Stats struct {
+	// Requests counts query requests received; each carries one or more
+	// statements.
+	Requests int64
+	// Queries counts the statements those requests carried.
 	Queries     int64
 	TempCreates int64
 	TempDrops   int64
@@ -186,22 +191,35 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 		if err != nil {
 			return
 		}
-		resp := s.handle(sess, req)
-		if err := writeFrame(w, resp); err != nil {
-			return
+		if s.cfg.Latency > 0 {
+			time.Sleep(s.cfg.Latency) //vizlint:allow sleep -- simulated network round trip (performance model)
+		}
+		if req.Op != OpQuery {
+			if err := writeFrame(w, s.handle(sess, req)); err != nil {
+				return
+			}
+			continue
+		}
+		// A query request pays the round trip once, then runs its statements
+		// one after another on this session — a connection never has more
+		// than one executing — and answers each with its own frame as soon
+		// as it is done.
+		s.mu.Lock()
+		s.stats.Requests++
+		s.stats.Queries += int64(len(req.Stmts))
+		s.mu.Unlock()
+		for _, stmt := range req.Stmts {
+			if err := writeFrame(w, s.handleQuery(stmt)); err != nil {
+				return
+			}
 		}
 	}
 }
 
 func (s *Server) handle(sess *session, req *Request) *Response {
-	if s.cfg.Latency > 0 {
-		time.Sleep(s.cfg.Latency) //vizlint:allow sleep -- simulated network round trip (performance model)
-	}
 	switch req.Op {
 	case OpPing:
 		return &Response{}
-	case OpQuery:
-		return s.handleQuery(req)
 	case OpTempCreate:
 		return s.handleTempCreate(sess, req)
 	case OpTempDrop:
@@ -213,7 +231,7 @@ func (s *Server) handle(sess *session, req *Request) *Response {
 	}
 }
 
-func (s *Server) handleQuery(req *Request) *Response {
+func (s *Server) handleQuery(stmt string) *Response {
 	if s.sem != nil {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
@@ -221,7 +239,6 @@ func (s *Server) handleQuery(req *Request) *Response {
 	cur := atomic.AddInt64(&s.inFlight, 1)
 	defer atomic.AddInt64(&s.inFlight, -1)
 	s.mu.Lock()
-	s.stats.Queries++
 	if cur > s.stats.MaxInFlight {
 		s.stats.MaxInFlight = cur
 	}
@@ -232,7 +249,7 @@ func (s *Server) handleQuery(req *Request) *Response {
 	if s.cfg.ScanBatchDelay > 0 {
 		ctx = exec.WithConfig(ctx, exec.Config{ScanBatchDelay: s.cfg.ScanBatchDelay})
 	}
-	res, err := s.eng.Query(ctx, req.TQL)
+	res, err := s.eng.Query(ctx, stmt)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -306,13 +323,18 @@ func (s *Server) handleTempDrop(sess *session, req *Request) *Response {
 }
 
 // ---- wire protocol: u32 length-prefixed JSON frames ----
+//
+// Every request is one frame. A query request carries one or more statements
+// and is answered by one response frame per statement, in order; every other
+// op is answered by one frame.
 
 // Op identifies a request type.
 type Op string
 
 // Request operations.
 const (
-	OpPing       Op = "ping"
+	OpPing Op = "ping"
+	// OpQuery runs Request.Stmts in order on the session.
 	OpQuery      Op = "query"
 	OpTempCreate Op = "tempcreate"
 	OpTempDrop   Op = "tempdrop"
@@ -324,12 +346,13 @@ const (
 // Request is one client->server message.
 type Request struct {
 	Op     Op
-	TQL    string       `json:",omitempty"`
+	Stmts  []string     `json:",omitempty"`
 	Name   string       `json:",omitempty"`
 	Result *exec.Result `json:",omitempty"`
 }
 
-// Response is one server->client message.
+// Response is one server->client message: the answer to one statement of a
+// query request, or to one request of any other op.
 type Response struct {
 	Err    string       `json:",omitempty"`
 	Result *exec.Result `json:",omitempty"`
@@ -353,18 +376,36 @@ func writeFrame[T any](w *bufio.Writer, v *T) error {
 	return w.Flush()
 }
 
+// frameChunk is how much of a frame readFrame allocates before any of it
+// has arrived.
+const frameChunk = 64 << 10
+
+// readFrame reads one frame. The length in its header is the peer's claim,
+// not a fact: the buffer starts at frameChunk and doubles only as bytes
+// arrive, so a peer that announces a large frame and then stalls or hangs
+// up costs at most twice what it actually sent.
 func readFrame[T any](r *bufio.Reader) (*T, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > 1<<30 {
 		return nil, fmt.Errorf("remote: frame too large (%d)", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+	data := make([]byte, 0, min(n, frameChunk))
+	for len(data) < n {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(n-len(data), len(data)))
+		}
+		k, err := io.ReadFull(r, data[len(data):min(n, cap(data))])
+		data = data[:len(data)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header arrived: the frame is cut short
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	v := new(T)
 	if err := json.Unmarshal(data, v); err != nil {

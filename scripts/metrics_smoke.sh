@@ -15,7 +15,7 @@ if [[ -z "$metrics_json" ]]; then
     echo "metrics smoke FAILED: no JSON object in loadsim -metrics json output" >&2
     exit 1
 fi
-for key in '"remote.roundtrip.ns"' '"pool.acquire.wait.ns"' '"pool.acquire.total.ns"' \
+for key in '"remote.roundtrip.ns"' '"remote.requests"' '"pool.acquire.wait.ns"' '"pool.acquire.total.ns"' \
            '"core.batch.size"' '"cache.literal.hits"' \
            '"cache.singleflight.leader"' '"cache.singleflight.shared"' \
            '"cache.literal.evict_sampled"' '"cache.intelligent.evict_sampled"' \
@@ -43,6 +43,19 @@ v = c.get("cache.singleflight.leader", 0)
 sys.exit(0 if v > 0 else 1)
 ' <<<"$metrics_json" 2>/dev/null; then
     echo "metrics smoke FAILED: cache.singleflight.leader never incremented" >&2
+    exit 1
+fi
+# Every remote query travels in a query request, so a run that reached the
+# backend must have counted requests — a zero means the wave path bypasses
+# the counted client op.
+if ! python3 -c '
+import json, sys
+m = json.load(sys.stdin)
+c = m.get("counters", m)
+v = c.get("remote.requests", 0)
+sys.exit(0 if v > 0 else 1)
+' <<<"$metrics_json" 2>/dev/null; then
+    echo "metrics smoke FAILED: remote.requests never incremented" >&2
     exit 1
 fi
 # With -sched, every remote execution passes through admission control, so
