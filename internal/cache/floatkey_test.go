@@ -12,7 +12,7 @@ import (
 )
 
 func floatKey(f float64) []byte {
-	return appendValueKey(nil, storage.FloatValue(f), storage.CollBinary)
+	return storage.AppendKey(nil, storage.FloatValue(f), storage.CollBinary)
 }
 
 // TestFloatKeyDistinguishesLargeValues is the regression for the grouping
@@ -21,8 +21,8 @@ func floatKey(f float64) []byte {
 // and also collided values closer than 1e-9.
 func TestFloatKeyDistinguishesLargeValues(t *testing.T) {
 	collisions := [][2]float64{
-		{1e10, 2e10},      // both overflow int64(v*1e9) pre-fix
-		{9.3e9, -9.3e9},   // overflow in both directions
+		{1e10, 2e10},    // both overflow int64(v*1e9) pre-fix
+		{9.3e9, -9.3e9}, // overflow in both directions
 		{1e18, 1e18 + 1e3},
 		{1.0, 1.0 + 1e-10}, // below the old 1e-9 granularity
 	}

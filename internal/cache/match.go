@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"sort"
 	"strings"
 
@@ -187,7 +186,7 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 		}
 		keyBuf = keyBuf[:0]
 		for i := range r.Dims {
-			keyBuf = appendValueKey(keyBuf, sres.Value(row, dimSrc[i]), collFor(dimSrc[i]))
+			keyBuf = storage.AppendKey(keyBuf, sres.Value(row, dimSrc[i]), collFor(dimSrc[i]))
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
@@ -315,45 +314,6 @@ func filterAccepts(f query.Filter, v storage.Value, coll storage.Collation) bool
 		}
 	}
 	return true
-}
-
-func appendValueKey(buf []byte, v storage.Value, coll storage.Collation) []byte {
-	if v.Null {
-		return append(buf, 0)
-	}
-	switch v.Type {
-	case storage.TStr:
-		buf = append(buf, 3)
-		buf = append(buf, coll.Key(v.S)...)
-		return append(buf, 0)
-	case storage.TFloat:
-		buf = append(buf, 2)
-		// Order-preserving IEEE-754 encoding: flip the sign bit on
-		// non-negatives and complement negatives so the uint64 (and its
-		// big-endian bytes) sort like the float. Unlike a fixed-point
-		// int64 conversion, this neither overflows for |v| >= ~9.22e9 nor
-		// collides floats closer than 1e-9.
-		u := math.Float64bits(v.F)
-		if v.F == 0 {
-			u = 0 // -0.0 and +0.0 group together
-		}
-		if u&(1<<63) != 0 {
-			u = ^u
-		} else {
-			u |= 1 << 63
-		}
-		for s := 56; s >= 0; s -= 8 {
-			buf = append(buf, byte(u>>uint(s)))
-		}
-		return buf
-	default:
-		buf = append(buf, 1)
-		u := uint64(v.I)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(u>>s))
-		}
-		return buf
-	}
 }
 
 func applyOrder(res *exec.Result, r *query.Query) {

@@ -39,7 +39,7 @@ func TestShardCountNormalization(t *testing.T) {
 		{Options{}, defaultShardCount},
 		{Options{Shards: 4}, 4},
 		{Options{Shards: 1}, 1},
-		{Options{Shards: 64, MaxEntries: 10}, 10},      // >= 1 entry per shard
+		{Options{Shards: 64, MaxEntries: 10}, 10},                // >= 1 entry per shard
 		{Options{MaxBytes: 1 << 20, MaxResultBytes: 1 << 18}, 4}, // >= 1 max result per shard
 		{Options{Shards: -3}, defaultShardCount},
 	}

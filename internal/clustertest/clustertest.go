@@ -393,7 +393,7 @@ func DistinctQuery(i int) *query.Query {
 		View:     query.View{Table: "flights"},
 		Dims:     []query.Dim{{Col: "carrier"}},
 		Measures: []query.Measure{{Fn: query.Count, As: "n"}},
-		Filters:  []query.Filter{query.GtFilter("distance", storage.IntValue(int64(10 + i)))},
+		Filters:  []query.Filter{query.GtFilter("distance", storage.IntValue(int64(10+i)))},
 	}
 }
 

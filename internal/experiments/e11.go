@@ -102,7 +102,7 @@ func runOverloadArm(s Scale, scheduled bool) (*overloadArm, error) {
 			View:       query.View{Table: "flights"},
 			Dims:       []query.Dim{{Col: "carrier"}},
 			Measures:   []query.Measure{{Fn: query.Count, As: "n"}},
-			Filters:    []query.Filter{query.GtFilter("distance", storage.IntValue(int64(100 + i)))},
+			Filters:    []query.Filter{query.GtFilter("distance", storage.IntValue(int64(100+i)))},
 		}
 	}
 

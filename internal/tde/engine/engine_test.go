@@ -10,6 +10,7 @@ import (
 
 	"vizq/internal/tde/exec"
 	"vizq/internal/tde/opt"
+	"vizq/internal/tde/plan"
 	"vizq/internal/tde/storage"
 	"vizq/internal/workload"
 )
@@ -521,5 +522,59 @@ func TestConcurrentInFiltersOnFreshlyOpenedDB(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// groupTwoRows stores two rows as a temp table and groups them serially on
+// every column, returning the group sizes.
+func groupTwoRows(t *testing.T, schema []plan.ColInfo, rows [2][]storage.Value) []int64 {
+	t.Helper()
+	e := New(storage.NewDatabase("edge"))
+	res := exec.NewResult(schema)
+	for _, r := range rows {
+		res.AppendRow(r)
+	}
+	name, err := e.CreateTempTable("", res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]string, len(schema))
+	for i, c := range schema {
+		cols[i] = c.Name
+	}
+	out, err := e.QuerySerial(ctx(), fmt.Sprintf(`(aggregate (table %s) (groupby %s) (aggs (n count *)))`,
+		name, strings.Join(cols, " ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int64
+	for i := 0; i < out.N; i++ {
+		sizes = append(sizes, out.Value(i, len(cols)).I)
+	}
+	return sizes
+}
+
+// TestGroupNegativeZeroWithZero: -0.0 and +0.0 compare equal, so they are
+// one group (the cache's roll-up already merges them).
+func TestGroupNegativeZeroWithZero(t *testing.T) {
+	sizes := groupTwoRows(t, []plan.ColInfo{{Name: "f", Type: storage.TFloat}}, [2][]storage.Value{
+		{storage.FloatValue(math.Copysign(0, -1))},
+		{storage.FloatValue(0)},
+	})
+	if len(sizes) != 1 || sizes[0] != 2 {
+		t.Fatalf("groups %v, want one group of 2", sizes)
+	}
+}
+
+// TestGroupStringKeysDoNotRun: the key of one string column must not run
+// into the next, or ("a\x03b","c") and ("a","b\x03c") become one group.
+func TestGroupStringKeysDoNotRun(t *testing.T) {
+	sizes := groupTwoRows(t, []plan.ColInfo{{Name: "s1", Type: storage.TStr}, {Name: "s2", Type: storage.TStr}},
+		[2][]storage.Value{
+			{storage.StrValue("a\x03b"), storage.StrValue("c")},
+			{storage.StrValue("a"), storage.StrValue("b\x03c")},
+		})
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 1 {
+		t.Fatalf("groups %v, want two groups of 1", sizes)
 	}
 }

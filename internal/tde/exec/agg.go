@@ -15,7 +15,8 @@ type accum struct {
 	set   map[string]struct{} // countd only
 }
 
-func (a *accum) add(fn plan.AggFn, v storage.Value, coll storage.Collation) {
+// add folds v into the accumulator. buf is scratch space for countd keys.
+func (a *accum) add(fn plan.AggFn, v storage.Value, coll storage.Collation, buf *[]byte) {
 	if fn == plan.AggCount && v.Type == storage.TNull && !v.Null {
 		// count(*): caller passes a non-null marker
 		a.count++
@@ -49,8 +50,10 @@ func (a *accum) add(fn plan.AggFn, v storage.Value, coll storage.Collation) {
 		if a.set == nil {
 			a.set = make(map[string]struct{})
 		}
-		key := string(encodeValue(nil, v, coll))
-		a.set[key] = struct{}{}
+		*buf = storage.AppendKey((*buf)[:0], v, coll)
+		if _, ok := a.set[string(*buf)]; !ok {
+			a.set[string(*buf)] = struct{}{}
+		}
 	}
 }
 
@@ -95,6 +98,7 @@ type group struct {
 type aggCommon struct {
 	node   *plan.Aggregate
 	schema []plan.ColInfo
+	keyBuf []byte // scratch for group and countd keys
 }
 
 func (a *aggCommon) newGroup(b *storage.Batch, row int) *group {
@@ -112,19 +116,48 @@ func (a *aggCommon) update(g *group, b *storage.Batch, row int) {
 	for i, spec := range a.node.Aggs {
 		if spec.ArgIdx < 0 {
 			// count(*): pass the non-null marker value
-			g.accums[i].add(spec.Fn, storage.Value{Type: storage.TNull}, storage.CollBinary)
+			g.accums[i].add(spec.Fn, storage.Value{Type: storage.TNull}, storage.CollBinary, nil)
 			continue
 		}
 		coll := a.schema[spec.ArgIdx].Coll
-		g.accums[i].add(spec.Fn, b.Cols[spec.ArgIdx].Value(row), coll)
+		g.accums[i].add(spec.Fn, b.Cols[spec.ArgIdx].Value(row), coll, &a.keyBuf)
 	}
 }
 
-func (a *aggCommon) encodeKey(buf []byte, b *storage.Batch, row int) []byte {
+// encodeKey leaves the group key of the row in a.keyBuf.
+func (a *aggCommon) encodeKey(b *storage.Batch, row int) {
+	a.keyBuf = a.keyBuf[:0]
 	for _, gi := range a.node.GroupBy {
-		buf = encodeValue(buf, b.Cols[gi].Value(row), a.schema[gi].Coll)
+		a.keyBuf = storage.AppendKey(a.keyBuf, b.Cols[gi].Value(row), a.schema[gi].Coll)
 	}
-	return buf
+}
+
+// sameKey reports whether row i of b holds the same group column values as
+// row i-1: the same tokens, numbers or strings. Values that differ here may
+// still be equal under a collation, so false only means "encode the key".
+func (a *aggCommon) sameKey(b *storage.Batch, i int) bool {
+	for _, gi := range a.node.GroupBy {
+		v := b.Cols[gi]
+		switch {
+		case v.IsNull(i) || v.IsNull(i-1):
+			if v.IsNull(i) != v.IsNull(i-1) {
+				return false
+			}
+		case v.Type == storage.TFloat:
+			if v.F[i] != v.F[i-1] {
+				return false
+			}
+		case v.Type == storage.TStr && v.Dict == nil:
+			if v.S[i] != v.S[i-1] {
+				return false
+			}
+		default:
+			if v.I[i] != v.I[i-1] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (a *aggCommon) emit(out *Result, g *group) {
@@ -156,26 +189,18 @@ func (h *hashAggOp) Next() (*storage.Batch, error) {
 		}
 		h.done = true
 	}
-	if h.pos >= h.out.N {
-		return nil, nil
-	}
-	to := h.pos + storage.BatchSize
-	if to > h.out.N {
-		to = h.out.N
-	}
-	cols := make([]*storage.Vector, len(h.out.Cols))
-	for i, v := range h.out.Cols {
-		cols[i] = v.Slice(h.pos, to)
-	}
-	h.pos = to
-	return storage.NewBatch(cols), nil
+	return h.out.nextBatch(&h.pos), nil
 }
 
+// consume groups the whole input. The groups map, keyed by AppendKey, is
+// the source of truth; when every group column arrives as a dictionary
+// vector, a token slot table caches its lookups, so batches that arrive
+// decoded or over other dictionaries still land in the same groups.
 func (h *hashAggOp) consume() error {
 	groups := make(map[string]*group)
 	var order []*group
-	var buf []byte
-	sawRows := false
+	var ts tokenSlots
+	var slots []*group
 	for {
 		b, err := h.child.Next()
 		if err != nil {
@@ -184,14 +209,25 @@ func (h *hashAggOp) consume() error {
 		if b == nil {
 			break
 		}
-		sawRows = sawRows || b.N > 0
+		tokens, reset := ts.number(b, h.node.GroupBy)
+		if reset {
+			slots = make([]*group, ts.n)
+		}
 		for i := 0; i < b.N; i++ {
-			buf = h.encodeKey(buf[:0], b, i)
-			g, ok := groups[string(buf)]
-			if !ok {
-				g = h.newGroup(b, i)
-				groups[string(buf)] = g
-				order = append(order, g)
+			var g *group
+			if tokens {
+				g = slots[ts.row[i]]
+			}
+			if g == nil {
+				h.encodeKey(b, i)
+				if g = groups[string(h.keyBuf)]; g == nil {
+					g = h.newGroup(b, i)
+					groups[string(h.keyBuf)] = g
+					order = append(order, g)
+				}
+				if tokens {
+					slots[ts.row[i]] = g
+				}
 			}
 			h.update(g, b, i)
 		}
@@ -234,7 +270,6 @@ func (s *streamAggOp) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	out := NewResult(s.outSchema())
-	var buf []byte
 	for out.N < storage.BatchSize {
 		b, err := s.child.Next()
 		if err != nil {
@@ -252,13 +287,15 @@ func (s *streamAggOp) Next() (*storage.Batch, error) {
 		}
 		s.started = s.started || b.N > 0
 		for i := 0; i < b.N; i++ {
-			buf = s.encodeKey(buf[:0], b, i)
-			if s.cur == nil || string(buf) != string(s.curKey) {
-				if s.cur != nil {
-					s.emit(out, s.cur)
+			if i == 0 || !s.sameKey(b, i) {
+				s.encodeKey(b, i)
+				if s.cur == nil || string(s.keyBuf) != string(s.curKey) {
+					if s.cur != nil {
+						s.emit(out, s.cur)
+					}
+					s.cur = s.newGroup(b, i)
+					s.curKey = append(s.curKey[:0], s.keyBuf...)
 				}
-				s.cur = s.newGroup(b, i)
-				s.curKey = append(s.curKey[:0], buf...)
 			}
 			s.update(s.cur, b, i)
 		}

@@ -358,14 +358,14 @@ func evalIn(e *plan.InList, b *storage.Batch) (*storage.Vector, error) {
 	out.Null = v.Null
 
 	if v.Dict != nil {
-		// Token fast path: translate the value set into a token set once.
-		toks := make(map[int64]bool, len(e.Vals))
+		// Token fast path: translate the value set into token membership once.
+		toks := make([]bool, v.Dict.Len())
 		for _, val := range e.Vals {
 			if val.Null {
 				continue
 			}
 			if t, ok := v.Dict.Lookup(val.S); ok {
-				toks[int64(t)] = true
+				toks[t] = true
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -383,14 +383,14 @@ func evalIn(e *plan.InList, b *storage.Batch) (*storage.Vector, error) {
 		if val.Null {
 			continue
 		}
-		buf = encodeValue(buf[:0], coerce(val, v.Type), e.Coll)
+		buf = storage.AppendKey(buf[:0], coerce(val, v.Type), e.Coll)
 		set[string(buf)] = true
 	}
 	for i := 0; i < n; i++ {
 		if out.Null != nil && out.Null[i] {
 			continue
 		}
-		buf = encodeValue(buf[:0], v.Value(i), e.Coll)
+		buf = storage.AppendKey(buf[:0], v.Value(i), e.Coll)
 		setBool(out, i, set[string(buf)] != e.Negate)
 	}
 	return out, nil
@@ -473,30 +473,4 @@ func evalCall(c *plan.Call, b *storage.Batch) (*storage.Vector, error) {
 		out.Set(i, coerce(c.Fn.Eval(row), c.Type()))
 	}
 	return out, nil
-}
-
-// encodeValue appends a canonical byte encoding of v (type-tagged, with
-// collation keys for strings) used for hash-join and aggregation keys.
-func encodeValue(buf []byte, v storage.Value, coll storage.Collation) []byte {
-	if v.Null {
-		return append(buf, 0)
-	}
-	switch v.Type {
-	case storage.TFloat:
-		bits := math.Float64bits(v.F)
-		buf = append(buf, 2)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(bits>>s))
-		}
-	case storage.TStr:
-		buf = append(buf, 3)
-		buf = append(buf, coll.Key(v.S)...)
-	default:
-		buf = append(buf, 1)
-		u := uint64(v.I)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(u>>s))
-		}
-	}
-	return buf
 }

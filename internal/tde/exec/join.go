@@ -18,7 +18,15 @@ type hashJoinOp struct {
 	built bool
 	build *Result
 	table map[string][]int32
+	buf   []byte
+
+	// Probe rows whose key columns are all dictionary vectors memoize each
+	// token combination's match list; noMatches marks a resolved miss.
+	ts   tokenSlots
+	memo [][]int32
 }
+
+var noMatches = []int32{}
 
 // keyColl returns the collation used for join key k: case-insensitive wins
 // when the two sides disagree, so both sides hash identically.
@@ -38,40 +46,44 @@ func (j *hashJoinOp) buildSide() error {
 	}
 	j.build = res
 	j.table = make(map[string][]int32, res.N)
-	var buf []byte
 	for i := 0; i < res.N; i++ {
-		buf = buf[:0]
-		null := false
-		for ki, k := range j.node.RKeys {
-			v := res.Value(i, k)
-			if v.Null {
-				null = true
-				break
-			}
-			buf = encodeValue(buf, promoteKey(v), j.keyColl(ki))
+		if j.encodeKey(res.Cols, j.node.RKeys, i) {
+			j.table[string(j.buf)] = append(j.table[string(j.buf)], int32(i))
 		}
-		if null {
-			continue
-		}
-		j.table[string(buf)] = append(j.table[string(buf)], int32(i))
 	}
 	j.built = true
 	return nil
 }
 
-// promoteKey widens int-backed values to plain ints and keeps floats whole
-// so keys hash consistently across mixed numeric types.
-func promoteKey(v storage.Value) storage.Value {
-	if v.Null {
-		return v
+// encodeKey leaves the join key of row i in j.buf. It reports false when a
+// key column is null: null keys never match.
+func (j *hashJoinOp) encodeKey(cols []*storage.Vector, keys []int, i int) bool {
+	j.buf = j.buf[:0]
+	for ki, k := range keys {
+		v := cols[k].Value(i)
+		if v.Null {
+			return false
+		}
+		j.buf = storage.AppendKey(j.buf, v, j.keyColl(ki))
 	}
-	switch {
-	case v.Type == storage.TFloat:
-		return v
-	case v.Type.IntBacked():
-		return storage.IntValue(v.I)
+	return true
+}
+
+// matches returns the build rows matching probe row i of b.
+func (j *hashJoinOp) matches(b *storage.Batch, i int, tokens bool) []int32 {
+	if tokens && j.memo[j.ts.row[i]] != nil {
+		return j.memo[j.ts.row[i]]
 	}
-	return v
+	m := noMatches
+	if j.encodeKey(b.Cols, j.node.LKeys, i) {
+		if t := j.table[string(j.buf)]; t != nil {
+			m = t
+		}
+	}
+	if tokens {
+		j.memo[j.ts.row[i]] = m
+	}
+	return m
 }
 
 func (j *hashJoinOp) Next() (*storage.Batch, error) {
@@ -85,24 +97,14 @@ func (j *hashJoinOp) Next() (*storage.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
+		tokens, reset := j.ts.number(b, j.node.LKeys)
+		if reset {
+			j.memo = make([][]int32, j.ts.n)
+		}
 		var lIdx, rIdx []int32
 		var unmatched []int32
-		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = buf[:0]
-			null := false
-			for ki, k := range j.node.LKeys {
-				v := b.Cols[k].Value(i)
-				if v.Null {
-					null = true
-					break
-				}
-				buf = encodeValue(buf, promoteKey(v), j.keyColl(ki))
-			}
-			var matches []int32
-			if !null {
-				matches = j.table[string(buf)]
-			}
+			matches := j.matches(b, i, tokens)
 			if len(matches) == 0 {
 				if j.node.Kind == plan.JoinLeft {
 					unmatched = append(unmatched, int32(i))

@@ -106,13 +106,13 @@ func (bd *builder) build(n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{child: child, keys: x.Keys, schema: x.Child.Schema()}, nil
+		return &sortOp{child: child, keys: x.Keys, schema: x.Child.Schema(), n: -1}, nil
 	case *plan.TopN:
 		child, err := bd.build(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return &topNOp{child: child, n: x.N, keys: x.Keys, schema: x.Child.Schema()}, nil
+		return &sortOp{child: child, keys: x.Keys, schema: x.Child.Schema(), n: x.N}, nil
 	case *plan.Limit:
 		child, err := bd.build(x.Child)
 		if err != nil {
@@ -458,58 +458,36 @@ func (s *sharedOp) Next() (*storage.Batch, error) {
 	if s.state.err != nil {
 		return nil, s.state.err
 	}
-	res := s.state.res
-	if s.pos >= res.N {
-		return nil, nil
-	}
-	to := s.pos + storage.BatchSize
-	if to > res.N {
-		to = res.N
-	}
-	cols := make([]*storage.Vector, len(res.Cols))
-	for i, v := range res.Cols {
-		cols[i] = v.Slice(s.pos, to)
-	}
-	s.pos = to
-	return storage.NewBatch(cols), nil
+	return s.state.res.nextBatch(&s.pos), nil
 }
 
 func (s *sharedOp) Close() {}
 
-// ---- sort ----
+// ---- sort and top-n ----
 
+// sortOp sorts its whole input and emits the first n rows (all when n < 0).
 type sortOp struct {
 	child  Operator
 	keys   []plan.SortKey
 	schema []plan.ColInfo
+	n      int
 	out    *Result
 	pos    int
-	done   bool
 }
 
 func (s *sortOp) Next() (*storage.Batch, error) {
-	if !s.done {
+	if s.out == nil {
 		res, err := Collect(s.child, s.schema)
 		if err != nil {
 			return nil, err
 		}
 		sortResult(res, s.keys, s.schema)
+		if s.n >= 0 {
+			res.Truncate(s.n)
+		}
 		s.out = res
-		s.done = true
 	}
-	if s.pos >= s.out.N {
-		return nil, nil
-	}
-	to := s.pos + storage.BatchSize
-	if to > s.out.N {
-		to = s.out.N
-	}
-	cols := make([]*storage.Vector, len(s.out.Cols))
-	for i, v := range s.out.Cols {
-		cols[i] = v.Slice(s.pos, to)
-	}
-	s.pos = to
-	return storage.NewBatch(cols), nil
+	return s.out.nextBatch(&s.pos), nil
 }
 
 func (s *sortOp) Close() { s.child.Close() }
@@ -541,45 +519,3 @@ func compareRows(res *Result, a, b int, keys []plan.SortKey, schema []plan.ColIn
 	}
 	return 0
 }
-
-// ---- top-n ----
-
-type topNOp struct {
-	child  Operator
-	n      int
-	keys   []plan.SortKey
-	schema []plan.ColInfo
-	out    *Result
-	pos    int
-	done   bool
-}
-
-func (t *topNOp) Next() (*storage.Batch, error) {
-	if !t.done {
-		res, err := Collect(t.child, t.schema)
-		if err != nil {
-			return nil, err
-		}
-		sortResult(res, t.keys, t.schema)
-		if res.N > t.n {
-			res.Truncate(t.n)
-		}
-		t.out = res
-		t.done = true
-	}
-	if t.pos >= t.out.N {
-		return nil, nil
-	}
-	to := t.pos + storage.BatchSize
-	if to > t.out.N {
-		to = t.out.N
-	}
-	cols := make([]*storage.Vector, len(t.out.Cols))
-	for i, v := range t.out.Cols {
-		cols[i] = v.Slice(t.pos, to)
-	}
-	t.pos = to
-	return storage.NewBatch(cols), nil
-}
-
-func (t *topNOp) Close() { t.child.Close() }

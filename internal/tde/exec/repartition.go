@@ -98,7 +98,7 @@ func route(ctx context.Context, op Operator, outs []chan exchResult, hashCols []
 		for i := 0; i < b.N; i++ {
 			keyBuf = keyBuf[:0]
 			for _, c := range hashCols {
-				keyBuf = encodeValue(keyBuf, b.Cols[c].Value(i), schema[c].Coll)
+				keyBuf = storage.AppendKey(keyBuf, b.Cols[c].Value(i), schema[c].Coll)
 			}
 			h := fnv.New32a()
 			h.Write(keyBuf)

@@ -57,6 +57,21 @@ func (r *Result) AppendBatch(b *storage.Batch) {
 	r.N += b.N
 }
 
+// nextBatch returns the rows of r from *pos as one batch of at most
+// BatchSize rows sharing r's vectors, and advances *pos; nil at the end.
+func (r *Result) nextBatch(pos *int) *storage.Batch {
+	if *pos >= r.N {
+		return nil
+	}
+	to := min(*pos+storage.BatchSize, r.N)
+	cols := make([]*storage.Vector, len(r.Cols))
+	for i, v := range r.Cols {
+		cols[i] = v.Slice(*pos, to)
+	}
+	*pos = to
+	return storage.NewBatch(cols)
+}
+
 // AppendRow adds one row of scalars.
 func (r *Result) AppendRow(vals []storage.Value) {
 	for c, v := range vals {

@@ -11,7 +11,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -262,13 +264,58 @@ func (c Collation) Compare(a, b string) int {
 }
 
 // Key returns the canonical comparison key for a string: two strings compare
-// equal under the collation iff their keys are byte-equal. Hash joins and
-// aggregations group collated strings by this key.
+// equal under the collation iff their keys are byte-equal. Dictionaries
+// index their values by it; AppendKey folds the same way without a copy.
 func (c Collation) Key(s string) string {
 	if c == CollCI {
 		return foldASCII(s)
 	}
 	return s
+}
+
+// AppendKey appends the canonical key of v under coll to buf: two values
+// append equal bytes iff Equal calls them equal, so a sequence of keys is
+// itself a key. It is the one encoding behind the executor's hash
+// operators and the cache's roll-ups, and it never allocates beyond growing
+// buf. Nulls are one tag byte. Int-backed types share a tag, so a date and
+// an int with the same payload group together. Strings are length-prefixed
+// and CI strings are folded into buf as they are copied. Floats use the
+// order-preserving IEEE-754 bits, with -0 and +0 one key.
+func AppendKey(buf []byte, v Value, coll Collation) []byte {
+	if v.Null {
+		return append(buf, 0)
+	}
+	switch v.Type {
+	case TStr:
+		buf = append(buf, 3)
+		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
+		if coll != CollCI {
+			return append(buf, v.S...)
+		}
+		for i := 0; i < len(v.S); i++ {
+			ch := v.S[i]
+			if ch >= 'A' && ch <= 'Z' {
+				ch += 'a' - 'A'
+			}
+			buf = append(buf, ch)
+		}
+		return buf
+	case TFloat:
+		// Flip the sign bit of non-negatives and complement negatives so
+		// the big-endian bytes sort like the floats.
+		u := math.Float64bits(v.F)
+		if v.F == 0 {
+			u = 0
+		}
+		if u&(1<<63) != 0 {
+			u = ^u
+		} else {
+			u |= 1 << 63
+		}
+		return binary.BigEndian.AppendUint64(append(buf, 2), u)
+	default:
+		return binary.LittleEndian.AppendUint64(append(buf, 1), uint64(v.I))
+	}
 }
 
 func foldASCII(s string) string {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,5 +117,61 @@ func TestParseCollation(t *testing.T) {
 	}
 	if _, err := ParseCollation("klingon"); err == nil {
 		t.Error("unknown collation should fail")
+	}
+}
+
+func TestAppendKeyEqualIffEqual(t *testing.T) {
+	key := func(coll Collation, vs ...Value) string {
+		var buf []byte
+		for _, v := range vs {
+			buf = AppendKey(buf, v, coll)
+		}
+		return string(buf)
+	}
+	same := []struct {
+		coll Collation
+		a, b []Value
+	}{
+		{CollBinary, []Value{FloatValue(0)}, []Value{FloatValue(math.Copysign(0, -1))}},
+		{CollCI, []Value{StrValue("Abc")}, []Value{StrValue("aBC")}},
+		{CollBinary, []Value{IntValue(7)}, []Value{{Type: TDate, I: 7}}},
+		{CollBinary, []Value{NullValue(TStr)}, []Value{NullValue(TInt)}},
+	}
+	for _, c := range same {
+		if key(c.coll, c.a...) != key(c.coll, c.b...) {
+			t.Errorf("%v and %v must share a key under %v", c.a, c.b, c.coll)
+		}
+	}
+	differ := []struct {
+		coll Collation
+		a, b []Value
+	}{
+		{CollBinary, []Value{StrValue("Abc")}, []Value{StrValue("abc")}},
+		{CollCI, []Value{StrValue("a\x03b"), StrValue("c")}, []Value{StrValue("a"), StrValue("b\x03c")}},
+		{CollBinary, []Value{StrValue("a\x00"), StrValue("")}, []Value{StrValue("a"), StrValue("\x00")}},
+		{CollBinary, []Value{StrValue("")}, []Value{NullValue(TStr)}},
+		{CollBinary, []Value{FloatValue(1)}, []Value{IntValue(1)}},
+		{CollBinary, []Value{FloatValue(1)}, []Value{FloatValue(math.Nextafter(1, 2))}},
+	}
+	for _, c := range differ {
+		if key(c.coll, c.a...) == key(c.coll, c.b...) {
+			t.Errorf("%q and %q must not share a key under %v", c.a, c.b, c.coll)
+		}
+	}
+}
+
+func TestAppendKeyDoesNotAllocate(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	v := StrValue("Hello, World")
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendKey(buf[:0], v, CollCI)
+		buf = AppendKey(buf, FloatValue(-2.5), CollBinary)
+		buf = AppendKey(buf, IntValue(42), CollBinary)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendKey allocated %.0f times per call", allocs)
+	}
+	if got := string(buf[2:14]); got != "hello, world" {
+		t.Errorf("CI string folded to %q", got)
 	}
 }

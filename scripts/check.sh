@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 
+echo "== gofmt -l (cmd/vizlint/testdata is malformed on purpose)"
+unformatted="$(find . -name '*.go' -not -path './cmd/vizlint/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)"
+if [[ -n "$unformatted" ]]; then
+    echo "$unformatted"
+    echo "gofmt: the files above are not formatted"
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
