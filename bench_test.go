@@ -3,6 +3,7 @@ package vizq_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,62 @@ func BenchmarkCacheSubsumptionCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !cache.Subsumes(s, r) {
 			b.Fatal("should subsume")
+		}
+	}
+}
+
+// BenchmarkCacheDeriveAtGrain answers the detail dashboard's RouteCarrier
+// zone from its reuse-adjusted result: AVG from SUM/COUNT partials, one
+// requested group per stored row.
+func BenchmarkCacheDeriveAtGrain(b *testing.B) {
+	e := getBenchEngine(b)
+	r := &query.Query{
+		View: query.View{Table: "flights"},
+		Dims: []query.Dim{{Col: "origin"}, {Col: "dest"}, {Col: "carrier"}},
+		Measures: []query.Measure{{Fn: query.Count, As: "n"},
+			{Fn: query.Avg, Col: "delay", As: "avgdelay"}, {Fn: query.Sum, Col: "distance", As: "dist"}},
+		Filters: []query.Filter{query.RangeFilter("hour", storage.IntValue(6), storage.IntValue(21))},
+	}
+	s := cache.AdjustForReuse(r)
+	sres, err := e.Query(context.Background(), s.ToTQL())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cache.Derive(s, sres, r); !ok {
+			b.Fatal("derive failed")
+		}
+	}
+}
+
+// BenchmarkCacheDeriveInResidual filters a stored market×carrier result by
+// a 300-value IN list on market, in the other case from the stored values.
+func BenchmarkCacheDeriveInResidual(b *testing.B) {
+	e := getBenchEngine(b)
+	s := &query.Query{
+		View:     query.View{Table: "flights"},
+		Dims:     []query.Dim{{Col: "market"}, {Col: "carrier"}},
+		Measures: []query.Measure{{Fn: query.Count, As: "n"}},
+	}
+	sres, err := e.Query(context.Background(), s.ToTQL())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var in []storage.Value
+	seen := map[string]bool{}
+	for i := 0; i < sres.N && len(in) < 300; i++ {
+		if m := strings.ToLower(sres.Value(i, 0).S); !seen[m] {
+			seen[m] = true
+			in = append(in, storage.StrValue(m))
+		}
+	}
+	r := s.Clone()
+	r.Filters = []query.Filter{query.InFilter("market", in...)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cache.Derive(s, sres, r); !ok {
+			b.Fatal("derive failed")
 		}
 	}
 }

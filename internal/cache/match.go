@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,57 +26,96 @@ import (
 //     when no roll-up is needed (residual filtering drops whole groups, so
 //     per-group values stay valid).
 //   - A stored top-n result answers only the identical query.
+//
+// When R names every stored dimension (every exact hit and AdjustForReuse
+// round trip), each stored row is one requested group and the answer is a
+// column view of the kept rows, sharing sres's vectors when none is dropped;
+// otherwise the kept rows are regrouped. The answer is always a new Result,
+// never sres, and like every result the caches hand out it is read-only.
 func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bool) {
-	if s.GroupKey() != r.GroupKey() {
+	d, ok := match(s, sres.Schema, r)
+	if !ok {
 		return nil, false
+	}
+	return d.run(sres, r), true
+}
+
+// derivation is how R's answer is computed from S's result.
+type derivation struct {
+	dimSrc    []int // stored column of each R dimension
+	atGrain   bool  // R names every stored dimension
+	residuals []residual
+	plans     []measurePlan
+}
+
+// residual is a requested filter applied to the stored rows.
+type residual struct {
+	f   query.Filter
+	col int // stored column index
+}
+
+// measurePlan derives one R measure: 'm' merges (or, at the stored grain,
+// passes through) stored column src by mergeFn; 'a' divides the stored
+// SUM and COUNT partials of an AVG.
+type measurePlan struct {
+	kind           byte
+	src            int
+	sumCol, cntCol int
+	mergeFn        plan.AggFn
+}
+
+// match proves that S, whose result has the given schema, subsumes R, and
+// plans the derivation. Only the schema's collations are read.
+func match(s *query.Query, schema []plan.ColInfo, r *query.Query) (derivation, bool) {
+	var d derivation
+	if s.GroupKey() != r.GroupKey() {
+		return d, false
 	}
 	// Top-n and having-filtered results are not subsumption sources or
 	// targets beyond exact identity: their row sets depend on the full
 	// aggregation.
 	if (s.N > 0 || len(s.Having) > 0 || len(r.Having) > 0) && s.Key() != r.Key() {
-		return nil, false
+		return d, false
 	}
 
 	// Dimension mapping: R dim -> stored column index.
 	sDimIdx := map[string]int{}
-	for i, d := range s.Dims {
-		sDimIdx[dimKey(d)] = i
+	for i, dim := range s.Dims {
+		sDimIdx[dimKey(dim)] = i
 	}
-	dimSrc := make([]int, len(r.Dims))
-	for i, d := range r.Dims {
-		idx, ok := sDimIdx[dimKey(d)]
+	d.dimSrc = make([]int, len(r.Dims))
+	for i, dim := range r.Dims {
+		idx, ok := sDimIdx[dimKey(dim)]
 		if !ok {
-			return nil, false
+			return d, false
 		}
-		dimSrc[i] = idx
+		d.dimSrc[i] = idx
 	}
-	needRollup := len(r.Dims) != len(s.Dims)
+	// R is at the stored grain when it names every stored dimension;
+	// comparing counts is not enough, as R may name one of them twice.
+	d.atGrain = true
+	for i := range s.Dims {
+		d.atGrain = d.atGrain && slices.Contains(d.dimSrc, i)
+	}
 
-	// Filter analysis.
-	type residual struct {
-		f   query.Filter
-		col int // stored column index
-	}
-	var residuals []residual
-	collFor := func(col int) storage.Collation { return sres.Schema[col].Coll }
 	// Every stored filter must be implied by some requested filter.
 	for _, g := range s.Filters {
 		implied := false
 		for _, f := range r.Filters {
-			if f.Implies(g, collForName(sres, g.Col)) {
+			if f.Implies(g, collForName(schema, g.Col)) {
 				implied = true
 				break
 			}
 		}
 		if !implied {
-			return nil, false
+			return d, false
 		}
 	}
 	// Requested filters not identically present are applied locally.
 	for _, f := range r.Filters {
 		identical := false
 		for _, g := range s.Filters {
-			if f.Equals(g, collForName(sres, f.Col)) {
+			if f.Equals(g, collForName(schema, f.Col)) {
 				identical = true
 				break
 			}
@@ -84,28 +124,21 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 			continue
 		}
 		if f.Kind == query.FilterTemp {
-			return nil, false // opaque temp contents cannot be applied locally
+			return d, false // opaque temp contents cannot be applied locally
 		}
 		idx, ok := sDimIdx["c:"+strings.ToLower(f.Col)]
 		if !ok {
-			return nil, false // filter column not in the stored output
+			return d, false // filter column not in the stored output
 		}
-		residuals = append(residuals, residual{f: f, col: idx})
+		d.residuals = append(d.residuals, residual{f: f, col: idx})
 	}
 
 	// Measure derivation plans.
-	type measurePlan struct {
-		kind    byte // 'm' merge, 'a' avg-from-partials
-		src     int  // stored column (merge)
-		sumCol  int  // avg partials
-		cntCol  int
-		mergeFn plan.AggFn
-	}
 	sMeasIdx := map[string]int{}
 	for i, m := range s.Measures {
 		sMeasIdx[measKey(m)] = len(s.Dims) + i
 	}
-	plans := make([]measurePlan, len(r.Measures))
+	d.plans = make([]measurePlan, len(r.Measures))
 	for i, m := range r.Measures {
 		if idx, ok := sMeasIdx[measKey(m)]; ok {
 			mp := measurePlan{kind: 'm', src: idx}
@@ -117,158 +150,207 @@ func Derive(s *query.Query, sres *exec.Result, r *query.Query) (*exec.Result, bo
 			case query.Max:
 				mp.mergeFn = plan.AggMax
 			case query.Avg, query.CountD:
-				if needRollup {
-					return nil, false
+				if !d.atGrain {
+					return d, false
 				}
-				mp.mergeFn = plan.AggMax // unused: passthrough, no rollup
+				mp.mergeFn = plan.AggMax // a group of one stored row: passthrough
 			}
-			plans[i] = mp
+			d.plans[i] = mp
 			continue
 		}
 		if m.Fn == query.Avg {
 			sumIdx, okS := sMeasIdx[measKey(query.Measure{Fn: query.Sum, Col: m.Col})]
 			cntIdx, okC := sMeasIdx[measKey(query.Measure{Fn: query.Count, Col: m.Col})]
 			if okS && okC {
-				plans[i] = measurePlan{kind: 'a', sumCol: sumIdx, cntCol: cntIdx}
+				d.plans[i] = measurePlan{kind: 'a', sumCol: sumIdx, cntCol: cntIdx}
 				continue
 			}
 		}
-		return nil, false
+		return d, false
 	}
+	return d, true
+}
 
-	// ---- execute the local post-processing ----
-	outSchema := make([]plan.ColInfo, 0, len(r.Dims)+len(r.Measures))
-	for i, d := range r.Dims {
-		src := sres.Schema[dimSrc[i]]
-		outSchema = append(outSchema, plan.ColInfo{Name: d.Name(), Type: src.Type, Coll: src.Coll})
+// run computes R's answer from S's result sres.
+func (d derivation) run(sres *exec.Result, r *query.Query) *exec.Result {
+	rows := keptRows(sres, d.residuals)
+	n, firsts := len(rows), rows
+	if rows == nil {
+		n = sres.N
+	}
+	// Without stored dimensions the one stored row is regrouped too: a
+	// global aggregate has one row even over no input, like the engine's.
+	var grp []int32
+	regroup := !d.atGrain || len(d.dimSrc) == 0
+	if regroup {
+		if rows == nil {
+			rows = make([]int32, sres.N)
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+		}
+		grp, firsts = groupRows(sres, d.dimSrc, rows)
+		n = len(firsts)
+		if len(r.Dims) == 0 {
+			n = 1
+		}
+	}
+	// column is stored column c at the requested grain: the kept rows'
+	// cells, or their per-group merge by fn.
+	column := func(c int, fn plan.AggFn) *storage.Vector {
+		if !regroup {
+			return gather(sres.Cols[c], rows)
+		}
+		return merge(sres.Cols[c], sres.Schema[c].Coll, fn, rows, grp, n)
+	}
+	schema := make([]plan.ColInfo, 0, len(r.Dims)+len(r.Measures))
+	cols := make([]*storage.Vector, 0, cap(schema))
+	for i, dim := range r.Dims {
+		src := sres.Schema[d.dimSrc[i]]
+		schema = append(schema, plan.ColInfo{Name: dim.Name(), Type: src.Type, Coll: src.Coll})
+		cols = append(cols, gather(sres.Cols[d.dimSrc[i]], firsts))
 	}
 	for i, m := range r.Measures {
-		var t storage.Type
-		if plans[i].kind == 'a' {
-			t = storage.TFloat
+		var v *storage.Vector
+		switch mp := d.plans[i]; {
+		case mp.kind == 'a':
+			v = avgOf(column(mp.sumCol, plan.AggSum), column(mp.cntCol, plan.AggSum))
+		case m.Fn == query.Count || m.Fn == query.CountD:
+			v = zeroNulls(column(mp.src, mp.mergeFn))
+		default:
+			v = column(mp.src, mp.mergeFn)
+		}
+		schema = append(schema, plan.ColInfo{Name: m.Name(), Type: v.Type, Coll: storage.CollBinary})
+		cols = append(cols, v)
+	}
+	out := &exec.Result{Schema: schema, Cols: cols, N: n}
+	applyOrder(out, r)
+	return out
+}
+
+// keptRows returns the stored rows every residual filter accepts, in stored
+// order, or nil when that is all of them. Each IN list becomes a key set
+// once, so a row costs one probe per filter whatever the list's length.
+func keptRows(sres *exec.Result, residuals []residual) []int32 {
+	if len(residuals) == 0 || sres.N == 0 {
+		return nil
+	}
+	accepts := make([]func(storage.Value) bool, len(residuals))
+	for i, rf := range residuals {
+		f, coll := rf.f, sres.Schema[rf.col].Coll
+		if f.Kind == query.FilterIn {
+			accepts[i] = storage.NewKeySet(sres.Cols[rf.col].Type, coll, f.In).Has
 		} else {
-			t = sres.Schema[plans[i].src].Type
-		}
-		outSchema = append(outSchema, plan.ColInfo{Name: m.Name(), Type: t, Coll: storage.CollBinary})
-	}
-	out := exec.NewResult(outSchema)
-
-	type acc struct {
-		keys []storage.Value
-		vals []storage.Value // merge state per measure
-		sums []float64       // avg partials
-		cnts []int64
-		set  []bool
-	}
-	newAcc := func() *acc {
-		return &acc{
-			keys: make([]storage.Value, len(r.Dims)),
-			vals: make([]storage.Value, len(r.Measures)),
-			sums: make([]float64, len(r.Measures)),
-			cnts: make([]int64, len(r.Measures)),
-			set:  make([]bool, len(r.Measures)),
+			accepts[i] = func(v storage.Value) bool { return f.RangeContains(v, coll) }
 		}
 	}
-	groups := map[string]*acc{}
-	var order []*acc
-	var keyBuf []byte
-
+	rows := make([]int32, 0, sres.N)
+next:
 	for row := 0; row < sres.N; row++ {
-		keep := true
-		for _, rf := range residuals {
-			if !filterAccepts(rf.f, sres.Value(row, rf.col), collFor(rf.col)) {
-				keep = false
-				break
+		for i, rf := range residuals {
+			if v := sres.Value(row, rf.col); v.Null || !accepts[i](v) {
+				continue next
 			}
 		}
-		if !keep {
+		rows = append(rows, int32(row))
+	}
+	if len(rows) == sres.N {
+		return nil
+	}
+	return rows
+}
+
+// gather returns v's cells at rows: v itself, shared, when rows is nil.
+func gather(v *storage.Vector, rows []int32) *storage.Vector {
+	if rows == nil {
+		return v
+	}
+	return v.Gather(rows)
+}
+
+// groupRows numbers the requested groups of the given stored rows in order
+// of first appearance: grp[k] is the group of rows[k] and firsts[g] the
+// stored row that opened group g.
+func groupRows(sres *exec.Result, dimSrc []int, rows []int32) (grp, firsts []int32) {
+	grp, firsts = make([]int32, len(rows)), []int32{}
+	ids := map[string]int32{}
+	var key []byte
+	for k, row := range rows {
+		key = key[:0]
+		for _, c := range dimSrc {
+			key = storage.AppendKey(key, sres.Value(int(row), c), sres.Schema[c].Coll)
+		}
+		g, ok := ids[string(key)]
+		if !ok {
+			g = int32(len(firsts))
+			ids[string(key)] = g
+			firsts = append(firsts, row)
+		}
+		grp[k] = g
+	}
+	return grp, firsts
+}
+
+// merge folds v's non-null cells at rows into one cell per group of grp by
+// fn (AggSum, AggMin or AggMax); a group with none is null.
+func merge(v *storage.Vector, coll storage.Collation, fn plan.AggFn, rows, grp []int32, groups int) *storage.Vector {
+	out := storage.NewVector(v.Type, groups)
+	set := make([]bool, groups)
+	for k, g := range grp {
+		row := int(rows[k])
+		if v.IsNull(row) {
 			continue
 		}
-		keyBuf = keyBuf[:0]
-		for i := range r.Dims {
-			keyBuf = storage.AppendKey(keyBuf, sres.Value(row, dimSrc[i]), collFor(dimSrc[i]))
+		x := v.Value(row)
+		switch {
+		case !set[g]:
+			out.Set(int(g), x)
+			set[g] = true
+		case fn == plan.AggSum && v.Type == storage.TFloat:
+			out.F[g] += x.F
+		case fn == plan.AggSum:
+			out.I[g] += x.I
+		case fn == plan.AggMin && storage.Compare(x, out.Value(int(g)), coll) < 0,
+			fn == plan.AggMax && storage.Compare(x, out.Value(int(g)), coll) > 0:
+			out.Set(int(g), x)
 		}
-		g, ok := groups[string(keyBuf)]
+	}
+	for g, ok := range set {
 		if !ok {
-			g = newAcc()
-			for i := range r.Dims {
-				g.keys[i] = sres.Value(row, dimSrc[i])
-			}
-			groups[string(keyBuf)] = g
-			order = append(order, g)
-		}
-		for i := range r.Measures {
-			mp := plans[i]
-			if mp.kind == 'a' {
-				sv, cv := sres.Value(row, mp.sumCol), sres.Value(row, mp.cntCol)
-				if !sv.Null {
-					g.sums[i] += sv.AsFloat()
-				}
-				if !cv.Null {
-					g.cnts[i] += cv.I
-				}
-				g.set[i] = g.set[i] || !cv.Null
-				continue
-			}
-			v := sres.Value(row, mp.src)
-			if v.Null {
-				continue
-			}
-			if !g.set[i] {
-				g.vals[i] = v
-				g.set[i] = true
-				continue
-			}
-			switch mp.mergeFn {
-			case plan.AggSum:
-				if v.Type == storage.TFloat {
-					g.vals[i] = storage.FloatValue(g.vals[i].F + v.F)
-				} else {
-					g.vals[i] = storage.Value{Type: v.Type, I: g.vals[i].I + v.I}
-				}
-			case plan.AggMin:
-				if storage.Compare(v, g.vals[i], collFor(mp.src)) < 0 {
-					g.vals[i] = v
-				}
-			case plan.AggMax:
-				if storage.Compare(v, g.vals[i], collFor(mp.src)) > 0 {
-					g.vals[i] = v
-				}
-			}
+			out.SetNull(g)
 		}
 	}
+	return out
+}
 
-	if len(r.Dims) == 0 && len(order) == 0 {
-		// A global aggregate has one row even over no input (count 0, null
-		// sums), like the engine's.
-		order = append(order, newAcc())
-	}
-	for _, g := range order {
-		row := make([]storage.Value, 0, len(outSchema))
-		row = append(row, g.keys...)
-		for i, m := range r.Measures {
-			switch {
-			case plans[i].kind == 'a':
-				if g.cnts[i] == 0 {
-					row = append(row, storage.NullValue(storage.TFloat))
-				} else {
-					row = append(row, storage.FloatValue(g.sums[i]/float64(g.cnts[i])))
-				}
-			case !g.set[i]:
-				if m.Fn == query.Count || m.Fn == query.CountD {
-					row = append(row, storage.IntValue(0))
-				} else {
-					row = append(row, storage.NullValue(outSchema[len(r.Dims)+i].Type))
-				}
-			default:
-				row = append(row, g.vals[i])
-			}
+// avgOf derives AVG from its SUM and COUNT partials row by row: null where
+// the count is null or 0, and a null sum counts as 0.
+func avgOf(sum, cnt *storage.Vector) *storage.Vector {
+	out := storage.NewVector(storage.TFloat, cnt.Len())
+	for i := range out.F {
+		c := cnt.Value(i)
+		if c.Null || c.AsFloat() == 0 {
+			out.SetNull(i)
+		} else if !sum.IsNull(i) {
+			out.F[i] = sum.Value(i).AsFloat() / c.AsFloat()
 		}
-		out.AppendRow(row)
 	}
+	return out
+}
 
-	applyOrder(out, r)
-	return out, true
+// zeroNulls returns the COUNT or COUNTD column v with its null cells — groups
+// of no counted rows — as 0; v itself when it has none.
+func zeroNulls(v *storage.Vector) *storage.Vector {
+	if !slices.Contains(v.Null, true) {
+		return v
+	}
+	out := storage.NewVector(v.Type, v.Len())
+	for i, null := range v.Null {
+		if !null {
+			out.Set(i, v.Value(i))
+		}
+	}
+	return out
 }
 
 func dimKey(d query.Dim) string {
@@ -282,38 +364,13 @@ func measKey(m query.Measure) string {
 	return string(m.Fn) + "(" + strings.ToLower(m.Col) + ")"
 }
 
-func collForName(res *exec.Result, col string) storage.Collation {
-	if i := res.ColumnIndex(col); i >= 0 {
-		return res.Schema[i].Coll
+func collForName(schema []plan.ColInfo, col string) storage.Collation {
+	for _, c := range schema {
+		if strings.EqualFold(c.Name, col) {
+			return c.Coll
+		}
 	}
 	return storage.CollBinary
-}
-
-func filterAccepts(f query.Filter, v storage.Value, coll storage.Collation) bool {
-	if v.Null {
-		return false
-	}
-	if f.Kind == query.FilterIn {
-		for _, x := range f.In {
-			if storage.Equal(x, v, coll) {
-				return true
-			}
-		}
-		return false
-	}
-	if f.LoSet {
-		c := storage.Compare(v, f.Lo, coll)
-		if c < 0 || (c == 0 && f.LoOpen) {
-			return false
-		}
-	}
-	if f.HiSet {
-		c := storage.Compare(v, f.Hi, coll)
-		if c > 0 || (c == 0 && f.HiOpen) {
-			return false
-		}
-	}
-	return true
 }
 
 func applyOrder(res *exec.Result, r *query.Query) {
@@ -357,14 +414,7 @@ func applyOrder(res *exec.Result, r *query.Query) {
 // result of qj can be computed from the results of qi ... determined by the
 // matching logic of the intelligent query cache").
 func Subsumes(s, r *query.Query) bool {
-	schema := make([]plan.ColInfo, 0, len(s.Dims)+len(s.Measures))
-	for _, d := range s.Dims {
-		schema = append(schema, plan.ColInfo{Name: d.Name(), Type: storage.TStr})
-	}
-	for _, m := range s.Measures {
-		schema = append(schema, plan.ColInfo{Name: m.Name(), Type: storage.TFloat})
-	}
-	_, ok := Derive(s, exec.NewResult(schema), r)
+	_, ok := match(s, nil, r)
 	return ok
 }
 

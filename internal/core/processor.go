@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -394,9 +395,11 @@ func (p *Processor) staleFallback(ctx context.Context, q *query.Query, text stri
 		return nil, false
 	}
 	p.n.staleServed.Add(1)
-	// Tag a shallow copy: the cached entry itself must stay untagged so a
-	// later fresh hit is not mislabeled.
+	// Tag a copy with its own header: the cached entry itself must stay
+	// untagged so a later fresh hit is not mislabeled, and its column list
+	// must not change with the copy's.
 	tagged := *res
+	tagged.Cols = slices.Clone(res.Cols)
 	tagged.Stale = true
 	return &tagged, true
 }

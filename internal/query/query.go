@@ -234,7 +234,7 @@ func (f Filter) Implies(g Filter, coll storage.Collation) bool {
 		return true
 	case f.Kind == FilterIn && g.Kind == FilterRange:
 		for _, v := range f.In {
-			if !g.rangeContains(v, coll) {
+			if !g.RangeContains(v, coll) {
 				return false
 			}
 		}
@@ -264,7 +264,8 @@ func (f Filter) Implies(g Filter, coll storage.Collation) bool {
 	}
 }
 
-func (f Filter) rangeContains(v storage.Value, coll storage.Collation) bool {
+// RangeContains reports whether v lies within the range filter f's bounds.
+func (f Filter) RangeContains(v storage.Value, coll storage.Collation) bool {
 	if f.LoSet {
 		c := storage.Compare(v, f.Lo, coll)
 		if c < 0 || (c == 0 && f.LoOpen) {

@@ -185,6 +185,11 @@ func rows(t *testing.T, run func(context.Context, string) (*exec.Result, error),
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
+	return render(res)
+}
+
+// render prints a result's rows order-free, as rows does.
+func render(res *exec.Result) string {
 	out := make([]string, res.N)
 	for i := range out {
 		parts := make([]string, len(res.Cols))

@@ -12,6 +12,11 @@ import (
 // table. Tableau retrieves data "in small, pre-filtered and pre-aggregated
 // volumes" (Sect. 3.2), so materialized results are the unit the caches and
 // the local post-processor work on.
+//
+// A Result a cache hands out — the stored one, or one derived from it —
+// shares its vectors with the cached entry and is read-only: AppendRow,
+// AppendBatch, Truncate and Vector writes are for results their caller
+// built.
 type Result struct {
 	Schema []plan.ColInfo
 	Cols   []*storage.Vector

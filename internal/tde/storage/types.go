@@ -318,6 +318,63 @@ func AppendKey(buf []byte, v Value, coll Collation) []byte {
 	}
 }
 
+// KeySet is a set of values matched against one column: Index(v) answers
+// as Equal would against each member, in one AppendKey and one map probe.
+// Members and probes of another numeric type are coerced to the column's
+// type (a fractional float matches no int-backed value); a string never
+// matches a non-string. It reuses one key buffer: not for concurrent use.
+type KeySet struct {
+	typ  Type
+	coll Collation
+	pos  map[string]int
+	buf  []byte
+}
+
+// NewKeySet builds the set of vals for a column of type t under coll.
+func NewKeySet(t Type, coll Collation, vals []Value) *KeySet {
+	s := &KeySet{typ: t, coll: coll, pos: make(map[string]int, len(vals))}
+	for i := len(vals) - 1; i >= 0; i-- { // backwards: the first equal member wins
+		if s.key(vals[i]) {
+			s.pos[string(s.buf)] = i
+		}
+	}
+	return s
+}
+
+// Index returns the position in vals of the first member equal to v, or -1.
+func (s *KeySet) Index(v Value) int {
+	if !s.key(v) {
+		return -1
+	}
+	if i, ok := s.pos[string(s.buf)]; ok {
+		return i
+	}
+	return -1
+}
+
+// Has reports whether some member equals v.
+func (s *KeySet) Has(v Value) bool { return s.Index(v) >= 0 }
+
+// key leaves in s.buf the key of v as a value of the column's type; false
+// when no such value can equal v.
+func (s *KeySet) key(v Value) bool {
+	if !v.Null && v.Type != s.typ {
+		switch {
+		case (v.Type == TStr) != (s.typ == TStr):
+			return false
+		case s.typ == TFloat:
+			v = FloatValue(v.AsFloat())
+		case v.Type == TFloat:
+			if v.F != math.Trunc(v.F) || v.F < math.MinInt64 || v.F >= math.MaxInt64 {
+				return false
+			}
+			v = Value{Type: s.typ, I: int64(v.F)}
+		}
+	}
+	s.buf = AppendKey(s.buf[:0], v, s.coll)
+	return true
+}
+
 func foldASCII(s string) string {
 	// Fast path: already lower-case.
 	upper := false

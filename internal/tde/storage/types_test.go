@@ -175,3 +175,45 @@ func TestAppendKeyDoesNotAllocate(t *testing.T) {
 		t.Errorf("CI string folded to %q", got)
 	}
 }
+
+// TestKeySetAnswersLikeEqual: for values of the column's type, a KeySet
+// finds a member exactly when Equal finds one, whatever numeric type the
+// members were given in.
+func TestKeySetAnswersLikeEqual(t *testing.T) {
+	nz := FloatValue(math.Copysign(0, -1))
+	members := []Value{IntValue(1), FloatValue(2), FloatValue(2.5), nz, {Type: TDate, I: 5},
+		BoolValue(true), NullValue(TInt), FloatValue(math.Inf(1)), FloatValue(1e300)}
+	columns := map[Type][]Value{
+		TInt:   {IntValue(0), IntValue(1), IntValue(2), IntValue(3), IntValue(5), NullValue(TInt)},
+		TFloat: {FloatValue(0), nz, FloatValue(1), FloatValue(2), FloatValue(2.5), FloatValue(5), FloatValue(math.Inf(1))},
+		TDate:  {{Type: TDate, I: 1}, {Type: TDate, I: 2}, {Type: TDate, I: 5}, NullValue(TDate)},
+		TBool:  {BoolValue(false), BoolValue(true)},
+	}
+	for typ, col := range columns {
+		set := NewKeySet(typ, CollBinary, members)
+		for _, v := range col {
+			want := -1
+			for i, m := range members {
+				if Equal(m, v, CollBinary) {
+					want = i
+					break
+				}
+			}
+			if got := set.Index(v); got != want {
+				t.Errorf("%v column: Index(%v) = %d, want %d", typ, v, got, want)
+			}
+		}
+	}
+	ci := NewKeySet(TStr, CollCI, []Value{StrValue("LAX"), StrValue("sfo"), NullValue(TStr), IntValue(1)})
+	for v, want := range map[Value]bool{
+		StrValue("lax"): true, StrValue("SFO"): true, StrValue("sf"): false, NullValue(TStr): true,
+		StrValue(""): false,
+	} {
+		if ci.Has(v) != want {
+			t.Errorf("CI set: Has(%q) = %v, want %v", v.S, !want, want)
+		}
+	}
+	if NewKeySet(TStr, CollBinary, []Value{StrValue("LAX")}).Has(StrValue("lax")) {
+		t.Error("binary set matched across case")
+	}
+}

@@ -170,16 +170,12 @@ func (s *Session) Render(ctx context.Context) (*RenderReport, error) {
 			if col < 0 {
 				continue
 			}
-			kept := sel[:0]
-			for _, v := range sel {
-				if resultContains(res, col, v) {
-					kept = append(kept, v)
-				} else {
-					report.Invalidated = append(report.Invalidated,
-						fmt.Sprintf("%s=%s", a.Source, v.String()))
-				}
+			kept, lost := splitHeld(res, col, sel)
+			for _, v := range lost {
+				report.Invalidated = append(report.Invalidated,
+					fmt.Sprintf("%s=%s", a.Source, v.String()))
 			}
-			if len(kept) != len(sel) {
+			if len(lost) > 0 {
 				s.selections[strings.ToLower(a.Source)] = kept
 				for _, tgt := range a.Targets {
 					s.dirty[strings.ToLower(tgt)] = true
@@ -191,12 +187,24 @@ func (s *Session) Render(ctx context.Context) (*RenderReport, error) {
 	return report, nil
 }
 
-func resultContains(res *exec.Result, col int, v storage.Value) bool {
-	coll := res.Schema[col].Coll
+// splitHeld splits a selection into the values column col of res still
+// holds and those it lost, in one pass over the column. kept reuses sel's
+// array.
+func splitHeld(res *exec.Result, col int, sel []storage.Value) (kept, lost []storage.Value) {
+	set := storage.NewKeySet(res.Cols[col].Type, res.Schema[col].Coll, sel)
+	held := make([]bool, len(sel))
 	for i := 0; i < res.N; i++ {
-		if storage.Equal(res.Value(i, col), v, coll) {
-			return true
+		if j := set.Index(res.Value(i, col)); j >= 0 {
+			held[j] = true
 		}
 	}
-	return false
+	kept = sel[:0]
+	for _, v := range sel {
+		if j := set.Index(v); j >= 0 && held[j] {
+			kept = append(kept, v)
+		} else {
+			lost = append(lost, v)
+		}
+	}
+	return kept, lost
 }
