@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"sync/atomic"
 	"time"
 
 	"vizq/internal/kvstore"
@@ -30,16 +29,16 @@ type Distributed struct {
 	// TTL bounds shared entries' lifetime.
 	TTL time.Duration
 
-	// Counters are atomic: Get runs concurrently on server worker
-	// goroutines and a torn increment is a data race under -race.
-	remoteHits   atomic.Int64
-	remoteMisses atomic.Int64
-	remoteErrors atomic.Int64
+	remoteHits, remoteMisses, remoteErrors obs.Counter
 }
 
 // NewDistributed wires a local cache to a kvstore client.
 func NewDistributed(local *IntelligentCache, remote *kvstore.Client, ttl time.Duration) *Distributed {
-	return &Distributed{Local: local, Remote: remote, TTL: ttl}
+	d := &Distributed{Local: local, Remote: remote, TTL: ttl}
+	d.remoteHits.RollUp(cDistHits)
+	d.remoteMisses.RollUp(cDistMisses)
+	d.remoteErrors.RollUp(cDistErrors)
+	return d
 }
 
 // Get answers q from the local tier or the shared store.
@@ -53,31 +52,26 @@ func (d *Distributed) Get(q *query.Query) (*exec.Result, bool) {
 	data, ok, err := d.Remote.Get(q.Key())
 	if err != nil {
 		// A transport failure is not a cold cache: count it separately.
-		d.remoteErrors.Add(1)
-		cDistErrors.Inc()
+		d.remoteErrors.Inc()
 		return nil, false
 	}
 	if !ok {
-		d.remoteMisses.Add(1)
-		cDistMisses.Inc()
+		d.remoteMisses.Inc()
 		return nil, false
 	}
 	sq, sres, cost, err := DecodeEntry(data)
 	if err != nil {
-		d.remoteErrors.Add(1)
-		cDistErrors.Inc()
+		d.remoteErrors.Inc()
 		return nil, false
 	}
 	res, ok := Derive(sq, sres, q)
 	if !ok {
 		// The shared entry exists but cannot answer q: that is a miss, and
 		// a result that failed to serve must not warm the local tier.
-		d.remoteMisses.Add(1)
-		cDistMisses.Inc()
+		d.remoteMisses.Inc()
 		return nil, false
 	}
-	d.remoteHits.Add(1)
-	cDistHits.Inc()
+	d.remoteHits.Inc()
 	// Warm the local tier: future queries on this node can match by
 	// subsumption, not only by exact key.
 	d.Local.Put(sq, sres, cost)
@@ -98,5 +92,5 @@ func (d *Distributed) Put(q *query.Query, res *exec.Result, cost time.Duration) 
 // RemoteStats reports shared-store outcomes for this node. errors counts
 // transport and decode failures, kept apart from misses.
 func (d *Distributed) RemoteStats() (hits, misses, errors int64) {
-	return d.remoteHits.Load(), d.remoteMisses.Load(), d.remoteErrors.Load()
+	return d.remoteHits.Value(), d.remoteMisses.Value(), d.remoteErrors.Value()
 }

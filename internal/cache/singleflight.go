@@ -37,11 +37,22 @@ type Call struct {
 type Flight struct {
 	mu    sync.Mutex
 	calls map[string]*Call
+
+	leader, shared obs.Counter
 }
 
 // NewFlight creates an empty flight group.
 func NewFlight() *Flight {
-	return &Flight{calls: make(map[string]*Call)}
+	f := &Flight{calls: make(map[string]*Call)}
+	f.leader.RollUp(cSFLeader)
+	f.shared.RollUp(cSFShared)
+	return f
+}
+
+// Counts reports how many of this group's callers led an execution and
+// how many shared one already in flight.
+func (f *Flight) Counts() (leader, shared int64) {
+	return f.leader.Value(), f.shared.Value()
 }
 
 // Join registers a caller for key. The first caller leads (leader is true)
@@ -52,13 +63,13 @@ func (f *Flight) Join(key string) (c *Call, leader bool) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
-		cSFShared.Inc()
+		f.shared.Inc()
 		return c, false
 	}
 	c = &Call{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()
-	cSFLeader.Inc()
+	f.leader.Inc()
 	return c, true
 }
 

@@ -60,6 +60,10 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 	return c.now
 }
 
+// busTimeout bounds each coordination-bus round trip in real time so
+// partitioned links fail fast.
+const busTimeout = 500 * time.Millisecond
+
 // Config sizes a harness cluster. Zero fields take the defaults noted.
 type Config struct {
 	// Nodes is the Data Server count (default 3).
@@ -79,9 +83,6 @@ type Config struct {
 	Interval time.Duration
 	// BackendLatency is added to every backend query (default 0).
 	BackendLatency time.Duration
-	// BusTimeout bounds each coordination-bus round trip in real time
-	// (default 500ms) so partitioned links fail fast.
-	BusTimeout time.Duration
 	// Health tunes the balancer's node health tracking. Zero fields take
 	// harness defaults — SuspectAfter 1, EjectAfter 2, ProbeAfter one
 	// Interval — and the Clock is always the harness's fake clock so
@@ -107,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
-	}
-	if c.BusTimeout <= 0 {
-		c.BusTimeout = 500 * time.Millisecond
 	}
 	return c
 }
@@ -207,7 +205,7 @@ func New(cfg Config) (*Cluster, error) {
 			cl.Close()
 			return nil, err
 		}
-		bus := kvstore.NewRemoteBus(proxy.Addr(), cfg.BusTimeout)
+		bus := kvstore.NewRemoteBus(proxy.Addr(), busTimeout)
 		schedCfg := cfg.Scheduler
 		ds := dataserver.NewServer(dataserver.Config{
 			PipelineOptions: core.DefaultOptions(),

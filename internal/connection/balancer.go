@@ -108,7 +108,7 @@ func (b *Balancer) score(i int) float64 {
 	s := float64(p.Live()) + b.Pressure(i)*penalty
 	switch b.State(i) {
 	case NodeSuspect, NodeProbing:
-		s += b.health.cfg.SuspectPenalty * penalty
+		s += suspectPenalty * penalty
 	}
 	return s
 }

@@ -75,6 +75,15 @@ func (s NodeState) String() string {
 	return "unknown"
 }
 
+const (
+	// probeTimeout bounds one active probe's dial+ping round trip.
+	probeTimeout = time.Second
+	// suspectPenalty scales the score penalty of suspect and probing
+	// nodes, in units of the pool's capacity: 1.0 would make a suspect
+	// node cost as much as a fully busy one.
+	suspectPenalty = 0.5
+)
+
 // HealthConfig tunes the balancer's node health tracking. Zero fields
 // take the defaults noted on them.
 type HealthConfig struct {
@@ -86,13 +95,6 @@ type HealthConfig struct {
 	// ProbeAfter is the cooldown an ejected node sits out before a probe
 	// may be admitted (default 1s).
 	ProbeAfter time.Duration
-	// ProbeTimeout bounds one active probe's dial+ping round trip
-	// (default 1s).
-	ProbeTimeout time.Duration
-	// SuspectPenalty scales the score penalty of suspect and probing
-	// nodes, in units of the pool's capacity — 1.0 makes a suspect node
-	// cost as much as a fully busy one (default 0.5).
-	SuspectPenalty float64
 	// Clock supplies the cooldown timebase (default time.Now; the
 	// deterministic cluster harness injects its fake clock).
 	Clock func() time.Time
@@ -110,12 +112,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.SuspectPenalty <= 0 {
-		c.SuspectPenalty = 0.5
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -322,7 +318,7 @@ func (b *Balancer) probe(ctx context.Context, i int) {
 	defer sp.Finish()
 	sp.Annotate("node", b.pools[i].Addr())
 	cHealthProbe.Inc()
-	pctx, cancel := context.WithTimeout(ctx, b.health.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	err := pingNode(pctx, b.pools[i].Addr())
 	if err != nil {

@@ -323,7 +323,7 @@ func TestHealthConfigDefaults(t *testing.T) {
 	cfg := HealthConfig{}.withDefaults()
 	want := fmt.Sprintf("suspect=%d eject=%d probeAfter=%s penalty=%.1f", 1, 3, time.Second, 0.5)
 	got := fmt.Sprintf("suspect=%d eject=%d probeAfter=%s penalty=%.1f",
-		cfg.SuspectAfter, cfg.EjectAfter, cfg.ProbeAfter, cfg.SuspectPenalty)
+		cfg.SuspectAfter, cfg.EjectAfter, cfg.ProbeAfter, suspectPenalty)
 	if got != want {
 		t.Fatalf("defaults = %q, want %q", got, want)
 	}

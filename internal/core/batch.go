@@ -41,7 +41,7 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 	var pending []int
 	_, probe := obs.StartSpan(ctx, obs.SpanCacheProbe)
 	for i, q := range batch {
-		if res, ok := p.probeIntelligent(q, &p.n.cacheHits, cCacheHits); ok {
+		if res, ok := p.probeIntelligent(q, &p.cacheHits); ok {
 			results[i] = res
 			continue
 		}
@@ -215,7 +215,7 @@ func (p *Processor) fuseGroups(batch []*query.Query, remoteIdx []int) []fuseGrou
 			order = append(order, sig)
 		} else {
 			mergeMeasures(b.fused, q)
-			count(&p.n.fusedAway, cFusedAway)
+			p.fusedAway.Inc()
 		}
 		b.members = append(b.members, i)
 	}
@@ -296,7 +296,7 @@ func (p *Processor) answerLocal(ctx context.Context, batch []*query.Query, j int
 			errs[j] = ctx.Err()
 			return
 		}
-		if res, ok := p.probeIntelligent(batch[j], &p.n.localAnswers, cLocal); ok {
+		if res, ok := p.probeIntelligent(batch[j], &p.localAnswers); ok {
 			results[j] = res
 			return
 		}

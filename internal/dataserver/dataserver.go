@@ -64,10 +64,6 @@ type PublishedSource struct {
 
 // Config tunes the server.
 type Config struct {
-	// DisableInMemoryTempTables forces all temp state onto the database
-	// ("if desired, in-memory temporary tables on Data Server can be
-	// disabled").
-	DisableInMemoryTempTables bool
 	// PipelineOptions configure the shared query pipeline.
 	PipelineOptions core.Options
 	// CacheOptions sizes each published source's query caches (shard
@@ -129,7 +125,10 @@ type Server struct {
 	temps    map[string]*tempDef // content hash -> shared definition
 	extracts map[string]*extractState
 	connSeq  int
-	stats    Stats
+
+	// The live form of Stats; Queries and LocalAnswers roll up into their
+	// Data Server metrics.
+	queries, localAnswers, backendTempOps, inMemTempTables, sharedTempReuses obs.Counter
 }
 
 // tempDef is one in-memory temporary table definition, shared across client
@@ -153,6 +152,8 @@ func NewServer(cfg Config) *Server {
 		scheds:  make(map[string]*sched.Scheduler),
 		temps:   make(map[string]*tempDef),
 	}
+	s.queries.RollUp(cDSQueries)
+	s.localAnswers.RollUp(cDSLocal)
 	if cfg.Cluster != nil {
 		// An incomplete cluster config (no node id or bus) degrades to
 		// uncoordinated per-node admission rather than failing the server:
@@ -262,9 +263,13 @@ func (s *Server) Unpublish(name string) {
 
 // Stats snapshots counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Queries:          s.queries.Value(),
+		LocalAnswers:     s.localAnswers.Value(),
+		BackendTempOps:   s.backendTempOps.Value(),
+		InMemTempTables:  s.inMemTempTables.Value(),
+		SharedTempReuses: s.sharedTempReuses.Value(),
+	}
 }
 
 // SharedTempCount reports live shared temp definitions.
@@ -369,11 +374,11 @@ func (c *ClientConn) CreateTempTable(alias, col string, vals []storage.Value) er
 	defer c.srv.mu.Unlock()
 	def, ok := c.srv.temps[h]
 	if ok {
-		c.srv.stats.SharedTempReuses++
+		c.srv.sharedTempReuses.Inc()
 	} else {
 		def = &tempDef{hash: h, rows: res, col: col}
 		c.srv.temps[h] = def
-		c.srv.stats.InMemTempTables++
+		c.srv.inMemTempTables.Inc()
 	}
 	def.refs++
 	c.temps[alias] = def
@@ -408,10 +413,7 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 		return nil, fmt.Errorf("dataserver: connection closed")
 	}
 	c.mu.Unlock()
-	c.srv.mu.Lock()
-	c.srv.stats.Queries++
-	c.srv.mu.Unlock()
-	cDSQueries.Inc()
+	c.srv.queries.Inc()
 	// Client queries are someone waiting on a spinner: Interactive unless
 	// the caller tagged otherwise, fair-queued per user and, within the
 	// user, per client connection — so a user's share of the source is the
@@ -433,10 +435,7 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 	if isTemp {
 		res, _, err := c.tryLocalTempQuery(rq)
 		if err == nil {
-			c.srv.mu.Lock()
-			c.srv.stats.LocalAnswers++
-			c.srv.mu.Unlock()
-			cDSLocal.Inc()
+			c.srv.localAnswers.Inc()
 			sp.Annotate("answer", "local-temp")
 		}
 		return res, err
@@ -527,14 +526,10 @@ func (c *ClientConn) resolveTempFilters(q *query.Query) error {
 		// Inline as an IN filter: the pipeline's own externalization turns
 		// oversized lists into a session temp table on the database when
 		// the backend supports it.
-		if !c.source.BackendSupportsTempTables {
-			keep = append(keep, query.InFilter(f.Col, vals...))
-			continue
-		}
 		keep = append(keep, query.InFilter(f.Col, vals...))
-		c.srv.mu.Lock()
-		c.srv.stats.BackendTempOps++
-		c.srv.mu.Unlock()
+		if c.source.BackendSupportsTempTables {
+			c.srv.backendTempOps.Inc()
+		}
 	}
 	q.Filters = keep
 	return nil

@@ -43,16 +43,32 @@ func G(name string) *Gauge { return Default.Gauge(name) }
 // H returns (registering if needed) the named histogram in Default.
 func H(name string) *Histogram { return Default.Histogram(name) }
 
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count. A registry's counters are
+// process-wide. A Counter that is a field of some other value is an
+// instance counter: it counts for its owner alone, is never registered,
+// and after RollUp every increment also adds to the registered counter of
+// the same name, so one Inc feeds both the owner's Stats view and the
+// registry.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
+// RollUp makes the instance counter c add every increment to parent as
+// well; a nil parent leaves c per-instance only. Call it before c is
+// shared.
+func (c *Counter) RollUp(parent *Counter) { c.parent = parent }
+
 // Add increments the counter.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	c.v.Add(n)
+	if c.parent != nil {
+		c.parent.v.Add(n)
+	}
+}
 
 // Inc increments by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value reads the counter.
 func (c *Counter) Value() int64 { return c.v.Load() }

@@ -10,8 +10,9 @@
 // disabled path costs one context lookup and no allocation.
 //
 // Metrics are always on: hot paths increment lock-free atomics in the
-// package-level Default registry. Registry dumps render as aligned text
-// (WriteText) or JSON (WriteJSON).
+// package-level Default registry, directly or through an instance counter
+// that rolls up into it (Counter.RollUp). Registry dumps render as aligned
+// text (WriteText) or JSON (WriteJSON).
 package obs
 
 import (

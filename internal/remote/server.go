@@ -21,9 +21,9 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"vizq/internal/obs"
 	"vizq/internal/tde/engine"
 	"vizq/internal/tde/exec"
 	"vizq/internal/tde/opt"
@@ -70,12 +70,15 @@ type Server struct {
 	ln  net.Listener
 	wg  sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	conns    map[net.Conn]struct{}
-	sessSeq  int64
-	inFlight int64
-	stats    Stats
+	mu      sync.Mutex
+	closed  bool
+	conns   map[net.Conn]struct{}
+	sessSeq int64
+
+	// The live form of Stats; none has a process-wide name. inFlight's
+	// high-water mark is MaxInFlight.
+	requests, queries, tempCreates, tempDrops obs.Counter
+	inFlight                                  obs.Gauge
 
 	sem chan struct{}
 }
@@ -116,9 +119,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Requests:    s.requests.Value(),
+		Queries:     s.queries.Value(),
+		TempCreates: s.tempCreates.Value(),
+		TempDrops:   s.tempDrops.Value(),
+		MaxInFlight: s.inFlight.Max(),
+	}
 }
 
 // Close stops the server and drops all sessions.
@@ -204,10 +211,8 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 		// one after another on this session — a connection never has more
 		// than one executing — and answers each with its own frame as soon
 		// as it is done.
-		s.mu.Lock()
-		s.stats.Requests++
-		s.stats.Queries += int64(len(req.Stmts))
-		s.mu.Unlock()
+		s.requests.Inc()
+		s.queries.Add(int64(len(req.Stmts)))
 		for _, stmt := range req.Stmts {
 			if err := writeFrame(w, s.handleQuery(stmt)); err != nil {
 				return
@@ -236,13 +241,8 @@ func (s *Server) handleQuery(stmt string) *Response {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 	}
-	cur := atomic.AddInt64(&s.inFlight, 1)
-	defer atomic.AddInt64(&s.inFlight, -1)
-	s.mu.Lock()
-	if cur > s.stats.MaxInFlight {
-		s.stats.MaxInFlight = cur
-	}
-	s.mu.Unlock()
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
 
 	start := time.Now()
 	ctx := context.Background()
@@ -263,9 +263,7 @@ func (s *Server) handleTempCreate(sess *session, req *Request) *Response {
 	if req.Result == nil {
 		return &Response{Err: "remote: temp create without data"}
 	}
-	s.mu.Lock()
-	s.stats.TempCreates++
-	s.mu.Unlock()
+	s.tempCreates.Inc()
 	sess.seq++
 	unique := fmt.Sprintf("s%d_%d_%s", sess.id, sess.seq, req.Name)
 	qualified, err := s.eng.CreateTempTable(unique, req.Result)
@@ -308,9 +306,7 @@ func lastDot(s string) int {
 }
 
 func (s *Server) handleTempDrop(sess *session, req *Request) *Response {
-	s.mu.Lock()
-	s.stats.TempDrops++
-	s.mu.Unlock()
+	s.tempDrops.Inc()
 	qualified, ok := sess.temps[req.Name]
 	if !ok {
 		qualified = req.Name

@@ -71,15 +71,16 @@ type Breaker struct {
 	openFor    time.Duration
 	maxProbes  int
 
-	opened    int64
-	fastFails int64
+	// The live form of BreakerStats, each rolled up into its breaker
+	// metric.
+	opened, fastFails obs.Counter
 
 	now func() time.Time
 }
 
 // newBreaker builds a breaker from a validated Config.
 func newBreaker(cfg Config) *Breaker {
-	return &Breaker{
+	b := &Breaker{
 		window:     make([]bool, cfg.BreakerWindow),
 		minSamples: cfg.BreakerMinSamples,
 		ratio:      cfg.BreakerFailureRatio,
@@ -87,6 +88,9 @@ func newBreaker(cfg Config) *Breaker {
 		maxProbes:  cfg.BreakerHalfOpenProbes,
 		now:        time.Now,
 	}
+	b.opened.RollUp(cBreakerOpened)
+	b.fastFails.RollUp(cBreakerFastFail)
+	return b
 }
 
 // setClock pins the breaker's clock (tests).
@@ -121,8 +125,7 @@ func (b *Breaker) allow() (ok, probe bool) {
 		return true, false
 	case Open:
 		if b.now().Sub(b.openedAt) < b.openFor {
-			b.fastFails++
-			cBreakerFastFail.Inc()
+			b.fastFails.Inc()
 			return false, false
 		}
 		b.state = HalfOpen
@@ -134,8 +137,7 @@ func (b *Breaker) allow() (ok, probe bool) {
 			b.probes++
 			return true, true
 		}
-		b.fastFails++
-		cBreakerFastFail.Inc()
+		b.fastFails.Inc()
 		return false, false
 	}
 }
@@ -194,7 +196,7 @@ func (b *Breaker) State() State {
 func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BreakerStats{State: b.state, Opened: b.opened, FastFails: b.fastFails}
+	return BreakerStats{State: b.state, Opened: b.opened.Value(), FastFails: b.fastFails.Value()}
 }
 
 func (b *Breaker) push(failure bool) {
@@ -216,8 +218,7 @@ func (b *Breaker) toOpenLocked() {
 	b.state = Open
 	b.openedAt = b.now()
 	b.probes = 0
-	b.opened++
-	cBreakerOpened.Inc()
+	b.opened.Inc()
 }
 
 func (b *Breaker) toClosedLocked() {

@@ -17,7 +17,7 @@
 //     consistently fleet-wide (stale-on-shed still applies downstream).
 //
 // The digests are advisory, not consensus: every decision stays local
-// and correct with zero peers, stale peers are ignored (StaleAfter), and
+// and correct with zero peers, stale peers are ignored (staleDigests), and
 // when the bus is unreachable — or the coordinator dies — the advisory
 // state expires after a short hold and nodes degrade to exactly the
 // per-node admission they had before this layer existed.
@@ -224,6 +224,16 @@ func DecodeDigest(b []byte) (Digest, error) {
 	return d, nil
 }
 
+const (
+	// digestPrefix namespaces digest keys on the bus: keys are
+	// digestPrefix/<source>/<node>.
+	digestPrefix = "sched/digest"
+	// staleDigests is the maximum digest age (reader's clock), in publish
+	// intervals, still blended into decisions. Older peers are ignored: a
+	// partitioned node must not steer the fleet with frozen state.
+	staleDigests = 3
+)
+
 // ClusterConfig tunes one node's coordinator. Zero fields take the
 // defaults noted on them.
 type ClusterConfig struct {
@@ -231,35 +241,22 @@ type ClusterConfig struct {
 	Node string
 	// Bus is the coordination transport (required).
 	Bus Bus
-	// Prefix namespaces digest keys on the bus (default "sched/digest").
-	// Keys are Prefix/<source>/<node>.
-	Prefix string
 	// Interval is the publish-and-observe period (default 250ms).
 	Interval time.Duration
 	// TTL bounds how long a digest outlives its publisher on the bus
 	// (default 4*Interval): a crashed node's entry expires on its own.
 	TTL time.Duration
-	// StaleAfter is the maximum digest age (reader's clock) still blended
-	// into decisions (default 3*Interval). Older peers are ignored — a
-	// partitioned node must not steer the fleet with frozen state.
-	StaleAfter time.Duration
 	// Clock supplies publish timestamps and staleness judgments
 	// (default time.Now; tests inject a fake).
 	Clock func() time.Time
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Prefix == "" {
-		c.Prefix = "sched/digest"
-	}
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
 	}
 	if c.TTL <= 0 {
 		c.TTL = 4 * c.Interval
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 3 * c.Interval
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -400,7 +397,7 @@ func (c *Coordinator) stepSource(name string, now time.Time) {
 
 	// Bus I/O happens outside the coordinator lock so a stalled link
 	// cannot block Register/Unregister.
-	keyPrefix := c.cfg.Prefix + "/" + name + "/"
+	keyPrefix := digestPrefix + "/" + name + "/"
 	if err := c.cfg.Bus.Set(keyPrefix+c.cfg.Node, self.Encode(), c.cfg.TTL); err != nil {
 		cClusterPublishErr.Inc()
 	} else {
@@ -430,7 +427,7 @@ func (c *Coordinator) stepSource(name string, now time.Time) {
 		if age < 0 {
 			age = 0
 		}
-		if age > c.cfg.StaleAfter {
+		if age > staleDigests*c.cfg.Interval {
 			cClusterStale.Inc()
 			continue
 		}
@@ -526,13 +523,13 @@ func (s *Scheduler) ObservePeers(self Digest, peers []Digest) {
 	s.mu.Lock()
 	fleet := len(peers) + 1
 	pressured := 0
-	if self.pressured(s.cfg.PressureShedRate) {
+	if self.pressured(pressureShedRate) {
 		pressured++
 	}
 	qSum := 0.0
 	limSum := s.limit
 	for _, d := range peers {
-		if d.pressured(s.cfg.PressureShedRate) {
+		if d.pressured(pressureShedRate) {
 			pressured++
 		}
 		qSum += float64(d.QueueDepth)

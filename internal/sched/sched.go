@@ -229,17 +229,19 @@ type Config struct {
 	// 1 + W*Q/limit — fleet-wide backlog sheds deadline-bound queries a
 	// little earlier everywhere.
 	PeerBacklogWeight float64
-	// ClusterUserQueue is the per-user queue bound applied while a
-	// majority of the fleet reports shed pressure for this source
-	// (default 1). Clamping the *user* bound — not the source bound —
-	// sheds the hot user's backlog consistently on every node while
-	// light users keep queueing normally.
-	ClusterUserQueue int
-	// PressureShedRate is the shed-rate threshold above which a peer's
-	// digest counts as "pressured" for the majority-shed rule
-	// (default 0.05).
-	PressureShedRate float64
 }
+
+const (
+	// clusterUserQueue is the per-user queue bound applied while a
+	// majority of the fleet reports shed pressure for this source.
+	// Clamping the *user* bound — not the source bound — sheds the hot
+	// user's backlog consistently on every node while light users keep
+	// queueing normally.
+	clusterUserQueue = 1
+	// pressureShedRate is the shed-rate threshold above which a peer's
+	// digest counts as "pressured" for the majority-shed rule.
+	pressureShedRate = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	if c.Limit <= 0 {
@@ -276,12 +278,6 @@ func (c Config) withDefaults() Config {
 		c.PeerBacklogWeight = 0.25
 	} else if c.PeerBacklogWeight < 0 {
 		c.PeerBacklogWeight = 0
-	}
-	if c.ClusterUserQueue <= 0 {
-		c.ClusterUserQueue = 1
-	}
-	if c.PressureShedRate <= 0 {
-		c.PressureShedRate = 0.05
 	}
 	return c
 }
@@ -401,7 +397,12 @@ type Scheduler struct {
 	clusterShed  bool
 	peerExpiry   time.Time
 
-	stats Stats
+	// The counts of Stats, each rolled up into its scheduler metric where
+	// one exists. They move and are read under mu, so a snapshot's shed
+	// reasons always add up to Shed.
+	admittedInteractive, admittedBackground, admittedDirect, completed,
+	canceled, shed, shedDeadline, shedQueueFull, shedUserQueueFull,
+	shedClusterPressure, shedDraining obs.Counter
 }
 
 // New builds a scheduler from cfg.
@@ -411,6 +412,14 @@ func New(cfg Config) *Scheduler {
 	for i := range s.classes {
 		s.classes[i].users = make(map[string]*userQueue)
 	}
+	s.admittedInteractive.RollUp(cAdmittedInt)
+	s.admittedBackground.RollUp(cAdmittedBg)
+	s.admittedDirect.RollUp(cAdmitDirect)
+	s.canceled.RollUp(cCanceled)
+	s.shed.RollUp(cShed)
+	s.shedQueueFull.RollUp(cShedFull)
+	s.shedClusterPressure.RollUp(cClusterShed)
+	s.shedDraining.RollUp(cShedDrain)
 	return s
 }
 
@@ -421,14 +430,26 @@ func (s *Scheduler) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Inflight = s.inflight
-	st.Queued = s.waiting
-	st.QueuedUsers = s.queuedUsers
-	st.Limit = s.limit
-	st.EWMAService = time.Duration(s.ewmaNS)
-	st.EWMAWait = time.Duration(s.ewmaWaitNS)
-	st.Draining = s.draining
+	st := Stats{
+		AdmittedInteractive: s.admittedInteractive.Value(),
+		AdmittedBackground:  s.admittedBackground.Value(),
+		AdmittedDirect:      s.admittedDirect.Value(),
+		Shed:                s.shed.Value(),
+		ShedDeadline:        s.shedDeadline.Value(),
+		ShedQueueFull:       s.shedQueueFull.Value(),
+		ShedUserQueueFull:   s.shedUserQueueFull.Value(),
+		ShedClusterPressure: s.shedClusterPressure.Value(),
+		ShedDraining:        s.shedDraining.Value(),
+		Canceled:            s.canceled.Value(),
+		Completed:           s.completed.Value(),
+		Inflight:            s.inflight,
+		Queued:              s.waiting,
+		QueuedUsers:         s.queuedUsers,
+		Limit:               s.limit,
+		EWMAService:         time.Duration(s.ewmaNS),
+		EWMAWait:            time.Duration(s.ewmaWaitNS),
+		Draining:            s.draining,
+	}
 	if s.clusterFreshLocked(time.Now()) {
 		st.ClusterPeers = s.peerCount
 		st.ClusterShedActive = s.clusterShed
@@ -503,11 +524,9 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	// via the digest) or a stale cache entry (ErrShed-wrapping errors get
 	// degraded reads downstream).
 	if s.draining {
-		s.stats.Shed++
-		s.stats.ShedDraining++
+		s.shed.Inc()
+		s.shedDraining.Inc()
 		s.mu.Unlock()
-		cShed.Inc()
-		cShedDrain.Inc()
 		sp.Annotate("via", "shed-draining")
 		return nil, &ShedError{Reason: "draining"}
 	}
@@ -518,10 +537,9 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	// queries that actually queued.
 	if s.inflight < s.limit && !s.queuedAtOrAbove(class) {
 		s.admitLocked(class)
-		s.stats.AdmittedDirect++
+		s.admittedDirect.Inc()
 		s.mu.Unlock()
 		sp.Annotate("via", "direct")
-		cAdmitDirect.Inc()
 		return &Ticket{s: s, start: time.Now()}, nil
 	}
 
@@ -534,10 +552,9 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		budget = time.Until(deadline)
 		if float64(est) > s.cfg.DeadlineSafety*float64(budget) {
-			s.stats.Shed++
-			s.stats.ShedDeadline++
+			s.shed.Inc()
+			s.shedDeadline.Inc()
 			s.mu.Unlock()
-			cShed.Inc()
 			sp.Annotate("via", "shed-deadline")
 			return nil, &ShedError{Reason: "deadline", EstWait: est, Budget: budget}
 		}
@@ -545,13 +562,13 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 
 	// Bounded queues at every level: per source, per user, per session.
 	// While a majority of the fleet reports shed pressure for this source,
-	// the per-user bound clamps to ClusterUserQueue: the hot user's
+	// the per-user bound clamps to clusterUserQueue: the hot user's
 	// backlog sheds here too — even though this node alone still has
 	// queue room — so overload behavior is consistent fleet-wide.
 	userCap := s.cfg.MaxUserQueue
 	clusterClamp := s.clusterShedActiveLocked(start)
 	if clusterClamp {
-		userCap = s.cfg.ClusterUserQueue
+		userCap = clusterUserQueue
 	}
 	cq := &s.classes[class]
 	uq := cq.users[user]
@@ -562,24 +579,20 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	userFull := uq != nil && uq.waiting >= userCap
 	if s.waiting >= s.cfg.MaxQueue || userFull ||
 		(sq != nil && len(sq.items) >= s.cfg.MaxSessionQueue) {
-		s.stats.Shed++
+		s.shed.Inc()
 		if clusterClamp && userFull && uq.waiting < s.cfg.MaxUserQueue {
 			// Only the cluster clamp rejected this query; locally it would
 			// still have queued.
-			s.stats.ShedClusterPressure++
+			s.shedClusterPressure.Inc()
 			s.mu.Unlock()
-			cShed.Inc()
-			cClusterShed.Inc()
 			sp.Annotate("via", "shed-cluster-pressure")
 			return nil, &ShedError{Reason: "cluster-pressure", EstWait: est, Budget: budget}
 		}
-		s.stats.ShedQueueFull++
+		s.shedQueueFull.Inc()
 		if userFull && s.waiting < s.cfg.MaxQueue {
-			s.stats.ShedUserQueueFull++
+			s.shedUserQueueFull.Inc()
 		}
 		s.mu.Unlock()
-		cShed.Inc()
-		cShedFull.Inc()
 		if userFull {
 			cShedUser.Inc()
 		}
@@ -625,10 +638,9 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			return nil, ctx.Err()
 		}
 		s.removeLocked(class, user, sess, w)
-		s.stats.Canceled++
+		s.canceled.Inc()
 		s.notifyQuiesceLocked()
 		s.mu.Unlock()
-		cCanceled.Inc()
 		sp.Annotate("via", "canceled")
 		return nil, ctx.Err()
 	}
@@ -661,8 +673,8 @@ func (s *Scheduler) SetDraining(on bool) {
 			}
 			w.shed = &ShedError{Reason: "draining"}
 			flushed = append(flushed, w)
-			s.stats.Shed++
-			s.stats.ShedDraining++
+			s.shed.Inc()
+			s.shedDraining.Inc()
 		}
 		s.notifyQuiesceLocked()
 	}
@@ -670,8 +682,6 @@ func (s *Scheduler) SetDraining(on bool) {
 	for _, w := range flushed {
 		close(w.ready)
 	}
-	cShed.Add(int64(len(flushed)))
-	cShedDrain.Add(int64(len(flushed)))
 }
 
 // Draining reports whether the scheduler is refusing new admissions.
@@ -730,11 +740,9 @@ func (s *Scheduler) admitLocked(class Class) {
 	gInflight.Set(int64(s.inflight))
 	cAdmitted.Inc()
 	if class == Background {
-		s.stats.AdmittedBackground++
-		cAdmittedBg.Inc()
+		s.admittedBackground.Inc()
 	} else {
-		s.stats.AdmittedInteractive++
-		cAdmittedInt.Inc()
+		s.admittedInteractive.Inc()
 	}
 }
 
@@ -954,7 +962,7 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 	s.mu.Lock()
 	s.inflight--
 	if completed {
-		s.stats.Completed++
+		s.completed.Inc()
 		mServiceNS.ObserveDuration(d)
 		const alpha = 0.2
 		ns := float64(d.Nanoseconds())
@@ -972,15 +980,12 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 		}
 		s.governLocked()
 	} else {
-		s.stats.Canceled++
+		s.canceled.Inc()
 	}
 	s.dispatchLocked()
 	gInflight.Set(int64(s.inflight))
 	s.notifyQuiesceLocked()
 	s.mu.Unlock()
-	if !completed {
-		cCanceled.Inc()
-	}
 }
 
 // governLocked adapts the in-flight limit around the configured base:

@@ -25,6 +25,9 @@ go vet ./...
 echo "== orphan check (every internal package has an importer)"
 scripts/orphan_check.sh
 
+echo "== count check (no hand-kept Stats fields beside obs counters)"
+scripts/count_check.sh
+
 echo "== vizlint ./..."
 go run ./cmd/vizlint ./...
 
