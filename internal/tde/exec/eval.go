@@ -7,8 +7,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"vizq/internal/tde/plan"
 	"vizq/internal/tde/storage"
@@ -72,14 +74,19 @@ func evalCmp(c *plan.Cmp, b *storage.Batch) (*storage.Vector, error) {
 	out.Null = orNulls(l.Null, r.Null, n)
 
 	// Token fast path: dictionary column compared with a string literal.
-	if l.Dict != nil && r.Dict == nil && r.Type == storage.TStr && isConstVector(c.R) {
-		if v, ok := cmpDictConst(c.Op, l, r, n, out, false); ok {
-			return v, nil
+	if x, op, lit, ok := litCmp(c); ok && !lit.Null && lit.Type == storage.TStr {
+		v := l
+		if x == c.R {
+			v = r
 		}
-	}
-	if r.Dict != nil && l.Dict == nil && l.Type == storage.TStr && isConstVector(c.L) {
-		if v, ok := cmpDictConst(c.Op, r, l, n, out, true); ok {
-			return v, nil
+		if v.Dict != nil {
+			thr := tokenThreshold(op, v.Dict, lit.S)
+			for i := 0; i < n; i++ {
+				if !out.IsNull(i) {
+					setBool(out, i, tokenHolds(op, v.I[i], thr))
+				}
+			}
+			return out, nil
 		}
 	}
 
@@ -100,16 +107,8 @@ func evalCmp(c *plan.Cmp, b *storage.Batch) (*storage.Vector, error) {
 	case l.Type == storage.TFloat || r.Type == storage.TFloat:
 		lf, rf := asFloats(l), asFloats(r)
 		for i := 0; i < n; i++ {
-			if out.Null != nil && out.Null[i] {
-				continue
-			}
-			switch {
-			case lf[i] < rf[i]:
-				setBool(out, i, cmpHolds(c.Op, -1))
-			case lf[i] > rf[i]:
-				setBool(out, i, cmpHolds(c.Op, 1))
-			default:
-				setBool(out, i, cmpHolds(c.Op, 0))
+			if !out.IsNull(i) {
+				setBool(out, i, cmpHolds(c.Op, cmpFloat(lf[i], rf[i])))
 			}
 		}
 	default:
@@ -118,63 +117,46 @@ func evalCmp(c *plan.Cmp, b *storage.Batch) (*storage.Vector, error) {
 	return out, nil
 }
 
-// isConstVector reports whether the expression is a literal (so its vector
-// is constant and a single dictionary lookup suffices).
-func isConstVector(e plan.Expr) bool {
-	_, ok := e.(*plan.Lit)
-	return ok
+// litCmp reads c as "x op lit" when one operand is a literal, mirroring the
+// operator when the literal is on the left: (5 < x) is (x > 5).
+func litCmp(c *plan.Cmp) (x plan.Expr, op plan.CmpOp, lit storage.Value, ok bool) {
+	if l, ok := c.R.(*plan.Lit); ok {
+		return c.L, c.Op, l.Val, true
+	}
+	if l, ok := c.L.(*plan.Lit); ok {
+		return c.R, flipCmp(c.Op), l.Val, true
+	}
+	return nil, 0, storage.Value{}, false
 }
 
-// cmpDictConst compares a dictionary token vector against a constant string
-// using token arithmetic only. flipped indicates the constant is on the left.
-func cmpDictConst(op plan.CmpOp, dv, cv *storage.Vector, n int, out *storage.Vector, flipped bool) (*storage.Vector, bool) {
-	if cv.Null != nil && cv.Null[0] {
-		return out, true // all-null comparison already marked
-	}
-	s := cv.S[0]
-	if flipped {
-		op = flipCmp(op)
-	}
-	d := dv.Dict
-	var thr int64
+// tokenThreshold turns "token op s" over a dictionary into a comparison of
+// tokens with one threshold, which tokenHolds applies: dictionary order is
+// value order. A value the dictionary lacks gets -1, which no token equals.
+func tokenThreshold(op plan.CmpOp, d *storage.Dictionary, s string) int64 {
 	switch op {
 	case plan.CmpEq, plan.CmpNe:
-		tok, ok := d.Lookup(s)
-		if !ok {
-			// Value absent: eq is all-false, ne all-true (nulls stay null).
-			for i := 0; i < n; i++ {
-				if out.Null != nil && out.Null[i] {
-					continue
-				}
-				setBool(out, i, op == plan.CmpNe)
-			}
-			return out, true
+		if tok, ok := d.Lookup(s); ok {
+			return int64(tok)
 		}
-		thr = int64(tok)
+		return -1
 	case plan.CmpLt, plan.CmpGe:
-		thr = int64(d.LowerBound(s)) // tokens < thr are < s
-	case plan.CmpLe, plan.CmpGt:
-		thr = int64(d.UpperBound(s)) // tokens < thr are <= s
+		return int64(d.LowerBound(s)) // tokens < thr are < s
+	default:
+		return int64(d.UpperBound(s)) // tokens < thr are <= s
 	}
-	for i := 0; i < n; i++ {
-		if out.Null != nil && out.Null[i] {
-			continue
-		}
-		t := dv.I[i]
-		var keep bool
-		switch op {
-		case plan.CmpEq:
-			keep = t == thr
-		case plan.CmpNe:
-			keep = t != thr
-		case plan.CmpLt, plan.CmpLe:
-			keep = t < thr
-		case plan.CmpGe, plan.CmpGt:
-			keep = t >= thr
-		}
-		setBool(out, i, keep)
+}
+
+func tokenHolds(op plan.CmpOp, tok, thr int64) bool {
+	switch op {
+	case plan.CmpEq:
+		return tok == thr
+	case plan.CmpNe:
+		return tok != thr
+	case plan.CmpLt, plan.CmpLe:
+		return tok < thr
+	default:
+		return tok >= thr
 	}
-	return out, true
 }
 
 // flipCmp mirrors the comparison when operands are swapped (a < b == b > a).
@@ -194,18 +176,21 @@ func flipCmp(op plan.CmpOp) plan.CmpOp {
 
 func cmpInts(op plan.CmpOp, l, r []int64, out *storage.Vector) {
 	for i := range l {
-		if out.Null != nil && out.Null[i] {
-			continue
-		}
-		switch {
-		case l[i] < r[i]:
-			setBool(out, i, cmpHolds(op, -1))
-		case l[i] > r[i]:
-			setBool(out, i, cmpHolds(op, 1))
-		default:
-			setBool(out, i, cmpHolds(op, 0))
+		if !out.IsNull(i) {
+			setBool(out, i, cmpHolds(op, cmp.Compare(l[i], r[i])))
 		}
 	}
+}
+
+// cmpFloat orders two floats; a NaN compares equal to everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 func cmpHolds(op plan.CmpOp, c int) bool {
@@ -301,6 +286,11 @@ func evalArith(a *plan.Arith, b *storage.Batch) (*storage.Vector, error) {
 	n := b.N
 	out := storage.NewVector(a.Typ, n)
 	out.Null = orNulls(l.Null, r.Null, n)
+	if a.Op == plan.ArithDiv || a.Op == plan.ArithMod {
+		// Division by zero sets nulls: own the mask orNulls may share
+		// with an operand.
+		out.Null = slices.Clone(out.Null)
+	}
 	if a.Typ == storage.TFloat {
 		lf, rf := asFloats(l), asFloats(r)
 		for i := 0; i < n; i++ {
@@ -353,47 +343,51 @@ func evalIn(e *plan.InList, b *storage.Batch) (*storage.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := b.N
-	out := storage.NewVector(storage.TBool, n)
+	out := storage.NewVector(storage.TBool, b.N)
 	out.Null = v.Null
-
-	if v.Dict != nil {
-		// Token fast path: translate the value set into token membership once.
-		toks := make([]bool, v.Dict.Len())
-		for _, val := range e.Vals {
-			if val.Null {
-				continue
-			}
-			if t, ok := v.Dict.Lookup(val.S); ok {
-				toks[t] = true
-			}
+	set := newInSet(e, v)
+	for i := 0; i < b.N; i++ {
+		if !v.IsNull(i) {
+			setBool(out, i, set.has(v, i) != e.Negate)
 		}
-		for i := 0; i < n; i++ {
-			if out.Null != nil && out.Null[i] {
-				continue
-			}
-			setBool(out, i, toks[v.I[i]] != e.Negate)
-		}
-		return out, nil
-	}
-
-	set := make(map[string]bool, len(e.Vals))
-	var buf []byte
-	for _, val := range e.Vals {
-		if val.Null {
-			continue
-		}
-		buf = storage.AppendKey(buf[:0], coerce(val, v.Type), e.Coll)
-		set[string(buf)] = true
-	}
-	for i := 0; i < n; i++ {
-		if out.Null != nil && out.Null[i] {
-			continue
-		}
-		buf = storage.AppendKey(buf[:0], v.Value(i), e.Coll)
-		setBool(out, i, set[string(buf)] != e.Negate)
 	}
 	return out, nil
+}
+
+// inSet holds the members of an IN list for one shape of its input vector:
+// for a dictionary vector a membership slice indexed by token, translated
+// from the list once ("decompression as join"); otherwise a KeySet.
+type inSet struct {
+	in   *plan.InList
+	dict *storage.Dictionary
+	toks []bool
+	keys *storage.KeySet
+}
+
+func newInSet(in *plan.InList, v *storage.Vector) *inSet {
+	s := &inSet{in: in, dict: v.Dict}
+	if v.Dict == nil {
+		s.keys = storage.NewKeySet(v.Type, in.Coll, in.Vals)
+		return s
+	}
+	s.toks = make([]bool, v.Dict.Len())
+	for _, val := range in.Vals {
+		if val.Null || val.Type != storage.TStr {
+			continue
+		}
+		if t, ok := v.Dict.Lookup(val.S); ok {
+			s.toks[t] = true
+		}
+	}
+	return s
+}
+
+// has reports whether the non-null row i of v is a member.
+func (s *inSet) has(v *storage.Vector, i int) bool {
+	if s.dict != nil {
+		return s.toks[v.I[i]]
+	}
+	return s.keys.Has(v.Value(i))
 }
 
 // coerce widens a literal to the vector's type so int/float and date/int

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -246,9 +247,14 @@ func (s *scanOp) Close() {}
 
 // ---- filter ----
 
+// filterOp keeps the rows its predicate holds for. It narrows one selection
+// of row numbers, reused for every batch, conjunct by conjunct, and gathers
+// only the rows that survive; a batch that survives whole goes out as is.
 type filterOp struct {
 	child Operator
 	pred  plan.Expr
+	sel   []int32
+	sets  []*inSet // IN member sets, one per (InList, dictionary)
 }
 
 func (f *filterOp) Next() (*storage.Batch, error) {
@@ -257,31 +263,126 @@ func (f *filterOp) Next() (*storage.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		keep, err := EvalExpr(f.pred, b)
+		sel, err := f.selectRows(b)
 		if err != nil {
 			return nil, err
 		}
-		idx := make([]int32, 0, b.N)
-		for i := 0; i < b.N; i++ {
-			if keep.I[i] != 0 && !keep.IsNull(i) {
-				idx = append(idx, int32(i))
-			}
-		}
-		if len(idx) == 0 {
+		switch len(sel) {
+		case 0:
 			continue
-		}
-		if len(idx) == b.N {
+		case b.N:
 			return b, nil
 		}
 		cols := make([]*storage.Vector, len(b.Cols))
 		for c, v := range b.Cols {
-			cols[c] = v.Gather(idx)
+			cols[c] = v.Gather(sel)
 		}
 		return storage.NewBatch(cols), nil
 	}
 }
 
+// selectRows returns the rows of b at which the predicate is true and not
+// null, in f.sel.
+func (f *filterOp) selectRows(b *storage.Batch) ([]int32, error) {
+	f.sel = f.sel[:0]
+	for i := 0; i < b.N; i++ {
+		f.sel = append(f.sel, int32(i))
+	}
+	var err error
+	f.sel, err = f.narrow(f.pred, b, f.sel)
+	return f.sel, err
+}
+
+// narrow keeps the rows of sel at which e is true and not null, in place.
+// An AND narrows one conjunct at a time, and an IN or a comparison with a
+// literal tests only the selected rows and writes no vector. Any other
+// shape goes through EvalExpr.
+func (f *filterOp) narrow(e plan.Expr, b *storage.Batch, sel []int32) ([]int32, error) {
+	switch x := e.(type) {
+	case *plan.Logic:
+		if x.Op != plan.LogicAnd {
+			break
+		}
+		var err error
+		for _, arg := range x.Args {
+			if sel, err = f.narrow(arg, b, sel); err != nil || len(sel) == 0 {
+				return sel, err
+			}
+		}
+		return sel, nil
+	case *plan.InList:
+		v, err := EvalExpr(x.E, b)
+		if err != nil {
+			return sel, err
+		}
+		set := f.inSet(x, v)
+		return keep(sel, func(i int) bool { return !v.IsNull(i) && set.has(v, i) != x.Negate }), nil
+	case *plan.Cmp:
+		if out, ok, err := narrowCmp(x, b, sel); ok || err != nil {
+			return out, err
+		}
+	}
+	v, err := EvalExpr(e, b)
+	if err != nil {
+		return sel, err
+	}
+	return keep(sel, func(i int) bool { return v.I[i] != 0 && !v.IsNull(i) }), nil
+}
+
 func (f *filterOp) Close() { f.child.Close() }
+
+// inSet returns the member set of in for v's dictionary, built on first use.
+func (f *filterOp) inSet(in *plan.InList, v *storage.Vector) *inSet {
+	for _, s := range f.sets {
+		if s.in == in && s.dict == v.Dict {
+			return s
+		}
+	}
+	s := newInSet(in, v)
+	f.sets = append(f.sets, s)
+	return s
+}
+
+// narrowCmp narrows sel by a comparison of an expression with a literal:
+// in tokens for a dictionary vector and a string literal, in values for
+// numbers. ok is false for the shapes EvalExpr must decide.
+func narrowCmp(c *plan.Cmp, b *storage.Batch, sel []int32) (out []int32, ok bool, err error) {
+	x, op, lit, ok := litCmp(c)
+	if !ok {
+		return sel, false, nil
+	}
+	if lit.Null {
+		return sel[:0], true, nil
+	}
+	v, err := EvalExpr(x, b)
+	if err != nil {
+		return sel, false, err
+	}
+	switch {
+	case v.Dict != nil && lit.Type == storage.TStr:
+		thr := tokenThreshold(op, v.Dict, lit.S)
+		return keep(sel, func(i int) bool { return !v.IsNull(i) && tokenHolds(op, v.I[i], thr) }), true, nil
+	case v.Type == storage.TStr || lit.Type == storage.TStr:
+		return sel, false, nil
+	case v.Type == storage.TFloat:
+		f := lit.AsFloat()
+		return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmpFloat(v.F[i], f)) }), true, nil
+	case lit.Type == storage.TFloat:
+		return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmpFloat(float64(v.I[i]), lit.F)) }), true, nil
+	}
+	return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmp.Compare(v.I[i], lit.I)) }), true, nil
+}
+
+// keep narrows sel in place to the rows at which hold is true.
+func keep(sel []int32, hold func(i int) bool) []int32 {
+	out := sel[:0]
+	for _, i := range sel {
+		if hold(int(i)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // ---- project ----
 

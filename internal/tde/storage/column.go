@@ -93,18 +93,14 @@ func (c *Column) Len() int { return c.Data.Len() }
 // for dictionary columns).
 func (c *Column) Encoding() Encoding { return c.Data.Encoding() }
 
-// ScanRange materializes rows [from,to). Dictionary columns yield a token
-// vector carrying the dictionary — values stay compressed until a consumer
-// needs the strings (late materialization).
+// ScanRange returns rows [from,to) as a vector. Plain data comes back as a
+// view of the stored arrays, capped at to, so the vector is read-only (see
+// Vector); run-length and delta data are decoded. Dictionary columns yield
+// a token vector carrying the dictionary — values stay compressed until a
+// consumer needs the strings (late materialization).
 func (c *Column) ScanRange(from, to int) *Vector {
-	n := to - from
-	if c.Dict != nil {
-		v := &Vector{Type: TStr, Dict: c.Dict, I: make([]int64, n)}
-		c.Data.MaterializeRange(v, from, to)
-		return v
-	}
-	v := NewVector(c.Type, n)
-	c.Data.MaterializeRange(v, from, to)
+	v := &Vector{Type: c.Type, Dict: c.Dict}
+	c.Data.Scan(v, from, to)
 	return v
 }
 

@@ -33,9 +33,10 @@ type PhysData interface {
 	Len() int
 	// Encoding reports the storage format.
 	Encoding() Encoding
-	// MaterializeRange decodes rows [from,to) into dst, which must have the
-	// matching physical type and length to-from.
-	MaterializeRange(dst *Vector, from, to int)
+	// Scan points dst's data and null mask at rows [from,to): plain data
+	// as capped views of the stored arrays, encoded data decoded into new
+	// ones. dst must be empty and of the column's physical type.
+	Scan(dst *Vector, from, to int)
 	// NullAt reports whether row i is null.
 	NullAt(i int) bool
 }
@@ -67,15 +68,9 @@ func (d *IntData) NullAt(i int) bool { return d.Nulls != nil && d.Nulls[i] }
 // IntAt implements IntAccessor.
 func (d *IntData) IntAt(i int) int64 { return d.Vals[i] }
 
-// MaterializeRange implements PhysData.
-func (d *IntData) MaterializeRange(dst *Vector, from, to int) {
-	copy(dst.I, d.Vals[from:to])
-	if d.Nulls != nil {
-		if dst.Null == nil {
-			dst.Null = make([]bool, to-from)
-		}
-		copy(dst.Null, d.Nulls[from:to])
-	}
+// Scan implements PhysData.
+func (d *IntData) Scan(dst *Vector, from, to int) {
+	dst.I, dst.Null = view(d.Vals, from, to), view(d.Nulls, from, to)
 }
 
 // ---- plain floats ----
@@ -95,15 +90,9 @@ func (d *FloatData) Encoding() Encoding { return EncPlain }
 // NullAt implements PhysData.
 func (d *FloatData) NullAt(i int) bool { return d.Nulls != nil && d.Nulls[i] }
 
-// MaterializeRange implements PhysData.
-func (d *FloatData) MaterializeRange(dst *Vector, from, to int) {
-	copy(dst.F, d.Vals[from:to])
-	if d.Nulls != nil {
-		if dst.Null == nil {
-			dst.Null = make([]bool, to-from)
-		}
-		copy(dst.Null, d.Nulls[from:to])
-	}
+// Scan implements PhysData.
+func (d *FloatData) Scan(dst *Vector, from, to int) {
+	dst.F, dst.Null = view(d.Vals, from, to), view(d.Nulls, from, to)
 }
 
 // ---- plain strings ----
@@ -124,15 +113,9 @@ func (d *StringData) Encoding() Encoding { return EncPlain }
 // NullAt implements PhysData.
 func (d *StringData) NullAt(i int) bool { return d.Nulls != nil && d.Nulls[i] }
 
-// MaterializeRange implements PhysData.
-func (d *StringData) MaterializeRange(dst *Vector, from, to int) {
-	copy(dst.S, d.Vals[from:to])
-	if d.Nulls != nil {
-		if dst.Null == nil {
-			dst.Null = make([]bool, to-from)
-		}
-		copy(dst.Null, d.Nulls[from:to])
-	}
+// Scan implements PhysData.
+func (d *StringData) Scan(dst *Vector, from, to int) {
+	dst.S, dst.Null = view(d.Vals, from, to), view(d.Nulls, from, to)
 }
 
 // ---- run-length encoding ----
@@ -186,8 +169,9 @@ func (d *RLEIntData) NullAt(i int) bool { return d.run(i).Null }
 // IntAt implements IntAccessor.
 func (d *RLEIntData) IntAt(i int) int64 { return d.run(i).Value }
 
-// MaterializeRange implements PhysData.
-func (d *RLEIntData) MaterializeRange(dst *Vector, from, to int) {
+// Scan implements PhysData.
+func (d *RLEIntData) Scan(dst *Vector, from, to int) {
+	dst.I = make([]int64, to-from)
 	if from >= to {
 		return
 	}
@@ -239,15 +223,21 @@ func (d *DeltaIntData) NullAt(i int) bool { return d.Nulls != nil && d.Nulls[i] 
 // IntAt implements IntAccessor.
 func (d *DeltaIntData) IntAt(i int) int64 { return d.Base + int64(d.Deltas[i]) }
 
-// MaterializeRange implements PhysData.
-func (d *DeltaIntData) MaterializeRange(dst *Vector, from, to int) {
+// Scan implements PhysData.
+func (d *DeltaIntData) Scan(dst *Vector, from, to int) {
+	dst.I = make([]int64, to-from)
 	for i := from; i < to; i++ {
 		dst.I[i-from] = d.Base + int64(d.Deltas[i])
 	}
-	if d.Nulls != nil {
-		if dst.Null == nil {
-			dst.Null = make([]bool, to-from)
-		}
-		copy(dst.Null, d.Nulls[from:to])
+	dst.Null = view(d.Nulls, from, to)
+}
+
+// view returns s[from:to] with its capacity cut at to, so that an append
+// to the view reallocates instead of writing into the stored array. A nil
+// s (no null mask) stays nil.
+func view[T any](s []T, from, to int) []T {
+	if s == nil {
+		return nil
 	}
+	return s[from:to:to]
 }

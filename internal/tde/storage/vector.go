@@ -8,6 +8,14 @@ const BatchSize = 1024
 // Vector is a fixed-type column chunk used throughout the executor. Exactly
 // one of I/F/S backs the data depending on Type (bool/int/date/datetime use
 // I). Null is nil when the chunk contains no nulls.
+//
+// A vector an operator has emitted is read-only. Scans hand out views of
+// the stored columns, and filters, limits and shared results pass their
+// input vectors on, so a write through one (Set, SetNull, an element store,
+// a write to Null) could land in the extract or in another consumer's
+// rows. Code that changes values writes to a vector it allocated: NewVector,
+// Gather, Decode, or a copy. Views are capped at their length, so an append
+// reallocates.
 type Vector struct {
 	Type Type
 	I    []int64
@@ -65,7 +73,8 @@ func (v *Vector) Decode() *Vector {
 // IsNull reports whether row i is null.
 func (v *Vector) IsNull(i int) bool { return v.Null != nil && v.Null[i] }
 
-// SetNull marks row i null, allocating the null mask on first use.
+// SetNull marks row i null, allocating the null mask on first use. Like
+// every write, it is only for a vector the caller allocated.
 func (v *Vector) SetNull(i int) {
 	if v.Null == nil {
 		v.Null = make([]bool, v.Len())
@@ -170,19 +179,16 @@ func (v *Vector) Gather(idx []int32) *Vector {
 	return out
 }
 
-// Slice returns rows [from,to) of v sharing the underlying arrays.
+// Slice returns rows [from,to) of v as a capped view of its arrays.
 func (v *Vector) Slice(from, to int) *Vector {
-	out := &Vector{Type: v.Type, Dict: v.Dict}
+	out := &Vector{Type: v.Type, Dict: v.Dict, Null: view(v.Null, from, to)}
 	switch {
 	case v.Type == TFloat:
-		out.F = v.F[from:to]
+		out.F = view(v.F, from, to)
 	case v.Type == TStr && v.Dict == nil:
-		out.S = v.S[from:to]
+		out.S = view(v.S, from, to)
 	default:
-		out.I = v.I[from:to]
-	}
-	if v.Null != nil {
-		out.Null = v.Null[from:to]
+		out.I = view(v.I, from, to)
 	}
 	return out
 }

@@ -48,6 +48,9 @@ go test -run '^$' -bench 'BenchmarkCache' -benchtime 1x .
 echo "== bench module (links against core/cache/connection/dataserver): vet + test"
 (cd bench && go vet ./... && go test ./...)
 
+echo "== allocation gate (per-render allocations against the newest BENCH_<n>.json)"
+scripts/alloc_gate.sh
+
 echo "== cluster kill/restart smoke (clustertest lifecycle)"
 go test -run TestLifecycleKillRestartSmoke ./internal/clustertest -count=1
 
