@@ -88,6 +88,17 @@ func BenchmarkTDEHashAggregate(b *testing.B) {
 	benchQuery(b, 1, `(aggregate (table flights) (groupby carrier) (aggs (n count *) (a avg delay)))`)
 }
 
+// BenchmarkTDEHashAggregateWide groups on three string columns, the detail
+// dashboard's RouteCarrier zone: thousands of groups, so per-group cost shows.
+func BenchmarkTDEHashAggregateWide(b *testing.B) {
+	benchQuery(b, 1, `(aggregate (table flights) (groupby origin dest carrier) (aggs (n count *) (a avg delay) (d sum distance)))`)
+}
+
+// BenchmarkTDEHashAggregateIntKey groups on one int column.
+func BenchmarkTDEHashAggregateIntKey(b *testing.B) {
+	benchQuery(b, 1, `(aggregate (table flights) (groupby hour) (aggs (n count *) (a avg delay) (d sum distance)))`)
+}
+
 func BenchmarkTDEStreamingAggregate(b *testing.B) {
 	benchQuery(b, 1, `(aggregate (table flights) (groupby date) (aggs (n count *)))`)
 }

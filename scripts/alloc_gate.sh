@@ -9,12 +9,17 @@
 #
 # The gate skips, saying so, when the Go toolchain differs from the one the
 # baseline file was measured with. Run from anywhere; scripts/check.sh and
-# CI both call this.
+# CI both call this. `alloc_gate.sh --baseline-go` prints that toolchain's
+# version (e.g. 1.24.0) and exits: CI installs it before running the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base="$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
 want="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["go_version"])' "$base")"
+if [[ "${1:-}" == "--baseline-go" ]]; then
+    echo "${want#go}"
+    exit 0
+fi
 have="$(go version | awk '{print $3}')"
 if [[ "$have" != "$want" ]]; then
     echo "alloc gate SKIPPED: $base was measured with $want, this toolchain is $have"

@@ -42,8 +42,8 @@ else
     go test -shuffle=on ./...
 fi
 
-echo "== cache microbenchmarks (one iteration each: they must keep compiling and running)"
-go test -run '^$' -bench 'BenchmarkCache' -benchtime 1x .
+echo "== cache and TDE microbenchmarks (one iteration each: they must keep compiling and running)"
+go test -run '^$' -bench 'BenchmarkCache|BenchmarkTDE' -benchtime 1x .
 
 echo "== bench module (links against core/cache/connection/dataserver): vet + test"
 (cd bench && go vet ./... && go test ./...)
