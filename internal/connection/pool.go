@@ -16,7 +16,6 @@ import (
 	"vizq/internal/remote"
 	"vizq/internal/resilience"
 	"vizq/internal/tde/exec"
-	"vizq/internal/tde/plan"
 )
 
 // Pool metrics, shared process-wide across pools.
@@ -77,10 +76,6 @@ type Pool struct {
 	// execution time of its statements.
 	fixed, stmt [costWindow]time.Duration
 	samples     int
-
-	// schemas holds each table's columns once any user of the pool has
-	// read them (Schema): every connection sees the same data source.
-	schemas sync.Map
 }
 
 // NewPool creates a pool for the given server address.
@@ -290,21 +285,6 @@ func (p *Pool) Metadata(ctx context.Context, table string) (*exec.Result, error)
 	}
 	p.Release(c)
 	return res, err
-}
-
-// Schema returns a table's columns. The first call for a table retrieves
-// them over c, a connection acquired from p; later calls from any user of
-// the pool make no round trip.
-func (p *Pool) Schema(ctx context.Context, c *remote.Conn, table string) ([]plan.ColInfo, error) {
-	if s, ok := p.schemas.Load(table); ok {
-		return s.([]plan.ColInfo), nil
-	}
-	md, err := c.Metadata(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	s, _ := p.schemas.LoadOrStore(table, md.Schema)
-	return s.([]plan.ColInfo), nil
 }
 
 // costWindow is how many recent round trips Spread remembers.

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"vizq/internal/connection"
 	"vizq/internal/obs"
 	"vizq/internal/query"
-	"vizq/internal/remote"
 	"vizq/internal/resilience"
 	"vizq/internal/sched"
 	"vizq/internal/tde/exec"
@@ -450,8 +448,7 @@ func (p *Processor) fetchRemote(ctx context.Context, req []*stmt) {
 			p.literal.Put(s.text, s.res, cost)
 		}
 		// An externalized query is cached under its ORIGINAL structure: the
-		// temp-table join is an execution detail, the semantics are its
-		// filters.
+		// temp table is an execution detail, the semantics are its filters.
 		if !p.opt.DisableIntelligentCache {
 			p.intelligent.Put(s.q, s.res, cost)
 		}
@@ -488,10 +485,13 @@ func (p *Processor) externalized(f query.Filter) bool {
 }
 
 // executeWithTempTables externalizes q's oversized IN filters as temporary
-// tables in the remote session and rewrites the query to join against them
-// ("externalization of large enumerations with temporary secondary
-// structures", Sect. 3.1). The query must run on the connection holding the
-// temp tables, so the pipeline pins one for the duration.
+// tables in the remote session and rewrites each one, in place, to an IN
+// whose value set is that table ("externalization of large enumerations
+// with temporary secondary structures", Sect. 3.1). The backend binds the
+// set from the table into the same IN an inline list becomes, so
+// duplicates, nulls and spellings are decided exactly as inline. The query
+// must run on the connection holding the temp tables, so the pipeline pins
+// one for the duration.
 func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query) (*exec.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, obs.SpanTempTable)
 	defer sp.Finish()
@@ -501,70 +501,24 @@ func (p *Processor) executeWithTempTables(ctx context.Context, q *query.Query) (
 	}
 	defer p.pool.Release(conn)
 
-	rewritten := q.Clone()
-	var keep []query.Filter
-	joinIdx := 0
-	for _, f := range q.Filters {
+	rewritten := *q
+	rewritten.Filters = slices.Clone(q.Filters)
+	n := 0 // aliases filter0, filter1, ... replace the last query's tables
+	for i, f := range q.Filters {
 		if !p.externalized(f) {
-			keep = append(keep, f)
 			continue
 		}
-		// Deduplicate under the column's collation: the n:1 join must not
-		// multiply fact rows, and a case-insensitive key matches every
-		// spelling of a string.
-		coll := storage.CollBinary
-		if f.In[0].Type == storage.TStr {
-			if coll, err = p.collation(ctx, conn, q.View, f.Col); err != nil {
-				return nil, err
-			}
-		}
-		vals := exec.NewResult([]plan.ColInfo{{Name: "val", Type: f.In[0].Type, Coll: storage.CollBinary}})
-		seen := make(map[string]bool, len(f.In))
-		var key []byte
+		vals := exec.NewResult([]plan.ColInfo{{Name: "val", Type: f.In[0].Type}})
 		for _, v := range f.In {
-			key = storage.AppendKey(key[:0], v, coll)
-			if v.Null || seen[string(key)] {
-				continue
-			}
-			seen[string(key)] = true
 			vals.AppendRow([]storage.Value{v})
 		}
-		alias := fmt.Sprintf("filter%d", joinIdx)
-		joinIdx++
-		name, err := conn.CreateTempTable(ctx, alias, vals)
+		name, err := conn.CreateTempTable(ctx, fmt.Sprintf("filter%d", n), vals)
 		if err != nil {
 			return nil, err
 		}
+		n++
 		p.tempTables.Inc()
-		rewritten.View.Joins = append(rewritten.View.Joins, query.JoinSpec{
-			Table: name, LeftCol: f.Col, RightCol: "val",
-		})
+		rewritten.Filters[i] = query.TempFilter(f.Col, name)
 	}
-	rewritten.Filters = keep
 	return conn.Query(ctx, rewritten.ToTQL())
-}
-
-// collation returns the collation of column col in view v, from the
-// pool's schema of each table v names; a column no such table has (or a
-// Custom base relation's) compares binary.
-func (p *Processor) collation(ctx context.Context, conn *remote.Conn, v query.View, col string) (storage.Collation, error) {
-	tables := []string{v.Table}
-	if v.Custom != "" {
-		tables = nil // the base relation is an expression, not a table
-	}
-	for _, j := range v.Joins {
-		tables = append(tables, j.Table)
-	}
-	for _, t := range tables {
-		schema, err := p.pool.Schema(ctx, conn, t)
-		if err != nil {
-			return storage.CollBinary, err
-		}
-		for _, c := range schema {
-			if strings.EqualFold(c.Name, col) {
-				return c.Coll, nil
-			}
-		}
-	}
-	return storage.CollBinary, nil
 }

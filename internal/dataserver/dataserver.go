@@ -503,9 +503,10 @@ func (c *ClientConn) tryLocalTempQuery(q *query.Query) (*exec.Result, bool, erro
 	return res, true, nil
 }
 
-// resolveTempFilters turns FilterTemp conjuncts into backend joins (when
-// the database supports temp tables) or inline IN lists (the
-// rewrite-without-temp-table fallback of Sect. 5.3).
+// resolveTempFilters turns FilterTemp conjuncts, which name this
+// connection's in-memory temp tables, into inline IN lists. The pipeline
+// re-externalizes an oversized list into a session temp table on the
+// database when the backend supports it (Sect. 5.3).
 func (c *ClientConn) resolveTempFilters(q *query.Query) error {
 	var keep []query.Filter
 	for _, f := range q.Filters {
@@ -523,9 +524,6 @@ func (c *ClientConn) resolveTempFilters(q *query.Query) error {
 		for i := 0; i < def.rows.N; i++ {
 			vals[i] = def.rows.Value(i, 0)
 		}
-		// Inline as an IN filter: the pipeline's own externalization turns
-		// oversized lists into a session temp table on the database when
-		// the backend supports it.
 		keep = append(keep, query.InFilter(f.Col, vals...))
 		if c.source.BackendSupportsTempTables {
 			c.srv.backendTempOps.Inc()

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"strings"
 	"testing"
 
 	"vizq/internal/tde/storage"
@@ -33,9 +32,9 @@ func TestTempFilter(t *testing.T) {
 	if err := q.Validate(); err == nil {
 		t.Error("temp filter without name should fail validation")
 	}
-	// Rendering an unresolved temp filter produces an unparsable marker.
-	if !strings.Contains(FilterTQL(f), "unresolved-temp-filter") {
-		t.Errorf("render = %s", FilterTQL(f))
+	// A temp filter renders as an IN whose value set is the table.
+	if got := FilterTQL(f); got != "(in carrier (table majors))" {
+		t.Errorf("render = %s", got)
 	}
 }
 

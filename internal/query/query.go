@@ -118,10 +118,10 @@ const (
 	// FilterRange keeps rows within an interval (range filters, date
 	// filters); either bound may be absent.
 	FilterRange
-	// FilterTemp keeps rows whose column appears in a named client-side
-	// temporary table (Sect. 5.3). It is resolved by Data Server — into a
-	// join against a backend temp table, or an inline IN list — before any
-	// text generation.
+	// FilterTemp keeps rows whose column is in a named one-column temporary
+	// table (Sect. 5.3), rendered (in col (table name)). Data Server inlines
+	// its clients' temp filters; the pipeline turns an oversized IN list
+	// into one over a backend session temp table.
 	FilterTemp
 )
 

@@ -24,12 +24,12 @@ func TQLLiteral(v storage.Value) string {
 	}
 }
 
-// FilterTQL renders a canonical filter as a TQL predicate. Temp-table
-// filters must be resolved before text generation; an unresolved one is
-// rendered as a marker form that fails binding loudly.
+// FilterTQL renders a canonical filter as a TQL predicate. A temp-table
+// filter becomes an IN over the named table, which the backend binds as
+// the value set: the name must be one the backend knows.
 func FilterTQL(f Filter) string {
 	if f.Kind == FilterTemp {
-		return fmt.Sprintf("(unresolved-temp-filter %s %q)", f.Col, f.Temp)
+		return fmt.Sprintf("(in %s (table %s))", f.Col, f.Temp)
 	}
 	if f.Kind == FilterIn {
 		vals := make([]string, len(f.In))

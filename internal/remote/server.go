@@ -270,9 +270,9 @@ func (s *Server) handleTempCreate(sess *session, req *Request) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	// Re-creating an alias replaces its table (the pipeline calls every
-	// externalized filter "filter0"): drop the old one or it stays in the
-	// engine until the session ends.
+	// Re-creating an alias replaces its table (the pipeline names a query's
+	// externalized filters "filter0", "filter1", ... in order): drop the old
+	// one or it stays in the engine until the session ends.
 	if old, ok := sess.temps[req.Name]; ok {
 		_ = s.eng.DropTempTable(old) // best effort: it may already be gone
 	}

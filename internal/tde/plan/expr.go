@@ -162,8 +162,9 @@ func (a *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.Op, a.L, a.R)
 }
 
-// InList tests membership of E in a literal value set; large enumerations of
-// this form are what Tableau externalizes into temporary tables.
+// InList tests membership of E in a literal value set. Large enumerations
+// are what Tableau externalizes into temporary tables; the binder reads such
+// a table back into Vals, so both spellings of a set are this one node.
 type InList struct {
 	E      Expr
 	Vals   []storage.Value

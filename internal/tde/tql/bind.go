@@ -793,15 +793,20 @@ func (b *binder) bindArith(s *SExpr, op string, args []*SExpr, sc *scope) (plan.
 	return &plan.Arith{Op: aop, L: l, R: r, Typ: t}, nil
 }
 
+// bindIn binds (in <expr> [v1 v2 ...]) and (in <expr> (table name)): a
+// one-column table binds into the InList the inline list of its values gives.
 func (b *binder) bindIn(s *SExpr, negate bool, args []*SExpr, sc *scope) (plan.Expr, error) {
-	if len(args) != 2 || args[1].Kind != SBracket {
-		return nil, errAt(s.Line, s.Col, "usage: (in <expr> [v1 v2 ...])")
+	if len(args) != 2 || (args[1].Kind != SBracket && args[1].Head() != "table") {
+		return nil, errAt(s.Line, s.Col, "usage: (in <expr> [v1 v2 ...]) or (in <expr> (table name))")
 	}
 	e, err := b.bindExpr(args[0], sc)
 	if err != nil {
 		return nil, err
 	}
 	in := &plan.InList{E: e, Negate: negate, Coll: exprColl(e)}
+	if args[1].Kind != SBracket {
+		return in, b.bindInTable(in, args[1])
+	}
 	for _, item := range args[1].List {
 		lit, err := b.bindExpr(item, sc)
 		if err != nil {
@@ -817,4 +822,25 @@ func (b *binder) bindIn(s *SExpr, negate bool, args []*SExpr, sc *scope) (plan.E
 		in.Vals = append(in.Vals, l.Val)
 	}
 	return in, nil
+}
+
+// bindInTable copies the one column of table s into in's value set.
+func (b *binder) bindInTable(in *plan.InList, s *SExpr) error {
+	n, err := b.bindTable(s)
+	if err != nil {
+		return err
+	}
+	t := n.(*plan.Scan).Table
+	if len(t.Cols) != 1 {
+		return errAt(s.Line, s.Col, "in-table %s has %d columns, want 1", t.QualifiedName(), len(t.Cols))
+	}
+	col := t.Cols[0]
+	if _, err := storage.Promote(in.E.Type(), col.Type); err != nil {
+		return errAt(s.Line, s.Col, "in-table column type %s does not match %s", col.Type, in.E.Type())
+	}
+	in.Vals = make([]storage.Value, col.Len())
+	for i := range in.Vals {
+		in.Vals[i] = col.Value(i)
+	}
+	return nil
 }

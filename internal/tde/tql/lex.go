@@ -17,6 +17,7 @@ package tql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -94,6 +95,12 @@ func isAtomRune(ch byte) bool {
 	return ch >= 0x80 // allow UTF-8 identifiers
 }
 
+// bareAtom reports whether a lexes back as itself without backquotes.
+func bareAtom(a string) bool {
+	t, err := newLexer(a).next()
+	return err == nil && t.kind == tokAtom && t.text == a
+}
+
 func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
 		ch := l.peekByte()
@@ -137,20 +144,18 @@ scan:
 			if c == '"' {
 				return token{kind: tokString, text: b.String(), line: line, col: col}, nil
 			}
-			if c == '\\' {
-				if l.pos >= len(l.src) {
-					return token{}, errAt(line, col, "unterminated string escape")
+			if c == '\\' { // Go's escapes: clients render literals with %q
+				v, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos-1:], '"')
+				if err != nil {
+					return token{}, errAt(l.line, l.col, "bad string escape")
 				}
-				esc := l.advance()
-				switch esc {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case '\\', '"':
-					b.WriteByte(esc)
-				default:
-					return token{}, errAt(l.line, l.col, "bad escape \\%c", esc)
+				for l.pos < len(l.src)-len(tail) {
+					l.advance()
+				}
+				if multibyte {
+					b.WriteRune(v)
+				} else {
+					b.WriteByte(byte(v))
 				}
 				continue
 			}

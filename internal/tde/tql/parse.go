@@ -34,7 +34,10 @@ const (
 func (s *SExpr) String() string {
 	switch s.Kind {
 	case SAtom:
-		return s.Atom
+		if bareAtom(s.Atom) {
+			return s.Atom
+		}
+		return "`" + s.Atom + "`"
 	case SStr:
 		return fmt.Sprintf("%q", s.Str)
 	case SNum:

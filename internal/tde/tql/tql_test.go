@@ -1,6 +1,8 @@
 package tql
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +43,9 @@ func TestParseLiteralsAndComments(t *testing.T) {
 	if items[4].Kind != SAtom || items[4].Atom != "weird col" {
 		t.Errorf("quoted ident wrong: %v", items[4])
 	}
+	if got := s.String(); got != "(in x [1 -2 3.5 \"a b\" `weird col`])" {
+		t.Errorf("an atom that is not bare prints backquoted: %s", got)
+	}
 }
 
 func TestParseStringEscapes(t *testing.T) {
@@ -50,6 +55,10 @@ func TestParseStringEscapes(t *testing.T) {
 	}
 	if got := s.List[1].Str; got != "line\nbreak \"quoted\" back\\slash" {
 		t.Errorf("escapes = %q", got)
+	}
+	// Every literal a %q printer writes parses back: control, non-ASCII and invalid UTF-8 bytes.
+	if s, err := Parse(fmt.Sprintf("(x %q)", "\b\r\x00é\xff")); err != nil || s.List[1].Str != "\b\r\x00é\xff" {
+		t.Errorf("%%q literal: %v, %v", s, err)
 	}
 }
 
@@ -89,7 +98,7 @@ func (c *fakeCatalog) Table(schema, name string) (*storage.Table, error) {
 	return nil, &Error{Msg: "no table " + schema + "." + name}
 }
 
-func testCatalog(t *testing.T) *fakeCatalog {
+func testCatalog(t testing.TB) *fakeCatalog {
 	t.Helper()
 	mk := func(name string, typ storage.Type, vals ...storage.Value) *storage.Column {
 		c, err := storage.BuildColumn(name, typ, storage.CollBinary, vals, storage.BuildOptions{})
@@ -114,9 +123,17 @@ func testCatalog(t *testing.T) *fakeCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// u is a one-column table: an IN value set, duplicate included.
+	set, err := storage.NewTable("Extract", "u", []*storage.Column{
+		mk("v", storage.TStr, sv("x"), sv("z"), sv("x")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &fakeCatalog{tables: map[string]*storage.Table{
 		"extract.t": tbl,
 		"extract.d": dim,
+		"extract.u": set,
 	}}
 }
 
@@ -154,6 +171,41 @@ func TestBindErrors(t *testing.T) {
 		`(in a [1 "x"])`,                              // mixed in-list (also not a node)
 		`(limit (table t) x)`,                         // bad limit
 		`(date "99-99")`,                              // bad date (as top-level)
+	} {
+		if _, err := Compile(src, cat, Options{}); err == nil {
+			t.Errorf("Compile(%q) should fail", src)
+		}
+	}
+}
+
+// TestBindInTable pins that a one-column table binds as an IN's value set
+// into the InList the inline list of its values gives, and that any other
+// table is refused.
+func TestBindInTable(t *testing.T) {
+	cat := testCatalog(t)
+	inList := func(src string) *plan.InList {
+		t.Helper()
+		n, err := Compile(src, cat, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.(*plan.Filter).Pred.(*plan.InList)
+	}
+	for _, op := range []string{"in", "not-in"} {
+		got := inList(`(select (table t) (` + op + ` b (table u)))`)
+		want := inList(`(select (table t) (` + op + ` b ["x" "z" "x"]))`)
+		if !reflect.DeepEqual(got.Vals, want.Vals) || got.Coll != want.Coll || got.Negate != want.Negate {
+			t.Errorf("%s: table-backed %+v, inline %+v", op, got, want)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: table-backed %s, inline %s", op, got, want)
+		}
+	}
+	for _, src := range []string{
+		`(select (table t) (in b (table d)))`,    // two columns
+		`(select (table t) (in b (table nope)))`, // unknown table
+		`(select (table t) (in a (table u)))`,    // string set for an int column
+		`(select (table t) (in b (project (table u) (v v))))`,
 	} {
 		if _, err := Compile(src, cat, Options{}); err == nil {
 			t.Errorf("Compile(%q) should fail", src)
@@ -239,4 +291,26 @@ func TestDefaultSchemaOption(t *testing.T) {
 	if _, err := Compile(`(table t)`, cat, Options{DefaultSchema: "Missing"}); err == nil {
 		t.Error("wrong default schema should fail")
 	}
+}
+
+// FuzzCompile feeds arbitrary text to the parser and binder, as the server
+// does with statements off the wire: both must fail cleanly, never panic,
+// and a tree that parses must print as text that parses back to it. The
+// seed corpus (testdata/fuzz/FuzzCompile) holds each operator, inline and
+// table-backed IN lists, and malformed input.
+func FuzzCompile(f *testing.F) {
+	cat := testCatalog(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.String())
+		if err != nil || again.String() != s.String() {
+			t.Fatalf("%q printed as %q, which parses to %v (%v)", src, s, again, err)
+		}
+		if n, err := Bind(s, cat, Options{}); err == nil {
+			_ = plan.Format(n)
+		}
+	})
 }
