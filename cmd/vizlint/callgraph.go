@@ -52,6 +52,8 @@ type module struct {
 	// lockFindings caches the module-wide lockorder analysis, bucketed by
 	// package import path (see lockorder.go).
 	lockFindings map[string][]Finding
+	// refs caches the unused family's reference index (see unused.go).
+	refs map[string]bool
 }
 
 // loadModule parses every directory into packages and builds the call
@@ -71,17 +73,6 @@ func loadModule(fset *token.FileSet, dirs []string, modPath string) (*module, er
 	}
 	m.buildCallGraph()
 	return m, nil
-}
-
-// moduleFor wraps already-loaded packages (fixture tests).
-func moduleFor(fset *token.FileSet, modPath string, pkgs ...*pkgInfo) *module {
-	m := &module{path: modPath, fset: fset, byPath: make(map[string]*pkgInfo)}
-	for _, pkg := range pkgs {
-		m.pkgs = append(m.pkgs, pkg)
-		m.byPath[pkg.ImportPath] = pkg
-	}
-	m.buildCallGraph()
-	return m
 }
 
 func (m *module) buildCallGraph() {

@@ -43,15 +43,6 @@ type cfg struct {
 	blocks []*cfgBlock
 }
 
-// returnStmt returns the block's terminating ReturnStmt, if any.
-func (b *cfgBlock) returnStmt() *ast.ReturnStmt {
-	if len(b.nodes) == 0 {
-		return nil
-	}
-	r, _ := b.nodes[len(b.nodes)-1].(*ast.ReturnStmt)
-	return r
-}
-
 // loopScope is one enclosing breakable construct: loops carry a continue
 // target, switches and selects only a break target.
 type loopScope struct {

@@ -1,6 +1,6 @@
 // vizlint is a project-specific static analyzer for vizq's concurrent
 // query stack. It is stdlib-only (go/ast + go/parser + go/types) and
-// implements nine check families tuned to this codebase's hazards:
+// implements ten check families tuned to this codebase's hazards:
 //
 //	locks     – a method that calls mu.Lock() must release it on every
 //	            return path (prefer defer); double-lock of the same
@@ -32,6 +32,9 @@
 //	            connection.Pool Acquire/Release-or-Discard, single-flight
 //	            leader slots (map registration/delete), and breaker
 //	            half-open probe slots (allow/releaseProbe-or-Record*).
+//	unused    – a package-level function or method under internal/ or
+//	            cmd/ that no non-test file references, and an internal/
+//	            package that no other package's non-test file imports.
 //
 // The obs, ctxcancel and release families are instantiations of one
 // shared must-release dataflow engine (dataflow.go) running over a
@@ -48,8 +51,8 @@
 //	//vizlint:allow sleep -- simulated wire latency
 //
 // The directive names one or more checks (locks, goroutine, errors,
-// sleep, obs, ctxcancel, lockorder, atomics, release, or all); text
-// after "--" is an optional justification.
+// sleep, obs, ctxcancel, lockorder, atomics, release, unused, or all);
+// text after "--" is an optional justification.
 package main
 
 import (
@@ -389,7 +392,7 @@ func pathHasAny(importPath string, frags ...string) bool {
 // checkNames lists every check family, for -checks validation and docs.
 var checkNames = []string{
 	"locks", "goroutine", "errors", "sleep", "obs", "ctxcancel",
-	"lockorder", "atomics", "release",
+	"lockorder", "atomics", "release", "unused",
 }
 
 // runChecks applies every check family to one package of the module.
@@ -406,23 +409,6 @@ func runChecks(mod *module, pkg *pkgInfo) []Finding {
 	}
 	out = append(out, checkLockOrder(mod, pkg)...)
 	out = append(out, checkAtomics(pkg)...)
+	out = append(out, checkUnused(mod, pkg)...)
 	return out
-}
-
-// fileFor returns the fileInfo containing pos (directive lookups for
-// findings produced by package-level analyses).
-func (p *pkgInfo) fileFor(pos token.Pos) *fileInfo {
-	for _, fi := range p.Files {
-		if fi.File.FileStart <= pos && pos < fi.File.FileEnd {
-			return fi
-		}
-	}
-	return nil
-}
-
-// allowedAtPkg reports whether a directive in whatever file contains pos
-// exempts check there.
-func (p *pkgInfo) allowedAtPkg(pos token.Pos, check string) bool {
-	fi := p.fileFor(pos)
-	return fi != nil && fi.allowedAt(p.Fset, pos, check)
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -25,7 +26,39 @@ func lintFixture(t *testing.T, name, importPath string) []Finding {
 	pkg.typeCheck([]*ast.File{f})
 	pkg.buildIndexes()
 	mod := moduleFor(fset, "vizq", pkg)
-	return runChecks(mod, pkg)
+	// The other families' fixtures declare functions nothing calls.
+	return slices.DeleteFunc(runChecks(mod, pkg), func(f Finding) bool { return f.Check == "unused" })
+}
+
+// lintTree runs every check over dir/... (the repository itself, or a
+// fixture tree for the module-wide families; either is module vizq).
+func lintTree(t *testing.T, dir string) []Finding {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	dirs, err := resolveDirs([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := loadModule(token.NewFileSet(), dirs, modulePath("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Finding
+	for _, pkg := range mod.pkgs {
+		out = append(out, runChecks(mod, pkg)...)
+	}
+	return out
 }
 
 func countCheck(findings []Finding, check string) int {
@@ -224,34 +257,35 @@ func TestReleaseSilentOnGoodCode(t *testing.T) {
 	}
 }
 
+// The unused fixture is a small module tree: cmd/app and bench/ are its
+// binaries, internal/lib has one test file, and internal/orphan is
+// imported by that test alone.
+func TestUnusedFindsWhatOnlyTestsReach(t *testing.T) {
+	var got []string
+	for _, f := range lintTree(t, filepath.Join("testdata", "unused")) {
+		if f.Check == "unused" {
+			got = append(got, f.Msg)
+		}
+	}
+	slices.Sort(got)
+	// Not reported: asValue (used as a value), thing.Name (named by the
+	// interface call's selector), Kept (allow directive), FromBench
+	// (bench/ is a caller) and bench's own benchOnly.
+	want := []string{
+		"OnlyTested has no caller outside tests",
+		"package vizq/internal/orphan is imported by no non-test file outside it",
+		"recurse has no caller outside tests",
+		"thing.Orphan has no caller outside tests",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("unused findings = %q, want %q", got, want)
+	}
+}
+
 // TestRepoIsClean runs the full analysis over the repository and demands
 // zero findings — the same gate scripts/check.sh enforces.
 func TestRepoIsClean(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(filepath.Join(wd, "..", "..")); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	dirs, err := resolveDirs([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	mod, err := loadModule(fset, dirs, modulePath("."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range mod.pkgs {
-		for _, f := range runChecks(mod, pkg) {
-			t.Errorf("unexpected finding: %s", f)
-		}
+	for _, f := range lintTree(t, filepath.Join("..", "..")) {
+		t.Errorf("unexpected finding: %s", f)
 	}
 }

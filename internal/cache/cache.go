@@ -221,13 +221,6 @@ func (c *store) Stats() Stats {
 	}
 }
 
-// setClock pins the cache's clock (tests).
-func (c *store) setClock(fn func() time.Time) {
-	for _, s := range c.shards {
-		s.clock = fn
-	}
-}
-
 // Entries snapshots the cache content (persistence).
 func (c *store) Entries() []*Entry {
 	var out []*Entry

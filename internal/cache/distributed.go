@@ -88,9 +88,3 @@ func (d *Distributed) Put(q *query.Query, res *exec.Result, cost time.Duration) 
 		_ = d.Remote.Set(q.Key(), data, d.TTL) // best-effort: cache, not storage
 	}
 }
-
-// RemoteStats reports shared-store outcomes for this node. errors counts
-// transport and decode failures, kept apart from misses.
-func (d *Distributed) RemoteStats() (hits, misses, errors int64) {
-	return d.remoteHits.Value(), d.remoteMisses.Value(), d.remoteErrors.Value()
-}

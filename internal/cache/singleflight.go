@@ -109,10 +109,3 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() (*exec.Result, er
 	f.Finish(key, c, res, err)
 	return res, false, err
 }
-
-// Pending reports the number of in-flight keys (tests, introspection).
-func (f *Flight) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}

@@ -102,13 +102,13 @@ type ScheduleFunc func(conn int) Fault
 func (f ScheduleFunc) Fault(conn int) Fault { return f(conn) }
 
 // Healthy is the all-None schedule.
-func Healthy() Schedule {
-	return ScheduleFunc(func(int) Fault { return Fault{Kind: None} })
-}
+func Healthy() Schedule { return Repeat(Fault{Kind: None}) }
 
 // Seq replays the given faults in accept order, then heals: connection i
 // gets faults[i], and every connection past the end gets None. Seq(f, f)
 // is the canonical "N failures then heal" schedule retry tests need.
+//
+//vizlint:allow unused -- fault schedule for the dataserver retry tests
 func Seq(faults ...Fault) Schedule {
 	return ScheduleFunc(func(conn int) Fault {
 		if conn < len(faults) {
@@ -128,6 +128,8 @@ func Repeat(f Fault) Schedule {
 // maxDelay), decided by a seeded generator. The fault for connection i is
 // a pure function of (seed, i), so concurrent accept order does not change
 // any individual connection's fate.
+//
+//vizlint:allow unused -- fault schedule for the connection stress test
 func RandomKill(seed int64, p float64, minDelay, maxDelay time.Duration) Schedule {
 	var mu sync.Mutex
 	decided := []Fault{}
@@ -183,6 +185,8 @@ func New(backend string, sched Schedule) (*Proxy, error) {
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Accepted reports how many connections the proxy has accepted.
+//
+//vizlint:allow unused -- core and dataserver tests count dials through the proxy
 func (p *Proxy) Accepted() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -28,7 +28,8 @@ type tempSpec struct {
 // temp tables, the move instead returns a *dataserver.SessionMovedError
 // (wrapping dataserver.ErrSessionMoved) — the tables did not travel, and
 // silently retrying a query that references them would return wrong
-// data; the owner re-materializes (Rematerialize) and retries.
+// data; the owner re-materializes and retries (the tests do it with
+// Rematerialize, in export_test.go).
 //
 // All methods serialize on the session mutex: a session is one user's
 // dashboard, which issues one interaction at a time.
@@ -102,26 +103,6 @@ func (s *Session) CreateTempTable(alias, col string, vals []storage.Value) error
 		return err
 	}
 	s.temps = append(s.temps, tempSpec{alias: alias, col: col, vals: vals})
-	return nil
-}
-
-// Rematerialize re-creates the session's recorded temp tables on its
-// current node — the owner's response to ErrSessionMoved.
-func (s *Session) Rematerialize() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := make(map[string]bool)
-	for _, a := range s.conn.TempAliases() {
-		live[a] = true
-	}
-	for _, spec := range s.temps {
-		if live[spec.alias] {
-			continue
-		}
-		if err := s.conn.CreateTempTable(spec.alias, spec.col, spec.vals); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

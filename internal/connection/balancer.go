@@ -41,14 +41,12 @@ type Balancer struct {
 
 	health *healthTracker
 
-	probeMu   sync.Mutex
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-
 	closeOnce sync.Once
 }
 
 // NewBalancer builds a balancer over node addresses, one pool per node.
+//
+//vizlint:allow unused -- connection and resilience tests build balancers from addresses
 func NewBalancer(addrs []string, cfg PoolConfig) (*Balancer, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("connection: balancer needs at least one node")
@@ -196,13 +194,11 @@ func (b *Balancer) Query(ctx context.Context, tql string) (*exec.Result, error) 
 // Nodes returns the per-node pools (for stats).
 func (b *Balancer) Nodes() []*Pool { return b.pools }
 
-// Close stops the background prober and shuts every node pool. It is
-// idempotent and safe to call concurrently with dispatch: PickIndex on a
-// closed balancer still returns a valid index (the pool then reports
-// ErrPoolClosed).
+// Close shuts every node pool. It is idempotent and safe to call
+// concurrently with dispatch: PickIndex on a closed balancer still
+// returns a valid index (the pool then reports ErrPoolClosed).
 func (b *Balancer) Close() {
 	b.closeOnce.Do(func() {
-		b.StopProbes()
 		var wg sync.WaitGroup
 		for _, p := range b.pools {
 			wg.Add(1)

@@ -9,11 +9,11 @@
 //	healthy → suspect → ejected → probing → healthy
 //
 // driven passively by transport-classified error streaks reported from
-// the dispatch path (ReportResult) and actively by cheap background
-// probes (MaybeProbe / StartProbes). Ejected nodes are excluded from
-// PickIndex; recovery mirrors resilience.Breaker's half-open semantics —
-// after a cooldown a single probe (one ping on a fresh connection, never
-// a pooled slot) is admitted, and only its success re-admits the node.
+// the dispatch path (ReportResult) and actively by cheap probes
+// (MaybeProbe). Ejected nodes are excluded from PickIndex; recovery
+// mirrors resilience.Breaker's half-open semantics — after a cooldown a
+// single probe (one ping on a fresh connection, never a pooled slot) is
+// admitted, and only its success re-admits the node.
 // A node administratively marked draining (the digest bit peers publish
 // before a rolling restart) is excluded the same way but never probed:
 // it will come back when its operator says so, not when a ping succeeds.
@@ -199,6 +199,8 @@ func (b *Balancer) SetDraining(i int, on bool) {
 }
 
 // NodeDraining reports node i's administrative drain bit.
+//
+//vizlint:allow unused -- connection and clustertest tests assert the drain bit
 func (b *Balancer) NodeDraining(i int) bool {
 	h := b.health
 	h.mu.Lock()
@@ -327,49 +329,4 @@ func (b *Balancer) probe(ctx context.Context, i int) {
 		sp.Annotate("outcome", "ok")
 	}
 	b.ReportResult(i, err)
-}
-
-// StartProbes launches the background prober: every interval it offers
-// each ejected-and-due node one half-open probe. Idempotent; stop with
-// StopProbes.
-func (b *Balancer) StartProbes(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	b.probeMu.Lock()
-	defer b.probeMu.Unlock()
-	if b.probeStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	b.probeStop = stop
-	b.probeWG.Add(1)
-	go func() {
-		defer b.probeWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				for i := range b.pools {
-					b.MaybeProbe(context.Background(), i)
-				}
-			}
-		}
-	}()
-}
-
-// StopProbes halts the background prober and waits for it. Idempotent.
-func (b *Balancer) StopProbes() {
-	b.probeMu.Lock()
-	stop := b.probeStop
-	b.probeStop = nil
-	b.probeMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	b.probeWG.Wait()
 }

@@ -271,22 +271,6 @@ func (p *Pool) QueryMany(ctx context.Context, stmts []string) ([]remote.Answer, 
 	return answers, nil
 }
 
-// Metadata acquires a connection, retrieves a table's schema and releases
-// it; a transport error discards the connection, a query-level one does not.
-func (p *Pool) Metadata(ctx context.Context, table string) (*exec.Result, error) {
-	c, err := p.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Metadata(ctx, table)
-	if IsTransport(err) {
-		p.Discard(c)
-		return nil, err
-	}
-	p.Release(c)
-	return res, err
-}
-
 // costWindow is how many recent round trips Spread remembers.
 const costWindow = 16
 

@@ -401,15 +401,6 @@ func (p *Processor) staleFallback(ctx context.Context, q *query.Query, text stri
 	return &tagged, true
 }
 
-// Metadata retrieves a table's schema from the data source under the same
-// resilience policy as queries (metadata retrieval is part of the
-// connection-setup cost the pool exists to amortize, Sect. 3.5).
-func (p *Processor) Metadata(ctx context.Context, table string) (*exec.Result, error) {
-	return resilience.Do(ctx, p.rs, func(ctx context.Context) (*exec.Result, error) {
-		return p.pool.Metadata(ctx, table)
-	})
-}
-
 // fetchRemote is the one place queries reach the data source. req is one
 // request: a query that externalizes filters, or one or more plain queries
 // that run one after another on one pooled connection. The request is

@@ -272,13 +272,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// SharedTempCount reports live shared temp definitions.
-func (s *Server) SharedTempCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.temps)
-}
-
 // Metadata describes a published source to a connecting client.
 type Metadata struct {
 	Source             string
@@ -464,20 +457,6 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 		return nil, err
 	}
 	return c.proc.Execute(ctx, rq)
-}
-
-// BackendMetadata retrieves the published table's schema from the backend
-// through the shared pipeline — pooled, retried, and breaker-guarded like
-// any query (the paper counts metadata retrieval among the per-connection
-// costs the Data Server exists to absorb, Sect. 5).
-func (c *ClientConn) BackendMetadata(ctx context.Context) (*exec.Result, error) {
-	c.mu.Lock()
-	open := c.open
-	c.mu.Unlock()
-	if !open {
-		return nil, fmt.Errorf("dataserver: connection closed")
-	}
-	return c.proc.Metadata(ctx, c.source.View.Table)
 }
 
 // tryLocalTempQuery answers a query whose view is a client temp table from

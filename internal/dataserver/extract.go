@@ -101,14 +101,6 @@ func (s *Server) RefreshExtract(name string) error {
 	return nil
 }
 
-// IsExtract reports whether the published source is served from an extract.
-func (s *Server) IsExtract(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.extracts[strings.ToLower(name)]
-	return ok
-}
-
 // pullTables snapshots the named tables from a live backend into the local
 // engine's Extract schema. The context carries the caller's priority class
 // (extract pulls are Background).

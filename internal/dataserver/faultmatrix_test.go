@@ -91,10 +91,6 @@ var matrixOps = []struct {
 		_, err := c.Query(ctx, matrixQuery())
 		return err
 	}},
-	{"metadata", func(ctx context.Context, c *ClientConn) error {
-		_, err := c.BackendMetadata(ctx)
-		return err
-	}},
 	{"temp-create", func(ctx context.Context, c *ClientConn) error {
 		_, err := c.Query(ctx, bigInQuery())
 		return err

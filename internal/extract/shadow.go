@@ -132,13 +132,6 @@ func (m *ShadowManager) Query(ctx context.Context, path, tableName, tqlSrc strin
 	return eng.Query(ctx, tqlSrc)
 }
 
-// Invalidate drops the cached extract for a path.
-func (m *ShadowManager) Invalidate(path string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.entries, path)
-}
-
 func (m *ShadowManager) persistPath(sig FileSignature) string {
 	return fmt.Sprintf("%s/shadow_%x_%x.tde", m.PersistDir, hashString(sig.Path), uint64(sig.ModTime)^uint64(sig.Size))
 }

@@ -31,11 +31,10 @@ func TestDisabledTracingIsNilSafe(t *testing.T) {
 func TestSpanTreeStructure(t *testing.T) {
 	tr := New()
 	ctx := WithTracer(context.Background(), tr)
-	if TracerFrom(ctx) != tr {
-		t.Fatalf("TracerFrom did not return the attached tracer")
-	}
-
 	ctx, root := StartSpan(ctx, SpanBatch)
+	if root == nil {
+		t.Fatalf("StartSpan under an attached tracer returned no span")
+	}
 	_, probe := StartSpan(ctx, SpanCacheProbe)
 	probe.Annotate("hit", "false")
 	probe.Finish()

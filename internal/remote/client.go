@@ -200,15 +200,3 @@ func (c *Conn) DropTempTable(ctx context.Context, alias string) error {
 	_, err := c.call(ctx, &Request{Op: OpTempDrop, Name: alias})
 	return err
 }
-
-// Metadata returns a table's schema as a zero-row result.
-func (c *Conn) Metadata(ctx context.Context, table string) (*exec.Result, error) {
-	resp, err := c.call(ctx, &Request{Op: OpMetadata, Name: table})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, errors.New("remote: empty metadata")
-	}
-	return resp.Result, nil
-}

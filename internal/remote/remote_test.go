@@ -152,32 +152,6 @@ func TestTempTableRecreateDropsEarlierTable(t *testing.T) {
 	}
 }
 
-func TestMetadataOp(t *testing.T) {
-	srv := startServer(t, Config{})
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	md, err := c.Metadata(context.Background(), "flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if md.N != 0 {
-		t.Errorf("metadata should carry no rows, got %d", md.N)
-	}
-	if md.ColumnIndex("carrier") < 0 || md.ColumnIndex("delay") < 0 {
-		t.Errorf("schema missing columns: %+v", md.Schema)
-	}
-	// Qualified names resolve too.
-	if _, err := c.Metadata(context.Background(), "Extract.carriers"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Metadata(context.Background(), "nope"); err == nil {
-		t.Error("unknown table metadata should fail")
-	}
-}
-
 func TestConcurrencyThrottle(t *testing.T) {
 	srv := startServer(t, Config{MaxConcurrent: 2, Latency: 5 * time.Millisecond})
 	const n = 6

@@ -26,8 +26,6 @@ import (
 	"vizq/internal/obs"
 	"vizq/internal/tde/engine"
 	"vizq/internal/tde/exec"
-	"vizq/internal/tde/opt"
-	"vizq/internal/tde/plan"
 )
 
 // Config is the server's performance model.
@@ -98,9 +96,6 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 	}
 	return s
 }
-
-// Engine exposes the backing engine (test setup).
-func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral).
 func (s *Server) Start(addr string) error {
@@ -229,8 +224,6 @@ func (s *Server) handle(sess *session, req *Request) *Response {
 		return s.handleTempCreate(sess, req)
 	case OpTempDrop:
 		return s.handleTempDrop(sess, req)
-	case OpMetadata:
-		return s.handleMetadata(req)
 	default:
 		return &Response{Err: fmt.Sprintf("remote: unknown op %q", req.Op)}
 	}
@@ -280,31 +273,6 @@ func (s *Server) handleTempCreate(sess *session, req *Request) *Response {
 	return &Response{Name: qualified}
 }
 
-func (s *Server) handleMetadata(req *Request) *Response {
-	schema, name := "Extract", req.Name
-	if dot := lastDot(name); dot > 0 {
-		schema, name = req.Name[:dot], req.Name[dot+1:]
-	}
-	tbl, err := s.eng.Database().Table(schema, name)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	cols := make([]plan.ColInfo, len(tbl.Cols))
-	for i, c := range tbl.Cols {
-		cols[i] = plan.ColInfo{Name: c.Name, Type: c.Type, Coll: c.Coll}
-	}
-	return &Response{Result: exec.NewResult(cols)}
-}
-
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
-}
-
 func (s *Server) handleTempDrop(sess *session, req *Request) *Response {
 	s.tempDrops.Inc()
 	qualified, ok := sess.temps[req.Name]
@@ -334,9 +302,6 @@ const (
 	OpQuery      Op = "query"
 	OpTempCreate Op = "tempcreate"
 	OpTempDrop   Op = "tempdrop"
-	// OpMetadata returns a zero-row result carrying a table's schema
-	// (column names, types, collations).
-	OpMetadata Op = "metadata"
 )
 
 // Request is one client->server message.
@@ -408,15 +373,4 @@ func readFrame[T any](r *bufio.Reader) (*T, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// SetDOPOption exposes opt.Options tuning for tests.
-func SetDOPOption(eng *engine.Engine, dop int) {
-	o := eng.Options()
-	o.MaxDOP = dop
-	if o.GrainWork == 0 {
-		o = opt.DefaultOptions()
-		o.MaxDOP = dop
-	}
-	eng.SetOptions(o)
 }

@@ -93,25 +93,6 @@ func newBreaker(cfg Config) *Breaker {
 	return b
 }
 
-// setClock pins the breaker's clock (tests).
-func (b *Breaker) setClock(fn func() time.Time) {
-	b.mu.Lock()
-	b.now = fn
-	b.mu.Unlock()
-}
-
-// Allow reports whether a request may proceed. Open circuits reject until
-// the cooldown elapses, then transition to half-open and admit up to
-// maxProbes concurrent probes.
-func (b *Breaker) Allow() bool {
-	// Allow's contract obliges the caller to call RecordSuccess or
-	// RecordFailure for every admitted request, and either outcome releases
-	// the probe slot; only this exported wrapper may drop the probe flag.
-	//vizlint:allow release -- Record* by the caller releases the slot
-	ok, _ := b.allow()
-	return ok
-}
-
 // allow additionally reports whether the admission consumed a half-open
 // probe slot. Only RecordSuccess/RecordFailure exit the half-open state,
 // so a caller whose attempt ends with no outcome to record (e.g. its own
@@ -185,7 +166,7 @@ func (b *Breaker) RecordFailure() {
 }
 
 // State returns the current state (transitioning open->half-open only
-// happens on Allow, so a cooled-down open circuit still reports Open).
+// happens on admission, so a cooled-down open circuit still reports Open).
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -333,6 +333,8 @@ func (c *Coordinator) LastDigest(source string) (Digest, bool) {
 
 // Peers returns the fresh peer digests observed for source at the last
 // Step, sorted by node.
+//
+//vizlint:allow unused -- sched, clustertest and dataserver tests read peer digests
 func (c *Coordinator) Peers(source string) []Digest {
 	c.mu.Lock()
 	defer c.mu.Unlock()

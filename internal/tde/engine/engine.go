@@ -66,15 +66,6 @@ func (e *Engine) Plan(src string) (plan.Node, error) {
 	return opt.Optimize(n, e.opt), nil
 }
 
-// LogicalPlan compiles and applies only the logical rewrites.
-func (e *Engine) LogicalPlan(src string) (plan.Node, error) {
-	n, err := tql.Compile(src, e.db, tql.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return opt.Logical(n, e.opt), nil
-}
-
 // Query compiles, optimizes and executes a TQL query.
 func (e *Engine) Query(ctx context.Context, src string) (*exec.Result, error) {
 	n, err := e.Plan(src)
@@ -150,28 +141,4 @@ func ResultToTable(schema, name string, res *exec.Result) (*storage.Table, error
 		cols[c] = col
 	}
 	return storage.NewTable(schema, name, cols)
-}
-
-// TableToResult materializes a whole stored table as a result.
-func TableToResult(t *storage.Table) *exec.Result {
-	schema := make([]plan.ColInfo, len(t.Cols))
-	idxs := make([]int, len(t.Cols))
-	for i, c := range t.Cols {
-		schema[i] = plan.ColInfo{Name: c.Name, Type: c.Type, Coll: c.Coll}
-		idxs[i] = i
-	}
-	res := exec.NewResult(schema)
-	n := int(t.Rows)
-	for from := 0; from < n; from += storage.BatchSize {
-		to := from + storage.BatchSize
-		if to > n {
-			to = n
-		}
-		vecs := make([]*storage.Vector, len(t.Cols))
-		for i, c := range t.Cols {
-			vecs[i] = c.ScanRange(from, to)
-		}
-		res.AppendBatch(storage.NewBatch(vecs))
-	}
-	return res
 }

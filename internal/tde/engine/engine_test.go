@@ -464,10 +464,13 @@ func TestEngineSaveOpen(t *testing.T) {
 	}
 }
 
-func TestTableToResultRoundTrip(t *testing.T) {
+func TestResultToTableRoundTrip(t *testing.T) {
 	e := getEngine(t)
 	tbl, _ := e.Database().Table("Extract", "carriers")
-	res := TableToResult(tbl)
+	res, err := e.Query(context.Background(), "(table Extract.carriers)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if int64(res.N) != tbl.Rows {
 		t.Fatalf("rows = %d, want %d", res.N, tbl.Rows)
 	}

@@ -234,26 +234,3 @@ func EstimateRows(n plan.Node) int64 {
 	}
 	return 1000
 }
-
-// costAbove computes the per-row expression work of the flow operators in
-// the chain above the scan (the template of a parallel region), using the
-// empirical cost profile (Sect. 4.2.2).
-func costAbove(n plan.Node) float64 {
-	switch x := n.(type) {
-	case *plan.Scan:
-		return 1
-	case *plan.Filter:
-		return costAbove(x.Child) + plan.ExprCost(x.Pred)
-	case *plan.Project:
-		c := costAbove(x.Child)
-		for _, e := range x.Exprs {
-			c += plan.ExprCost(e)
-		}
-		return c
-	case *plan.Join:
-		return costAbove(x.Left) + 3
-	case *plan.Aggregate:
-		return costAbove(x.Child) + float64(2+len(x.Aggs))
-	}
-	return 1
-}

@@ -69,15 +69,6 @@ func LookupFunc(name string) (*FuncDef, bool) {
 	return f, ok
 }
 
-// FuncNames returns the registered function names (for diagnostics).
-func FuncNames() []string {
-	out := make([]string, 0, len(funcRegistry))
-	for n := range funcRegistry {
-		out = append(out, n)
-	}
-	return out
-}
-
 func numFloat(v storage.Value) float64 { return v.AsFloat() }
 
 func dateParts(v storage.Value) time.Time {

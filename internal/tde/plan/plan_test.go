@@ -109,8 +109,8 @@ func TestFuncRegistry(t *testing.T) {
 	if _, ok := LookupFunc("UPPER"); !ok {
 		t.Error("lookup should be case-insensitive")
 	}
-	if len(FuncNames()) < 15 {
-		t.Errorf("registry too small: %v", FuncNames())
+	if len(funcRegistry) < 15 {
+		t.Errorf("registry too small: %d functions", len(funcRegistry))
 	}
 	ifnull, _ := LookupFunc("ifnull")
 	out := ifnull.Eval([]storage.Value{storage.NullValue(storage.TInt), storage.IntValue(7)})

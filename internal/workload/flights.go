@@ -25,6 +25,8 @@ type FlightsConfig struct {
 }
 
 // DefaultFlightsConfig is sized for unit tests; benchmarks scale Rows up.
+//
+//vizlint:allow unused -- the shared data set of the engine, opt and vizql tests
 func DefaultFlightsConfig() FlightsConfig {
 	return FlightsConfig{Rows: 20_000, Days: 120, Seed: 1, Carriers: 10, Airports: 30}
 }
