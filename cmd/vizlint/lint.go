@@ -33,8 +33,11 @@
 //	            leader slots (map registration/delete), and breaker
 //	            half-open probe slots (allow/releaseProbe-or-Record*).
 //	unused    – a package-level function or method under internal/ or
-//	            cmd/ that no non-test file references, and an internal/
-//	            package that no other package's non-test file imports.
+//	            cmd/ that no non-test file references, an internal/
+//	            package that no other package's non-test file imports,
+//	            and an exported field of an internal/ ...Config or
+//	            ...Options struct that no other package's non-test file
+//	            sets.
 //
 // The obs, ctxcancel and release families are instantiations of one
 // shared must-release dataflow engine (dataflow.go) running over a

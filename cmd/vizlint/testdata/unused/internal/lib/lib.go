@@ -39,3 +39,27 @@ func Kept() {}
 
 // FromBench is called only by the benchmark, which counts as a caller.
 func FromBench() {}
+
+// Config is lib's option struct: an exported field no non-test file of
+// another package sets is reported.
+type Config struct {
+	Defaulted int // want: unused (only withDefaults, in lib itself, sets it)
+	TestOnly  int // want: unused (only lib_test.go sets it)
+	Literal   int // set by cmd/app's composite literal
+	Assigned  int // set by cmd/app's assignment
+	//vizlint:allow unused -- fixture: an allowed field
+	Allowed int
+}
+
+func (c Config) withDefaults() Config {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	return c
+}
+
+// New applies the defaults.
+func New(c Config) Config { return c.withDefaults() }
+
+// Shadow is no option struct; its field shares a name with Config's.
+type Shadow struct{ Defaulted int }

@@ -9,4 +9,5 @@ import (
 func TestOnlyCaller(t *testing.T) {
 	thing{}.Orphan()
 	_ = OnlyTested() + recurse(1) + orphan.Answer
+	_ = New(Config{TestOnly: 1})
 }

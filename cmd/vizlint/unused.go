@@ -22,6 +22,13 @@ import (
 // over-approximates, so a call through an interface is never a false
 // positive. Methods the standard library calls through its own interfaces
 // (stdlibMethods) count as referenced too.
+//
+// The same goes for options: an exported field of an internal/ struct
+// type named ...Config or ...Options that no non-test file of another
+// package sets is a knob nothing turns, so it should be a constant. A
+// setter is a keyed composite literal of that type (matched by package and
+// type name, so a same-named field of another type is no setter) or an
+// assignment to a selector of the field's name.
 func checkUnused(mod *module, pkg *pkgInfo) []Finding {
 	if mod.refs == nil {
 		mod.refs = buildRefs(mod)
@@ -56,8 +63,43 @@ func checkUnused(mod *module, pkg *pkgInfo) []Finding {
 				report(fi, fd.Name, shortFuncName(funcKey(pkg.ImportPath, recv, name), pkg.ImportPath)+" has no caller outside tests")
 			}
 		}
+		if !internal {
+			continue
+		}
+		ast.Inspect(fi.File, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+				return false
+			}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					if id.IsExported() && !fieldSet(mod, pkg.ImportPath, ts.Name.Name, id.Name) {
+						report(fi, id, ts.Name.Name+"."+id.Name+" is set by no non-test file outside its package")
+					}
+				}
+			}
+			return false
+		})
 	}
 	return out
+}
+
+// fieldSet reports whether a package other than the field's own sets it:
+// through a keyed literal of its type, or by assigning to its name.
+func fieldSet(mod *module, path, typeName, field string) bool {
+	if mod.refs[path+"::"+typeName+"{"+field] {
+		return true
+	}
+	for _, p := range mod.pkgs {
+		if p.ImportPath != path && mod.refs["="+field+"@"+p.ImportPath] {
+			return true
+		}
+	}
+	return false
 }
 
 // stdlibMethods are methods only the standard library calls, through its
@@ -67,8 +109,9 @@ func checkUnused(mod *module, pkg *pkgInfo) []Finding {
 var stdlibMethods = map[string]bool{"Unwrap": true, "Import": true}
 
 // buildRefs indexes what the module's non-test files name: funcKeys of
-// referenced plain functions, "."+name for every selector, and the import
-// path of every imported package (a package cannot import itself).
+// referenced plain functions, "."+name for every selector, the import
+// path of every imported package (a package cannot import itself), and
+// the option setters fieldSet asks about.
 func buildRefs(mod *module) map[string]bool {
 	refs := make(map[string]bool)
 	for _, pkg := range mod.pkgs {
@@ -91,6 +134,26 @@ func buildRefs(mod *module) map[string]bool {
 					case *ast.Ident:
 						if fn, ok := pkg.Info.Uses[x].(*types.Func); ok && fn.Parent() == fn.Pkg().Scope() && x.Name != self {
 							refs[funcKey(pkg.ImportPath, "", x.Name)] = true
+						}
+					case *ast.CompositeLit:
+						sel, ok := x.Type.(*ast.SelectorExpr)
+						if !ok {
+							break
+						}
+						if id, ok := sel.X.(*ast.Ident); ok && fi.imports[id.Name] != "" {
+							for _, el := range x.Elts {
+								if kv, ok := el.(*ast.KeyValueExpr); ok {
+									if k, ok := kv.Key.(*ast.Ident); ok {
+										refs[fi.imports[id.Name]+"::"+sel.Sel.Name+"{"+k.Name] = true
+									}
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								refs["="+sel.Sel.Name+"@"+pkg.ImportPath] = true
+							}
 						}
 					}
 					return true

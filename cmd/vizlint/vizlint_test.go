@@ -270,8 +270,11 @@ func TestUnusedFindsWhatOnlyTestsReach(t *testing.T) {
 	slices.Sort(got)
 	// Not reported: asValue (used as a value), thing.Name (named by the
 	// interface call's selector), Kept (allow directive), FromBench
-	// (bench/ is a caller) and bench's own benchOnly.
+	// (bench/ is a caller), bench's own benchOnly, and the Config fields
+	// cmd/app sets by literal and by assignment or that carry a directive.
 	want := []string{
+		"Config.Defaulted is set by no non-test file outside its package",
+		"Config.TestOnly is set by no non-test file outside its package",
 		"OnlyTested has no caller outside tests",
 		"package vizq/internal/orphan is imported by no non-test file outside it",
 		"recurse has no caller outside tests",

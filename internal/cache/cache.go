@@ -130,12 +130,16 @@ type Options struct {
 	// and pick the one needing the least post-processing, instead of
 	// accepting the first match. The paper ships first-match and names
 	// best-match as the planned improvement (Sect. 3.2).
+	//
+	//vizlint:allow unused -- the planned policy, kept as a decision: the ablation benchmark and cache tests compare it with first-match
 	BestMatch bool
 	// Shards is the lock-stripe count (0 = default). The effective count is
 	// clamped so each shard can hold at least one entry and one
 	// maximum-size result; Shards=1 restores single-mutex behaviour (and
 	// with it, exact cache-wide budget enforcement — sharded budgets are
 	// enforced per shard).
+	//
+	//vizlint:allow unused -- kept as a decision: the Shards:1 tests need exact cache-wide budgets
 	Shards int
 	// FreshFor bounds an entry's fresh lifetime from Put (0 = fresh
 	// forever, the historical behaviour). Past it, normal Gets miss.

@@ -66,8 +66,8 @@ func TestDeriveNullCounts(t *testing.T) {
 	if !ok {
 		t.Fatal("derive at the stored grain failed")
 	}
-	if want := "[p q 0 0 null] [p r 2 1 1.5]"; fmt.Sprint(got.Row(0), " ", got.Row(1)) != want {
-		t.Errorf("at the stored grain: got %v %v, want %s", got.Row(0), got.Row(1), want)
+	if want := "[p q 0 0 null] [p r 2 1 1.5]"; rowText(got, 0)+" "+rowText(got, 1) != want {
+		t.Errorf("at the stored grain: got %s %s, want %s", rowText(got, 0), rowText(got, 1), want)
 	}
 	up := s.Clone()
 	up.Dims = up.Dims[:1]
@@ -77,9 +77,18 @@ func TestDeriveNullCounts(t *testing.T) {
 	if !ok {
 		t.Fatal("roll-up failed")
 	}
-	if want := "[p 0 null]"; got.N != 1 || fmt.Sprint(got.Row(0)) != want {
-		t.Errorf("roll-up: got %v, want %s", got.Row(0), want)
+	if want := "[p 0 null]"; got.N != 1 || rowText(got, 0) != want {
+		t.Errorf("roll-up: got %s, want %s", rowText(got, 0), want)
 	}
+}
+
+// rowText formats row i of r as a bracketed list of its values.
+func rowText(r *exec.Result, i int) string {
+	vals := make([]storage.Value, len(r.Cols))
+	for c := range r.Cols {
+		vals[c] = r.Value(i, c)
+	}
+	return fmt.Sprint(vals)
 }
 
 // routeResult is a RouteCarrier-shaped stored answer: n rows of

@@ -83,11 +83,6 @@ type Config struct {
 	Interval time.Duration
 	// BackendLatency is added to every backend query (default 0).
 	BackendLatency time.Duration
-	// Health tunes the balancer's node health tracking. Zero fields take
-	// harness defaults — SuspectAfter 1, EjectAfter 2, ProbeAfter one
-	// Interval — and the Clock is always the harness's fake clock so
-	// probe cooldowns advance only on Tick/Advance.
-	Health connection.HealthConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -214,7 +209,6 @@ func New(cfg Config) (*Cluster, error) {
 				Node:     name,
 				Bus:      bus,
 				Interval: cfg.Interval,
-				Clock:    clock.Now,
 			},
 		})
 		if err := ds.Publish(&dataserver.PublishedSource{
@@ -245,18 +239,11 @@ func New(cfg Config) (*Cluster, error) {
 		cl.Close()
 		return nil, err
 	}
-	hc := cfg.Health
-	if hc.SuspectAfter == 0 {
-		hc.SuspectAfter = 1
-	}
-	if hc.EjectAfter == 0 {
-		hc.EjectAfter = 2
-	}
-	if hc.ProbeAfter == 0 {
-		hc.ProbeAfter = cfg.Interval
-	}
-	hc.Clock = clock.Now
-	b.ConfigureHealth(hc)
+	// The balancer's health tracking runs on the harness clock, so probe
+	// cooldowns advance only on Tick/Advance.
+	b.ConfigureHealth(connection.HealthConfig{
+		SuspectAfter: 1, EjectAfter: 2, ProbeAfter: cfg.Interval, Clock: clock.Now,
+	})
 	cl.Balancer = b
 	return cl, nil
 }
@@ -396,13 +383,10 @@ func DistinctQuery(i int) *query.Query {
 }
 
 // Close tears the cluster down: client connections, balancer pools,
-// coordinators, bus links, proxies, backends, and the kvstore.
+// published sources, bus links, proxies, backends, and the kvstore.
 func (cl *Cluster) Close() {
 	for _, n := range cl.Nodes {
 		n.closeConns()
-		if c := n.DS.Coordinator(); c != nil {
-			c.Stop()
-		}
 		n.DS.Unpublish(cl.cfg.Source)
 		_ = n.Bus.Close()
 		n.KVProxy.Close()

@@ -130,8 +130,11 @@ func TestSessionFailoverTempTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.CreateTempTable("sel", "origin", []storage.Value{storage.StrValue("LAX")}); err != nil {
-		t.Fatal(err)
+	temps := []tempSpec{{alias: "sel", col: "origin", vals: []storage.Value{storage.StrValue("LAX")}}}
+	for _, spec := range temps {
+		if err := s.CreateTempTable(spec.alias, spec.col, spec.vals); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cl.KillNode(2)
@@ -145,7 +148,7 @@ func TestSessionFailoverTempTables(t *testing.T) {
 	}
 	// The contract: the session HAS moved; the caller re-materializes and
 	// retries.
-	if err := s.Rematerialize(); err != nil {
+	if err := s.Rematerialize(temps); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Query(ctx, DistinctQuery(0)); err != nil {

@@ -10,14 +10,6 @@ import (
 	"vizq/internal/tde/storage"
 )
 
-// tempSpec records one temp table a session created, so the session's
-// owner can re-materialize it after a failover.
-type tempSpec struct {
-	alias string
-	col   string
-	vals  []storage.Value
-}
-
 // Session is one user's sticky dashboard session against a specific
 // node, with optional transparent failover. Without failover it models
 // the pre-lifecycle world: the session is pinned to its node and a node
@@ -28,8 +20,9 @@ type tempSpec struct {
 // temp tables, the move instead returns a *dataserver.SessionMovedError
 // (wrapping dataserver.ErrSessionMoved) — the tables did not travel, and
 // silently retrying a query that references them would return wrong
-// data; the owner re-materializes and retries (the tests do it with
-// Rematerialize, in export_test.go).
+// data; the owner, which knows which tables it created, re-materializes
+// them and retries (the tests do it with Rematerialize, in
+// export_test.go).
 //
 // All methods serialize on the session mutex: a session is one user's
 // dashboard, which issues one interaction at a time.
@@ -41,7 +34,6 @@ type Session struct {
 	mu    sync.Mutex
 	node  int
 	conn  *dataserver.ClientConn
-	temps []tempSpec
 	moved int
 }
 
@@ -94,16 +86,11 @@ func (s *Session) Query(ctx context.Context, q *query.Query) error {
 	return err
 }
 
-// CreateTempTable creates a temp table on the session's current node and
-// records its definition for post-failover re-materialization.
+// CreateTempTable creates a temp table on the session's current node.
 func (s *Session) CreateTempTable(alias, col string, vals []storage.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.conn.CreateTempTable(alias, col, vals); err != nil {
-		return err
-	}
-	s.temps = append(s.temps, tempSpec{alias: alias, col: col, vals: vals})
-	return nil
+	return s.conn.CreateTempTable(alias, col, vals)
 }
 
 // Close releases the session's connection.

@@ -1,9 +1,8 @@
 // Package connection manages pooled connections to remote data sources
 // (Sect. 3.5): opening a connection and retrieving metadata is costly, so
-// connections are pooled and kept around even when idle; an age-wise
-// eviction policy releases remote resources unused for long periods.
-// Queries from different components are multiplexed across the pool's
-// connections regardless of their remote session state.
+// connections are pooled and kept around even when idle, until they break
+// or the pool closes. Queries from different components are multiplexed
+// across the pool's connections regardless of their remote session state.
 package connection
 
 import (
@@ -35,10 +34,6 @@ type PoolConfig struct {
 	// Max bounds the number of live connections (the concurrency the data
 	// source receives).
 	Max int
-	// IdleTimeout closes connections unused for this long (0 = never).
-	IdleTimeout time.Duration
-	// MaxAge retires connections regardless of use (0 = never).
-	MaxAge time.Duration
 }
 
 // Stats counts pool activity. Successful dials split exactly into the live
@@ -47,7 +42,7 @@ type Stats struct {
 	Dials      int64 // successful dials
 	DialErrors int64 // failed dial attempts (no connection resulted)
 	Reuses     int64
-	Evictions  int64 // healthy connections retired by age/idle policy or pool close
+	Evictions  int64 // healthy connections retired when the pool closed
 	Discards   int64 // broken connections dropped after a transport error
 }
 
@@ -132,7 +127,6 @@ func (p *Pool) Acquire(ctx context.Context) (*remote.Conn, error) {
 			p.mu.Unlock()
 			return nil, errors.New("connection: pool closed")
 		}
-		p.evictLocked()
 		if n := len(p.idle); n > 0 {
 			c := p.idle[n-1]
 			p.idle = p.idle[:n-1]
@@ -178,13 +172,13 @@ func (p *Pool) Acquire(ctx context.Context) (*remote.Conn, error) {
 
 // Release returns a connection to the pool. Broken connections (the remote
 // client marks them closed on any transport error) are discarded; healthy
-// ones aged past MaxAge are evicted.
+// ones released after the pool closed are evicted.
 func (p *Pool) Release(c *remote.Conn) {
 	p.mu.Lock()
 	switch {
 	case c.Closed():
 		p.retireLocked(&p.discards)
-	case p.closed || (p.cfg.MaxAge > 0 && c.Age() > p.cfg.MaxAge):
+	case p.closed:
 		p.retireLocked(&p.evictions)
 		c.Close()
 	default:
@@ -204,7 +198,7 @@ func (p *Pool) Discard(c *remote.Conn) {
 }
 
 // retireLocked takes one live connection out of the pool's books as either
-// an eviction (healthy, retired by policy) or a discard (broken) — the one
+// an eviction (healthy, retired at close) or a discard (broken) — the one
 // place that keeps Dials == Live + Evictions + Discards.
 func (p *Pool) retireLocked(c *obs.Counter) {
 	p.live--
@@ -222,23 +216,6 @@ func (p *Pool) signal() {
 	close(p.waiter)
 	p.waiter = make(chan struct{})
 	p.mu.Unlock()
-}
-
-// evictLocked applies the age-wise idle eviction policy.
-func (p *Pool) evictLocked() {
-	if p.cfg.IdleTimeout <= 0 {
-		return
-	}
-	kept := p.idle[:0]
-	for _, c := range p.idle {
-		if c.IdleFor() > p.cfg.IdleTimeout {
-			c.Close()
-			p.retireLocked(&p.evictions)
-			continue
-		}
-		kept = append(kept, c)
-	}
-	p.idle = kept
 }
 
 // Query acquires a connection, runs one statement and releases it.

@@ -35,25 +35,6 @@ func TestPoolDiscardBrokenConnection(t *testing.T) {
 	}
 }
 
-func TestPoolMaxAgeRetirement(t *testing.T) {
-	srv := startServer(t, remote.Config{})
-	p := NewPool(srv.Addr(), PoolConfig{Max: 1, MaxAge: time.Nanosecond})
-	defer p.Close()
-	ctx := context.Background()
-	c, err := p.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(time.Millisecond)
-	p.Release(c) // aged out: closed instead of pooled
-	if !c.Closed() {
-		t.Error("aged connection should be closed on release")
-	}
-	if p.Stats().Evictions != 1 {
-		t.Errorf("evictions = %d", p.Stats().Evictions)
-	}
-}
-
 func TestPoolQueryTimeout(t *testing.T) {
 	srv := startServer(t, remote.Config{Latency: 200 * time.Millisecond})
 	p := NewPool(srv.Addr(), PoolConfig{Max: 1})

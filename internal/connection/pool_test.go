@@ -92,28 +92,6 @@ func TestPoolAcquireTimeout(t *testing.T) {
 	p.Release(c2)
 }
 
-func TestPoolIdleEviction(t *testing.T) {
-	srv := startServer(t, remote.Config{})
-	p := NewPool(srv.Addr(), PoolConfig{Max: 2, IdleTimeout: 20 * time.Millisecond})
-	defer p.Close()
-	ctx := context.Background()
-	if _, err := p.Query(ctx, countQ); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	// The idle connection ages out on the next acquire; a fresh one dials.
-	if _, err := p.Query(ctx, countQ); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d", st.Evictions)
-	}
-	if st.Dials != 2 {
-		t.Errorf("dials = %d", st.Dials)
-	}
-}
-
 func TestPoolTempStateReuse(t *testing.T) {
 	// Temporary structures survive in pooled sessions and are reusable by
 	// later queries multiplexed onto the same connection (Sect. 3.5).

@@ -13,16 +13,17 @@ import (
 // wire. The pool must discard that connection, not release it, and return
 // the answer that did arrive.
 func TestQueryManyDeadlineBetweenFramesDiscardsConn(t *testing.T) {
-	// One row costs 2ms: the first statement answers at once, the second
-	// (one row per day) only after 60ms.
-	srv := startServer(t, remote.Config{PerRowCost: 2 * time.Millisecond})
+	// One scan batch costs 8ms: the first statement (the carriers table,
+	// one batch) answers after 8ms, the second (4 000 flights rows, four
+	// batches) no sooner than 40ms.
+	srv := startServer(t, remote.Config{ScanBatchDelay: 8 * time.Millisecond})
 	p := NewPool(srv.Addr(), PoolConfig{Max: 2})
 	defer p.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	answers, err := p.QueryMany(ctx, []string{
-		`(aggregate (table flights) (groupby) (aggs (n count *)))`,
+		`(aggregate (table carriers) (groupby) (aggs (n count *)))`,
 		`(aggregate (table flights) (groupby date) (aggs (n count *)))`,
 	})
 	if err == nil {

@@ -63,6 +63,8 @@ type Options struct {
 	// Sect. 3.3).
 	DisableBatchConcurrency bool
 	// DisableReuseAdjustment stops rewriting AVG into SUM/COUNT partials.
+	//
+	//vizlint:allow unused -- kept as a decision: the ablation benchmark measures the rewrite against it
 	DisableReuseAdjustment bool
 	// DisableSingleFlight turns off coalescing of concurrent identical
 	// remote executions (the correlated-miss stampede defense).

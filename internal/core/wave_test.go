@@ -105,7 +105,7 @@ func TestWaveSpreadFollowsTheSource(t *testing.T) {
 		opt      Options
 		requests int64
 	}{
-		{"exec-bound", remote.Config{PerRowCost: 200 * time.Microsecond}, DefaultOptions(), 5},
+		{"exec-bound", remote.Config{ScanBatchDelay: 2 * time.Millisecond}, DefaultOptions(), 5},
 		{"latency-bound", remote.Config{Latency: latency}, DefaultOptions(), 2},
 		{"latency-bound, serial baseline", remote.Config{Latency: latency}, Options{DisableBatchConcurrency: true}, 5},
 	}

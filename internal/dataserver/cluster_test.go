@@ -17,13 +17,12 @@ func TestClusterCoordinationWiring(t *testing.T) {
 	backend := startBackend(t)
 	bus := kvstore.NewLocalBus(kvstore.NewStore(0))
 	now := time.Unix(1_723_000_000, 0)
-	clock := func() time.Time { return now }
 
 	mk := func(node string) *Server {
 		return publishFlights(t, backend, Config{
 			PipelineOptions: core.DefaultOptions(),
 			Scheduler:       &sched.Config{},
-			Cluster:         &sched.ClusterConfig{Node: node, Bus: bus, Clock: clock},
+			Cluster:         &sched.ClusterConfig{Node: node, Bus: bus},
 		})
 	}
 	a, b := mk("node-a"), mk("node-b")

@@ -87,10 +87,10 @@ type Config struct {
 	// admission across Data Server nodes: every published source's
 	// scheduler publishes load digests through the bus and blends peer
 	// pressure into local decisions. The coordinator is created at
-	// NewServer but its background loop is not started — call
-	// Coordinator().Start() (production) or drive Coordinator().Step()
-	// directly (deterministic tests). Ignored without Scheduler-equipped
-	// sources: there is nothing to coordinate.
+	// NewServer and publishes only when its owner calls
+	// Coordinator().Step, once per Interval on the owner's clock (the
+	// cluster harness does). Ignored without Scheduler-equipped sources:
+	// there is nothing to coordinate.
 	Cluster *sched.ClusterConfig
 }
 
@@ -375,24 +375,6 @@ func (c *ClientConn) CreateTempTable(alias, col string, vals []storage.Value) er
 	}
 	def.refs++
 	c.temps[alias] = def
-	return nil
-}
-
-// DropTempTable releases the client's reference to an alias.
-func (c *ClientConn) DropTempTable(alias string) error {
-	c.mu.Lock()
-	def, ok := c.temps[alias]
-	delete(c.temps, alias)
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("dataserver: no temp table %q", alias)
-	}
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	def.refs--
-	if def.refs <= 0 {
-		delete(c.srv.temps, def.hash)
-	}
 	return nil
 }
 

@@ -220,17 +220,6 @@ func TestTempTableLifecycle(t *testing.T) {
 		t.Errorf("filtered carriers = %d", filtered.N)
 	}
 
-	// Dropping references: the shared definition dies with the last one.
-	if err := c1.DropTempTable("myfilter"); err != nil {
-		t.Fatal(err)
-	}
-	if s.SharedTempCount() != 1 {
-		t.Error("definition still referenced by c2")
-	}
-	c2.Close()
-	if s.SharedTempCount() != 0 {
-		t.Error("definition should be gone after last reference")
-	}
 	// Unknown temp filter errors.
 	if _, err := c1.Query(ctx, &query.Query{
 		View:     query.View{Table: "flights"},
@@ -239,6 +228,16 @@ func TestTempTableLifecycle(t *testing.T) {
 		Filters:  []query.Filter{query.TempFilter("carrier", "gone")},
 	}); err == nil {
 		t.Error("unknown temp table should fail")
+	}
+
+	// Dropping references: the shared definition dies with the last one.
+	c1.Close()
+	if s.SharedTempCount() != 1 {
+		t.Error("definition still referenced by c2")
+	}
+	c2.Close()
+	if s.SharedTempCount() != 0 {
+		t.Error("definition should be gone after last reference")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestSchedulerPerSource(t *testing.T) {
 		t.Fatal("unknown source returned a scheduler")
 	}
 	// The limit anchors to the pool size (default 4).
-	if got := sc.Limit(); got != 4 {
+	if got := sc.Stats().Limit; got != 4 {
 		t.Fatalf("scheduler limit %d, want pool max 4", got)
 	}
 
@@ -74,7 +74,7 @@ func TestSchedulerPerSource(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Scheduler("tuned").Limit(); got != 2 {
+	if got := s.Scheduler("tuned").Stats().Limit; got != 2 {
 		t.Fatalf("per-source scheduler limit %d, want 2", got)
 	}
 

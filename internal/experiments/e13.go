@@ -309,9 +309,6 @@ func e13Convergence(coordinate bool) (spread int, err error) {
 			c, err := sched.NewCoordinator(sched.ClusterConfig{
 				Node: fmt.Sprintf("node-%d", i),
 				Bus:  bus,
-				Clock: func() time.Time {
-					return now
-				},
 			})
 			if err != nil {
 				return 0, err

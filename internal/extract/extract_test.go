@@ -247,16 +247,6 @@ func TestRaggedRows(t *testing.T) {
 	}
 }
 
-func TestMaxRows(t *testing.T) {
-	tt, err := Parse(strings.NewReader(sampleCSV), ParseOptions{MaxRows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tt.Rows) != 2 {
-		t.Errorf("rows = %d", len(tt.Rows))
-	}
-}
-
 func TestConvertValueErrors(t *testing.T) {
 	if _, err := ConvertValue("notanint", storage.TInt); err == nil {
 		t.Error("bad int should fail")

@@ -26,8 +26,6 @@ type ParseOptions struct {
 	// if one is available; otherwise it attempts to discover the metadata by
 	// performing type and column name inference").
 	Schema *FileSchema
-	// MaxRows bounds parsing (0 = no limit).
-	MaxRows int
 }
 
 // FileSchema describes the columns of a text file.
@@ -128,9 +126,6 @@ func Parse(r io.Reader, opt ParseOptions) (*TextTable, error) {
 		if record != nil {
 			lineNo++
 			rows = append(rows, record)
-			if opt.MaxRows > 0 && len(rows) >= opt.MaxRows+1 {
-				break
-			}
 		}
 		if err == io.EOF {
 			break
@@ -153,9 +148,6 @@ func Parse(r io.Reader, opt ParseOptions) (*TextTable, error) {
 		start = 1
 	}
 	data := rows[start:]
-	if opt.MaxRows > 0 && len(data) > opt.MaxRows {
-		data = data[:opt.MaxRows]
-	}
 	for i, row := range data {
 		if len(row) != width {
 			return nil, fmt.Errorf("extract: row %d has %d fields, want %d", start+i+1, len(row), width)

@@ -125,15 +125,6 @@ func (s *Store) Scan(prefix string) []KV {
 	return out
 }
 
-// Delete removes a key.
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.removeLocked(el)
-	}
-}
-
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

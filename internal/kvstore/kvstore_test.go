@@ -18,11 +18,9 @@ func TestStoreBasics(t *testing.T) {
 	if v, _ := s.Get("a"); string(v) != "2" {
 		t.Error("overwrite failed")
 	}
-	s.Delete("a")
-	if _, ok := s.Get("a"); ok {
-		t.Error("delete failed")
+	if _, ok := s.Get("b"); ok {
+		t.Error("absent key served")
 	}
-	s.Delete("a") // idempotent
 	hits, misses := s.Stats()
 	if hits != 2 || misses != 1 {
 		t.Errorf("stats = %d/%d", hits, misses)
@@ -71,9 +69,6 @@ func TestNetworkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Set("k", []byte("hello"), time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +76,16 @@ func TestNetworkRoundTrip(t *testing.T) {
 	if err != nil || !ok || string(v) != "hello" {
 		t.Fatalf("get = %q %v %v", v, ok, err)
 	}
-	if err := cl.Delete("k"); err != nil {
-		t.Fatal(err)
+	// The retired delete and ping ops are answered with an error status,
+	// and the key survives the delete attempt.
+	for _, op := range []byte{'D', 'P'} {
+		status, body, err := cl.roundTrip(op, "k", 0, nil)
+		if err != nil || status != statusError || string(body) != fmt.Sprintf("bad op %q", op) {
+			t.Errorf("op %q = (%d, %q, %v), want a bad-op error", op, status, body, err)
+		}
 	}
-	if _, ok, _ := cl.Get("k"); ok {
-		t.Error("deleted key still served")
+	if _, ok, _ := cl.Get("k"); !ok {
+		t.Error("key lost after a refused delete")
 	}
 }
 
@@ -141,11 +141,14 @@ func TestServerCloseDropsClients(t *testing.T) {
 	}
 	// Requests after close fail rather than hang.
 	done := make(chan error, 1)
-	go func() { done <- cl.Ping() }()
+	go func() {
+		_, _, err := cl.Get("k")
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("ping after server close should fail")
+			t.Error("get after server close should fail")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("client hung after server close")

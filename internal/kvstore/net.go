@@ -13,17 +13,15 @@ import (
 
 // Wire protocol: every message is length-prefixed. Requests are
 // [op u8][keyLen u32][key][ttlMs u64][valLen u32][val]; responses are
-// [status u8][valLen u32][val]. Ops: G(et), S(et), D(elete), P(ing),
-// L(ist). List treats the key as a prefix and returns, in the response
+// [status u8][valLen u32][val]. Ops: G(et), S(et), L(ist); any other
+// op is answered with an error status. List treats the key as a prefix and returns, in the response
 // body, [count u32] followed by count pairs of [keyLen u32][key]
 // [valLen u32][val], sorted by key.
 
 const (
-	opGet    = 'G'
-	opSet    = 'S'
-	opDelete = 'D'
-	opPing   = 'P'
-	opList   = 'L'
+	opGet  = 'G'
+	opSet  = 'S'
+	opList = 'L'
 
 	statusOK       = 0
 	statusNotFound = 1
@@ -137,11 +135,6 @@ func (s *Server) handle(conn net.Conn) {
 		case opSet:
 			s.store.Set(string(key), val, time.Duration(ttl)*time.Millisecond)
 			werr = writeResponse(w, statusOK, nil)
-		case opDelete:
-			s.store.Delete(string(key))
-			werr = writeResponse(w, statusOK, nil)
-		case opPing:
-			werr = writeResponse(w, statusOK, []byte("pong"))
 		case opList:
 			werr = writeResponse(w, statusOK, encodePairs(s.store.Scan(string(key))))
 		default:
@@ -340,18 +333,6 @@ func (c *Client) Set(key string, val []byte, ttl time.Duration) error {
 	return nil
 }
 
-// Delete removes a key.
-func (c *Client) Delete(key string) error {
-	status, body, err := c.roundTrip(opDelete, key, 0, nil)
-	if err != nil {
-		return err
-	}
-	if status != statusOK {
-		return fmt.Errorf("kvstore: delete failed: %s", body)
-	}
-	return nil
-}
-
 // List returns every unexpired entry whose key starts with prefix.
 func (c *Client) List(prefix string) (map[string][]byte, error) {
 	status, body, err := c.roundTrip(opList, prefix, 0, nil)
@@ -362,16 +343,4 @@ func (c *Client) List(prefix string) (map[string][]byte, error) {
 		return nil, fmt.Errorf("kvstore: list failed: %s", body)
 	}
 	return decodePairs(body)
-}
-
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	status, _, err := c.roundTrip(opPing, "", 0, nil)
-	if err != nil {
-		return err
-	}
-	if status != statusOK {
-		return errors.New("kvstore: ping failed")
-	}
-	return nil
 }

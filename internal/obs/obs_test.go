@@ -101,14 +101,6 @@ func TestStagesAggregation(t *testing.T) {
 	if !strings.Contains(text, SpanRemote) || !strings.Contains(text, "count") {
 		t.Fatalf("FormatStages output missing content:\n%s", text)
 	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), SpanBatch) {
-		t.Fatalf("WriteText output missing root span:\n%s", buf.String())
-	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {

@@ -18,7 +18,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -162,16 +161,6 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
-// Attrs snapshots the annotations.
-func (s *Span) Attrs() []Attr {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
-}
-
 // Roots snapshots the finished root spans in finish order.
 func (t *Tracer) Roots() []*Span {
 	t.mu.Lock()
@@ -247,33 +236,6 @@ func FormatStages(stats []StageStat) string {
 			roundDur(s.Total), roundDur(mean), roundDur(s.Max))
 	}
 	return b.String()
-}
-
-// WriteText renders every span tree, indented, with durations and attrs.
-func (t *Tracer) WriteText(w io.Writer) error {
-	var write func(s *Span, depth int) error
-	write = func(s *Span, depth int) error {
-		attrs := ""
-		for _, a := range s.Attrs() {
-			attrs += fmt.Sprintf(" %s=%s", a.Key, a.Value)
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %s%s\n",
-			strings.Repeat("  ", depth), s.Name, roundDur(s.Duration()), attrs); err != nil {
-			return err
-		}
-		for _, c := range s.Children() {
-			if err := write(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, r := range t.Roots() {
-		if err := write(r, 0); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func roundDur(d time.Duration) string {

@@ -44,7 +44,7 @@ func TestHavingFilter(t *testing.T) {
 	}
 	for i := 0; i < res.N; i++ {
 		if res.Value(i, 1).I < threshold {
-			t.Errorf("carrier below threshold leaked: %v", res.Row(i))
+			t.Errorf("carrier below threshold leaked: %v with %v flights", res.Value(i, 0), res.Value(i, 1))
 		}
 	}
 	// Key identity: having changes the cache key.

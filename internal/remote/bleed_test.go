@@ -111,9 +111,10 @@ func TestPeerDropPoisonsConn(t *testing.T) {
 // return the answer that arrived, the connection must be marked broken, and
 // the late frame must never answer a later request.
 func TestDeadlineBetweenFramesBreaksConn(t *testing.T) {
-	// One row costs 2ms: the first statement answers at once, the second
-	// (one row per day) only after 120ms.
-	srv := startServer(t, Config{PerRowCost: 2 * time.Millisecond})
+	// One scan batch costs 10ms: the first statement (the carriers table,
+	// one batch) answers after 10ms, the second (5 000 flights rows, five
+	// batches) no sooner than 60ms.
+	srv := startServer(t, Config{ScanBatchDelay: 10 * time.Millisecond})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestDeadlineBetweenFramesBreaksConn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	answers, err := c.QueryMany(ctx, []string{
-		`(aggregate (table flights) (groupby) (aggs (n count *)))`,
+		`(aggregate (table carriers) (groupby) (aggs (n count *)))`,
 		`(aggregate (table flights) (groupby date) (aggs (n count *)))`,
 	})
 	if err == nil {

@@ -24,13 +24,11 @@ var (
 // connection executes one request at a time — concurrent queries require
 // multiple connections, the strategy most backends mandate (Sect. 3.5).
 type Conn struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	created time.Time
-	lastUse time.Time
-	closed  bool
+	mu     sync.Mutex
+	conn   net.Conn
+	r      *bufio.Reader
+	w      *bufio.Writer
+	closed bool
 }
 
 // Dial opens a connection to a remote server.
@@ -39,13 +37,10 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
 	return &Conn{
-		conn:    nc,
-		r:       bufio.NewReaderSize(nc, 1<<16),
-		w:       bufio.NewWriterSize(nc, 1<<16),
-		created: now,
-		lastUse: now,
+		conn: nc,
+		r:    bufio.NewReaderSize(nc, 1<<16),
+		w:    bufio.NewWriterSize(nc, 1<<16),
 	}, nil
 }
 
@@ -65,16 +60,6 @@ func (c *Conn) Closed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
-}
-
-// Age returns how long the connection has existed.
-func (c *Conn) Age() time.Duration { return time.Since(c.created) }
-
-// IdleFor returns the time since the last request.
-func (c *Conn) IdleFor() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Since(c.lastUse)
 }
 
 // roundTrip sends req and reads n response frames. On a transport error it
@@ -108,7 +93,6 @@ func (c *Conn) roundTrip(ctx context.Context, req *Request, n int) ([]*Response,
 		}
 		resps = append(resps, resp)
 	}
-	c.lastUse = time.Now()
 	mRoundTripNS.ObserveDuration(time.Since(start))
 	return resps, nil
 }

@@ -40,9 +40,6 @@ type Config struct {
 	// common thread-per-query architecture; >1 models engines with parallel
 	// plans (SQL Server, the TDE).
 	QueryDOP int
-	// PerRowCost adds artificial work proportional to result rows,
-	// amplifying the gap between remote execution and cache hits (0 = none).
-	PerRowCost time.Duration
 	// ScanBatchDelay simulates disk-bound scans in the backing engine (see
 	// exec.Config); it makes the backend's resource behaviour realistic on
 	// in-memory substrates.
@@ -245,9 +242,6 @@ func (s *Server) handleQuery(stmt string) *Response {
 	res, err := s.eng.Query(ctx, stmt)
 	if err != nil {
 		return &Response{Err: err.Error()}
-	}
-	if s.cfg.PerRowCost > 0 {
-		time.Sleep(time.Duration(res.N) * s.cfg.PerRowCost) //vizlint:allow sleep -- simulated per-row backend cost (performance model)
 	}
 	return &Response{Result: res, ExecNS: time.Since(start).Nanoseconds()}
 }

@@ -23,7 +23,7 @@ const (
 	Closed State = iota
 	// Open fails requests fast without touching the backend.
 	Open
-	// HalfOpen lets a bounded number of probes through to test recovery.
+	// HalfOpen lets one probe at a time through to test recovery.
 	HalfOpen
 )
 
@@ -49,8 +49,8 @@ type BreakerStats struct {
 
 // Breaker is a per-data-source circuit breaker: a rolling outcome window
 // trips it open when the transport failure rate crosses a threshold, open
-// fails fast for a cooldown, and half-open admits a bounded number of
-// probes whose outcome closes or re-opens the circuit. The point (Dean &
+// fails fast for a cooldown, and half-open admits one probe at a time,
+// whose outcome closes or re-opens the circuit. The point (Dean &
 // Barroso's tail-at-scale argument, applied to the Data Server's 40+
 // flaky backends) is that during an outage, failing in microseconds beats
 // queueing every request on a dead pool until its deadline.
@@ -64,12 +64,11 @@ type Breaker struct {
 
 	state    State
 	openedAt time.Time
-	probes   int // in-flight half-open probes
+	probing  bool // a half-open probe is in flight
 
 	minSamples int
 	ratio      float64
 	openFor    time.Duration
-	maxProbes  int
 
 	// The live form of BreakerStats, each rolled up into its breaker
 	// metric.
@@ -85,7 +84,6 @@ func newBreaker(cfg Config) *Breaker {
 		minSamples: cfg.BreakerMinSamples,
 		ratio:      cfg.BreakerFailureRatio,
 		openFor:    cfg.BreakerOpenFor,
-		maxProbes:  cfg.BreakerHalfOpenProbes,
 		now:        time.Now,
 	}
 	b.opened.RollUp(cBreakerOpened)
@@ -110,12 +108,12 @@ func (b *Breaker) allow() (ok, probe bool) {
 			return false, false
 		}
 		b.state = HalfOpen
-		b.probes = 1
+		b.probing = true
 		cBreakerHalfOpen.Inc()
 		return true, true
 	default: // HalfOpen
-		if b.probes < b.maxProbes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			return true, true
 		}
 		b.fastFails.Inc()
@@ -124,14 +122,14 @@ func (b *Breaker) allow() (ok, probe bool) {
 }
 
 // releaseProbe returns a half-open probe slot admitted by allow when the
-// attempt produced no outcome. A Record* from a concurrent probe may have
-// already moved the state on (resetting probes), in which case there is
+// attempt produced no outcome. A Record* from another caller may have
+// already moved the state on (clearing the slot), in which case there is
 // nothing to return.
 func (b *Breaker) releaseProbe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.probes > 0 {
-		b.probes--
+	if b.state == HalfOpen {
+		b.probing = false
 	}
 }
 
@@ -198,13 +196,13 @@ func (b *Breaker) push(failure bool) {
 func (b *Breaker) toOpenLocked() {
 	b.state = Open
 	b.openedAt = b.now()
-	b.probes = 0
+	b.probing = false
 	b.opened.Inc()
 }
 
 func (b *Breaker) toClosedLocked() {
 	b.state = Closed
-	b.probes = 0
+	b.probing = false
 	b.idx, b.count, b.failures = 0, 0, 0
 	for i := range b.window {
 		b.window[i] = false

@@ -70,7 +70,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	b, now := testBreaker(Config{
 		BreakerWindow: 4, BreakerMinSamples: 2, BreakerFailureRatio: 0.5,
-		BreakerOpenFor: time.Second, BreakerHalfOpenProbes: 1,
+		BreakerOpenFor: time.Second,
 	})
 	b.RecordFailure()
 	b.RecordFailure()
@@ -89,7 +89,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
 	if b.Allow() {
-		t.Fatal("second concurrent probe admitted with HalfOpenProbes=1")
+		t.Fatal("second concurrent probe admitted")
 	}
 	// The probe succeeds: circuit closes with a clean window.
 	b.RecordSuccess()

@@ -67,9 +67,6 @@ type Config struct {
 	// BreakerOpenFor is the open-state cooldown before probing
 	// (default 2s).
 	BreakerOpenFor time.Duration
-	// BreakerHalfOpenProbes bounds concurrent half-open probes
-	// (default 1).
-	BreakerHalfOpenProbes int
 
 	// ServeStale lets the pipeline answer from an expired cache entry
 	// (within its StaleUntil grace window) when the breaker is open or
@@ -99,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerOpenFor <= 0 {
 		c.BreakerOpenFor = 2 * time.Second
-	}
-	if c.BreakerHalfOpenProbes <= 0 {
-		c.BreakerHalfOpenProbes = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = entropySeed()

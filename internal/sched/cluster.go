@@ -232,6 +232,9 @@ const (
 	// intervals, still blended into decisions. Older peers are ignored: a
 	// partitioned node must not steer the fleet with frozen state.
 	staleDigests = 3
+	// digestTTL is how long a digest outlives its publisher on the bus, in
+	// publish intervals: a crashed node's entry expires on its own.
+	digestTTL = 4
 )
 
 // ClusterConfig tunes one node's coordinator. Zero fields take the
@@ -243,23 +246,11 @@ type ClusterConfig struct {
 	Bus Bus
 	// Interval is the publish-and-observe period (default 250ms).
 	Interval time.Duration
-	// TTL bounds how long a digest outlives its publisher on the bus
-	// (default 4*Interval): a crashed node's entry expires on its own.
-	TTL time.Duration
-	// Clock supplies publish timestamps and staleness judgments
-	// (default time.Now; tests inject a fake).
-	Clock func() time.Time
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
-	}
-	if c.TTL <= 0 {
-		c.TTL = 4 * c.Interval
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -280,9 +271,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	sources map[string]*clusterSource
-	stop    chan struct{}
-	started bool
-	wg      sync.WaitGroup
 }
 
 // NewCoordinator builds a coordinator from cfg.
@@ -348,8 +336,8 @@ func (c *Coordinator) Peers(source string) []Digest {
 }
 
 // Step runs one publish-and-observe round for every registered source at
-// time now. The background loop calls it each Interval; tests and the
-// cluster harness call it directly with an injected clock.
+// time now. Its owner calls it once per Interval: the cluster harness on
+// its own clock, tests directly.
 func (c *Coordinator) Step(now time.Time) {
 	c.mu.Lock()
 	names := make([]string, 0, len(c.sources))
@@ -400,7 +388,7 @@ func (c *Coordinator) stepSource(name string, now time.Time) {
 	// Bus I/O happens outside the coordinator lock so a stalled link
 	// cannot block Register/Unregister.
 	keyPrefix := digestPrefix + "/" + name + "/"
-	if err := c.cfg.Bus.Set(keyPrefix+c.cfg.Node, self.Encode(), c.cfg.TTL); err != nil {
+	if err := c.cfg.Bus.Set(keyPrefix+c.cfg.Node, self.Encode(), digestTTL*c.cfg.Interval); err != nil {
 		cClusterPublishErr.Inc()
 	} else {
 		cClusterPublish.Inc()
@@ -450,47 +438,6 @@ func (c *Coordinator) storePeers(name string, peers []Digest) {
 		src.lastPeers = peers
 	}
 	c.mu.Unlock()
-}
-
-// Start launches the background publish loop. Idempotent.
-func (c *Coordinator) Start() {
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.stop = make(chan struct{})
-	stop := c.stop
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		t := time.NewTicker(c.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Step(c.cfg.Clock())
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for it. Idempotent.
-func (c *Coordinator) Stop() {
-	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = false
-	stop := c.stop
-	c.mu.Unlock()
-	close(stop)
-	c.wg.Wait()
 }
 
 // ObservePeers blends the fleet's state into local admission. self is

@@ -14,7 +14,7 @@ import (
 func TestDrainShedsNewArrivals(t *testing.T) {
 	s := New(Config{Limit: 2})
 	s.SetDraining(true)
-	if !s.Draining() {
+	if !s.Stats().Draining {
 		t.Fatal("Draining() = false after SetDraining(true)")
 	}
 	_, err := s.Admit(context.Background())
@@ -124,7 +124,7 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 func TestNilSchedulerDrainOps(t *testing.T) {
 	var s *Scheduler
 	s.SetDraining(true)
-	if s.Draining() {
+	if s.Stats().Draining {
 		t.Fatal("nil scheduler reports draining")
 	}
 	if err := s.Quiesce(context.Background()); err != nil {

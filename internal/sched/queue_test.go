@@ -1,15 +1,16 @@
 package sched
 
 // White-box tests for the dispatch machinery's edge cases: ring-cursor
-// correctness when queues empty out at or before the cursor, credit reset
-// across empty-then-refilled queues, and the defensive branches that
-// resync a ring whose waiting counts drifted. They drive the locked
-// internals directly so every scenario is deterministic, at both levels
-// of the hierarchy (session rings within a user, user rings within a
-// class).
+// correctness when queues empty out at or before the cursor, the
+// round-robin order across users and sessions (empty-then-refilled queues
+// included), and the defensive branches that resync a ring whose waiting
+// counts drifted. They drive the locked internals directly so every
+// scenario is deterministic, at both levels of the hierarchy (session
+// rings within a user, user rings within a class).
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -113,50 +114,67 @@ func TestUserRingCursorOnRemoval(t *testing.T) {
 	}
 }
 
-// TestCreditResetAcrossRefill pins that a weighted queue which empties,
-// drops off the ring, and later refills starts a fresh turn with full
-// credit — credit must not persist (or leak) across the queue's lifetime.
-func TestCreditResetAcrossRefill(t *testing.T) {
-	t.Run("session-level", func(t *testing.T) {
-		s := New(Config{Limit: 1, Weights: map[string]int{"w": 2}})
-		label := map[*waiter]string{}
-		label[enq(s, "u", "w")] = "w"
-		label[enq(s, "u", "x")] = "x"
-		// First round: w dequeues once (1 of its 2 credits), empties, drops.
-		if got := drainOrder(s, label); len(got) != 2 || got[0] != "w" {
-			t.Fatalf("first round order %v", got)
-		}
-		// Refill: w must again get 2 consecutive dequeues before x.
-		label[enq(s, "u", "w")] = "w"
-		label[enq(s, "u", "w")] = "w"
-		label[enq(s, "u", "x")] = "x"
-		got := drainOrder(s, label)
-		want := []string{"w", "w", "x"}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("refill order %v, want %v", got, want)
+// TestRoundRobinOrder pins the dequeue order: one grant per user in turn
+// across a class's users, and within a user one grant per session in
+// turn. A queue that empties drops off its ring and, refilled, rejoins at
+// the back with no turn carried over.
+func TestRoundRobinOrder(t *testing.T) {
+	type waiterAt struct{ user, sess string }
+	cases := []struct {
+		name   string
+		before []waiterAt // drained first, so the queues empty and drop
+		queued []waiterAt
+		want   []string // "user/session" in grant order
+	}{
+		{
+			name:   "users",
+			queued: []waiterAt{{"a", "m"}, {"a", "m"}, {"a", "m"}, {"b", "m"}, {"c", "m"}, {"c", "m"}},
+			want:   []string{"a/m", "b/m", "c/m", "a/m", "c/m", "a/m"},
+		},
+		{
+			name:   "sessions",
+			queued: []waiterAt{{"u", "x"}, {"u", "x"}, {"u", "x"}, {"u", "y"}},
+			want:   []string{"u/x", "u/y", "u/x", "u/x"},
+		},
+		{
+			name: "users-then-sessions",
+			queued: []waiterAt{
+				{"u1", "s1"}, {"u1", "s1"}, {"u1", "s2"}, {"u1", "s2"}, {"u2", "m"}, {"u2", "m"},
+			},
+			want: []string{"u1/s1", "u2/m", "u1/s2", "u2/m", "u1/s1", "u1/s2"},
+		},
+		{
+			name:   "session-refill",
+			before: []waiterAt{{"u", "w"}, {"u", "x"}},
+			queued: []waiterAt{{"u", "w"}, {"u", "w"}, {"u", "x"}},
+			want:   []string{"u/w", "u/x", "u/w"},
+		},
+		{
+			name:   "user-refill",
+			before: []waiterAt{{"vip", "m"}, {"std", "m"}},
+			queued: []waiterAt{{"vip", "m"}, {"vip", "m"}, {"std", "m"}},
+			want:   []string{"vip/m", "std/m", "vip/m"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Limit: 1})
+			label := map[*waiter]string{}
+			fill := func(ws []waiterAt) {
+				for _, w := range ws {
+					label[enq(s, w.user, w.sess)] = w.user + "/" + w.sess
+				}
 			}
-		}
-	})
-	t.Run("user-level", func(t *testing.T) {
-		s := New(Config{Limit: 1, UserWeights: map[string]int{"vip": 2}})
-		label := map[*waiter]string{}
-		label[enq(s, "vip", "m")] = "vip"
-		label[enq(s, "std", "m")] = "std"
-		if got := drainOrder(s, label); len(got) != 2 || got[0] != "vip" {
-			t.Fatalf("first round order %v", got)
-		}
-		label[enq(s, "vip", "m")] = "vip"
-		label[enq(s, "vip", "m")] = "vip"
-		label[enq(s, "std", "m")] = "std"
-		got := drainOrder(s, label)
-		want := []string{"vip", "vip", "std"}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("refill order %v, want %v", got, want)
+			fill(tc.before)
+			if got := drainOrder(s, label); len(got) != len(tc.before) {
+				t.Fatalf("first round drained %v", got)
 			}
-		}
-	})
+			fill(tc.queued)
+			if got := drainOrder(s, label); !slices.Equal(got, tc.want) {
+				t.Fatalf("grant order %v, want %v", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestDefensiveEmptyBranches drives the resync paths: an empty session or
@@ -168,7 +186,7 @@ func TestDefensiveEmptyBranches(t *testing.T) {
 		real := enq(s, "u", "real")
 		s.mu.Lock()
 		uq := s.classes[Interactive].users["u"]
-		phantom := &sessionQueue{id: "phantom", weight: 1}
+		phantom := &sessionQueue{id: "phantom"}
 		uq.sessions["phantom"] = phantom
 		uq.ring = append([]*sessionQueue{phantom}, uq.ring...)
 		uq.cursor = 0
@@ -186,7 +204,7 @@ func TestDefensiveEmptyBranches(t *testing.T) {
 		real := enq(s, "u", "main")
 		s.mu.Lock()
 		cq := &s.classes[Interactive]
-		phantom := &userQueue{id: "phantom", sessions: map[string]*sessionQueue{}, weight: 1}
+		phantom := &userQueue{id: "phantom", sessions: map[string]*sessionQueue{}}
 		cq.users["phantom"] = phantom
 		cq.ring = append([]*userQueue{phantom}, cq.ring...)
 		cq.cursor = 0
@@ -209,7 +227,7 @@ func TestDefensiveEmptyBranches(t *testing.T) {
 		real := enq(s, "u", "main")
 		s.mu.Lock()
 		cq := &s.classes[Interactive]
-		broken := &userQueue{id: "broken", sessions: map[string]*sessionQueue{}, weight: 1, waiting: 1}
+		broken := &userQueue{id: "broken", sessions: map[string]*sessionQueue{}, waiting: 1}
 		cq.users["broken"] = broken
 		cq.ring = append([]*userQueue{broken}, cq.ring...)
 		cq.cursor = 0

@@ -9,13 +9,12 @@
 //
 //   - Priority classes. Queries carry a Class (Interactive vs Background)
 //     in their context; dashboard renders outrank extract refreshes.
-//   - Hierarchical weighted fair queuing. Waiting queries are queued per
-//     user and, within a user, per session. Dequeues go class-priority-
-//     first, weighted round-robin across *users* within a class, then
-//     weighted round-robin across the user's *sessions* — so a user's
-//     share of the source is constant no matter how many dashboards
-//     (sessions) they open, and within that share no single session can
-//     starve the user's others.
+//   - Hierarchical fair queuing. Waiting queries are queued per user and,
+//     within a user, per session. Dequeues go class-priority-first,
+//     round-robin across *users* within a class, then round-robin across
+//     the user's *sessions* — so a user's share of the source is constant
+//     no matter how many dashboards (sessions) they open, and within that
+//     share no single session can starve the user's others.
 //   - Deadline-aware load shedding. A query whose context deadline will
 //     expire before its estimated queue wait (EWMA of recent service
 //     times x the work fair queuing will serve ahead of it, divided by
@@ -202,36 +201,25 @@ type Config struct {
 	// MaxSessionQueue bounds one session's waiting queries (default 16):
 	// a chatty dashboard sheds before it can monopolize the queue.
 	MaxSessionQueue int
-	// DeadlineSafety is the fraction of a query's remaining deadline
-	// budget its estimated wait may consume before it is shed
-	// (default 0.85). Lower values shed earlier and keep admitted-query
-	// latency further under the deadline.
-	DeadlineSafety float64
-	// UserWeights maps user ids to fair-queuing weights (default 1 each):
-	// a user with weight 2 gets two dequeues per round-robin turn across
-	// users.
-	UserWeights map[string]int
-	// Weights maps session ids to fair-queuing weights (default 1 each)
-	// applied *within* the session's user: a session with weight 2 gets
-	// two dequeues per turn of its user's session round-robin.
-	Weights map[string]int
-	// Tolerance is the governor's latency slack: the limit shrinks when
-	// the service EWMA exceeds Tolerance x the observed latency floor
-	// (default 2.0).
-	Tolerance float64
 	// AdjustEvery is how many completions pass between governor steps
 	// (default 8).
 	AdjustEvery int
-	// PeerBacklogWeight scales how strongly peer queue depth (from cluster
-	// digests) inflates local deadline-shed estimates (default 0.25; set
-	// negative to disable). With W = PeerBacklogWeight and Q the average
-	// peer queue depth, the local estimate is multiplied by
-	// 1 + W*Q/limit — fleet-wide backlog sheds deadline-bound queries a
-	// little earlier everywhere.
-	PeerBacklogWeight float64
 }
 
 const (
+	// deadlineSafety is the fraction of a query's remaining deadline
+	// budget its estimated wait may consume before it is shed. Below 1 it
+	// keeps admitted-query latency under the deadline.
+	deadlineSafety = 0.85
+	// tolerance is the governor's latency slack: the limit shrinks when
+	// the service EWMA exceeds tolerance x the observed latency floor.
+	tolerance = 2.0
+	// peerBacklogWeight scales how strongly peer queue depth (from cluster
+	// digests) inflates local deadline-shed estimates: with Q the average
+	// peer queue depth, the local estimate is multiplied by
+	// 1 + peerBacklogWeight*Q/limit — fleet-wide backlog sheds
+	// deadline-bound queries a little earlier everywhere.
+	peerBacklogWeight = 0.25
 	// clusterUserQueue is the per-user queue bound applied while a
 	// majority of the fleet reports shed pressure for this source.
 	// Clamping the *user* bound — not the source bound — sheds the hot
@@ -265,19 +253,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessionQueue <= 0 {
 		c.MaxSessionQueue = 16
 	}
-	if c.DeadlineSafety <= 0 || c.DeadlineSafety > 1 {
-		c.DeadlineSafety = 0.85
-	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2.0
-	}
 	if c.AdjustEvery <= 0 {
 		c.AdjustEvery = 8
-	}
-	if c.PeerBacklogWeight == 0 {
-		c.PeerBacklogWeight = 0.25
-	} else if c.PeerBacklogWeight < 0 {
-		c.PeerBacklogWeight = 0
 	}
 	return c
 }
@@ -336,10 +313,8 @@ type waiter struct {
 
 // sessionQueue is one session's FIFO of waiters within a user.
 type sessionQueue struct {
-	id     string
-	items  []*waiter
-	weight int
-	credit int // remaining dequeues this turn of the user's session ring
+	id    string
+	items []*waiter
 }
 
 // userQueue is one user's set of session queues within a class; dequeues
@@ -350,11 +325,9 @@ type userQueue struct {
 	ring     []*sessionQueue // visit order; empty sessions are removed
 	cursor   int
 	waiting  int // queued across all of this user's sessions
-	weight   int
-	credit   int // remaining dequeues this turn of the class's user ring
 }
 
-// classQueue weighted-round-robins across the class's users.
+// classQueue round-robins across the class's users.
 type classQueue struct {
 	users   map[string]*userQueue
 	ring    []*userQueue // visit order; empty users are removed
@@ -457,16 +430,6 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Limit reads the governor's current in-flight limit.
-func (s *Scheduler) Limit() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.limit
-}
-
 // Ticket is one admitted query's capacity slot. Done returns it; every
 // admitted ticket must be Done exactly once.
 type Ticket struct {
@@ -545,13 +508,13 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 
 	// Deadline-aware shedding: reject now if the estimated wait consumes
 	// the context's remaining budget. The estimate is fair-share aware:
-	// it counts the work hierarchical WRR would actually serve ahead of
-	// this arrival, not the whole backlog.
+	// it counts the work hierarchical round-robin would actually serve
+	// ahead of this arrival, not the whole backlog.
 	est := s.estimateLocked(class, user)
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
 		budget = time.Until(deadline)
-		if float64(est) > s.cfg.DeadlineSafety*float64(budget) {
+		if float64(est) > deadlineSafety*float64(budget) {
 			s.shed.Inc()
 			s.shedDeadline.Inc()
 			s.mu.Unlock()
@@ -684,17 +647,6 @@ func (s *Scheduler) SetDraining(on bool) {
 	}
 }
 
-// Draining reports whether the scheduler is refusing new admissions.
-// Nil-safe.
-func (s *Scheduler) Draining() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Quiesce blocks until the scheduler holds no work — nothing in flight
 // and nothing queued — or ctx expires. It is the drain deadline's wait
 // primitive: call SetDraining(true) first so the waiting count only
@@ -760,11 +712,10 @@ func (s *Scheduler) queuedAtOrAbove(c Class) bool {
 // estimateLocked predicts how long a new arrival of class c from the
 // given user would wait. Everything in flight and everything queued in
 // higher-priority classes is served first. Within the arrival's own
-// class, hierarchical WRR does NOT serve the whole backlog ahead of it:
-// each other user only gets its weight-proportional share of the rounds
-// it takes to drain this user's own queue (plus the new arrival), so a
-// light user's estimate stays small even behind a greedy user's deep
-// backlog. Everything ahead costs one EWMA service time, drained
+// class, round-robin across users does NOT serve the whole backlog ahead
+// of it: each other user is served at most once per round it takes to
+// drain this user's own queue (plus the new arrival), so a light user's
+// estimate stays small even behind a greedy user's deep backlog. Everything ahead costs one EWMA service time, drained
 // limit-wide, plus the arrival's own service time. An unwarmed estimator
 // (no completions yet) returns 0 and admission falls back to the queue
 // bounds alone.
@@ -782,18 +733,12 @@ func (s *Scheduler) estimateLocked(c Class, user string) time.Duration {
 		own = uq.waiting
 	}
 	ahead += own
-	// Rounds of the user WRR needed to reach this arrival at the back of
-	// its user's queue, scaled by each competitor's weight.
-	turns := float64(own+1) / float64(s.userWeight(user))
+	// The user round-robin reaches this arrival at the back of its user's
+	// queue after own+1 rounds; each competitor is served once a round.
 	for id, uq := range cq.users {
-		if id == user {
-			continue
+		if id != user {
+			ahead += min(own+1, uq.waiting)
 		}
-		share := int(turns * float64(uq.weight))
-		if share > uq.waiting {
-			share = uq.waiting
-		}
-		ahead += share
 	}
 	limit := s.limit
 	if limit < 1 {
@@ -805,7 +750,7 @@ func (s *Scheduler) estimateLocked(c Class, user string) time.Duration {
 	// anywhere waits longer than the local backlog suggests, so inflate
 	// the estimate and shed deadline-bound arrivals a little earlier.
 	if s.peerQueueAvg > 0 && s.clusterFreshLocked(time.Now()) {
-		est *= 1 + s.cfg.PeerBacklogWeight*s.peerQueueAvg/float64(limit)
+		est *= 1 + peerBacklogWeight*s.peerQueueAvg/float64(limit)
 	}
 	return time.Duration(est)
 }
@@ -834,20 +779,6 @@ func (s *Scheduler) clusterShedActiveLocked(now time.Time) bool {
 	return s.clusterShed && s.clusterFreshLocked(now)
 }
 
-func (s *Scheduler) userWeight(id string) int {
-	if w, ok := s.cfg.UserWeights[id]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-func (s *Scheduler) sessionWeight(id string) int {
-	if w, ok := s.cfg.Weights[id]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
 // enqueueLocked appends a new waiter under (class, user, session),
 // creating the user and session queues on first use. Every enqueue must
 // be balanced by a dequeue (nextLocked) or a removal (removeLocked) —
@@ -856,11 +787,7 @@ func (s *Scheduler) enqueueLocked(class Class, user, sess string) *waiter {
 	cq := &s.classes[class]
 	uq := cq.users[user]
 	if uq == nil {
-		uq = &userQueue{
-			id:       user,
-			sessions: make(map[string]*sessionQueue),
-			weight:   s.userWeight(user),
-		}
+		uq = &userQueue{id: user, sessions: make(map[string]*sessionQueue)}
 		cq.users[user] = uq
 		cq.ring = append(cq.ring, uq)
 		s.queuedUsers++
@@ -868,7 +795,7 @@ func (s *Scheduler) enqueueLocked(class Class, user, sess string) *waiter {
 	}
 	sq := uq.sessions[sess]
 	if sq == nil {
-		sq = &sessionQueue{id: sess, weight: s.sessionWeight(sess)}
+		sq = &sessionQueue{id: sess}
 		uq.sessions[sess] = sq
 		uq.ring = append(uq.ring, sq)
 	}
@@ -989,7 +916,7 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 }
 
 // governLocked adapts the in-flight limit around the configured base:
-// additive decrease when the service EWMA inflates past Tolerance x the
+// additive decrease when the service EWMA inflates past tolerance x the
 // latency floor (the backend is congesting — more concurrency would only
 // queue inside it), additive increase when latency is healthy and demand
 // is queued. Steps at most once per AdjustEvery completions.
@@ -1000,17 +927,17 @@ func (s *Scheduler) governLocked() {
 	}
 	s.sinceAdjust = 0
 	switch {
-	case s.ewmaNS > s.floorNS*s.cfg.Tolerance && s.limit > s.cfg.MinLimit:
+	case s.ewmaNS > s.floorNS*tolerance && s.limit > s.cfg.MinLimit:
 		s.limit--
-	case s.waiting > 0 && s.ewmaNS <= s.floorNS*s.cfg.Tolerance && s.limit < s.cfg.MaxLimit:
+	case s.waiting > 0 && s.ewmaNS <= s.floorNS*tolerance && s.limit < s.cfg.MaxLimit:
 		s.limit++
 	}
 	gLimit.Set(int64(s.limit))
 }
 
 // dispatchLocked grants freed capacity: Interactive before Background,
-// weighted round-robin across users within a class, weighted round-robin
-// across sessions within a user.
+// round-robin across users within a class, round-robin across sessions
+// within a user.
 func (s *Scheduler) dispatchLocked() {
 	for s.inflight < s.limit {
 		w := s.nextLocked()
@@ -1024,8 +951,8 @@ func (s *Scheduler) dispatchLocked() {
 }
 
 // nextLocked pops the next waiter in scheduling order, or nil. The outer
-// loop is the user-level WRR; one dequeue charges one unit of the user's
-// credit and one unit of the chosen session's credit.
+// loop is the user-level round-robin: each dequeue moves the cursor on
+// to the next user.
 func (s *Scheduler) nextLocked() *waiter {
 	for ci := range s.classes {
 		cq := &s.classes[ci]
@@ -1034,9 +961,6 @@ func (s *Scheduler) nextLocked() *waiter {
 		}
 		for range cq.ring { // at most one full ring scan finds a waiter
 			uq := cq.ring[cq.cursor]
-			if uq.credit <= 0 {
-				uq.credit = uq.weight
-			}
 			if uq.waiting == 0 {
 				// Defensive: empty users are dropped eagerly, but keep the
 				// scan robust if one slips through.
@@ -1056,10 +980,9 @@ func (s *Scheduler) nextLocked() *waiter {
 				}
 				continue
 			}
-			uq.credit--
 			if uq.waiting == 0 {
 				s.dropUserLocked(cq, uq)
-			} else if uq.credit <= 0 {
+			} else {
 				cq.cursor = (cq.cursor + 1) % len(cq.ring)
 			}
 			return w
@@ -1069,13 +992,10 @@ func (s *Scheduler) nextLocked() *waiter {
 }
 
 // popSessionLocked dequeues one waiter from the user's session ring in
-// weighted round-robin order, or nil when every session is empty.
+// round-robin order, or nil when every session is empty.
 func (s *Scheduler) popSessionLocked(cq *classQueue, uq *userQueue) *waiter {
 	for range uq.ring {
 		sq := uq.ring[uq.cursor]
-		if sq.credit <= 0 {
-			sq.credit = sq.weight
-		}
 		if len(sq.items) == 0 {
 			// Defensive: empty sessions are dropped eagerly, but keep the
 			// scan robust if one slips through.
@@ -1087,14 +1007,13 @@ func (s *Scheduler) popSessionLocked(cq *classQueue, uq *userQueue) *waiter {
 		}
 		w := sq.items[0]
 		sq.items = sq.items[1:]
-		sq.credit--
 		uq.waiting--
 		cq.waiting--
 		s.waiting--
 		gDepth.Set(int64(s.waiting))
 		if len(sq.items) == 0 {
 			s.dropSessionLocked(uq, sq)
-		} else if sq.credit <= 0 {
+		} else {
 			uq.cursor = (uq.cursor + 1) % len(uq.ring)
 		}
 		return w

@@ -92,51 +92,6 @@ func TestUserFairnessGreedyVsSingles(t *testing.T) {
 	}
 }
 
-func TestUserWeightsProportional(t *testing.T) {
-	s := New(Config{Limit: 1, UserWeights: map[string]int{"vip": 2}})
-	hold, _ := s.Admit(context.Background())
-
-	order := make(chan string, 8)
-	var wg sync.WaitGroup
-	enqueue := func(user string, n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			before := s.Stats().Queued
-			go func() {
-				defer wg.Done()
-				tk, err := s.Admit(WithUser(context.Background(), user))
-				if err != nil {
-					t.Errorf("%s admit: %v", user, err)
-					return
-				}
-				order <- user
-				tk.Done()
-			}()
-			waitUntil(t, func() bool { return s.Stats().Queued == before+1 })
-		}
-	}
-	enqueue("vip", 4)
-	enqueue("std", 2)
-
-	hold.Done()
-	wg.Wait()
-	close(order)
-	var grants []string
-	for g := range order {
-		grants = append(grants, g)
-	}
-	// Weight 2 vs 1: the first three grants must be two vip and one std.
-	vip := 0
-	for _, g := range grants[:3] {
-		if g == "vip" {
-			vip++
-		}
-	}
-	if vip != 2 {
-		t.Fatalf("first three grants %v: want exactly 2 vip (user weight 2:1)", grants[:3])
-	}
-}
-
 // TestMaxUserQueueAcrossSessions pins the per-user bound: the cap applies
 // to a user's TOTAL queued queries, summed across sessions — opening more
 // sessions does not buy more queue.

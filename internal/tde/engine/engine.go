@@ -59,7 +59,7 @@ func (e *Engine) Options() opt.Options { return e.opt }
 
 // Plan compiles and optimizes a TQL query without executing it.
 func (e *Engine) Plan(src string) (plan.Node, error) {
-	n, err := tql.Compile(src, e.db, tql.Options{})
+	n, err := tql.Compile(src, e.db)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*exec.Result, error) {
 // QuerySerial executes with parallel plans disabled, for baselines and
 // ablations.
 func (e *Engine) QuerySerial(ctx context.Context, src string) (*exec.Result, error) {
-	n, err := tql.Compile(src, e.db, tql.Options{})
+	n, err := tql.Compile(src, e.db)
 	if err != nil {
 		return nil, err
 	}

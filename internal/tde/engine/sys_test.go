@@ -22,7 +22,7 @@ func TestSysTablesQueryable(t *testing.T) {
 	nameCol := res.ColumnIndex("name")
 	rowsCol := res.ColumnIndex("rows")
 	if res.Value(2, nameCol).S != "flights" || res.Value(2, rowsCol).I != 1000 {
-		t.Errorf("flights row = %v", res.Row(2))
+		t.Errorf("flights row = %v, %v rows", res.Value(2, nameCol), res.Value(2, rowsCol))
 	}
 
 	// Column metadata is queryable too.

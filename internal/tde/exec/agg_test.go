@@ -271,7 +271,7 @@ func diffResults(t *testing.T, what string, got, want *Result) {
 	for i := 0; i < want.N; i++ {
 		for c := range want.Cols {
 			if g, w := got.Value(i, c), want.Value(i, c); !sameValue(g, w) {
-				t.Fatalf("%s: group %d %v: column %s = %#v, oracle %#v", what, i, want.Row(i), want.Schema[c].Name, g, w)
+				t.Fatalf("%s: group %d %v: column %s = %#v, oracle %#v", what, i, row(want, i), want.Schema[c].Name, g, w)
 			}
 		}
 	}

@@ -393,7 +393,7 @@ func TestStreamingVsHashAggEquivalence(t *testing.T) {
 	}
 	hMap := map[int64][]storage.Value{}
 	for i := 0; i < h.N; i++ {
-		hMap[h.Value(i, 0).I] = h.Row(i)
+		hMap[h.Value(i, 0).I] = row(h, i)
 	}
 	for i := 0; i < s.N; i++ {
 		k := s.Value(i, 0).I
@@ -460,4 +460,13 @@ func TestResultHelpers(t *testing.T) {
 	if res.N != 1 {
 		t.Error("truncate failed")
 	}
+}
+
+// row returns row i of r as scalars.
+func row(r *Result, i int) []storage.Value {
+	out := make([]storage.Value, len(r.Cols))
+	for c := range r.Cols {
+		out[c] = r.Value(i, c)
+	}
+	return out
 }

@@ -34,7 +34,7 @@ func TestDivisionByZeroLeavesOperandAlone(t *testing.T) {
 			t.Errorf("op %v: a row 0 = %v, want 1", c.op, got)
 		}
 		if !res.Value(0, 1).Null || !res.Value(1, 0).Null || res.Value(2, 0).I != 3 {
-			t.Errorf("op %v: got rows %v %v %v", c.op, res.Row(0), res.Row(1), res.Row(2))
+			t.Errorf("op %v: got rows %v %v %v", c.op, row(res, 0), row(res, 1), row(res, 2))
 		}
 		if got := tbl.Cols[0].Value(0); got.Null || got.I != 1 {
 			t.Errorf("op %v: stored a row 0 = %v, want 1", c.op, got)

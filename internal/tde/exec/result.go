@@ -88,15 +88,6 @@ func (r *Result) AppendRow(vals []storage.Value) {
 // Value returns the scalar at row i, column c.
 func (r *Result) Value(i, c int) storage.Value { return r.Cols[c].Value(i) }
 
-// Row returns row i as scalars.
-func (r *Result) Row(i int) []storage.Value {
-	out := make([]storage.Value, len(r.Cols))
-	for c := range r.Cols {
-		out[c] = r.Cols[c].Value(i)
-	}
-	return out
-}
-
 // Truncate keeps only the first n rows.
 func (r *Result) Truncate(n int) {
 	if n >= r.N {

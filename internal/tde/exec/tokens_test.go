@@ -160,7 +160,7 @@ func TestJoinProbeMemoAcrossDictionaries(t *testing.T) {
 			}
 			var rows []string
 			for i := 0; i < res.N; i++ {
-				rows = append(rows, fmt.Sprint(res.Row(i)))
+				rows = append(rows, fmt.Sprint(row(res, i)))
 			}
 			sort.Strings(rows)
 			got = append(got, strings.Join(rows, " "))

@@ -33,7 +33,7 @@ func TestOrderPreservingExchangeCorrect(t *testing.T) {
 	src := `(order (select (table flights) (> distance 300)) (asc market) (desc distance) (asc date))`
 	o := forcedParallel()
 	o.EnableOrderPreservingExchange = true
-	n, err := tql.Compile(src, db(t), tql.Options{})
+	n, err := tql.Compile(src, db(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOrderPreservingExchangeCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, _ := tql.Compile(src, db(t), tql.Options{})
+	n2, _ := tql.Compile(src, db(t))
 	serialOpts := DefaultOptions()
 	serialOpts.MaxDOP = 1
 	want, err := exec.Run(context.Background(), Logical(n2, serialOpts))

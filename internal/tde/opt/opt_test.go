@@ -27,7 +27,7 @@ func db(t testing.TB) *storage.Database {
 
 func compile(t testing.TB, src string) plan.Node {
 	t.Helper()
-	n, err := tql.Compile(src, db(t), tql.Options{})
+	n, err := tql.Compile(src, db(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,18 +234,6 @@ func TestJoinCulling(t *testing.T) {
 		t.Errorf("right-key-only references should alias to the left key:\n%s", got)
 	}
 
-	// Without referential integrity the inner join must stay.
-	o := DefaultOptions()
-	o.AssumeReferentialIntegrity = false
-	n = compile(t, `
-		(aggregate
-			(join (table flights) (table carriers) (on (= flights.carrier carriers.carrier)))
-			(groupby market) (aggs (n count *)))`)
-	got = plan.Format(Logical(n, o))
-	if !strings.Contains(got, "join") {
-		t.Errorf("culling inner joins requires the RI assumption:\n%s", got)
-	}
-
 	// A join whose right columns are used cannot be culled.
 	n = compile(t, `
 		(aggregate
@@ -267,10 +255,8 @@ func TestJoinCullingPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := DefaultOptions()
-	o.AssumeReferentialIntegrity = false
-	n2 := compile(t, src)
-	kept, err := exec.Run(context.Background(), Logical(n2, o))
+	// The bound plan, before any rewrite, still runs the join.
+	kept, err := exec.Run(context.Background(), compile(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}

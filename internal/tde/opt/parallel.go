@@ -33,6 +33,10 @@ func Parallelize(n plan.Node, o Options) plan.Node {
 	return out
 }
 
+// minPartitionRows is the smallest row count worth a scan fraction;
+// tables below twice this never parallelize.
+const minPartitionRows = 4096
+
 type parallelizer struct {
 	o        Options
 	sharedID int
@@ -44,13 +48,11 @@ func (p *parallelizer) dopFor(r *regionInfo) int {
 	if dop > p.o.MaxDOP {
 		dop = p.o.MaxDOP
 	}
-	// Partitions below the minimum fraction size are not worth a thread
-	// (the TableScan decision "to partition the table into N fractions"
+	// Partitions below minPartitionRows are not worth a thread (the
+	// TableScan decision "to partition the table into N fractions"
 	// consults the data volume metadata, Sect. 4.2.2).
-	if p.o.MinPartitionRows > 0 {
-		if byRows := r.rows / p.o.MinPartitionRows; int64(dop) > byRows {
-			dop = int(byRows)
-		}
+	if byRows := r.rows / minPartitionRows; int64(dop) > byRows {
+		dop = int(byRows)
 	}
 	if int64(dop) > r.rows {
 		dop = int(r.rows)

@@ -48,7 +48,7 @@ func rleDB(t testing.TB, rows int, regions int) *storage.Database {
 
 func TestRLEIndexRewriteFires(t *testing.T) {
 	d := rleDB(t, 8000, 8)
-	n, err := tql.Compile(`(select (table sales) (= region "north"))`, d, tql.Options{})
+	n, err := tql.Compile(`(select (table sales) (= region "north"))`, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRLEIndexRewriteCorrect(t *testing.T) {
 		`(aggregate (select (table sales) (and (= region "west") (> amount 100))) (groupby) (aggs (n count *)))`,
 		`(aggregate (select (table sales) (< region "f")) (groupby region) (aggs (n count *)))`,
 	} {
-		n, err := tql.Compile(q, d, tql.Options{})
+		n, err := tql.Compile(q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestRLEIndexRewriteCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		n2, _ := tql.Compile(q, d, tql.Options{})
+		n2, _ := tql.Compile(q, d)
 		b, err := exec.Run(context.Background(), Logical(n2, noIdx))
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestRLEIndexRewriteCorrect(t *testing.T) {
 
 func TestRLEIndexSelectivityGuard(t *testing.T) {
 	d := rleDB(t, 8000, 2) // each region covers 50% of rows
-	n, err := tql.Compile(`(select (table sales) (= region "east"))`, d, tql.Options{})
+	n, err := tql.Compile(`(select (table sales) (= region "east"))`, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRLEIndexSelectivityGuard(t *testing.T) {
 
 func TestRLEIndexSkipsNonRLEColumns(t *testing.T) {
 	d := rleDB(t, 8000, 8)
-	n, err := tql.Compile(`(select (table sales) (= amount 5))`, d, tql.Options{})
+	n, err := tql.Compile(`(select (table sales) (= amount 5))`, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestRLEIndexWithParallelism(t *testing.T) {
 	// must stay correct either way (Sect. 4.3 discusses the tension).
 	d := rleDB(t, 40_000, 8)
 	q := `(aggregate (select (table sales) (= region "north")) (groupby amount) (aggs (n count *)))`
-	n, _ := tql.Compile(q, d, tql.Options{})
+	n, _ := tql.Compile(q, d)
 	par := Optimize(n, forcedParallel())
 	a, err := exec.Run(context.Background(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, _ := tql.Compile(q, d, tql.Options{})
+	n2, _ := tql.Compile(q, d)
 	o := DefaultOptions()
 	o.MaxDOP = 1
 	o.DisableRLEIndex = true

@@ -207,30 +207,24 @@ type Options struct {
 	RLEIndexMaxSelectivity float64
 	// DisableRLEIndex turns the Sect. 4.3 rewrite off.
 	DisableRLEIndex bool
-	// AssumeReferentialIntegrity lets join culling remove inner n:1 joins;
-	// Tableau's join culling relies on the modeled relationship being sound.
-	AssumeReferentialIntegrity bool
 	// DisableRangePartition turns off range-partitioned parallel aggregation
 	// (the optimizer then always uses local/global aggregation).
 	DisableRangePartition bool
-	// MinPartitionRows is the smallest row count worth a scan fraction;
-	// tables below 2x this never parallelize.
-	MinPartitionRows int64
 	// EnableOrderPreservingExchange lets Sort parallelize as per-fraction
 	// sorts merged by an order-preserving Exchange (the operator capability
 	// of Sect. 4.2.1, which the Tableau 9.0 optimizer leaves unused — off by
 	// default to match the shipped behaviour).
+	//
+	//vizlint:allow unused -- kept as a decision: the ablation benchmark and merge tests run the Sect. 4.2.1 capability
 	EnableOrderPreservingExchange bool
 }
 
 // DefaultOptions mirror the shipping configuration.
 func DefaultOptions() Options {
 	return Options{
-		MaxDOP:                     4,
-		GrainWork:                  1 << 17,
-		RLEIndexMaxSelectivity:     0.3,
-		AssumeReferentialIntegrity: true,
-		MinPartitionRows:           4096,
+		MaxDOP:                 4,
+		GrainWork:              1 << 17,
+		RLEIndexMaxSelectivity: 0.3,
 	}
 }
 
@@ -240,7 +234,7 @@ func Logical(n plan.Node, o Options) plan.Node {
 	n = pushDownFilters(n)
 	n = transformUp(n, foldNode)
 	n = simplifyDomains(n)
-	n = pruneAndCull(n, o)
+	n = pruneAndCull(n)
 	if !o.DisableRLEIndex {
 		n = applyRLEIndex(n, o)
 	}
@@ -257,12 +251,12 @@ func Optimize(n plan.Node, o Options) plan.Node {
 
 // ---- column pruning + join culling ----
 
-func pruneAndCull(n plan.Node, o Options) plan.Node {
+func pruneAndCull(n plan.Node) plan.Node {
 	need := make([]bool, len(n.Schema()))
 	for i := range need {
 		need[i] = true
 	}
-	out, _ := prune(n, need, o)
+	out, _ := prune(n, need)
 	return out
 }
 
@@ -270,7 +264,7 @@ func pruneAndCull(n plan.Node, o Options) plan.Node {
 // the rewritten node and a mapping old-ordinal -> new-ordinal (-1 when
 // dropped). Join culling happens here: when nothing from the n:1 side of a
 // join is needed beyond the keys, the join is removed.
-func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
+func prune(n plan.Node, need []bool) (plan.Node, []int) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		var keep []int
@@ -297,7 +291,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 		for _, r := range plan.ReferencedCols(x.Pred) {
 			childNeed[r] = true
 		}
-		child, m := prune(x.Child, childNeed, o)
+		child, m := prune(x.Child, childNeed)
 		return &plan.Filter{Child: child, Pred: remapExpr(x.Pred, m)}, m
 
 	case *plan.Project:
@@ -311,7 +305,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 			}
 		}
 		ensureOne(childNeed)
-		child, m := prune(x.Child, childNeed, o)
+		child, m := prune(x.Child, childNeed)
 		out := &plan.Project{Child: child}
 		mapping := make([]int, len(x.Exprs))
 		for i, e := range x.Exprs {
@@ -345,12 +339,12 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 
 		// Join culling: the right side contributes nothing beyond its keys,
 		// and each probe row matches at most one build row.
-		if cullable(x, needR, o) {
+		if cullable(x, needR) {
 			childNeedL := append([]bool(nil), needL...)
 			for _, k := range x.LKeys {
 				childNeedL[k] = true
 			}
-			left, mL := prune(x.Left, childNeedL, o)
+			left, mL := prune(x.Left, childNeedL)
 			mapping := make([]int, nL+nR)
 			copy(mapping, mL)
 			for j := 0; j < nR; j++ {
@@ -371,8 +365,8 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 		for _, k := range x.RKeys {
 			needR[k] = true
 		}
-		left, mL := prune(x.Left, needL, o)
-		right, mR := prune(x.Right, needR, o)
+		left, mL := prune(x.Left, needL)
+		right, mR := prune(x.Right, needR)
 		j := &plan.Join{Left: left, Right: right, Kind: x.Kind}
 		for ki := range x.LKeys {
 			j.LKeys = append(j.LKeys, mL[x.LKeys[ki]])
@@ -415,7 +409,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 			keptAggs = append(keptAggs, a)
 		}
 		ensureOne(childNeed)
-		child, m := prune(x.Child, childNeed, o)
+		child, m := prune(x.Child, childNeed)
 		out := &plan.Aggregate{Child: child, Mode: x.Mode, Streaming: x.Streaming}
 		for _, g := range x.GroupBy {
 			out.GroupBy = append(out.GroupBy, m[g])
@@ -434,7 +428,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 		for _, k := range x.Keys {
 			childNeed[k.Col] = true
 		}
-		child, m := prune(x.Child, childNeed, o)
+		child, m := prune(x.Child, childNeed)
 		keys := make([]plan.SortKey, len(x.Keys))
 		for i, k := range x.Keys {
 			keys[i] = plan.SortKey{Col: m[k.Col], Desc: k.Desc}
@@ -446,7 +440,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 		for _, k := range x.Keys {
 			childNeed[k.Col] = true
 		}
-		child, m := prune(x.Child, childNeed, o)
+		child, m := prune(x.Child, childNeed)
 		keys := make([]plan.SortKey, len(x.Keys))
 		for i, k := range x.Keys {
 			keys[i] = plan.SortKey{Col: m[k.Col], Desc: k.Desc}
@@ -454,7 +448,7 @@ func prune(n plan.Node, need []bool, o Options) (plan.Node, []int) {
 		return &plan.TopN{Child: child, N: x.N, Keys: keys, Mode: x.Mode}, m
 
 	case *plan.Limit:
-		child, m := prune(x.Child, need, o)
+		child, m := prune(x.Child, need)
 		return &plan.Limit{Child: child, N: x.N}, m
 	}
 
@@ -478,11 +472,10 @@ func ensureOne(need []bool) {
 }
 
 // cullable decides whether the join's right side can be removed entirely
-// ("removal of unnecessary joins", Sect. 4.1.2 / 6).
-func cullable(j *plan.Join, needR []bool, o Options) bool {
-	if j.Kind == plan.JoinInner && !o.AssumeReferentialIntegrity {
-		return false
-	}
+// ("removal of unnecessary joins", Sect. 4.1.2 / 6). Inner n:1 joins are
+// culled too: Tableau's join culling assumes the modeled relationship has
+// referential integrity.
+func cullable(j *plan.Join, needR []bool) bool {
 	for idx, needed := range needR {
 		if !needed {
 			continue

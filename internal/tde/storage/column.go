@@ -139,9 +139,13 @@ type BuildOptions struct {
 	// ForceEncoding pins the physical encoding instead of letting the
 	// builder choose. EncPlain is still chosen when the forced encoding is
 	// inapplicable (e.g. delta over strings).
+	//
+	//vizlint:allow unused -- tests and benchmarks build reference columns in each encoding
 	ForceEncoding Encoding
-	HasForce      bool
+	HasForce      bool //vizlint:allow unused -- set with ForceEncoding
 	// NoDictionary disables dictionary compression for string columns.
+	//
+	//vizlint:allow unused -- tests and benchmarks build plain string columns as references
 	NoDictionary bool
 }
 

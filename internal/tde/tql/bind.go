@@ -16,30 +16,24 @@ type Catalog interface {
 	Table(schema, name string) (*storage.Table, error)
 }
 
-// Options configures binding.
-type Options struct {
-	// DefaultSchema qualifies unqualified table names; defaults to "Extract".
-	DefaultSchema string
-}
+// defaultSchema qualifies unqualified table names.
+const defaultSchema = "Extract"
 
 // Compile parses and binds a TQL query against the catalog, producing a
 // typed logical plan.
-func Compile(src string, cat Catalog, opt Options) (plan.Node, error) {
+func Compile(src string, cat Catalog) (plan.Node, error) {
 	s, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Bind(s, cat, opt)
+	return Bind(s, cat)
 }
 
 // Bind resolves a parsed TQL tree into a logical plan: name resolution,
 // type checking and promotion, and the classic compiler rewrites
 // (DISTINCT as GROUP BY, projection insertion under aggregates).
-func Bind(s *SExpr, cat Catalog, opt Options) (plan.Node, error) {
-	if opt.DefaultSchema == "" {
-		opt.DefaultSchema = "Extract"
-	}
-	b := &binder{cat: cat, opt: opt}
+func Bind(s *SExpr, cat Catalog) (plan.Node, error) {
+	b := &binder{cat: cat}
 	return b.bindNode(s)
 }
 
@@ -104,7 +98,6 @@ func (sc *scope) resolve(name string) (int, plan.ColInfo, bool, error) {
 
 type binder struct {
 	cat Catalog
-	opt Options
 }
 
 func (b *binder) bindNode(s *SExpr) (plan.Node, error) {
@@ -178,7 +171,7 @@ func (b *binder) bindTable(s *SExpr) (plan.Node, error) {
 		return nil, errAt(s.Line, s.Col, "usage: (table schema.name)")
 	}
 	full := s.List[1].Atom
-	schema, name := b.opt.DefaultSchema, full
+	schema, name := defaultSchema, full
 	if dot := strings.LastIndex(full, "."); dot > 0 {
 		schema, name = full[:dot], full[dot+1:]
 	}

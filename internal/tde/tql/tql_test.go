@@ -139,7 +139,7 @@ func testCatalog(t testing.TB) *fakeCatalog {
 
 func TestBindTypePromotion(t *testing.T) {
 	cat := testCatalog(t)
-	n, err := Compile(`(project (table t) (sum (+ a c)) (half (/ a 2)))`, cat, Options{})
+	n, err := Compile(`(project (table t) (sum (+ a c)) (half (/ a 2)))`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestBindErrors(t *testing.T) {
 		`(limit (table t) x)`,                         // bad limit
 		`(date "99-99")`,                              // bad date (as top-level)
 	} {
-		if _, err := Compile(src, cat, Options{}); err == nil {
+		if _, err := Compile(src, cat); err == nil {
 			t.Errorf("Compile(%q) should fail", src)
 		}
 	}
@@ -185,7 +185,7 @@ func TestBindInTable(t *testing.T) {
 	cat := testCatalog(t)
 	inList := func(src string) *plan.InList {
 		t.Helper()
-		n, err := Compile(src, cat, Options{})
+		n, err := Compile(src, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestBindInTable(t *testing.T) {
 		`(select (table t) (in a (table u)))`,    // string set for an int column
 		`(select (table t) (in b (project (table u) (v v))))`,
 	} {
-		if _, err := Compile(src, cat, Options{}); err == nil {
+		if _, err := Compile(src, cat); err == nil {
 			t.Errorf("Compile(%q) should fail", src)
 		}
 	}
@@ -215,7 +215,7 @@ func TestBindInTable(t *testing.T) {
 
 func TestBindIfExpression(t *testing.T) {
 	cat := testCatalog(t)
-	n, err := Compile(`(project (table t) (band (if (> a 1) "hi" "lo")))`, cat, Options{})
+	n, err := Compile(`(project (table t) (band (if (> a 1) "hi" "lo")))`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestBindAggregateInsertsProjection(t *testing.T) {
 	n, err := Compile(`
 		(aggregate (table t)
 			(groupby (dbl (* a 2)))
-			(aggs (s sum (+ c 1.0)) (n count *)))`, cat, Options{})
+			(aggs (s sum (+ c 1.0)) (n count *)))`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestBindAggregateInsertsProjection(t *testing.T) {
 func TestBindJoinReversedCondition(t *testing.T) {
 	cat := testCatalog(t)
 	// Condition written right-to-left still binds.
-	n, err := Compile(`(join (table t) (table d) (on (= d.b t.b)))`, cat, Options{})
+	n, err := Compile(`(join (table t) (table d) (on (= d.b t.b)))`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +268,13 @@ func TestBindShadowedJoinKey(t *testing.T) {
 	// "b" appears on both sides; after the equi-join they are
 	// interchangeable, so the unqualified reference resolves.
 	_, err := Compile(`
-		(select (join (table t) (table d) (on (= t.b d.b))) (= b "x"))`, cat, Options{})
+		(select (join (table t) (table d) (on (= t.b d.b))) (= b "x"))`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// But a genuinely ambiguous non-key duplicate still errors.
 	_, err = Compile(`
-		(project (join (table t) (table d) (on (= t.a t.a))) (x b))`, cat, Options{})
+		(project (join (table t) (table d) (on (= t.a t.a))) (x b))`, cat)
 	if err == nil {
 		t.Skip("self-join alias case not expressible with this catalog")
 	}
@@ -282,14 +282,11 @@ func TestBindShadowedJoinKey(t *testing.T) {
 
 func TestDefaultSchemaOption(t *testing.T) {
 	cat := testCatalog(t)
-	if _, err := Compile(`(table Extract.t)`, cat, Options{}); err != nil {
+	if _, err := Compile(`(table Extract.t)`, cat); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(`(table t)`, cat, Options{DefaultSchema: "Extract"}); err != nil {
+	if _, err := Compile(`(table t)`, cat); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Compile(`(table t)`, cat, Options{DefaultSchema: "Missing"}); err == nil {
-		t.Error("wrong default schema should fail")
 	}
 }
 
@@ -309,7 +306,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil || again.String() != s.String() {
 			t.Fatalf("%q printed as %q, which parses to %v (%v)", src, s, again, err)
 		}
-		if n, err := Bind(s, cat, Options{}); err == nil {
+		if n, err := Bind(s, cat); err == nil {
 			_ = plan.Format(n)
 		}
 	})

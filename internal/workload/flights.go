@@ -19,8 +19,12 @@ type FlightsConfig struct {
 	Days int
 	Seed int64
 	// Carriers bounds the carrier dimension size (max len(carrierNames)).
+	//
+	//vizlint:allow unused -- DefaultFlightsConfig sizes the shared test data set with it
 	Carriers int
 	// Airports bounds the airport dimension size (max len(airportCodes)).
+	//
+	//vizlint:allow unused -- DefaultFlightsConfig sizes the shared test data set with it
 	Airports int
 }
 
