@@ -119,6 +119,18 @@ func BenchmarkTDEDictFilter(b *testing.B) {
 	benchQuery(b, 1, `(aggregate (select (table flights) (= carrier "WN")) (groupby) (aggs (n count *)))`)
 }
 
+// BenchmarkTDEInFilter is a click: an IN on a dictionary column, then a
+// group by another. The IN is decided once per token of origin.
+func BenchmarkTDEInFilter(b *testing.B) {
+	benchQuery(b, 1, `(aggregate (select (table flights) (in origin ["LAX" "SFO" "JFK"])) (groupby carrier) (aggs (n count *) (a avg delay)))`)
+}
+
+// BenchmarkTDEWeekday is a load grouped by a function of the date-sorted
+// date column: the function runs once per run of equal dates.
+func BenchmarkTDEWeekday(b *testing.B) {
+	benchQuery(b, 1, `(aggregate (table flights) (groupby (wd (weekday date))) (aggs (n count *)))`)
+}
+
 func BenchmarkTDECompileOptimize(b *testing.B) {
 	e := getBenchEngine(b)
 	src := `

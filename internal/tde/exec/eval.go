@@ -73,23 +73,6 @@ func evalCmp(c *plan.Cmp, b *storage.Batch) (*storage.Vector, error) {
 	out := storage.NewVector(storage.TBool, n)
 	out.Null = orNulls(l.Null, r.Null, n)
 
-	// Token fast path: dictionary column compared with a string literal.
-	if x, op, lit, ok := litCmp(c); ok && !lit.Null && lit.Type == storage.TStr {
-		v := l
-		if x == c.R {
-			v = r
-		}
-		if v.Dict != nil {
-			thr := tokenThreshold(op, v.Dict, lit.S)
-			for i := 0; i < n; i++ {
-				if !out.IsNull(i) {
-					setBool(out, i, tokenHolds(op, v.I[i], thr))
-				}
-			}
-			return out, nil
-		}
-	}
-
 	switch {
 	case l.Type == storage.TStr || r.Type == storage.TStr:
 		if l.Dict != nil && r.Dict != nil && l.Dict == r.Dict {
@@ -127,36 +110,6 @@ func litCmp(c *plan.Cmp) (x plan.Expr, op plan.CmpOp, lit storage.Value, ok bool
 		return c.R, flipCmp(c.Op), l.Val, true
 	}
 	return nil, 0, storage.Value{}, false
-}
-
-// tokenThreshold turns "token op s" over a dictionary into a comparison of
-// tokens with one threshold, which tokenHolds applies: dictionary order is
-// value order. A value the dictionary lacks gets -1, which no token equals.
-func tokenThreshold(op plan.CmpOp, d *storage.Dictionary, s string) int64 {
-	switch op {
-	case plan.CmpEq, plan.CmpNe:
-		if tok, ok := d.Lookup(s); ok {
-			return int64(tok)
-		}
-		return -1
-	case plan.CmpLt, plan.CmpGe:
-		return int64(d.LowerBound(s)) // tokens < thr are < s
-	default:
-		return int64(d.UpperBound(s)) // tokens < thr are <= s
-	}
-}
-
-func tokenHolds(op plan.CmpOp, tok, thr int64) bool {
-	switch op {
-	case plan.CmpEq:
-		return tok == thr
-	case plan.CmpNe:
-		return tok != thr
-	case plan.CmpLt, plan.CmpLe:
-		return tok < thr
-	default:
-		return tok >= thr
-	}
 }
 
 // flipCmp mirrors the comparison when operands are swapped (a < b == b > a).
@@ -358,14 +311,13 @@ func evalIn(e *plan.InList, b *storage.Batch) (*storage.Vector, error) {
 // for a dictionary vector a membership slice indexed by token, translated
 // from the list once ("decompression as join"); otherwise a KeySet.
 type inSet struct {
-	in   *plan.InList
 	dict *storage.Dictionary
 	toks []bool
 	keys *storage.KeySet
 }
 
 func newInSet(in *plan.InList, v *storage.Vector) *inSet {
-	s := &inSet{in: in, dict: v.Dict}
+	s := &inSet{dict: v.Dict}
 	if v.Dict == nil {
 		s.keys = storage.NewKeySet(v.Type, in.Coll, in.Vals)
 		return s
@@ -441,6 +393,9 @@ func evalIf(e *plan.If, b *storage.Batch) (*storage.Vector, error) {
 	return out, nil
 }
 
+// evalCall calls the function row by row, except that a row whose
+// arguments all equal the previous row's reuses its answer: over sorted or
+// run-length encoded input the function runs once per run.
 func evalCall(c *plan.Call, b *storage.Batch) (*storage.Vector, error) {
 	args := make([]*storage.Vector, len(c.Args))
 	for i, a := range c.Args {
@@ -452,19 +407,33 @@ func evalCall(c *plan.Call, b *storage.Batch) (*storage.Vector, error) {
 	}
 	out := storage.NewVector(c.Type(), b.N)
 	row := make([]storage.Value, len(args))
+	var ans storage.Value
 	for i := 0; i < b.N; i++ {
-		null := false
-		for j, a := range args {
-			row[j] = a.Value(i)
-			if row[j].Null {
-				null = true
+		if i == 0 || !sameAsPrev(args, i) {
+			null := false
+			for j, a := range args {
+				row[j] = a.Value(i)
+				null = null || row[j].Null
+			}
+			if null && !c.Fn.NullSafe {
+				ans = storage.NullValue(c.Type())
+			} else {
+				ans = coerce(c.Fn.Eval(row), c.Type())
 			}
 		}
-		if null && !c.Fn.NullSafe {
-			out.SetNull(i)
-			continue
-		}
-		out.Set(i, coerce(c.Fn.Eval(row), c.Type()))
+		out.Set(i, ans)
 	}
 	return out, nil
+}
+
+// sameAsPrev reports whether row i of every vector holds what its row i-1
+// does: the same null flag and the same int, token, float bits or string.
+func sameAsPrev(vs []*storage.Vector, i int) bool {
+	for _, v := range vs {
+		if v.IsNull(i) != v.IsNull(i-1) || v.I != nil && v.I[i] != v.I[i-1] || v.S != nil && v.S[i] != v.S[i-1] ||
+			v.F != nil && math.Float64bits(v.F[i]) != math.Float64bits(v.F[i-1]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -71,7 +70,7 @@ func (bd *builder) build(n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterOp{child: child, pred: x.Pred}, nil
+		return newFilterOp(child, x.Pred), nil
 	case *plan.Project:
 		child, err := bd.build(x.Child)
 		if err != nil {
@@ -252,9 +251,33 @@ func (s *scanOp) Close() {}
 // only the rows that survive; a batch that survives whole goes out as is.
 type filterOp struct {
 	child Operator
-	pred  plan.Expr
+	conj  []*conjunct
 	sel   []int32
-	sets  []*inSet // IN member sets, one per (InList, dictionary)
+}
+
+// conjunct is one operand of the predicate's AND. One that reads a single
+// column is decided once per token when that column arrives as a
+// dictionary vector ("decompression as join", Sect. 4.1): hold[t] is its
+// answer at token t of dict, and hold[dict.Len()] its answer at null. The
+// answers come from EvalExpr, so they are the row-at-a-time answers.
+type conjunct struct {
+	e    plan.Expr
+	col  int // the one column e reads, or -1
+	dict *storage.Dictionary
+	hold []bool
+	set  *inSet // e's member set, when e is an IN
+}
+
+func newFilterOp(child Operator, pred plan.Expr) *filterOp {
+	f := &filterOp{child: child}
+	for _, e := range plan.AndSplit(pred) {
+		c := &conjunct{e: e, col: -1}
+		if refs := plan.ReferencedCols(e); len(refs) == 1 {
+			c.col = refs[0]
+		}
+		f.conj = append(f.conj, c)
+	}
+	return f
 }
 
 func (f *filterOp) Next() (*storage.Batch, error) {
@@ -281,102 +304,172 @@ func (f *filterOp) Next() (*storage.Batch, error) {
 	}
 }
 
+func (f *filterOp) Close() { f.child.Close() }
+
+// rowIDs numbers the rows of a whole batch. The first conjunct reads it and
+// writes the selection, so no batch fills in 0..N-1. It is never written.
+var rowIDs = iota32(storage.BatchSize)
+
+func iota32(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 // selectRows returns the rows of b at which the predicate is true and not
 // null, in f.sel.
 func (f *filterOp) selectRows(b *storage.Batch) ([]int32, error) {
-	f.sel = f.sel[:0]
-	for i := 0; i < b.N; i++ {
-		f.sel = append(f.sel, int32(i))
+	in := rowIDs
+	if b.N > len(in) {
+		in = iota32(b.N)
 	}
+	in = in[:b.N]
 	var err error
-	f.sel, err = f.narrow(f.pred, b, f.sel)
+	for _, c := range f.conj {
+		if f.sel, err = c.narrow(b, in, f.sel[:0]); err != nil || len(f.sel) == 0 {
+			break
+		}
+		in = f.sel
+	}
 	return f.sel, err
 }
 
-// narrow keeps the rows of sel at which e is true and not null, in place.
-// An AND narrows one conjunct at a time, and an IN or a comparison with a
-// literal tests only the selected rows and writes no vector. Any other
-// shape goes through EvalExpr.
-func (f *filterOp) narrow(e plan.Expr, b *storage.Batch, sel []int32) ([]int32, error) {
-	switch x := e.(type) {
-	case *plan.Logic:
-		if x.Op != plan.LogicAnd {
-			break
-		}
-		var err error
-		for _, arg := range x.Args {
-			if sel, err = f.narrow(arg, b, sel); err != nil || len(sel) == 0 {
-				return sel, err
-			}
-		}
-		return sel, nil
+// narrow appends to out, which may start at in's array, the rows of in at
+// which c is true and not null. A token table, an IN and a numeric
+// comparison with a literal test only the rows of in and write no vector;
+// any other shape goes through EvalExpr.
+func (c *conjunct) narrow(b *storage.Batch, in, out []int32) ([]int32, error) {
+	if hold, err := c.table(b); hold != nil || err != nil {
+		return keepTokens(in, out, b.Cols[c.col], hold), err
+	}
+	switch x := c.e.(type) {
 	case *plan.InList:
 		v, err := EvalExpr(x.E, b)
 		if err != nil {
-			return sel, err
+			return out, err
 		}
-		set := f.inSet(x, v)
-		return keep(sel, func(i int) bool { return !v.IsNull(i) && set.has(v, i) != x.Negate }), nil
+		if c.set == nil || c.set.dict != v.Dict {
+			c.set = newInSet(x, v)
+		}
+		return keep(in, out, func(i int) bool { return !v.IsNull(i) && c.set.has(v, i) != x.Negate }), nil
 	case *plan.Cmp:
-		if out, ok, err := narrowCmp(x, b, sel); ok || err != nil {
+		if out, ok, err := narrowCmp(x, b, in, out); ok || err != nil {
 			return out, err
 		}
 	}
-	v, err := EvalExpr(e, b)
+	v, err := EvalExpr(c.e, b)
 	if err != nil {
-		return sel, err
+		return out, err
 	}
-	return keep(sel, func(i int) bool { return v.I[i] != 0 && !v.IsNull(i) }), nil
+	return keep(in, out, func(i int) bool { return v.I[i] != 0 && !v.IsNull(i) }), nil
 }
 
-func (f *filterOp) Close() { f.child.Close() }
+// table returns c's answers for the dictionary its column arrives with in
+// b, built when the dictionary changes. It is nil when c reads other than
+// one column, or the column has no dictionary or one of maxSlots entries
+// or more.
+func (c *conjunct) table(b *storage.Batch) ([]bool, error) {
+	if c.col < 0 || b.Cols[c.col].Dict == c.dict {
+		return c.hold, nil
+	}
+	d := b.Cols[c.col].Dict
+	c.dict, c.hold = d, nil
+	if d == nil || d.Len() >= maxSlots {
+		return nil, nil
+	}
+	n := d.Len() + 1
+	toks := &storage.Vector{Type: storage.TStr, Dict: d, I: make([]int64, n), Null: make([]bool, n)}
+	for i := range toks.I[:n-1] {
+		toks.I[i] = int64(i)
+	}
+	toks.Null[n-1] = true
+	cols := make([]*storage.Vector, len(b.Cols))
+	cols[c.col] = toks
+	r, err := EvalExpr(c.e, &storage.Batch{Cols: cols, N: n})
+	if err != nil {
+		return nil, err
+	}
+	c.hold = make([]bool, n)
+	for i := range c.hold {
+		c.hold[i] = r.I[i] != 0 && !r.IsNull(i)
+	}
+	return c.hold, nil
+}
 
-// inSet returns the member set of in for v's dictionary, built on first use.
-func (f *filterOp) inSet(in *plan.InList, v *storage.Vector) *inSet {
-	for _, s := range f.sets {
-		if s.in == in && s.dict == v.Dict {
-			return s
+// keepTokens appends to out the rows of in whose token in v holds in hold.
+func keepTokens(in, out []int32, v *storage.Vector, hold []bool) []int32 {
+	toks := v.I
+	if v.Null == nil {
+		for _, i := range in {
+			if hold[toks[i]] {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	nullHolds := hold[len(hold)-1]
+	for _, i := range in {
+		if v.Null[i] && nullHolds || !v.Null[i] && hold[toks[i]] {
+			out = append(out, i)
 		}
 	}
-	s := newInSet(in, v)
-	f.sets = append(f.sets, s)
-	return s
+	return out
 }
 
-// narrowCmp narrows sel by a comparison of an expression with a literal:
-// in tokens for a dictionary vector and a string literal, in values for
-// numbers. ok is false for the shapes EvalExpr must decide.
-func narrowCmp(c *plan.Cmp, b *storage.Batch, sel []int32) (out []int32, ok bool, err error) {
+// narrowCmp appends to out the rows of in at which a number compares with a
+// literal as c says. ok is false for the shapes EvalExpr must decide.
+func narrowCmp(c *plan.Cmp, b *storage.Batch, in, out []int32) (_ []int32, ok bool, err error) {
 	x, op, lit, ok := litCmp(c)
 	if !ok {
-		return sel, false, nil
+		return out, false, nil
 	}
 	if lit.Null {
-		return sel[:0], true, nil
+		return out, true, nil
 	}
 	v, err := EvalExpr(x, b)
 	if err != nil {
-		return sel, false, err
+		return out, false, err
 	}
+	holds := [3]bool{cmpHolds(op, -1), cmpHolds(op, 0), cmpHolds(op, 1)}
 	switch {
-	case v.Dict != nil && lit.Type == storage.TStr:
-		thr := tokenThreshold(op, v.Dict, lit.S)
-		return keep(sel, func(i int) bool { return !v.IsNull(i) && tokenHolds(op, v.I[i], thr) }), true, nil
 	case v.Type == storage.TStr || lit.Type == storage.TStr:
-		return sel, false, nil
+		return out, false, nil
 	case v.Type == storage.TFloat:
-		f := lit.AsFloat()
-		return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmpFloat(v.F[i], f)) }), true, nil
+		out = keepCmp(in, out, v.F, holds, lit.AsFloat())
 	case lit.Type == storage.TFloat:
-		return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmpFloat(float64(v.I[i]), lit.F)) }), true, nil
+		out = keepCmp(in, out, v.I, holds, lit.F)
+	default:
+		out = keepCmp(in, out, v.I, holds, lit.I)
 	}
-	return keep(sel, func(i int) bool { return !v.IsNull(i) && cmpHolds(op, cmp.Compare(v.I[i], lit.I)) }), true, nil
+	if v.Null != nil {
+		out = keep(out, out[:0], func(i int) bool { return !v.Null[i] })
+	}
+	return out, true, nil
 }
 
-// keep narrows sel in place to the rows at which hold is true.
-func keep(sel []int32, hold func(i int) bool) []int32 {
-	out := sel[:0]
-	for _, i := range sel {
+// keepCmp appends to out the rows i of in at which holds[c+1] is true, for c
+// xs[i]'s order against lit as cmp.Compare or cmpFloat gives it: a NaN
+// compares equal to everything.
+func keepCmp[X, L int64 | float64](in, out []int32, xs []X, holds [3]bool, lit L) []int32 {
+	for _, i := range in {
+		c := 1
+		if x := L(xs[i]); x < lit {
+			c = 0
+		} else if x > lit {
+			c = 2
+		}
+		if holds[c] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// keep appends to out the rows of in at which hold is true.
+func keep(in, out []int32, hold func(i int) bool) []int32 {
+	for _, i := range in {
 		if hold(int(i)) {
 			out = append(out, i)
 		}

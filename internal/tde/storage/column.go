@@ -49,21 +49,6 @@ func (d *Dictionary) buildIndex() {
 	}
 }
 
-// LowerBound returns the first token whose value is >= s under the collation
-// (len(Values) when none).
-func (d *Dictionary) LowerBound(s string) int32 {
-	return int32(sort.Search(len(d.Values), func(i int) bool {
-		return d.Coll.Compare(d.Values[i], s) >= 0
-	}))
-}
-
-// UpperBound returns the first token whose value is > s under the collation.
-func (d *Dictionary) UpperBound(s string) int32 {
-	return int32(sort.Search(len(d.Values), func(i int) bool {
-		return d.Coll.Compare(d.Values[i], s) > 0
-	}))
-}
-
 // ColStats carries the column metadata the optimizer consumes: domain
 // bounds, distinct/null counts and physical sortedness.
 type ColStats struct {

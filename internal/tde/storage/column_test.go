@@ -116,17 +116,7 @@ func TestDictionaryCollationCI(t *testing.T) {
 	if !ok1 || !ok2 || tok1 != tok2 {
 		t.Errorf("CI lookup: %v/%v %v/%v", tok1, ok1, tok2, ok2)
 	}
-}
-
-func TestDictionaryBounds(t *testing.T) {
-	d := NewDictionary([]string{"b", "d", "f"}, CollBinary)
-	if d.LowerBound("a") != 0 || d.LowerBound("b") != 0 || d.LowerBound("c") != 1 {
-		t.Error("LowerBound wrong")
-	}
-	if d.UpperBound("b") != 1 || d.UpperBound("g") != 3 {
-		t.Error("UpperBound wrong")
-	}
-	if _, ok := d.Lookup("zzz"); ok {
+	if _, ok := col.Dict.Lookup("zzz"); ok {
 		t.Error("Lookup of absent value should fail")
 	}
 }
