@@ -52,6 +52,9 @@ type module struct {
 	// lockFindings caches the module-wide lockorder analysis, bucketed by
 	// package import path (see lockorder.go).
 	lockFindings map[string][]Finding
+	// lockSums caches the per-function lock summaries lockorder and locks
+	// share (see lockorder.go).
+	lockSums map[string]*fnSummary
 	// refs caches the unused family's reference index (see unused.go).
 	refs map[string]bool
 }

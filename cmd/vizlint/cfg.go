@@ -7,9 +7,10 @@ import (
 
 // This file builds a per-function control-flow graph over go/ast. The CFG
 // is the substrate shared by every path-sensitive check (obs, ctxcancel,
-// release): one builder handles branches, loops, switch/select, labeled
-// break/continue, defer, panic and fallthrough, so the checks themselves
-// reduce to a transfer function over block nodes (see dataflow.go).
+// release, locks, lockorder): one builder handles branches, loops,
+// switch/select, labeled break/continue, defer, panic and fallthrough, so
+// the checks themselves reduce to a transfer function over block nodes
+// (see dataflow.go).
 //
 // Blocks hold the simple statements and scanned expressions executed in
 // order; control flow lives entirely on the edges. A return terminates its

@@ -8,14 +8,16 @@ import (
 
 // This file is the generic must-release dataflow pass: a resource acquired
 // on some path must be released on every path that leaves the function, or
-// escape to someone else who will. The obs, ctxcancel and release check
-// families are all instantiations of this one engine, parameterized by a
-// resourceSpec; none of them carries its own path-walking logic.
+// escape to someone else who will. The obs, ctxcancel, release and locks
+// check families are all instantiations of this one engine, parameterized
+// by a resourceSpec; none of them carries its own path-walking logic.
 //
-// The analysis runs on the CFG from cfg.go: a forward fixpoint whose state
-// is the set of definitely-open resources (merge = intersection, so the
-// engine favors missed findings over false positives), followed by a single
-// reporting pass over the stabilized block-entry states.
+// The analysis runs on the CFG from cfg.go through solve, the one fixpoint
+// loop (lockorder.go runs its may-hold pass through it too): a forward
+// fixpoint whose state is the set of definitely-open resources (merge =
+// intersection, so the engine favors missed findings over false
+// positives), followed by a single reporting pass over the stabilized
+// block-entry states.
 
 // acquired describes one resource binding recognized by a spec.
 type acquired struct {
@@ -32,6 +34,10 @@ type acquired struct {
 	// guardSelf marks the token itself as a boolean: a branch edge where
 	// the token is false kills it (e.g. `if probe { releaseProbe() }`).
 	guardSelf bool
+	// via, when non-empty, names the call whose callee acquires the token
+	// and releases it again before returning: the call collides with an
+	// open token but leaves none open.
+	via string
 }
 
 // resourceSpec parameterizes the must-release pass.
@@ -40,6 +46,10 @@ type resourceSpec struct {
 
 	// acquire recognizes an assignment that binds a resource, or nil.
 	acquire func(*ast.AssignStmt) *acquired
+	// acquireCall, when set, returns the tokens a call acquires in place
+	// (x.mu.Lock()). Acquiring one that is still open blocks at the call,
+	// so that call is where reboundMsg is reported, deferred release or not.
+	acquireCall func(*ast.CallExpr) []acquired
 	// release returns the token names a call releases. It receives the
 	// live state so specs with release-all semantics (breaker Record*)
 	// can return every live token.
@@ -49,6 +59,9 @@ type resourceSpec struct {
 	// token as a use (pooled connections).
 	ownMethods  map[string]bool
 	anyMethodOk bool
+	// pinned tokens never escape: no mention hands them to someone else
+	// (a mutex stays the function's to unlock).
+	pinned bool
 
 	leakReturn func(name string) string
 	leakExit   func(name string) string
@@ -119,27 +132,7 @@ func (rp *releasePass) report(pos token.Pos, msg string) {
 // runFunc runs the fixpoint then the reporting pass over one body.
 func (rp *releasePass) runFunc(body *ast.BlockStmt) {
 	g := buildCFG(body)
-	in := make([]flowState, len(g.blocks))
-	in[g.entry.id] = flowState{}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := rp.transfer(blk, cloneFlow(in[blk.id]), false)
-		for _, e := range blk.succs {
-			st := refineEdge(out, e)
-			if merged, changed := mergeFlow(in[e.to.id], st); changed {
-				in[e.to.id] = merged
-				work = append(work, e.to)
-			}
-		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.id] == nil {
-			continue // unreachable
-		}
-		rp.transfer(blk, cloneFlow(in[blk.id]), true)
-	}
+	in := solve(g, intersectFlow, rp.transfer)
 	// Fall-off-the-end exit: everything still definitely open leaked.
 	if st := in[g.exit.id]; st != nil {
 		for name, rs := range st {
@@ -150,27 +143,57 @@ func (rp *releasePass) runFunc(body *ast.BlockStmt) {
 	}
 }
 
-// mergeFlow intersects incoming into existing (nil existing = first
-// visit). viaDefer survives only when every path scheduled the release.
-func mergeFlow(existing, incoming flowState) (flowState, bool) {
-	if existing == nil {
-		return cloneFlow(incoming), true
+// solve is the fixpoint loop every path analysis shares. It runs
+// transfer forward from an empty entry state until the block-entry states
+// settle — merge joins a state reaching a block into the one already there
+// and reports whether that changed it — then runs transfer once more over
+// every reachable block with report set. It returns the settled entry
+// states; nil marks an unreachable block.
+func solve(g *cfg, merge func(into, from flowState) bool,
+	transfer func(blk *cfgBlock, st flowState, report bool) flowState) []flowState {
+	in := make([]flowState, len(g.blocks))
+	in[g.entry.id] = flowState{}
+	work := []*cfgBlock{g.entry}
+	for len(work) > 0 {
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
+		out := transfer(blk, cloneFlow(in[blk.id]), false)
+		for _, e := range blk.succs {
+			st := refineEdge(out, e)
+			if in[e.to.id] == nil {
+				in[e.to.id] = cloneFlow(st)
+			} else if !merge(in[e.to.id], st) {
+				continue
+			}
+			work = append(work, e.to)
+		}
 	}
+	for _, blk := range g.blocks {
+		if in[blk.id] != nil {
+			transfer(blk, cloneFlow(in[blk.id]), true)
+		}
+	}
+	return in
+}
+
+// intersectFlow keeps in into only the tokens open on both paths (must-
+// open). viaDefer survives only when every path scheduled the release.
+func intersectFlow(into, from flowState) bool {
 	changed := false
-	for k, v := range existing {
-		iv, ok := incoming[k]
+	for k, v := range into {
+		fv, ok := from[k]
 		if !ok {
-			delete(existing, k)
+			delete(into, k)
 			changed = true
 			continue
 		}
-		if v.viaDefer && !iv.viaDefer {
+		if v.viaDefer && !fv.viaDefer {
 			v.viaDefer = false
-			existing[k] = v
+			into[k] = v
 			changed = true
 		}
 	}
-	return existing, changed
+	return changed
 }
 
 // refineEdge kills boolean-guarded tokens on the branch where their guard
@@ -202,7 +225,10 @@ func (rp *releasePass) transfer(blk *cfgBlock, st flowState, report bool) flowSt
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for _, r := range x.Rhs {
-				rp.scan(r, st)
+				rp.scan(r, st, report)
+			}
+			if rp.spec.acquire == nil {
+				break
 			}
 			if acq := rp.spec.acquire(x); acq != nil {
 				if old, ok := st[acq.name]; ok && !old.viaDefer && report && rp.spec.reboundMsg != nil {
@@ -217,7 +243,7 @@ func (rp *releasePass) transfer(blk *cfgBlock, st flowState, report bool) flowSt
 			}
 
 		case *ast.ExprStmt:
-			rp.scan(x.X, st)
+			rp.scan(x.X, st, report)
 
 		case *ast.DeferStmt:
 			rp.handleDefer(x, st)
@@ -225,18 +251,18 @@ func (rp *releasePass) transfer(blk *cfgBlock, st flowState, report bool) flowSt
 		case *ast.GoStmt:
 			// A goroutine capturing the token may release it on its own
 			// schedule.
-			dropMentioned(x.Call, st)
+			rp.dropMentioned(x.Call, st)
 
 		case *ast.SendStmt:
-			rp.scan(x.Chan, st)
-			rp.scan(x.Value, st)
+			rp.scan(x.Chan, st, report)
+			rp.scan(x.Value, st, report)
 
 		case *ast.DeclStmt:
 			if gd, ok := x.Decl.(*ast.GenDecl); ok {
 				for _, spec := range gd.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						for _, v := range vs.Values {
-							rp.scan(v, st)
+							rp.scan(v, st, report)
 						}
 					}
 				}
@@ -250,7 +276,7 @@ func (rp *releasePass) transfer(blk *cfgBlock, st flowState, report bool) flowSt
 
 		case ast.Expr:
 			// Conditions, switch tags, case expressions.
-			rp.scan(x, st)
+			rp.scan(x, st, report)
 
 		case ast.Stmt:
 			// Comm clauses and type-switch assigns already appear as their
@@ -261,7 +287,8 @@ func (rp *releasePass) transfer(blk *cfgBlock, st flowState, report bool) flowSt
 }
 
 // atReturn applies return semantics: the acquisition's own error path is
-// silent, returned tokens escape, everything else still open is a leak.
+// silent, the results are evaluated, returned tokens escape, everything
+// else still open is a leak.
 func (rp *releasePass) atReturn(ret *ast.ReturnStmt, st flowState, report bool) {
 	for name, rs := range st {
 		if rs.errName != "" && mentionsIdent(ret.Results, rs.errName) {
@@ -269,7 +296,8 @@ func (rp *releasePass) atReturn(ret *ast.ReturnStmt, st flowState, report bool) 
 		}
 	}
 	for _, r := range ret.Results {
-		dropMentioned(r, st)
+		rp.scan(r, st, report)
+		rp.dropMentioned(r, st)
 	}
 	if !report {
 		return
@@ -309,22 +337,20 @@ func (rp *releasePass) handleDefer(d *ast.DeferStmt, st flowState) {
 		})
 		return
 	}
-	dropMentioned(d.Call, st)
+	rp.dropMentioned(d.Call, st)
 }
 
-// scan walks an expression: release calls release, method calls on the
-// token are uses, any other mention is an escape — the token flows
-// somewhere the checker cannot follow and is assumed released there.
-func (rp *releasePass) scan(e ast.Expr, st flowState) {
-	if e == nil || len(st) == 0 {
+// scan walks an expression: release calls release, acquiring calls
+// acquire, method calls on the token are uses, any other mention is an
+// escape — the token flows somewhere the checker cannot follow and is
+// assumed released there.
+func (rp *releasePass) scan(e ast.Expr, st flowState, report bool) {
+	if e == nil || (len(st) == 0 && rp.spec.acquireCall == nil) {
 		return
 	}
 	skip := make(map[ast.Node]bool)
 	ast.Inspect(e, func(n ast.Node) bool {
-		if n == nil || len(st) == 0 {
-			return false
-		}
-		if skip[n] {
+		if n == nil || skip[n] {
 			return false
 		}
 		switch x := n.(type) {
@@ -332,6 +358,7 @@ func (rp *releasePass) scan(e ast.Expr, st flowState) {
 			for _, name := range rp.spec.release(x, st) {
 				delete(st, name)
 			}
+			rp.acquireAt(x, st, report)
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 				if id, ok := sel.X.(*ast.Ident); ok {
 					if _, tracked := st[id.Name]; tracked &&
@@ -342,27 +369,52 @@ func (rp *releasePass) scan(e ast.Expr, st flowState) {
 			}
 		case *ast.SelectorExpr:
 			if key := exprKey(x); key != "" {
-				if _, ok := st[key]; ok {
-					delete(st, key)
-				}
+				rp.escape(key, st)
 				// The field name itself is not a variable mention.
 				skip[x.Sel] = true
 			}
 		case *ast.Ident:
-			delete(st, x.Name)
+			rp.escape(x.Name, st)
 		case *ast.FuncLit:
-			dropMentioned(x, st)
+			rp.dropMentioned(x, st)
 			return false
 		}
 		return true
 	})
 }
 
-// dropMentioned unconditionally drops every token mentioned anywhere
-// under n (returns, goroutines, captured closures), including selector-
-// keyed tokens whose base identifier is mentioned.
-func dropMentioned(n ast.Node, st flowState) {
-	if n == nil || len(st) == 0 {
+// acquireAt opens the tokens a call acquires in place. A token still open
+// is reported at the call; a callee's acquire (via) leaves nothing open.
+func (rp *releasePass) acquireAt(call *ast.CallExpr, st flowState, report bool) {
+	if rp.spec.acquireCall == nil {
+		return
+	}
+	for _, acq := range rp.spec.acquireCall(call) {
+		if _, open := st[acq.name]; open && report {
+			msg := rp.spec.reboundMsg(acq.name)
+			if acq.via != "" {
+				msg = "call to " + acq.via + ": " + msg
+			}
+			rp.report(call.Pos(), msg)
+		}
+		if acq.via == "" {
+			st[acq.name] = resState{pos: call.Pos()}
+		}
+	}
+}
+
+// escape drops a mentioned token unless the spec pins its tokens.
+func (rp *releasePass) escape(name string, st flowState) {
+	if !rp.spec.pinned {
+		delete(st, name)
+	}
+}
+
+// dropMentioned drops every token mentioned anywhere under n (returns,
+// goroutines, captured closures), including selector-keyed tokens whose
+// base identifier is mentioned, unless the spec pins its tokens.
+func (rp *releasePass) dropMentioned(n ast.Node, st flowState) {
+	if n == nil || len(st) == 0 || rp.spec.pinned {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {

@@ -2,9 +2,10 @@
 // query stack. It is stdlib-only (go/ast + go/parser + go/types) and
 // implements ten check families tuned to this codebase's hazards:
 //
-//	locks     – a method that calls mu.Lock() must release it on every
-//	            return path (prefer defer); double-lock of the same
-//	            receiver mutex in one call chain is flagged.
+//	locks     – a function that calls mu.Lock() must release it on every
+//	            path out (prefer defer); locking a mutex the path already
+//	            holds, directly or through a method on the same receiver
+//	            that locks it, is flagged.
 //	goroutine – `go func` literals must not write receiver fields without
 //	            the receiver's mutex; goroutines in the exec/dataserver/
 //	            remote packages must have a join or cancellation signal.
@@ -39,10 +40,11 @@
 //	            ...Options struct that no other package's non-test file
 //	            sets.
 //
-// The obs, ctxcancel and release families are instantiations of one
-// shared must-release dataflow engine (dataflow.go) running over a
-// per-function CFG (cfg.go); lockorder additionally propagates held-lock
-// sets through a module-wide call graph (callgraph.go, lockorder.go).
+// The obs, ctxcancel, release and locks families are specs on one shared
+// must-release dataflow engine (dataflow.go) running over a per-function
+// CFG (cfg.go); lockorder shares the engine's fixpoint loop and
+// additionally propagates held-lock sets through a module-wide call graph
+// (callgraph.go, lockorder.go), whose lock summaries locks reads too.
 //
 // Flags: -json emits findings as JSON objects, one per line, with path,
 // line, col, check and msg fields; -checks a,b,c restricts output to the
@@ -101,9 +103,6 @@ type pkgInfo struct {
 	// mutexFields: struct type name -> field names of sync.Mutex/RWMutex
 	// type (including pointers to them).
 	mutexFields map[string]map[string]bool
-	// methodAcquires: "Type.Method" -> receiver-relative mutex paths the
-	// method locks somewhere in its body (outside go statements).
-	methodAcquires map[string]map[string]bool
 }
 
 // loadPackage parses every non-test .go file in dir as one package and
@@ -251,10 +250,9 @@ func (fi *fileInfo) allowedAt(fset *token.FileSet, pos token.Pos, check string) 
 	return m != nil && (m[check] || m["all"])
 }
 
-// buildIndexes fills mutexFields and methodAcquires.
+// buildIndexes fills mutexFields.
 func (p *pkgInfo) buildIndexes() {
 	p.mutexFields = make(map[string]map[string]bool)
-	p.methodAcquires = make(map[string]map[string]bool)
 	for _, fi := range p.Files {
 		ast.Inspect(fi.File, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -279,47 +277,6 @@ func (p *pkgInfo) buildIndexes() {
 			return true
 		})
 	}
-	for _, fi := range p.Files {
-		for _, decl := range fi.File.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			recvName, recvType := receiverOf(fd)
-			if recvName == "" || recvType == "" {
-				continue
-			}
-			acq := make(map[string]bool)
-			collectAcquires(fd.Body, recvName, acq)
-			if len(acq) > 0 {
-				p.methodAcquires[recvType+"."+fd.Name.Name] = acq
-			}
-		}
-	}
-}
-
-// collectAcquires records receiver-relative mutex paths locked anywhere in
-// body, skipping go statements (their locks run on another goroutine and
-// cannot deadlock the caller's chain).
-func collectAcquires(body ast.Node, recvName string, out map[string]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		key := exprKey(sel.X)
-		if rel, ok := strings.CutPrefix(key, recvName+"."); ok {
-			out[rel] = true
-		}
-		return true
-	})
 }
 
 // receiverOf extracts the receiver identifier and bare type name.
@@ -402,7 +359,7 @@ var checkNames = []string{
 func runChecks(mod *module, pkg *pkgInfo) []Finding {
 	var out []Finding
 	for _, fi := range pkg.Files {
-		out = append(out, checkLocks(pkg, fi)...)
+		out = append(out, checkLocks(mod, pkg, fi)...)
 		out = append(out, checkGoroutines(pkg, fi)...)
 		out = append(out, checkErrors(pkg, fi)...)
 		out = append(out, checkSleep(pkg, fi)...)

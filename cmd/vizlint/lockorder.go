@@ -94,10 +94,13 @@ func sortedFuncKeys(m *module) []string {
 	return keys
 }
 
-// lockSummaries computes the transitive may-acquire set and may-block flag
-// for every function, by local collection followed by a fixpoint over the
-// call graph.
+// lockSummaries computes, once per module, the transitive may-acquire set
+// and may-block flag for every function, by local collection followed by a
+// fixpoint over the call graph. The locks check reads the acquire sets too.
 func (m *module) lockSummaries() map[string]*fnSummary {
+	if m.lockSums != nil {
+		return m.lockSums
+	}
 	sums := make(map[string]*fnSummary, len(m.funcs))
 	for key, fn := range m.funcs {
 		sums[key] = localSummary(fn)
@@ -124,6 +127,7 @@ func (m *module) lockSummaries() map[string]*fnSummary {
 			}
 		}
 	}
+	m.lockSums = sums
 	return sums
 }
 
@@ -271,57 +275,26 @@ func (lo *lockOrderPass) report(pos token.Pos, msg string) {
 func (lo *lockOrderPass) runFunc(fn *funcInfo) {
 	lo.fn = fn
 	lo.commOK = nonBlockingComms(fn.decl.Body)
-	g := buildCFG(fn.decl.Body)
-	in := make([]map[string]token.Pos, len(g.blocks))
-	in[g.entry.id] = map[string]token.Pos{}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := lo.transferBlock(blk, cloneHeld(in[blk.id]), false)
-		for _, e := range blk.succs {
-			if merged, changed := mergeHeld(in[e.to.id], out); changed {
-				in[e.to.id] = merged
-				work = append(work, e.to)
-			}
-		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.id] == nil {
-			continue // unreachable
-		}
-		lo.transferBlock(blk, cloneHeld(in[blk.id]), true)
-	}
+	solve(buildCFG(fn.decl.Body), unionFlow, lo.transferBlock)
 }
 
-func cloneHeld(h map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// mergeHeld unions incoming into existing (may-hold).
-func mergeHeld(existing, incoming map[string]token.Pos) (map[string]token.Pos, bool) {
-	if existing == nil {
-		return cloneHeld(incoming), true
-	}
+// unionFlow adds to into every lock held on from (may-hold).
+func unionFlow(into, from flowState) bool {
 	changed := false
-	for k, v := range incoming {
-		if _, ok := existing[k]; !ok {
-			existing[k] = v
+	for k, v := range from {
+		if _, ok := into[k]; !ok {
+			into[k] = v
 			changed = true
 		}
 	}
-	return existing, changed
+	return changed
 }
 
 // transferBlock interprets one block's nodes in order. Defers are skipped
 // entirely: a deferred unlock releases only at return, so the lock stays
 // in the held set, and a deferred blocking call runs outside the critical
 // path this pass models.
-func (lo *lockOrderPass) transferBlock(blk *cfgBlock, held map[string]token.Pos, report bool) map[string]token.Pos {
+func (lo *lockOrderPass) transferBlock(blk *cfgBlock, held flowState, report bool) flowState {
 	for _, n := range blk.nodes {
 		if _, ok := n.(*ast.DeferStmt); ok {
 			continue
@@ -350,7 +323,7 @@ func (lo *lockOrderPass) transferBlock(blk *cfgBlock, held map[string]token.Pos,
 
 // call interprets one call: lock/unlock updates the held set, blocking
 // primitives and callee summaries are checked against it.
-func (lo *lockOrderPass) call(call *ast.CallExpr, held map[string]token.Pos, report bool) {
+func (lo *lockOrderPass) call(call *ast.CallExpr, held flowState, report bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Lock", "RLock":
@@ -358,7 +331,7 @@ func (lo *lockOrderPass) call(call *ast.CallExpr, held map[string]token.Pos, rep
 				if report {
 					lo.addEdges(held, id, call.Pos(), "")
 				}
-				held[id] = call.Pos()
+				held[id] = resState{pos: call.Pos()}
 				return
 			}
 		case "Unlock", "RUnlock":
@@ -398,7 +371,7 @@ func (lo *lockOrderPass) call(call *ast.CallExpr, held map[string]token.Pos, rep
 }
 
 // blockingOp reports a blocking operation reached with locks held.
-func (lo *lockOrderPass) blockingOp(pos token.Pos, what string, held map[string]token.Pos, report bool) {
+func (lo *lockOrderPass) blockingOp(pos token.Pos, what string, held flowState, report bool) {
 	if !report || len(held) == 0 {
 		return
 	}
@@ -411,10 +384,12 @@ func (lo *lockOrderPass) blockingOp(pos token.Pos, what string, held map[string]
 		lockLabel(ids[0]), what))
 }
 
-// addEdges records one order edge per held lock (self-edges excluded:
-// same-instance re-lock is the locks check's finding, and type-normalized
-// identities make different instances of one type indistinguishable).
-func (lo *lockOrderPass) addEdges(held map[string]token.Pos, to string, pos token.Pos, via string) {
+// addEdges records one order edge per held lock. Self-edges are excluded:
+// a type-normalized identity cannot tell two instances of one type apart,
+// so a self-edge is as often two instances locked one after the other as a
+// re-lock. The locks check reports the re-lock it can see: the same mutex
+// path (c.mu), locked directly or by a method on c whose summary locks it.
+func (lo *lockOrderPass) addEdges(held flowState, to string, pos token.Pos, via string) {
 	for from := range held {
 		if from == to {
 			continue

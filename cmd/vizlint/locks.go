@@ -3,383 +3,77 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
+	"strings"
 )
 
-// checkLocks verifies that every mutex acquired in a function is released
-// on every return path, and that no path locks the same mutex twice —
-// directly or by calling a same-receiver method that locks it.
+// checkLocks verifies that every mutex locked in a function is unlocked on
+// every path out of it (prefer defer), and that no path locks a mutex it
+// already holds — directly, or by calling a method on the same receiver
+// whose lock summary (lockorder.go) says it locks that mutex.
 //
-// The analysis is a forward walk over the statement tree tracking a
-// must-hold set. Branch states merge by intersection, so only locks that
-// are definitely held get reported: the checker favors missed findings
-// over false positives.
-func checkLocks(pkg *pkgInfo, fi *fileInfo) []Finding {
-	var out []Finding
-	lc := &lockChecker{pkg: pkg, fi: fi, out: &out}
-	for _, decl := range fi.File.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		recvName, recvType := receiverOf(fd)
-		lc.runFunc(fd.Body, recvName, recvType)
-		// Function literals run on their own schedule (go, defer, callbacks),
-		// so each body is analyzed as an independent function that inherits
-		// the receiver bindings it captures.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				lc.runFunc(lit.Body, recvName, recvType)
-			}
-			return true
-		})
-	}
-	return out
-}
-
-type lockChecker struct {
-	pkg *pkgInfo
-	fi  *fileInfo
-	out *[]Finding
-
-	recvName, recvType string
-}
-
-// heldLock is one acquired mutex on the current path.
-type heldLock struct {
-	mode     byte // 'L' write lock, 'R' read lock
-	pos      token.Pos
-	viaDefer bool // release is scheduled by defer: held until return, but not leaked
-}
-
-type lockState map[string]heldLock
-
-func cloneState(s lockState) lockState {
-	c := make(lockState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-// intersect keeps locks held in both branch states. viaDefer survives only
-// when both branches scheduled the release: if one path lacks the defer,
-// the leak is real on that path.
-func intersect(a, b lockState) lockState {
-	out := make(lockState)
-	for k, va := range a {
-		if vb, ok := b[k]; ok && va.mode == vb.mode {
-			va.viaDefer = va.viaDefer && vb.viaDefer
-			out[k] = va
-		}
-	}
-	return out
-}
-
-func (lc *lockChecker) runFunc(body *ast.BlockStmt, recvName, recvType string) {
-	lc.recvName, lc.recvType = recvName, recvType
-	held, terminated := lc.stmts(body.List, lockState{})
-	if !terminated {
-		for key, h := range held {
-			if !h.viaDefer {
-				lc.report(h.pos, "function exits with %s still locked (no Unlock on the fall-through path)", key)
-			}
-		}
-	}
-}
-
-func (lc *lockChecker) report(pos token.Pos, format string, args ...any) {
-	if lc.fi.allowedAt(lc.pkg.Fset, pos, "locks") {
-		return
-	}
-	*lc.out = append(*lc.out, Finding{
-		Pos:   lc.pkg.Fset.Position(pos),
-		Check: "locks",
-		Msg:   fmt.Sprintf(format, args...),
+// The check is an instantiation of the shared must-release engine
+// (dataflow.go) over the function CFG (cfg.go). The token is the mutex's
+// selector path (c.mu). A mutex is the function's to unlock whatever else
+// mentions it, so tokens are pinned: no mention lets one escape.
+func checkLocks(mod *module, pkg *pkgInfo, fi *fileInfo) []Finding {
+	sums := mod.lockSummaries()
+	return runReleaseCheck(pkg, fi, &resourceSpec{
+		check: "locks",
+		acquireCall: func(call *ast.CallExpr) []acquired {
+			return lockAcquires(mod, sums, pkg, fi, call)
+		},
+		release: unlockRelease,
+		pinned:  true,
+		leakReturn: func(name string) string {
+			return fmt.Sprintf("return path leaves %s locked (missing %s.Unlock(); prefer defer)", name, name)
+		},
+		leakExit: func(name string) string {
+			return fmt.Sprintf("function exits with %s still locked (no Unlock on the fall-through path)", name)
+		},
+		reboundMsg: func(name string) string {
+			return fmt.Sprintf("%s locked again while already held: deadlock", name)
+		},
 	})
 }
 
-// stmts walks a statement list with the given entry state. It returns the
-// exit state and whether every path through the list terminated (return,
-// branch, panic).
-func (lc *lockChecker) stmts(list []ast.Stmt, held lockState) (lockState, bool) {
-	for _, s := range list {
-		var terminated bool
-		held, terminated = lc.stmt(s, held)
-		if terminated {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (lc *lockChecker) stmt(s ast.Stmt, held lockState) (lockState, bool) {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		if term := lc.exprStmtCall(x.X, held); term {
-			return held, true
-		}
-		lc.scanCallChain(x.X, held)
-		return held, false
-
-	case *ast.AssignStmt:
-		for _, rhs := range x.Rhs {
-			lc.scanCallChain(rhs, held)
-		}
-		return held, false
-
-	case *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt, *ast.EmptyStmt:
-		return held, false
-
-	case *ast.DeferStmt:
-		lc.handleDefer(x, held)
-		return held, false
-
-	case *ast.GoStmt:
-		return held, false // goroutine bodies are analyzed separately
-
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			lc.scanCallChain(r, held)
-		}
-		for key, h := range held {
-			if !h.viaDefer {
-				lc.report(h.pos, "return path leaves %s locked (missing %s.Unlock(); prefer defer)", key, key)
-			}
-		}
-		return held, true
-
-	case *ast.BranchStmt:
-		return held, true // leaves this path; loop merge handles the rest
-
-	case *ast.BlockStmt:
-		return lc.stmts(x.List, held)
-
-	case *ast.LabeledStmt:
-		return lc.stmt(x.Stmt, held)
-
-	case *ast.IfStmt:
-		if x.Init != nil {
-			held, _ = lc.stmt(x.Init, held)
-		}
-		lc.scanCallChain(x.Cond, held)
-		thenHeld, thenTerm := lc.stmts(x.Body.List, cloneState(held))
-		elseHeld, elseTerm := cloneState(held), false
-		switch e := x.Else.(type) {
-		case *ast.BlockStmt:
-			elseHeld, elseTerm = lc.stmts(e.List, elseHeld)
-		case *ast.IfStmt:
-			elseHeld, elseTerm = lc.stmt(e, elseHeld)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseHeld, false
-		case elseTerm:
-			return thenHeld, false
-		default:
-			return intersect(thenHeld, elseHeld), false
-		}
-
-	case *ast.ForStmt:
-		if x.Init != nil {
-			held, _ = lc.stmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			lc.scanCallChain(x.Cond, held)
-		}
-		bodyHeld, bodyTerm := lc.stmts(x.Body.List, cloneState(held))
-		if bodyTerm {
-			return held, false // loop may run zero times
-		}
-		return intersect(held, bodyHeld), false
-
-	case *ast.RangeStmt:
-		lc.scanCallChain(x.X, held)
-		bodyHeld, bodyTerm := lc.stmts(x.Body.List, cloneState(held))
-		if bodyTerm {
-			return held, false
-		}
-		return intersect(held, bodyHeld), false
-
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			held, _ = lc.stmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			lc.scanCallChain(x.Tag, held)
-		}
-		return lc.clauses(caseBodies(x.Body), hasDefaultCase(x.Body), held)
-
-	case *ast.TypeSwitchStmt:
-		return lc.clauses(caseBodies(x.Body), hasDefaultCase(x.Body), held)
-
-	case *ast.SelectStmt:
-		var bodies [][]ast.Stmt
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				bodies = append(bodies, cc.Body)
-			}
-		}
-		// A select always executes exactly one clause; there is no implicit
-		// fall-through state.
-		return lc.clauses(bodies, true, held)
-	}
-	return held, false
-}
-
-// clauses merges the states of switch/select case bodies. When no default
-// clause exists, the entry state joins the merge (the switch may match
-// nothing).
-func (lc *lockChecker) clauses(bodies [][]ast.Stmt, exhaustive bool, held lockState) (lockState, bool) {
-	var states []lockState
-	allTerm := len(bodies) > 0
-	for _, body := range bodies {
-		st, term := lc.stmts(body, cloneState(held))
-		if !term {
-			states = append(states, st)
-			allTerm = false
-		}
-	}
-	if !exhaustive {
-		states = append(states, held)
-		allTerm = false
-	}
-	if allTerm {
-		return held, true
-	}
-	if len(states) == 0 {
-		return held, false
-	}
-	merged := states[0]
-	for _, st := range states[1:] {
-		merged = intersect(merged, st)
-	}
-	return merged, false
-}
-
-func caseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			out = append(out, cc.Body)
-		}
-	}
-	return out
-}
-
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// exprStmtCall handles a statement-level call: Lock/Unlock transitions and
-// panic termination.
-func (lc *lockChecker) exprStmtCall(e ast.Expr, held lockState) (terminated bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-		return true
-	}
+// lockAcquires returns the mutexes a call locks: x.mu for `x.mu.Lock()`
+// or `x.mu.RLock()`, and for a method call `x.M()` every x.f whose mutex
+// field f M's summary may lock.
+func lockAcquires(mod *module, sums map[string]*fnSummary, pkg *pkgInfo, fi *fileInfo, call *ast.CallExpr) []acquired {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return nil
 	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		base := exprKey(sel.X)
-		if base == "" {
-			return false
-		}
-		mode := byte('L')
-		if sel.Sel.Name == "RLock" {
-			mode = 'R'
-		}
-		if prev, ok := held[base]; ok && !(mode == 'R' && prev.mode == 'R') {
-			lc.report(call.Pos(), "%s locked again while already held (locked at %s)",
-				base, lc.pkg.Fset.Position(prev.pos))
-		}
-		held[base] = heldLock{mode: mode, pos: call.Pos()}
-	case "Unlock", "RUnlock":
-		if base := exprKey(sel.X); base != "" {
-			delete(held, base)
+	recv := exprKey(sel.X)
+	if recv == "" {
+		return nil
+	}
+	if sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock" {
+		return []acquired{{name: recv}}
+	}
+	tName := namedTypeOf(pkg, sel.X)
+	sum := sums[mod.resolveCallee(pkg, fi, call)]
+	if tName == "" || sum == nil {
+		return nil
+	}
+	prefix := pkg.ImportPath + "::" + tName + "."
+	var out []acquired
+	for id := range sum.acquires {
+		if field, ok := strings.CutPrefix(id, prefix); ok {
+			out = append(out, acquired{name: recv + "." + field, via: recv + "." + sel.Sel.Name + "()"})
 		}
 	}
-	return false
+	return out
 }
 
-// handleDefer processes `defer x.Unlock()` (and the wrapped
-// `defer func() { x.Unlock() }()` form): the lock stays held for
-// call-chain purposes but is released on every return path.
-func (lc *lockChecker) handleDefer(d *ast.DeferStmt, held lockState) {
-	release := func(base string) {
-		if h, ok := held[base]; ok {
-			h.viaDefer = true
-			held[base] = h
-		}
+// unlockRelease recognizes `x.mu.Unlock()` and `x.mu.RUnlock()`.
+func unlockRelease(call *ast.CallExpr, _ flowState) []string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
+		return nil
 	}
-	if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok {
-		if sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock" {
-			if base := exprKey(sel.X); base != "" {
-				release(base)
-			}
-		}
-		return
+	if base := exprKey(sel.X); base != "" {
+		return []string{base}
 	}
-	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-				(sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") {
-				if base := exprKey(sel.X); base != "" {
-					release(base)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// scanCallChain flags same-receiver method calls that re-acquire a mutex
-// the caller already holds (including via defer): a guaranteed deadlock.
-func (lc *lockChecker) scanCallChain(e ast.Expr, held lockState) {
-	if lc.recvName == "" || lc.recvType == "" || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // runs on its own schedule
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != lc.recvName {
-			return true
-		}
-		acq := lc.pkg.methodAcquires[lc.recvType+"."+sel.Sel.Name]
-		for rel := range acq {
-			key := lc.recvName + "." + rel
-			if h, ok := held[key]; ok {
-				lc.report(call.Pos(), "call to %s.%s() locks %s, already held by caller (locked at %s): deadlock",
-					lc.recvName, sel.Sel.Name, key, lc.pkg.Fset.Position(h.pos))
-			}
-		}
-		return true
-	})
+	return nil
 }

@@ -15,12 +15,12 @@ func (s *counterStats) AtomicHit() {
 
 // PlainRead loads hits without atomic: races with AtomicHit. (1 finding)
 func (s *counterStats) PlainRead() int64 {
-	return s.hits
+	return s.hits // want: atomics (plain load of an atomic field)
 }
 
 // PlainWrite stores hits without atomic. (1 finding)
 func (s *counterStats) PlainWrite() {
-	s.hits = 0
+	s.hits = 0 // want: atomics (plain store to an atomic field)
 }
 
 // TotalOnly touches a field no atomic ever touches: not a finding.

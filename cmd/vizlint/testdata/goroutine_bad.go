@@ -10,7 +10,7 @@ type worker struct {
 // Kick launches a goroutine that mutates shared receiver state without
 // the mutex and offers no way to join or cancel it.
 func (w *worker) Kick() {
-	go func() {
-		w.count++ // want: goroutine (unprotected shared write; plus no join signal on the go stmt)
+	go func() { // want: goroutine (no join or cancellation signal)
+		w.count++ // want: goroutine (unprotected shared write)
 	}()
 }

@@ -9,7 +9,7 @@ type orderB struct{ mu sync.Mutex }
 // LockAB acquires orderA.mu then orderB.mu: one half of the cycle.
 func LockAB(a *orderA, b *orderB) {
 	a.mu.Lock()
-	b.mu.Lock()
+	b.mu.Lock() // want: lockorder (lock order cycle)
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
@@ -29,7 +29,7 @@ func LockBA(a *orderA, b *orderB) {
 // (1 finding)
 func SendWhileLocked(a *orderA, ch chan int) {
 	a.mu.Lock()
-	ch <- 1
+	ch <- 1 // want: lockorder (lock held across channel send)
 	a.mu.Unlock()
 }
 
@@ -38,7 +38,7 @@ func SendWhileLocked(a *orderA, ch chan int) {
 // (1 finding)
 func WaitViaCall(b *orderB, wg *sync.WaitGroup) {
 	b.mu.Lock()
-	joinHelpers(wg)
+	joinHelpers(wg) // want: lockorder (lock held across a blocking call)
 	b.mu.Unlock()
 }
 

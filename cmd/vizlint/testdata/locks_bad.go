@@ -9,9 +9,9 @@ type counter struct {
 
 // Bump leaks the lock on the limit path.
 func (c *counter) Bump(limit int) bool {
-	c.mu.Lock()
+	c.mu.Lock() // want: locks (the limit return leaves c.mu locked)
 	if c.n >= limit {
-		return false // want: locks (return path leaves c.mu locked)
+		return false
 	}
 	c.n++
 	c.mu.Unlock()
@@ -41,6 +41,18 @@ func (c *counter) Twice() {
 
 // Set falls off the end of the function still holding the lock.
 func (c *counter) Set(v int) {
-	c.mu.Lock()
+	c.mu.Lock() // want: locks (function exits locked)
 	c.n = v
-} // want: locks (function exits locked)
+}
+
+// Drain breaks out of its loop still holding the lock.
+func (c *counter) Drain() {
+	for {
+		c.mu.Lock() // want: locks (the break leaves c.mu locked)
+		if c.n == 0 {
+			break
+		}
+		c.n--
+		c.mu.Unlock()
+	}
+}

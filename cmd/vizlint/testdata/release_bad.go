@@ -21,7 +21,7 @@ func (p *rpool) Discard(c *rconn)                            {}
 // bail-out leaks it. The Acquire error return itself is exempt — the
 // connection was never produced there. (1 finding)
 func LeakOnEarlyReturn(ctx context.Context, p *rpool, fail bool) error {
-	c, err := p.Acquire(ctx)
+	c, err := p.Acquire(ctx) // want: release (connection leaked on the early return)
 	if err != nil {
 		return err
 	}
@@ -35,7 +35,7 @@ func LeakOnEarlyReturn(ctx context.Context, p *rpool, fail bool) error {
 // LeakOnFallThrough uses the connection but never returns it to the pool.
 // (1 finding)
 func LeakOnFallThrough(ctx context.Context, p *rpool) {
-	c, _ := p.Acquire(ctx)
+	c, _ := p.Acquire(ctx) // want: release (connection never returned)
 	c.ping()
 }
 
@@ -53,7 +53,7 @@ func (f *flightFixture) Finish(key string, c *fcall, err error) {}
 // call that never finishes. The follower branch is exempt — it leads
 // nothing. (1 finding)
 func (f *flightFixture) LeaderForgetsFinish(ctx context.Context, key string, fail bool) error {
-	c, leader := f.Join(key)
+	c, leader := f.Join(key) // want: release (leader never finishes the call)
 	if !leader {
 		return c.Wait(ctx)
 	}
@@ -74,7 +74,7 @@ func (b *probeBreaker) RecordSuccess()          {}
 // settling it: the breaker wedges in half-open. The !allowed return is
 // exempt — no slot was admitted on that branch. (1 finding)
 func (b *probeBreaker) ProbeLeakOnEarlyReturn(fail bool) error {
-	allowed, probe := b.allow()
+	allowed, probe := b.allow() // want: release (probe slot leaked on the early return)
 	if !allowed {
 		return errFixture
 	}
@@ -90,7 +90,7 @@ func (b *probeBreaker) ProbeLeakOnEarlyReturn(fail bool) error {
 // DiscardedProbe drops the probe flag outright, so no caller can ever
 // release the slot. (1 finding)
 func (b *probeBreaker) DiscardedProbe() bool {
-	ok, _ := b.allow()
+	ok, _ := b.allow() // want: release (probe result discarded)
 	return ok
 }
 
@@ -105,7 +105,7 @@ func (s *qsched) removeLocked(class int, user, sess string, w *qwaiter) {}
 // dropping it from the ring: the dead entry eats a WRR turn forever and
 // the next grant aimed at it vanishes. (1 finding)
 func (s *qsched) EnqueueForgetsRemove(class int, user, sess string, shed bool) error {
-	w := s.enqueueLocked(class, user, sess)
+	w := s.enqueueLocked(class, user, sess) // want: release (waiter left enqueued)
 	if shed {
 		return errFixture
 	}

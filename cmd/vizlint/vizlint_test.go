@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -78,13 +81,50 @@ func dump(t *testing.T, findings []Finding) {
 	}
 }
 
-func TestLocksFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "locks_bad.go", "vizq/internal/fixture")
-	// Bump's early return, Total's call-chain re-lock, Twice's double
-	// lock, and Set's fall-through exit.
-	if got := countCheck(findings, "locks"); got != 4 {
+// lineCheck is one finding's place: the line it is reported at and its
+// family.
+type lineCheck struct {
+	line  int
+	check string
+}
+
+var wantMarker = regexp.MustCompile(`// want: ([a-z]+)`)
+
+// firesOn lints a bad fixture and returns its findings, failing unless
+// they sit exactly on the fixture's `// want: <check>` markers: each
+// marker has a finding of that family on its line, and no finding is on a
+// line without one.
+func firesOn(t *testing.T, name, importPath string) []Finding {
+	t.Helper()
+	findings := lintFixture(t, name, importPath)
+	src, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[lineCheck]bool)
+	for i, line := range strings.Split(string(src), "\n") {
+		if m := wantMarker.FindStringSubmatch(line); m != nil {
+			want[lineCheck{i + 1, m[1]}] = true
+		}
+	}
+	got := make(map[lineCheck]bool)
+	for _, f := range findings {
+		got[lineCheck{f.Pos.Line, f.Check}] = true
+	}
+	if !maps.Equal(got, want) {
 		dump(t, findings)
-		t.Errorf("locks findings = %d, want 4", got)
+		t.Errorf("%s: findings at %v, markers at %v", name, got, want)
+	}
+	return findings
+}
+
+func TestLocksFiresOnBadCode(t *testing.T) {
+	findings := firesOn(t, "locks_bad.go", "vizq/internal/fixture")
+	// Bump's early return, Total's call-chain re-lock, Twice's double
+	// lock, Set's fall-through exit, and Drain's break out of its loop.
+	if got := countCheck(findings, "locks"); got != 5 {
+		dump(t, findings)
+		t.Errorf("locks findings = %d, want 5", got)
 	}
 }
 
@@ -98,7 +138,7 @@ func TestLocksSilentOnGoodCode(t *testing.T) {
 
 func TestGoroutineFiresOnBadCode(t *testing.T) {
 	// The exec import path turns on the join-signal requirement.
-	findings := lintFixture(t, "goroutine_bad.go", "vizq/internal/tde/exec")
+	findings := firesOn(t, "goroutine_bad.go", "vizq/internal/tde/exec")
 	// One unprotected shared write plus one missing join signal.
 	if got := countCheck(findings, "goroutine"); got != 2 {
 		dump(t, findings)
@@ -125,7 +165,7 @@ func TestGoroutineJoinScopedToListedPackages(t *testing.T) {
 }
 
 func TestErrorsFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "errors_bad.go", "vizq/internal/kvstore")
+	findings := firesOn(t, "errors_bad.go", "vizq/internal/kvstore")
 	// Discarded Flush, Close and Write results plus one %v-wrapped error.
 	if got := countCheck(findings, "errors"); got != 4 {
 		dump(t, findings)
@@ -152,7 +192,7 @@ func TestErrorsDiscardScopedToListedPackages(t *testing.T) {
 }
 
 func TestSleepFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "sleep_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "sleep_bad.go", "vizq/internal/fixture")
 	if got := countCheck(findings, "sleep"); got != 1 {
 		dump(t, findings)
 		t.Errorf("sleep findings = %d, want 1", got)
@@ -169,7 +209,7 @@ func TestSleepDirectiveSuppresses(t *testing.T) {
 }
 
 func TestObsFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "obs_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "obs_bad.go", "vizq/internal/fixture")
 	// EarlyReturn's bail-out, FallThrough's missing Finish, Restarted's
 	// orphaned first span, and DeferOnlySometimes' undeferred branch.
 	if got := countCheck(findings, "obs"); got != 4 {
@@ -187,7 +227,7 @@ func TestObsSilentOnGoodCode(t *testing.T) {
 }
 
 func TestCtxCancelFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "ctxcancel_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "ctxcancel_bad.go", "vizq/internal/fixture")
 	// EarlyReturnCancel's bail-out, FallThroughCancel's forgotten cancel,
 	// ReboundCancel's orphaned timer, and DeferOnlyInOneBranch's cold path.
 	if got := countCheck(findings, "ctxcancel"); got != 4 {
@@ -205,7 +245,7 @@ func TestCtxCancelSilentOnGoodCode(t *testing.T) {
 }
 
 func TestLockOrderFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "lockorder_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "lockorder_bad.go", "vizq/internal/fixture")
 	// The LockAB/LockBA cycle, SendWhileLocked's send, and WaitViaCall's
 	// blocking callee.
 	if got := countCheck(findings, "lockorder"); got != 3 {
@@ -223,7 +263,7 @@ func TestLockOrderSilentOnGoodCode(t *testing.T) {
 }
 
 func TestAtomicsFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "atomics_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "atomics_bad.go", "vizq/internal/fixture")
 	// PlainRead's load and PlainWrite's store of the atomic hits field.
 	if got := countCheck(findings, "atomics"); got != 2 {
 		dump(t, findings)
@@ -240,7 +280,7 @@ func TestAtomicsSilentOnGoodCode(t *testing.T) {
 }
 
 func TestReleaseFiresOnBadCode(t *testing.T) {
-	findings := lintFixture(t, "release_bad.go", "vizq/internal/fixture")
+	findings := firesOn(t, "release_bad.go", "vizq/internal/fixture")
 	// LeakOnEarlyReturn, LeakOnFallThrough, LeaderForgetsFinish,
 	// ProbeLeakOnEarlyReturn, DiscardedProbe, and EnqueueForgetsRemove.
 	if got := countCheck(findings, "release"); got != 6 {
@@ -254,6 +294,23 @@ func TestReleaseSilentOnGoodCode(t *testing.T) {
 	if len(findings) != 0 {
 		dump(t, findings)
 		t.Errorf("findings = %d, want 0", len(findings))
+	}
+}
+
+// TestParseChecks pins the -checks flag: empty means every family, names
+// are trimmed, and an unknown or empty list is an error.
+func TestParseChecks(t *testing.T) {
+	if got, err := parseChecks(""); got != nil || err != nil {
+		t.Errorf(`parseChecks("") = %v, %v; want nil, nil`, got, err)
+	}
+	got, err := parseChecks("locks, obs")
+	if want := map[string]bool{"locks": true, "obs": true}; err != nil || !maps.Equal(got, want) {
+		t.Errorf(`parseChecks("locks, obs") = %v, %v; want %v`, got, err, want)
+	}
+	for _, bad := range []string{"walker", ",", "locks,nope"} {
+		if _, err := parseChecks(bad); err == nil {
+			t.Errorf("parseChecks(%q) succeeded; want an error", bad)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"vizq/internal/query"
@@ -373,36 +372,21 @@ func collForName(schema []plan.ColInfo, col string) storage.Collation {
 	return storage.CollBinary
 }
 
+// applyOrder sorts a derived result by the query's ORDER BY and cuts a
+// top-n to r.N. An order column the result lacks leaves it unsorted.
 func applyOrder(res *exec.Result, r *query.Query) {
 	if len(r.OrderBy) == 0 {
 		return
 	}
-	cols := make([]int, len(r.OrderBy))
+	keys := make([]plan.SortKey, len(r.OrderBy))
 	for i, o := range r.OrderBy {
-		cols[i] = res.ColumnIndex(o.Col)
-		if cols[i] < 0 {
+		col := res.ColumnIndex(o.Col)
+		if col < 0 {
 			return
 		}
+		keys[i] = plan.SortKey{Col: col, Desc: o.Desc}
 	}
-	idx := make([]int32, res.N)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, o := range r.OrderBy {
-			c := storage.Compare(res.Value(int(idx[a]), cols[k]), res.Value(int(idx[b]), cols[k]), res.Schema[cols[k]].Coll)
-			if c != 0 {
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	for c, v := range res.Cols {
-		res.Cols[c] = v.Gather(idx)
-	}
+	exec.SortResult(res, keys)
 	if r.N > 0 && res.N > r.N {
 		res.Truncate(r.N)
 	}

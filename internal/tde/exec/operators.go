@@ -675,7 +675,7 @@ func (s *sortOp) Next() (*storage.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		sortResult(res, s.keys, s.schema)
+		SortResult(res, s.keys)
 		if s.n >= 0 {
 			res.Truncate(s.n)
 		}
@@ -686,24 +686,25 @@ func (s *sortOp) Next() (*storage.Batch, error) {
 
 func (s *sortOp) Close() { s.child.Close() }
 
-// sortResult orders the result rows in place by the sort keys.
-func sortResult(res *Result, keys []plan.SortKey, schema []plan.ColInfo) {
+// SortResult orders the result rows in place by the sort keys: a stable
+// sort under each key column's collation.
+func SortResult(res *Result, keys []plan.SortKey) {
 	idx := make([]int32, res.N)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		return compareRows(res, int(idx[a]), int(idx[b]), keys, schema) < 0
+		return compareRows(res, int(idx[a]), int(idx[b]), keys) < 0
 	})
 	for c, v := range res.Cols {
 		res.Cols[c] = v.Gather(idx)
 	}
 }
 
-func compareRows(res *Result, a, b int, keys []plan.SortKey, schema []plan.ColInfo) int {
+func compareRows(res *Result, a, b int, keys []plan.SortKey) int {
 	for _, k := range keys {
 		av, bv := res.Cols[k.Col].Value(a), res.Cols[k.Col].Value(b)
-		c := storage.Compare(av, bv, schema[k.Col].Coll)
+		c := storage.Compare(av, bv, res.Schema[k.Col].Coll)
 		if c != 0 {
 			if k.Desc {
 				return -c

@@ -36,6 +36,6 @@ check ./internal/cache      90.6
 check ./internal/resilience 91.2
 check ./internal/sched      93.5
 check ./internal/dataserver 90.8
-check ./cmd/vizlint         85.8
+check ./cmd/vizlint         89.4
 
 exit "$fail"
