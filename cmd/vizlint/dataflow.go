@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/token"
+	"maps"
 	"strings"
 )
 
@@ -55,7 +56,7 @@ type resourceSpec struct {
 	// can return every live token.
 	release func(*ast.CallExpr, flowState) []string
 	// ownMethods are method names on the token that are uses, not
-	// escapes (sp.Annotate). anyMethodOk treats every method call on the
+	// escapes (sp.Duration). anyMethodOk treats every method call on the
 	// token as a use (pooled connections).
 	ownMethods  map[string]bool
 	anyMethodOk bool
@@ -80,13 +81,7 @@ type resState struct {
 
 type flowState map[string]resState
 
-func cloneFlow(s flowState) flowState {
-	c := make(flowState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func cloneFlow(s flowState) flowState { return maps.Clone(s) }
 
 // releasePass runs one spec over one file's functions.
 type releasePass struct {
@@ -131,7 +126,7 @@ func (rp *releasePass) report(pos token.Pos, msg string) {
 
 // runFunc runs the fixpoint then the reporting pass over one body.
 func (rp *releasePass) runFunc(body *ast.BlockStmt) {
-	g := buildCFG(body)
+	g := rp.pkg.cfgOf(body)
 	in := solve(g, intersectFlow, rp.transfer)
 	// Fall-off-the-end exit: everything still definitely open leaked.
 	if st := in[g.exit.id]; st != nil {
@@ -435,17 +430,14 @@ func (rp *releasePass) dropMentioned(n ast.Node, st flowState) {
 // mentionsIdent reports whether any expression mentions an identifier
 // with the given name.
 func mentionsIdent(exprs []ast.Expr, name string) bool {
+	found := false
 	for _, e := range exprs {
-		found := false
 		ast.Inspect(e, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && id.Name == name {
 				found = true
 			}
 			return !found
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }

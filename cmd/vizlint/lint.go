@@ -103,6 +103,15 @@ type pkgInfo struct {
 	// mutexFields: struct type name -> field names of sync.Mutex/RWMutex
 	// type (including pointers to them).
 	mutexFields map[string]map[string]bool
+	cfgs        map[*ast.BlockStmt]*cfg
+}
+
+// cfgOf builds body's CFG once; every path check and lockorder share it.
+func (p *pkgInfo) cfgOf(body *ast.BlockStmt) *cfg {
+	if p.cfgs[body] == nil {
+		p.cfgs[body] = buildCFG(body)
+	}
+	return p.cfgs[body]
 }
 
 // loadPackage parses every non-test .go file in dir as one package and
@@ -250,9 +259,10 @@ func (fi *fileInfo) allowedAt(fset *token.FileSet, pos token.Pos, check string) 
 	return m != nil && (m[check] || m["all"])
 }
 
-// buildIndexes fills mutexFields.
+// buildIndexes fills mutexFields and makes the CFG memo.
 func (p *pkgInfo) buildIndexes() {
 	p.mutexFields = make(map[string]map[string]bool)
+	p.cfgs = make(map[*ast.BlockStmt]*cfg)
 	for _, fi := range p.Files {
 		ast.Inspect(fi.File, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)

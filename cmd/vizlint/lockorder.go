@@ -275,7 +275,7 @@ func (lo *lockOrderPass) report(pos token.Pos, msg string) {
 func (lo *lockOrderPass) runFunc(fn *funcInfo) {
 	lo.fn = fn
 	lo.commOK = nonBlockingComms(fn.decl.Body)
-	solve(buildCFG(fn.decl.Body), unionFlow, lo.transferBlock)
+	solve(fn.pkg.cfgOf(fn.decl.Body), unionFlow, lo.transferBlock)
 }
 
 // unionFlow adds to into every lock held on from (may-hold).

@@ -20,8 +20,7 @@ func checkObs(pkg *pkgInfo, fi *fileInfo) []Finding {
 
 // spanMethods are *obs.Span methods whose receiver use is not an escape.
 var spanMethods = map[string]bool{
-	"Finish": true, "Annotate": true, "Annotatef": true,
-	"Duration": true, "Children": true, "Attrs": true, "Name": true,
+	"Finish": true, "Duration": true, "Children": true, "Name": true,
 }
 
 var obsSpec = &resourceSpec{

@@ -27,10 +27,9 @@ import (
 // cannot release it.
 func checkRelease(pkg *pkgInfo, fi *fileInfo) []Finding {
 	var out []Finding
-	out = append(out, runReleaseCheck(pkg, fi, poolSpec)...)
-	out = append(out, runReleaseCheck(pkg, fi, flightSpec)...)
-	out = append(out, runReleaseCheck(pkg, fi, probeSpec)...)
-	out = append(out, runReleaseCheck(pkg, fi, schedSpec)...)
+	for _, spec := range []*resourceSpec{poolSpec, flightSpec, probeSpec, schedSpec} {
+		out = append(out, runReleaseCheck(pkg, fi, spec)...)
+	}
 	out = append(out, checkProbeDiscard(pkg, fi)...)
 	return out
 }

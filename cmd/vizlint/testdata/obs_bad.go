@@ -21,7 +21,7 @@ func EarlyReturn(ctx context.Context, fail bool) error {
 // FallThrough starts a span and never finishes it at all. (1 finding)
 func FallThrough(ctx context.Context) {
 	_, sp := obs.StartSpan(ctx, "forgotten") // want: obs (span never finished)
-	sp.Annotate("k", "v")
+	sp.Duration()
 }
 
 // Restarted rebinds the span variable while the first span is still open:

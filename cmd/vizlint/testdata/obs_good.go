@@ -11,7 +11,7 @@ import (
 func DeferFinish(ctx context.Context, fail bool) error {
 	ctx, sp := obs.StartSpan(ctx, "work")
 	defer sp.Finish()
-	sp.Annotate("k", "v")
+	sp.Duration()
 	if fail {
 		return errors.New("covered by the defer")
 	}
@@ -56,7 +56,7 @@ func FinishedInGoroutine(ctx context.Context, done chan struct{}) {
 func WrappedDefer(ctx context.Context) {
 	_, sp := obs.StartSpan(ctx, "wrapped")
 	defer func() {
-		sp.Annotate("late", "yes")
+		sp.Duration()
 		sp.Finish()
 	}()
 }
@@ -65,5 +65,5 @@ func WrappedDefer(ctx context.Context) {
 func Suppressed(ctx context.Context) {
 	//vizlint:allow obs -- fixture: span intentionally dropped
 	_, sp := obs.StartSpan(ctx, "intentional")
-	sp.Annotate("k", "v")
+	sp.Duration()
 }

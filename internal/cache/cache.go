@@ -3,9 +3,9 @@
 // intelligent cache, a semantic view-matching component that answers a new
 // query from a stored result when the stored query provably subsumes it,
 // applying local post-processing (roll-up, filtering, projection). It also
-// provides persistence (Desktop), a distributed layer over a networked
-// key-value store (Server), and a single-flight layer that coalesces
-// concurrent identical remote executions.
+// provides a distributed layer over a networked key-value store (Server)
+// and a single-flight layer that coalesces concurrent identical remote
+// executions.
 //
 // Both caches are sharded (see shard.go) so concurrent server workloads do
 // not serialize behind one mutex, and use sampled eviction so eviction cost
@@ -223,19 +223,6 @@ func (c *store) Stats() Stats {
 		Evictions:   c.m.evictions.Value(),
 		StaleServed: c.m.stale.Value(),
 	}
-}
-
-// Entries snapshots the cache content (persistence).
-func (c *store) Entries() []*Entry {
-	var out []*Entry
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for _, e := range s.byKey {
-			out = append(out, e)
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // LiteralCache maps low-level query text to results: it catches internal

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -394,58 +393,6 @@ func TestIntelligentEvictionByCount(t *testing.T) {
 	}
 	if c.Stats().Evictions != 3 {
 		t.Errorf("evictions = %d", c.Stats().Evictions)
-	}
-}
-
-func TestPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	c := NewIntelligentCache(DefaultOptions())
-	s := baseQuery()
-	sres := run(t, s)
-	c.Put(s, sres, 5*time.Millisecond)
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	// A new session loads the persisted cache and serves derived hits.
-	c2 := NewIntelligentCache(DefaultOptions())
-	if err := c2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	r := s.Clone()
-	r.Dims = []query.Dim{{Col: "carrier"}}
-	got, ok := c2.Get(r)
-	if !ok {
-		t.Fatal("persisted entry should serve derived queries")
-	}
-	want := run(t, r)
-	sameResult(t, got, want)
-	// Loading a missing file is fine.
-	c3 := NewIntelligentCache(DefaultOptions())
-	if err := c3.Load(filepath.Join(t.TempDir(), "absent.json")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLiteralCachePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "literal.json")
-	c := NewLiteralCache(DefaultOptions())
-	s := baseQuery()
-	sres := run(t, s)
-	c.Put(s.ToTQL(), sres, 3*time.Millisecond)
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewLiteralCache(DefaultOptions())
-	if err := c2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c2.Get(s.ToTQL())
-	if !ok {
-		t.Fatal("persisted literal entry missing")
-	}
-	sameResult(t, got, sres)
-	if err := c2.Load(filepath.Join(t.TempDir(), "missing.json")); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -96,8 +96,12 @@ func TestSessionFailover(t *testing.T) {
 	}
 
 	cl.KillNode(1)
+	retries := cRetry.Value()
 	if err := mobile.Query(ctx, DistinctQuery(1)); err != nil {
 		t.Fatalf("failover session saw user-visible error: %v", err)
+	}
+	if cRetry.Value() == retries {
+		t.Fatal("the failover retry was not counted in balancer.health.retries")
 	}
 	if mobile.Moves() == 0 || mobile.Node() == 1 {
 		t.Fatalf("session did not move (moves=%d node=%d)", mobile.Moves(), mobile.Node())

@@ -6,9 +6,14 @@ import (
 	"sync"
 
 	"vizq/internal/dataserver"
+	"vizq/internal/obs"
 	"vizq/internal/query"
 	"vizq/internal/tde/storage"
 )
+
+// cRetry counts the queries a failover session re-sent on another node
+// after its own node was blamed for a transport error.
+var cRetry = obs.C("balancer.health.retries")
 
 // Session is one user's sticky dashboard session against a specific
 // node, with optional transparent failover. Without failover it models
@@ -81,6 +86,7 @@ func (s *Session) Query(ctx context.Context, q *query.Query) error {
 	if merr := s.moveLocked(); merr != nil {
 		return merr
 	}
+	cRetry.Inc()
 	_, err = s.conn.Query(ctx, q)
 	s.cl.Balancer.Report(ctx, s.node, err)
 	return err

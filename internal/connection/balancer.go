@@ -9,7 +9,6 @@ import (
 
 	"vizq/internal/remote"
 	"vizq/internal/resilience"
-	"vizq/internal/tde/exec"
 )
 
 // Balancer fronts a cluster of identical server nodes (the TDE's server
@@ -128,11 +127,11 @@ func (b *Balancer) PickIndex() int {
 	return b.best(start, -1, false)
 }
 
-// PickIndexExcluding chooses a routable node other than skip, for the
-// retry and failover paths. It returns -1 when no other node is routable
-// — unlike PickIndex it does NOT fall back to unroutable nodes, because
-// its callers already hold a (failing) node and a retry against another
-// known-bad node only burns the user's deadline.
+// PickIndexExcluding chooses a routable node other than skip, for session
+// failover. It returns -1 when no other node is routable — unlike
+// PickIndex it does NOT fall back to unroutable nodes, because its callers
+// already hold a (failing) node and a retry against another known-bad node
+// only burns the user's deadline.
 func (b *Balancer) PickIndexExcluding(skip int) int {
 	if len(b.pools) == 1 {
 		return -1
@@ -167,28 +166,6 @@ func (b *Balancer) Report(ctx context.Context, i int, err error) (blamed bool) {
 		b.ReportResult(i, err)
 	}
 	return k == resilience.Transport
-}
-
-// Query dispatches one query to a node, feeding the outcome into health
-// tracking. When the node is blamed for a transport error it retries once
-// on a different routable node — a single node crashing mid-dispatch should
-// cost one internal retry, not a user-visible error. Failures
-// attributable to the caller (cancel, deadline) neither count against
-// the node nor trigger the retry.
-func (b *Balancer) Query(ctx context.Context, tql string) (*exec.Result, error) {
-	i := b.PickIndex()
-	res, err := b.pools[i].Query(ctx, tql)
-	if !b.Report(ctx, i, err) {
-		return res, err
-	}
-	j := b.PickIndexExcluding(i)
-	if j < 0 {
-		return res, err
-	}
-	cHealthRetry.Inc()
-	res, err = b.pools[j].Query(ctx, tql)
-	b.Report(ctx, j, err)
-	return res, err
 }
 
 // Nodes returns the per-node pools (for stats).

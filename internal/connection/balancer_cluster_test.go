@@ -79,7 +79,7 @@ func TestBalancerPressureSteersDispatch(t *testing.T) {
 		t.Fatalf("pressure readback = %v", got)
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := b.Query(context.Background(), countQ); err != nil {
+		if _, err := dispatch(context.Background(), b, countQ); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestBalancerPressureSteersDispatch(t *testing.T) {
 	// Clearing pressure (negative resets to 0) readmits the node.
 	b.SetPressure(0, -1)
 	for i := 0; i < 12; i++ {
-		if _, err := b.Query(context.Background(), countQ); err != nil {
+		if _, err := dispatch(context.Background(), b, countQ); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestBalancerStressSkewedLatency(t *testing.T) {
 					// Interleave advisory updates with dispatch.
 					b.SetPressure(rng.Intn(3), rng.Float64())
 				}
-				if _, err := b.Query(context.Background(), countQ); err != nil {
+				if _, err := dispatch(context.Background(), b, countQ); err != nil {
 					t.Error(err)
 					return
 				}

@@ -8,6 +8,7 @@ import (
 
 	"vizq/internal/remote"
 	"vizq/internal/tde/engine"
+	"vizq/internal/tde/exec"
 	"vizq/internal/workload"
 )
 
@@ -31,6 +32,20 @@ func startCluster(t testing.TB, nodes int, cfg remote.Config) []*remote.Server {
 	return out
 }
 
+// dispatch routes one statement through b the way clustertest's
+// Cluster.Dispatch does: pick a node, run the statement on its pool, and
+// report the outcome to health tracking.
+func dispatch(ctx context.Context, b *Balancer, tql string) (*exec.Result, error) {
+	i := b.PickIndex()
+	answers, err := b.pools[i].QueryMany(ctx, []string{tql})
+	var res *exec.Result
+	if err == nil {
+		res, err = answers[0].Result, answers[0].Err
+	}
+	b.Report(ctx, i, err)
+	return res, err
+}
+
 func TestBalancerDistributesLoad(t *testing.T) {
 	cluster := startCluster(t, 3, remote.Config{Latency: 5 * time.Millisecond})
 	addrs := make([]string, len(cluster))
@@ -48,7 +63,7 @@ func TestBalancerDistributesLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Query(context.Background(), countQ); err != nil {
+			if _, err := dispatch(context.Background(), b, countQ); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -78,7 +93,7 @@ func TestBalancerResultsIdenticalAcrossNodes(t *testing.T) {
 	// Shared-everything: any node returns the same answer.
 	var first int64
 	for i := 0; i < 6; i++ {
-		res, err := b.Query(context.Background(),
+		res, err := dispatch(context.Background(), b,
 			`(aggregate (table flights) (groupby) (aggs (n count *)))`)
 		if err != nil {
 			t.Fatal(err)

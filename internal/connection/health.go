@@ -40,7 +40,6 @@ var (
 	cHealthProbe     = obs.C("balancer.health.probe")
 	cHealthProbeFail = obs.C("balancer.health.probe_fail")
 	cHealthReadmit   = obs.C("balancer.health.readmit")
-	cHealthRetry     = obs.C("balancer.health.retries")
 	gHealthEjected   = obs.G("balancer.health.ejected")
 )
 
@@ -318,15 +317,8 @@ func (b *Balancer) MaybeProbe(ctx context.Context, i int) bool {
 func (b *Balancer) probe(ctx context.Context, i int) {
 	_, sp := obs.StartSpan(ctx, obs.SpanHealthProbe)
 	defer sp.Finish()
-	sp.Annotate("node", b.pools[i].Addr())
 	cHealthProbe.Inc()
 	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	err := pingNode(pctx, b.pools[i].Addr())
-	if err != nil {
-		sp.Annotate("outcome", "fail")
-	} else {
-		sp.Annotate("outcome", "ok")
-	}
-	b.ReportResult(i, err)
+	b.ReportResult(i, pingNode(pctx, b.pools[i].Addr()))
 }

@@ -221,11 +221,12 @@ func TestHealthDrainingNotProbed(t *testing.T) {
 	}
 }
 
-// TestBalancerQueryRetriesOnTransportError is the fails-pre-fix
-// regression test for single-shot Query: with one dead node in the
-// rotation, every dispatch must still succeed — a transport error from
-// the picked node is retried once on a different healthy node.
-func TestBalancerQueryRetriesOnTransportError(t *testing.T) {
+// TestBalancerEjectsDeadNode: with one dead node in the rotation, every
+// dispatch that fails is the dead node's transport error, blamed on it
+// until it is ejected, and from then on every dispatch lands on a live
+// node. Hiding such an error from the user is the failover session's
+// retry (clustertest's TestSessionFailover).
+func TestBalancerEjectsDeadNode(t *testing.T) {
 	cluster := startCluster(t, 2, remote.Config{})
 	dead := startCluster(t, 1, remote.Config{})[0]
 	deadAddr := dead.Addr()
@@ -237,17 +238,22 @@ func TestBalancerQueryRetriesOnTransportError(t *testing.T) {
 	}
 	defer b.Close()
 
+	failed := int64(0)
 	for i := 0; i < 20; i++ {
-		if _, err := b.Query(context.Background(), countQ); err != nil {
-			t.Fatalf("query %d: %v (dead node's transport error leaked to the caller)", i, err)
+		if _, err := dispatch(context.Background(), b, countQ); err != nil {
+			failed++
 		}
 	}
-	if q := cluster[0].Stats().Queries + cluster[1].Stats().Queries; q != 20 {
-		t.Fatalf("live nodes served %d of 20 queries", q)
+	if got := cluster[0].Stats().Queries + cluster[1].Stats().Queries; got != 20-failed {
+		t.Fatalf("live nodes served %d of %d successful queries", got, 20-failed)
 	}
-	// The dead node's failures must also have ejected it.
 	if got := b.State(0); got != NodeEjected {
 		t.Fatalf("dead node state = %v, want ejected", got)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := dispatch(context.Background(), b, countQ); err != nil {
+			t.Fatalf("query %d after ejection: %v", i, err)
+		}
 	}
 }
 
@@ -266,7 +272,7 @@ func TestBalancerQueryCallerCancelNotBlamed(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := b.Query(ctx, countQ); err == nil {
+	if _, err := dispatch(ctx, b, countQ); err == nil {
 		t.Fatal("expected a deadline error")
 	}
 	if got := b.State(0); got != NodeHealthy {
@@ -302,7 +308,7 @@ func TestBalancerCloseIdempotentRace(t *testing.T) {
 				b.SetPressure(i%3, float64(i%5))
 				// Queries racing Close may fail with ErrPoolClosed or a
 				// transport error — either is fine, panics are not.
-				_, _ = b.Query(context.Background(), countQ)
+				_, _ = dispatch(context.Background(), b, countQ)
 			}
 		}()
 	}

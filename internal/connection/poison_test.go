@@ -33,8 +33,8 @@ func TestServerDeathMidQueryDiscardsConn(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := p.Query(context.Background(),
-			`(aggregate (table flights) (groupby carrier) (aggs (n count *)))`)
+		_, err := p.QueryMany(context.Background(),
+			[]string{`(aggregate (table flights) (groupby carrier) (aggs (n count *)))`})
 		errCh <- err
 	}()
 

@@ -14,7 +14,6 @@ import (
 	"vizq/internal/obs"
 	"vizq/internal/remote"
 	"vizq/internal/resilience"
-	"vizq/internal/tde/exec"
 )
 
 // Pool metrics, shared process-wide across pools.
@@ -132,7 +131,6 @@ func (p *Pool) Acquire(ctx context.Context) (*remote.Conn, error) {
 			p.idle = p.idle[:n-1]
 			p.reuses.Inc()
 			p.mu.Unlock()
-			sp.Annotate("via", "reuse")
 			return c, nil
 		}
 		if p.live < p.cfg.Max {
@@ -153,7 +151,6 @@ func (p *Pool) Acquire(ctx context.Context) (*remote.Conn, error) {
 			p.dials.Inc()
 			p.mu.Unlock()
 			gLive.Add(1)
-			sp.Annotate("via", "dial")
 			return c, nil
 		}
 		// Capture the current generation channel under the lock: a release
@@ -161,7 +158,6 @@ func (p *Pool) Acquire(ctx context.Context) (*remote.Conn, error) {
 		// cannot be missed. After waking, loop and re-contend.
 		ch := p.waiter
 		p.mu.Unlock()
-		sp.Annotate("via", "wait")
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -216,15 +212,6 @@ func (p *Pool) signal() {
 	close(p.waiter)
 	p.waiter = make(chan struct{})
 	p.mu.Unlock()
-}
-
-// Query acquires a connection, runs one statement and releases it.
-func (p *Pool) Query(ctx context.Context, tql string) (*exec.Result, error) {
-	answers, err := p.QueryMany(ctx, []string{tql})
-	if err != nil {
-		return nil, err
-	}
-	return answers[0].Result, answers[0].Err
 }
 
 // QueryMany runs stmts as one request on one pooled connection. The

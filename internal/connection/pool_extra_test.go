@@ -41,16 +41,16 @@ func TestPoolQueryTimeout(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := p.Query(ctx, countQ); err == nil {
+	if _, err := p.QueryMany(ctx, []string{countQ}); err == nil {
 		t.Fatal("query should time out")
 	}
 	// The timed-out connection is not reusable mid-response; the pool must
 	// have discarded it so the next query works.
-	res, err := p.Query(context.Background(), countQ)
+	answers, err := p.QueryMany(context.Background(), []string{countQ})
 	if err != nil {
 		t.Fatalf("pool poisoned after timeout: %v", err)
 	}
-	if res.N == 0 {
+	if answers[0].Err != nil || answers[0].Result.N == 0 {
 		t.Error("empty result")
 	}
 }

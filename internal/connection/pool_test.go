@@ -33,7 +33,7 @@ func TestPoolReuse(t *testing.T) {
 	defer p.Close()
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, err := p.Query(ctx, countQ); err != nil {
+		if _, err := p.QueryMany(ctx, []string{countQ}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func TestPoolCapBlocksAndReleases(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Query(ctx, countQ); err != nil {
+			if _, err := p.QueryMany(ctx, []string{countQ}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -113,19 +113,22 @@ func TestPoolTempStateReuse(t *testing.T) {
 	}
 	p.Release(c)
 	// The next acquire gets the same session; the temp table is still there.
-	res, err := p.Query(ctx, `(aggregate (table `+name+`) (groupby) (aggs (n count *)))`)
+	answers, err := p.QueryMany(ctx, []string{`(aggregate (table ` + name + `) (groupby) (aggs (n count *)))`})
+	if err == nil {
+		err = answers[0].Err
+	}
 	if err != nil {
 		t.Fatalf("temp table lost across pool reuse: %v", err)
 	}
-	if res.Value(0, 0).I != 2 {
-		t.Errorf("rows = %d", res.Value(0, 0).I)
+	if n := answers[0].Result.Value(0, 0).I; n != 2 {
+		t.Errorf("rows = %d", n)
 	}
 }
 
 func TestPoolClose(t *testing.T) {
 	srv := startServer(t, remote.Config{})
 	p := NewPool(srv.Addr(), PoolConfig{Max: 1})
-	if _, err := p.Query(context.Background(), countQ); err != nil {
+	if _, err := p.QueryMany(context.Background(), []string{countQ}); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()

@@ -37,9 +37,9 @@ func TestQueryManyDeadlineBetweenFramesDiscardsConn(t *testing.T) {
 		t.Fatalf("broken connection kept: discards=%d live=%d", st.Discards, p.Live())
 	}
 	// The next request gets a fresh connection and a clean answer.
-	res, err := p.Query(context.Background(), countQ)
-	if err != nil || res.N == 0 {
-		t.Fatalf("query after the discard = (%v, %v)", res, err)
+	answers, err = p.QueryMany(context.Background(), []string{countQ})
+	if err != nil || answers[0].Err != nil || answers[0].Result.N == 0 {
+		t.Fatalf("query after the discard = (%+v, %v)", answers, err)
 	}
 	if st := p.Stats(); st.Dials != 2 || st.Reuses != 0 {
 		t.Fatalf("stats after the discard = %+v, want a second dial and no reuse", st)

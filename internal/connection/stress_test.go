@@ -50,8 +50,8 @@ func TestPoolStressWithTransportErrors(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesPerWorker; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, err := p.Query(ctx,
-					`(aggregate (table flights) (groupby carrier) (aggs (n count *)))`)
+				_, err := p.QueryMany(ctx,
+					[]string{`(aggregate (table flights) (groupby carrier) (aggs (n count *)))`})
 				cancel()
 				cnt.Lock()
 				if err != nil {

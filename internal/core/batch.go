@@ -34,7 +34,6 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.SpanBatch)
 	defer sp.Finish()
-	sp.Annotatef("queries", "%d", len(batch))
 	mBatchSize.Observe(int64(len(batch)))
 
 	// Phase 0: cache hits answer immediately.
@@ -78,9 +77,6 @@ func (p *Processor) ExecuteBatch(ctx context.Context, batch []*query.Query) ([]*
 
 	// Phase 2: fuse projection-variant remote queries.
 	groups := p.fuseGroups(batch, remoteIdx)
-	plan.Annotatef("remote", "%d", len(remoteIdx))
-	plan.Annotatef("local", "%d", len(localIdx))
-	plan.Annotatef("groups", "%d", len(groups))
 	plan.Finish()
 
 	// Phase 3: one remote wave of every group's sent query. done[i] closes

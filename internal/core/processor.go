@@ -189,7 +189,6 @@ func (p *Processor) Execute(ctx context.Context, q *query.Query) (*exec.Result, 
 	res, ok := p.probeIntelligent(q, &p.cacheHits)
 	ps.Finish()
 	if ok {
-		sp.Annotate("answer", "cache")
 		return res, nil
 	}
 	// A wave of one.
@@ -199,9 +198,6 @@ func (p *Processor) Execute(ctx context.Context, q *query.Query) (*exec.Result, 
 	p.executeRemote(ctx, []*query.Query{sent}, func(_ int, r *exec.Result, e error) { got, err = r, e })
 	if err != nil {
 		return nil, err
-	}
-	if got.Stale {
-		sp.Annotate("answer", "stale")
 	}
 	return deriveBack(sent, got, q)
 }

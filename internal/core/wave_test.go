@@ -54,7 +54,7 @@ func runWave(p *Processor, wave []*query.Query) []waveAnswer {
 // the source.
 func learnSource(t *testing.T, p *Processor) {
 	t.Helper()
-	if _, err := p.pool.Query(context.Background(), carrierCounts().ToTQL()); err != nil {
+	if _, err := p.pool.QueryMany(context.Background(), []string{carrierCounts().ToTQL()}); err != nil {
 		t.Fatal(err)
 	}
 }

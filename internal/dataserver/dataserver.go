@@ -411,7 +411,6 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 		res, _, err := c.tryLocalTempQuery(rq)
 		if err == nil {
 			c.srv.localAnswers.Inc()
-			sp.Annotate("answer", "local-temp")
 		}
 		return res, err
 	}

@@ -73,10 +73,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	if firstErr != nil {
-		sp.Annotate("outcome", "deadline")
 		return fmt.Errorf("dataserver: drain incomplete: %w", firstErr)
 	}
-	sp.Annotate("outcome", "quiesced")
 	return nil
 }
 

@@ -68,13 +68,6 @@ type Span struct {
 
 	mu       sync.Mutex
 	children []*Span
-	attrs    []Attr
-}
-
-// Attr is one key/value annotation on a span.
-type Attr struct {
-	Key   string
-	Value string
 }
 
 type ctxKey struct{}
@@ -123,24 +116,6 @@ func (s *Span) Finish() {
 		s.tracer.roots = append(s.tracer.roots, s)
 		s.tracer.mu.Unlock()
 	}
-}
-
-// Annotate attaches a key/value pair. Safe on a nil span.
-func (s *Span) Annotate(key, value string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
-}
-
-// Annotatef attaches a formatted value. Safe on a nil span.
-func (s *Span) Annotatef(key, format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.Annotate(key, fmt.Sprintf(format, args...))
 }
 
 // Duration is the span's elapsed time (zero before Finish).

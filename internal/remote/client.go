@@ -67,7 +67,6 @@ func (c *Conn) Closed() bool {
 func (c *Conn) roundTrip(ctx context.Context, req *Request, n int) ([]*Response, error) {
 	_, sp := obs.StartSpan(ctx, obs.SpanRemote)
 	defer sp.Finish()
-	sp.Annotate("op", string(req.Op))
 	start := time.Now()
 
 	c.mu.Lock()

@@ -203,7 +203,6 @@ func Do[T any](ctx context.Context, r *Resilience, fn func(context.Context) (T, 
 			// The span makes fast-fails visible in per-stage traces: its
 			// near-zero duration is the point, vs. a timeout-length wait.
 			_, sp := obs.StartSpan(ctx, obs.SpanBreaker)
-			sp.Annotate("state", r.br.State().String())
 			sp.Finish()
 			return zero, fmt.Errorf("resilience: data source unavailable (breaker): %w", ErrOpen)
 		}
@@ -253,7 +252,6 @@ func attemptOne[T any](ctx context.Context, r *Resilience, n int, fn func(contex
 	if n > 1 {
 		var sp *obs.Span
 		ctx, sp = obs.StartSpan(ctx, obs.SpanRetry)
-		sp.Annotatef("attempt", "%d", n)
 		defer sp.Finish()
 	}
 	actx := ctx

@@ -260,8 +260,8 @@ func TestDrainAfterEdgeCases(t *testing.T) {
 				t.Errorf("admit: %v", err)
 				return
 			}
+			tk.Done() // before the send, so the final Stats sees it
 			got <- struct{}{}
-			tk.Done()
 		}()
 		waitUntil(t, func() bool { return s.Stats().Queued == before+1 })
 	}

@@ -475,10 +475,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	class := ClassOf(ctx)
 	user := UserOf(ctx)
 	sess := SessionOf(ctx)
-	sp.Annotate("class", class.String())
-	if user != "" {
-		sp.Annotate("user", user)
-	}
 	start := time.Now()
 
 	s.mu.Lock()
@@ -490,7 +486,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		s.shed.Inc()
 		s.shedDraining.Inc()
 		s.mu.Unlock()
-		sp.Annotate("via", "shed-draining")
 		return nil, &ShedError{Reason: "draining"}
 	}
 	// Fast path: capacity free and nobody of same-or-higher priority
@@ -502,7 +497,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		s.admitLocked(class)
 		s.admittedDirect.Inc()
 		s.mu.Unlock()
-		sp.Annotate("via", "direct")
 		return &Ticket{s: s, start: time.Now()}, nil
 	}
 
@@ -518,7 +512,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			s.shed.Inc()
 			s.shedDeadline.Inc()
 			s.mu.Unlock()
-			sp.Annotate("via", "shed-deadline")
 			return nil, &ShedError{Reason: "deadline", EstWait: est, Budget: budget}
 		}
 	}
@@ -548,7 +541,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			// still have queued.
 			s.shedClusterPressure.Inc()
 			s.mu.Unlock()
-			sp.Annotate("via", "shed-cluster-pressure")
 			return nil, &ShedError{Reason: "cluster-pressure", EstWait: est, Budget: budget}
 		}
 		s.shedQueueFull.Inc()
@@ -559,13 +551,11 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		if userFull {
 			cShedUser.Inc()
 		}
-		sp.Annotate("via", "shed-queue-full")
 		return nil, &ShedError{Reason: "queue-full", EstWait: est, Budget: budget}
 	}
 	w := s.enqueueLocked(class, user, sess)
 	s.mu.Unlock()
 	cQueued.Inc()
-	sp.Annotate("via", "queue")
 
 	select {
 	case <-w.ready:
@@ -573,7 +563,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			// The drain flushed this waiter: ready closed with a shed
 			// verdict instead of a grant (shed stats were counted by the
 			// flush; the close of w.ready orders the write of w.shed).
-			sp.Annotate("via", "shed-draining")
 			return nil, w.shed
 		}
 		wait := time.Since(start)
@@ -588,7 +577,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			// The drain flush raced the cancellation; the waiter already
 			// left the queue and was counted as shed.
 			s.mu.Unlock()
-			sp.Annotate("via", "shed-draining")
 			return nil, w.shed
 		}
 		if w.granted {
@@ -597,14 +585,12 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			// cancellation, never as a completion, and nothing is observed.
 			s.mu.Unlock()
 			(&Ticket{s: s}).cancel()
-			sp.Annotate("via", "canceled-after-grant")
 			return nil, ctx.Err()
 		}
 		s.removeLocked(class, user, sess, w)
 		s.canceled.Inc()
 		s.notifyQuiesceLocked()
 		s.mu.Unlock()
-		sp.Annotate("via", "canceled")
 		return nil, ctx.Err()
 	}
 }

@@ -31,8 +31,9 @@ check() {
 
 check ./internal/remote     77.8
 check ./internal/kvstore    88.4
-check ./internal/connection 87.3
-check ./internal/cache      90.6
+check ./internal/connection 93.1
+check ./internal/cache      93.6
+check ./internal/obs        90.2
 check ./internal/resilience 91.2
 check ./internal/sched      93.5
 check ./internal/dataserver 90.8
