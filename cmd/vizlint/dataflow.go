@@ -60,6 +60,9 @@ type resourceSpec struct {
 	// token as a use (pooled connections).
 	ownMethods  map[string]bool
 	anyMethodOk bool
+	// ownFields are fields of the token whose read is a use, not an
+	// escape (sp.Name).
+	ownFields map[string]bool
 	// pinned tokens never escape: no mention hands them to someone else
 	// (a mutex stays the function's to unlock).
 	pinned bool
@@ -363,6 +366,11 @@ func (rp *releasePass) scan(e ast.Expr, st flowState, report bool) {
 				}
 			}
 		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && rp.spec.ownFields[x.Sel.Name] {
+				if _, tracked := st[id.Name]; tracked {
+					return false // field read on the token
+				}
+			}
 			if key := exprKey(x); key != "" {
 				rp.escape(key, st)
 				// The field name itself is not a variable mention.

@@ -8,7 +8,7 @@ import (
 
 // errDiscardPkgs are the packages where a silently discarded
 // Close/Flush/Write error can corrupt persisted or wire data.
-var errDiscardPkgs = []string{"internal/tde/storage", "internal/kvstore"}
+var errDiscardPkgs = []string{"internal/tde/storage", "internal/kvstore", "internal/wire"}
 
 // errDiscardMethods are the method names whose error results must be
 // consumed in those packages.

@@ -6,9 +6,9 @@ import (
 )
 
 // goroutineJoinPkgs are the subsystems where every launched goroutine must
-// be joinable or cancellable: the parallel executor, the Data Server, and
-// the remote connection machinery.
-var goroutineJoinPkgs = []string{"internal/tde/exec", "internal/dataserver", "internal/remote"}
+// be joinable or cancellable: the parallel executor, the Data Server, the
+// remote connection machinery and the shared accept loop.
+var goroutineJoinPkgs = []string{"internal/tde/exec", "internal/dataserver", "internal/remote", "internal/wire"}
 
 // checkGoroutines implements the goroutine-hygiene family:
 //

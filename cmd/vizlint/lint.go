@@ -8,9 +8,10 @@
 //	            that locks it, is flagged.
 //	goroutine – `go func` literals must not write receiver fields without
 //	            the receiver's mutex; goroutines in the exec/dataserver/
-//	            remote packages must have a join or cancellation signal.
+//	            remote/wire packages must have a join or cancellation
+//	            signal.
 //	errors    – Close/Flush/Write error results must not be silently
-//	            discarded in the storage and kvstore packages; fmt.Errorf
+//	            discarded in the storage, kvstore and wire packages; fmt.Errorf
 //	            wrapping an error variable must use %w.
 //	sleep     – time.Sleep must not be used for synchronization outside
 //	            tests and simulation code.

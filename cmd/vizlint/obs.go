@@ -13,21 +13,26 @@ import (
 // The check is an instantiation of the shared must-release engine
 // (dataflow.go) over the function CFG (cfg.go). A span that escapes the
 // function (passed to a call, returned, reassigned, captured by a
-// goroutine) is assumed finished elsewhere and dropped from tracking.
+// goroutine) is assumed finished elsewhere and dropped from tracking;
+// reading one of its fields hands nothing over.
 func checkObs(pkg *pkgInfo, fi *fileInfo) []Finding {
 	return runReleaseCheck(pkg, fi, obsSpec)
 }
 
 // spanMethods are *obs.Span methods whose receiver use is not an escape.
 var spanMethods = map[string]bool{
-	"Finish": true, "Duration": true, "Children": true, "Name": true,
+	"Finish": true, "Duration": true, "Children": true,
 }
+
+// spanFields are obs.Span fields whose read is a use, not an escape.
+var spanFields = map[string]bool{"Name": true, "Start": true, "End": true}
 
 var obsSpec = &resourceSpec{
 	check:      "obs",
 	acquire:    startSpanAcquire,
 	release:    finishRelease,
 	ownMethods: spanMethods,
+	ownFields:  spanFields,
 	leakReturn: func(name string) string {
 		return fmt.Sprintf("return path leaves span %s unfinished (missing %s.Finish(); prefer defer)", name, name)
 	},

@@ -41,3 +41,10 @@ func DeferOnlySometimes(ctx context.Context, hot bool) {
 		defer sp.Finish()
 	}
 }
+
+// FieldRead reads the span's name and never finishes it: a field read is
+// a use, not a hand-off. (1 finding)
+func FieldRead(ctx context.Context, log func(string)) {
+	_, sp := obs.StartSpan(ctx, "named") // want: obs (span never finished; reading Name is no escape)
+	log(sp.Name)
+}

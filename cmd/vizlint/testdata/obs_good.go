@@ -29,6 +29,13 @@ func ExplicitOnAllPaths(ctx context.Context, fast bool) {
 	sp.Finish()
 }
 
+// NamedThenFinished reads the span's fields before finishing it.
+func NamedThenFinished(ctx context.Context, log func(string)) {
+	_, sp := obs.StartSpan(ctx, "named")
+	log(sp.Name + sp.Start.String())
+	sp.Finish()
+}
+
 // PassedAlong hands the span to a helper, which owns finishing it.
 func PassedAlong(ctx context.Context) {
 	_, sp := obs.StartSpan(ctx, "handoff")

@@ -211,10 +211,11 @@ func TestSleepDirectiveSuppresses(t *testing.T) {
 func TestObsFiresOnBadCode(t *testing.T) {
 	findings := firesOn(t, "obs_bad.go", "vizq/internal/fixture")
 	// EarlyReturn's bail-out, FallThrough's missing Finish, Restarted's
-	// orphaned first span, and DeferOnlySometimes' undeferred branch.
-	if got := countCheck(findings, "obs"); got != 4 {
+	// orphaned first span, DeferOnlySometimes' undeferred branch, and
+	// FieldRead's span that only had its name read.
+	if got := countCheck(findings, "obs"); got != 5 {
 		dump(t, findings)
-		t.Errorf("obs findings = %d, want 4", got)
+		t.Errorf("obs findings = %d, want 5", got)
 	}
 }
 

@@ -405,10 +405,7 @@ func TestDistributedCache(t *testing.T) {
 	defer srv.Close()
 
 	mkNode := func() *Distributed {
-		cl, err := kvstore.Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := kvstore.NewClient(srv.Addr(), 0)
 		return NewDistributed(NewIntelligentCache(DefaultOptions()), cl, time.Minute)
 	}
 	nodeA, nodeB := mkNode(), mkNode()
@@ -469,10 +466,7 @@ func TestKVStoreNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := kvstore.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := kvstore.NewClient(srv.Addr(), 0)
 	defer cl.Close()
 	if err := cl.Set("x", []byte("hello"), 0); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vizq/internal/chaos"
 	"vizq/internal/kvstore"
 	"vizq/internal/query"
 	"vizq/internal/tde/exec"
@@ -38,8 +39,8 @@ func TestDistributedTransportErrorIsNotMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := kvstore.Dial(srv.Addr())
-	if err != nil {
+	cl := kvstore.NewClient(srv.Addr(), 0)
+	if err := cl.Set("warm", []byte("up"), 0); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close() // kill the store out from under the client
@@ -69,10 +70,7 @@ func TestDistributedFailedDeriveIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := kvstore.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := kvstore.NewClient(srv.Addr(), 0)
 	defer cl.Close()
 
 	// Plant an unrelated entry under q's key — the shared tier is exact-key
@@ -113,10 +111,7 @@ func TestDistributedDecodeErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := kvstore.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := kvstore.NewClient(srv.Addr(), 0)
 	defer cl.Close()
 
 	q := distQuery("flights", "carrier")
@@ -129,5 +124,55 @@ func TestDistributedDecodeErrorCounted(t *testing.T) {
 	}
 	if _, misses, errs := d.RemoteStats(); errs != 1 || misses != 0 {
 		t.Errorf("misses=%d errs=%d, want 0/1", misses, errs)
+	}
+}
+
+// TestDistributedRecoversAfterDroppedLink: a shared-store link that dies
+// under the tier costs at most one errored Get. The next one redials and
+// hits, and counts no error, so the tier recovers instead of wedging on
+// the dead connection.
+func TestDistributedRecoversAfterDroppedLink(t *testing.T) {
+	store := kvstore.NewStore(1 << 20)
+	srv, err := kvstore.Serve("127.0.0.1:0", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy, err := chaos.New(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	cl := kvstore.NewClient(proxy.Addr(), 0)
+	defer cl.Close()
+
+	// Distinct keys, so every Get below reaches the shared store instead of
+	// the local tier a previous hit warmed.
+	var qs []*query.Query
+	for _, dim := range []string{"carrier", "market", "origin"} {
+		q := distQuery("flights", dim)
+		data, err := EncodeEntry(q, distResult(dim), time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Set(q.Key(), data, time.Minute)
+		qs = append(qs, q)
+	}
+	d := NewDistributed(NewIntelligentCache(DefaultOptions()), cl, time.Minute)
+	if _, ok := d.Get(qs[0]); !ok {
+		t.Fatal("healthy Get missed")
+	}
+
+	proxy.KillActive() // the live relay dies; new connections are accepted
+	d.Get(qs[1])       // may fail: it is the call that finds the link dead
+	_, _, errsBefore := d.RemoteStats()
+	if errsBefore > 1 {
+		t.Fatalf("errors = %d after one Get on a dropped link, want <= 1", errsBefore)
+	}
+	if _, ok := d.Get(qs[2]); !ok {
+		t.Fatal("Get after the dropped link missed: the client did not redial")
+	}
+	if _, _, errs := d.RemoteStats(); errs != errsBefore {
+		t.Errorf("errors went %d -> %d on the Get after the dropped link", errsBefore, errs)
 	}
 }

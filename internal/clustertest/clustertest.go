@@ -60,6 +60,9 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 	return c.now
 }
 
+// source names the published source on every node.
+const source = "flights"
+
 // busTimeout bounds each coordination-bus round trip in real time so
 // partitioned links fail fast.
 const busTimeout = 500 * time.Millisecond
@@ -68,8 +71,6 @@ const busTimeout = 500 * time.Millisecond
 type Config struct {
 	// Nodes is the Data Server count (default 3).
 	Nodes int
-	// Source names the published source on every node (default "flights").
-	Source string
 	// Rows sizes the shared flights database (default 4000).
 	Rows int
 	// Seed feeds the database builder (default 11).
@@ -88,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 3
-	}
-	if c.Source == "" {
-		c.Source = "flights"
 	}
 	if c.Rows <= 0 {
 		c.Rows = 4000
@@ -121,15 +119,15 @@ type Node struct {
 	// KVProxy sits between this node's bus client and the kvstore;
 	// partitioning this node means faulting this proxy.
 	KVProxy *chaos.Proxy
-	Bus     *kvstore.RemoteBus
+	Bus     *kvstore.Client
 
 	mu    sync.Mutex
 	conns map[string]*dataserver.ClientConn
 }
 
 // conn returns (creating on first use) this node's client connection for
-// user against source.
-func (n *Node) conn(source, user string) (*dataserver.ClientConn, error) {
+// user against the published source.
+func (n *Node) conn(user string) (*dataserver.ClientConn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c, ok := n.conns[user]; ok {
@@ -200,7 +198,7 @@ func New(cfg Config) (*Cluster, error) {
 			cl.Close()
 			return nil, err
 		}
-		bus := kvstore.NewRemoteBus(proxy.Addr(), busTimeout)
+		bus := kvstore.NewClient(proxy.Addr(), busTimeout)
 		schedCfg := cfg.Scheduler
 		ds := dataserver.NewServer(dataserver.Config{
 			PipelineOptions: core.DefaultOptions(),
@@ -212,7 +210,7 @@ func New(cfg Config) (*Cluster, error) {
 			},
 		})
 		if err := ds.Publish(&dataserver.PublishedSource{
-			Name:               cfg.Source,
+			Name:               source,
 			Backend:            bproxy.Addr(),
 			View:               query.View{Table: "flights"},
 			MaxPoolConnections: cfg.PoolMax,
@@ -249,14 +247,14 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Source returns the published source name.
-func (cl *Cluster) Source() string { return cl.cfg.Source }
+func (cl *Cluster) Source() string { return source }
 
 // Interval returns the digest publish period.
 func (cl *Cluster) Interval() time.Duration { return cl.cfg.Interval }
 
 // Scheduler returns node i's admission controller.
 func (cl *Cluster) Scheduler(i int) *sched.Scheduler {
-	return cl.Nodes[i].DS.Scheduler(cl.cfg.Source)
+	return cl.Nodes[i].DS.Scheduler(source)
 }
 
 // Tick advances the fake clock one publish interval, steps every node's
@@ -278,7 +276,7 @@ func (cl *Cluster) Tick() {
 // (or whose coordinator is gone) keeps its previous advisory values.
 func (cl *Cluster) SyncPressure() {
 	for i, n := range cl.Nodes {
-		d, ok := n.DS.Coordinator().LastDigest(cl.cfg.Source)
+		d, ok := n.DS.Coordinator().LastDigest(source)
 		if !ok {
 			continue
 		}
@@ -347,7 +345,7 @@ func (cl *Cluster) ProbeNode(i int) bool {
 // query's outcome.
 func (cl *Cluster) Dispatch(ctx context.Context, user string, q *query.Query) (int, error) {
 	idx := cl.Balancer.PickIndex()
-	conn, err := cl.Nodes[idx].conn(cl.cfg.Source, user)
+	conn, err := cl.Nodes[idx].conn(user)
 	if err != nil {
 		return idx, err
 	}
@@ -361,7 +359,7 @@ func (cl *Cluster) Dispatch(ctx context.Context, user string, q *query.Query) (i
 // the node that first served it, which is how a hot user concentrates
 // load on specific nodes.
 func (cl *Cluster) QueryOn(ctx context.Context, idx int, user string, q *query.Query) error {
-	conn, err := cl.Nodes[idx].conn(cl.cfg.Source, user)
+	conn, err := cl.Nodes[idx].conn(user)
 	if err != nil {
 		return err
 	}
@@ -387,7 +385,7 @@ func DistinctQuery(i int) *query.Query {
 func (cl *Cluster) Close() {
 	for _, n := range cl.Nodes {
 		n.closeConns()
-		n.DS.Unpublish(cl.cfg.Source)
+		n.DS.Unpublish(source)
 		_ = n.Bus.Close()
 		n.KVProxy.Close()
 		n.BackendProxy.Close()

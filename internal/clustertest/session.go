@@ -44,7 +44,7 @@ type Session struct {
 
 // NewSession opens a session for user on node idx.
 func (cl *Cluster) NewSession(user string, idx int, failover bool) (*Session, error) {
-	conn, _, err := cl.Nodes[idx].DS.Connect(cl.cfg.Source, user)
+	conn, _, err := cl.Nodes[idx].DS.Connect(source, user)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func (s *Session) moveLocked() error {
 	from := s.node
 	var lastErr error
 	for _, to := range s.candidatesLocked(from) {
-		conn, _, err := s.cl.Nodes[to].DS.Connect(s.cl.cfg.Source, s.user)
+		conn, _, err := s.cl.Nodes[to].DS.Connect(source, s.user)
 		if err != nil {
 			// Racing a drain or a second failure; try the next survivor.
 			lastErr = err

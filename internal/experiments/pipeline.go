@@ -309,10 +309,7 @@ func E4QueryCaching(s Scale) (*Table, error) {
 			return core.NewProcessor(mkPool(4), nil, nil, core.Options{})
 		}, false},
 		{"intelligent + distributed", func(int) *core.Processor {
-			cl, err := kvstore.Dial(kvSrv.Addr())
-			if err != nil {
-				return core.NewProcessor(mkPool(4), nil, nil, core.Options{})
-			}
+			cl := kvstore.NewClient(kvSrv.Addr(), 0)
 			dist := cache.NewDistributed(cache.NewIntelligentCache(cache.DefaultOptions()), cl, time.Minute)
 			return core.NewProcessor(mkPool(4), dist, nil, core.Options{})
 		}, false},

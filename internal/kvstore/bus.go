@@ -1,13 +1,11 @@
 package kvstore
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // LocalBus adapts a Store to the coordination-bus shape internal/sched
 // expects (Set + List). Single-process deployments and tests use it to
-// coordinate schedulers without a network hop.
+// coordinate schedulers without a network hop; across processes a Client
+// has the same shape.
 type LocalBus struct {
 	store *Store
 }
@@ -23,102 +21,15 @@ func (b *LocalBus) Set(key string, val []byte, ttl time.Duration) error {
 
 // List returns every unexpired entry under prefix.
 func (b *LocalBus) List(prefix string) (map[string][]byte, error) {
-	pairs := b.store.Scan(prefix)
+	return scanMap(b.store, prefix), nil
+}
+
+// scanMap is store.Scan(prefix) keyed by entry key.
+func scanMap(store *Store, prefix string) map[string][]byte {
+	pairs := store.Scan(prefix)
 	out := make(map[string][]byte, len(pairs))
 	for _, p := range pairs {
 		out[p.Key] = p.Val
 	}
-	return out, nil
-}
-
-// RemoteBus is a reconnecting kvstore client for coordination traffic.
-// The plain Client wedges after its first transport error (the single
-// multiplexed connection stays broken); a coordination bus must instead
-// ride out kvstore restarts and partitions, so RemoteBus drops the
-// connection on any error and redials lazily on the next call. Every op
-// is bounded by Timeout so a stalled link fails fast — the scheduler
-// then falls back to local-only admission rather than blocking.
-type RemoteBus struct {
-	addr    string
-	timeout time.Duration
-
-	mu sync.Mutex
-	c  *Client
-}
-
-// DefaultBusTimeout bounds each bus round trip unless overridden.
-const DefaultBusTimeout = 2 * time.Second
-
-// NewRemoteBus creates a bus talking to the kvstore server at addr.
-// timeout 0 selects DefaultBusTimeout.
-func NewRemoteBus(addr string, timeout time.Duration) *RemoteBus {
-	if timeout <= 0 {
-		timeout = DefaultBusTimeout
-	}
-	return &RemoteBus{addr: addr, timeout: timeout}
-}
-
-// client returns the live connection, dialing if needed.
-func (b *RemoteBus) client() (*Client, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.c != nil {
-		return b.c, nil
-	}
-	c, err := Dial(b.addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTimeout(b.timeout)
-	b.c = c
-	return c, nil
-}
-
-// drop discards a connection after an error so the next call redials.
-func (b *RemoteBus) drop(c *Client) {
-	b.mu.Lock()
-	if b.c == c {
-		b.c = nil
-	}
-	b.mu.Unlock()
-	_ = c.Close()
-}
-
-// Set stores a digest with TTL.
-func (b *RemoteBus) Set(key string, val []byte, ttl time.Duration) error {
-	c, err := b.client()
-	if err != nil {
-		return err
-	}
-	if err := c.Set(key, val, ttl); err != nil {
-		b.drop(c)
-		return err
-	}
-	return nil
-}
-
-// List returns every unexpired entry under prefix.
-func (b *RemoteBus) List(prefix string) (map[string][]byte, error) {
-	c, err := b.client()
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.List(prefix)
-	if err != nil {
-		b.drop(c)
-		return nil, err
-	}
-	return out, nil
-}
-
-// Close releases the current connection, if any.
-func (b *RemoteBus) Close() error {
-	b.mu.Lock()
-	c := b.c
-	b.c = nil
-	b.mu.Unlock()
-	if c != nil {
-		return c.Close()
-	}
-	return nil
+	return out
 }

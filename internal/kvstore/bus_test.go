@@ -3,7 +3,9 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -101,10 +103,7 @@ func TestClientList(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(srv.Addr(), 0)
 	defer c.Close()
 
 	for k, v := range map[string]string{"dig/n1": "v1", "dig/n2": "v2", "zz": "x"} {
@@ -124,30 +123,53 @@ func TestClientList(t *testing.T) {
 	}
 }
 
-// TestDecodePairsTorn: every truncation of a valid List body must be
-// rejected — a digest reader fed a torn response must see an error, never
-// a silently shortened peer set.
-func TestDecodePairsTorn(t *testing.T) {
-	body := encodePairs([]KV{{Key: "k1", Val: []byte("v1")}, {Key: "key-2", Val: []byte("longer-value")}})
-	m, err := decodePairs(body)
-	if err != nil || len(m) != 2 || string(m["key-2"]) != "longer-value" {
-		t.Fatalf("round trip = %v, %v", m, err)
+// TestServerAllocatesWhatArrives: a request header's length is only the
+// peer's claim. A raw connection that announces a 64 MiB frame and hangs
+// up must cost the server about what arrived, and the server must keep
+// serving other clients.
+func TestServerAllocatesWhatArrives(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewStore(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < len(body); i++ {
-		if _, err := decodePairs(body[:i]); err == nil {
-			t.Errorf("truncation at %d of %d accepted", i, len(body))
-		}
+	defer srv.Close()
+	c := NewClient(srv.Addr(), 0)
+	defer c.Close()
+	if err := c.Set("k", []byte("v"), 0); err != nil {
+		t.Fatal(err)
 	}
-	// A count that promises more pairs than the body holds is torn too.
-	lying := binary.LittleEndian.AppendUint32(nil, 1000)
-	if _, err := decodePairs(lying); err == nil {
-		t.Error("oversized count accepted")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(binary.LittleEndian.AppendUint32(nil, 64<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes its side once it has given up on the frame.
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server kept the torn connection: read err = %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	_ = raw.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a 64 MiB claim with no payload allocated %d bytes, want < 1 MiB", got)
+	}
+
+	if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("get after the torn connection = %q %v %v", v, ok, err)
 	}
 }
 
 // TestClientTimeoutOnStall: a server that accepts but never answers must
-// not hang a client with SetTimeout — the deadline surfaces as a timeout
-// error instead of wedging the caller.
+// not hang a client — its round-trip deadline surfaces as a timeout error
+// instead of wedging the caller.
 func TestClientTimeoutOnStall(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -167,12 +189,8 @@ func TestClientTimeoutOnStall(t *testing.T) {
 		}
 	}()
 
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(ln.Addr().String(), 50*time.Millisecond)
 	defer c.Close()
-	c.SetTimeout(50 * time.Millisecond)
 	_, _, err = c.Get("k")
 	if err == nil {
 		t.Fatal("stalled round trip returned no error")
@@ -212,7 +230,7 @@ func TestLocalBus(t *testing.T) {
 	}
 }
 
-func TestRemoteBusDialFailure(t *testing.T) {
+func TestClientDialFailure(t *testing.T) {
 	// Grab a port and close it so nothing listens there.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -221,7 +239,7 @@ func TestRemoteBusDialFailure(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	b := NewRemoteBus(addr, 100*time.Millisecond)
+	b := NewClient(addr, 100*time.Millisecond)
 	if err := b.Set("k", []byte("v"), 0); err == nil {
 		t.Fatal("set against a dead address succeeded")
 	}
@@ -233,11 +251,10 @@ func TestRemoteBusDialFailure(t *testing.T) {
 	}
 }
 
-// TestRemoteBusReconnects: the bus must fail fast across a partition and
-// transparently redial once it heals — the plain Client stays wedged
-// after its first transport error, which is exactly what a coordination
-// bus cannot afford.
-func TestRemoteBusReconnects(t *testing.T) {
+// TestClientReconnects: the client must fail fast across a partition and
+// transparently redial once it heals — a client that stayed on its broken
+// connection would wedge the cache tier and the coordination bus alike.
+func TestClientReconnects(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", NewStore(0))
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +266,7 @@ func TestRemoteBusReconnects(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	b := NewRemoteBus(proxy.Addr(), 0) // 0 selects DefaultBusTimeout
+	b := NewClient(proxy.Addr(), 0) // 0 selects DefaultTimeout
 	defer b.Close()
 	if err := b.Set("dig/n1", []byte("v"), time.Minute); err != nil {
 		t.Fatal(err)
@@ -273,5 +290,49 @@ func TestRemoteBusReconnects(t *testing.T) {
 	}
 	if string(m["dig/n1"]) != "v" {
 		t.Fatalf("entry lost across the partition: %v", m)
+	}
+}
+
+// TestClientSharedAcrossGoroutines: one Client serves concurrent callers
+// while its link is cut under them. Calls that meet the dead connection may
+// fail, but none may see another call's answer, and once the cuts stop every
+// caller gets through again.
+func TestClientSharedAcrossGoroutines(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewStore(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy, err := chaos.New(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	c := NewClient(proxy.Addr(), 0)
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprintf("k%d_%d", g, i)
+				if err := c.Set(key, []byte(key), 0); err != nil {
+					continue // the link was cut under this call
+				}
+				if v, ok, err := c.Get(key); err == nil && (!ok || string(v) != key) {
+					t.Errorf("get %s = %q %v: another call's answer", key, v, ok)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 5; i++ {
+		proxy.KillActive()
+		time.Sleep(time.Millisecond)
+	}
+	wg.Wait()
+	if err := c.Set("after", []byte("v"), 0); err != nil {
+		t.Fatalf("set after the cuts stopped: %v", err)
 	}
 }

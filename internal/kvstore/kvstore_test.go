@@ -64,10 +64,7 @@ func TestNetworkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := NewClient(srv.Addr(), 0)
 	defer cl.Close()
 	if err := cl.Set("k", []byte("hello"), time.Minute); err != nil {
 		t.Fatal(err)
@@ -76,12 +73,12 @@ func TestNetworkRoundTrip(t *testing.T) {
 	if err != nil || !ok || string(v) != "hello" {
 		t.Fatalf("get = %q %v %v", v, ok, err)
 	}
-	// The retired delete and ping ops are answered with an error status,
-	// and the key survives the delete attempt.
-	for _, op := range []byte{'D', 'P'} {
-		status, body, err := cl.roundTrip(op, "k", 0, nil)
-		if err != nil || status != statusError || string(body) != fmt.Sprintf("bad op %q", op) {
-			t.Errorf("op %q = (%d, %q, %v), want a bad-op error", op, status, body, err)
+	// The retired delete and ping ops are answered with an error, and the
+	// key survives the delete attempt.
+	for _, op := range []string{"delete", "ping"} {
+		resp, err := cl.call(&request{Op: op, Key: "k"})
+		if err == nil || err.Error() != fmt.Sprintf("kvstore: bad op %q", op) {
+			t.Errorf("op %q = (%+v, %v), want a bad-op error", op, resp, err)
 		}
 	}
 	if _, ok, _ := cl.Get("k"); !ok {
@@ -101,11 +98,7 @@ func TestNetworkConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			cl := NewClient(srv.Addr(), 0)
 			defer cl.Close()
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("k%d_%d", c, i)
@@ -131,11 +124,13 @@ func TestServerCloseDropsClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(srv.Addr())
-	if err != nil {
+	// A long deadline: the failure below must come from the dropped
+	// connection, not from the round trip timing out.
+	cl := NewClient(srv.Addr(), time.Minute)
+	defer cl.Close()
+	if err := cl.Set("k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

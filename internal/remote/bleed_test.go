@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"vizq/internal/wire"
 )
 
 // slowEchoServer speaks the wire protocol but answers every request only
@@ -30,12 +32,12 @@ func slowEchoServer(t *testing.T, delay time.Duration, maxRequests int) net.List
 				r := bufio.NewReader(conn)
 				w := bufio.NewWriter(conn)
 				for served := 0; maxRequests <= 0 || served < maxRequests; served++ {
-					req, err := readFrame[Request](r)
+					req, err := wire.ReadFrame[Request](r)
 					if err != nil {
 						return
 					}
 					time.Sleep(delay)
-					if err := writeFrame(w, &Response{Name: "resp-for-" + req.Name}); err != nil {
+					if err := wire.WriteFrame(w, &Response{Name: "resp-for-" + req.Name}); err != nil {
 						return
 					}
 				}

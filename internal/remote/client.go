@@ -11,6 +11,7 @@ import (
 
 	"vizq/internal/obs"
 	"vizq/internal/tde/exec"
+	"vizq/internal/wire"
 )
 
 // Round-trip metrics, shared process-wide.
@@ -79,13 +80,13 @@ func (c *Conn) roundTrip(ctx context.Context, req *Request, n int) ([]*Response,
 	} else {
 		_ = c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.w, req); err != nil {
+	if err := wire.WriteFrame(c.w, req); err != nil {
 		c.breakLocked()
 		return nil, err
 	}
 	resps := make([]*Response, 0, n)
 	for len(resps) < n {
-		resp, err := readFrame[Response](c.r)
+		resp, err := wire.ReadFrame[Response](c.r)
 		if err != nil {
 			c.breakLocked()
 			return resps, err

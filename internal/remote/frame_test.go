@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
-	"io"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"vizq/internal/wire"
 )
 
 // TestQueryManyAnswersEachStatement: one query request pays the latency
@@ -61,29 +59,6 @@ func TestQueryManyAnswersEachStatement(t *testing.T) {
 	}
 }
 
-// TestReadFrameAllocatesWhatArrives: the length in a frame header is only a
-// claim. A header announcing 1 GiB followed by little or nothing must fail
-// with a truncated frame after allocating about what arrived, not 1 GiB.
-func TestReadFrameAllocatesWhatArrives(t *testing.T) {
-	for _, sent := range []int{0, 100, 300 << 10} {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-		in := append(hdr[:], bytes.Repeat([]byte{'x'}, sent)...)
-		r := bufio.NewReader(bytes.NewReader(in))
-
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := readFrame[Response](r)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%d payload bytes: err = %v, want a truncated frame", sent, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-			t.Errorf("%d payload bytes under a 1 GiB header: allocated %d bytes, want < 1 MiB", sent, got)
-		}
-	}
-}
-
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder as a peer would,
 // reading frames until the first error: both directions must fail cleanly,
 // never panic, and a request that decodes must survive re-encoding. The
@@ -93,22 +68,22 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
-			if _, err := readFrame[Response](r); err != nil {
+			if _, err := wire.ReadFrame[Response](r); err != nil {
 				break
 			}
 		}
 		r = bufio.NewReader(bytes.NewReader(data))
 		for {
-			req, err := readFrame[Request](r)
+			req, err := wire.ReadFrame[Request](r)
 			if err != nil {
 				break
 			}
 			var buf bytes.Buffer
 			w := bufio.NewWriter(&buf)
-			if err := writeFrame(w, req); err != nil {
+			if err := wire.WriteFrame(w, req); err != nil {
 				t.Fatalf("re-encoding a decoded request: %v", err)
 			}
-			again, err := readFrame[Request](bufio.NewReader(&buf))
+			again, err := wire.ReadFrame[Request](bufio.NewReader(&buf))
 			if err != nil {
 				t.Fatalf("decoding a re-encoded request: %v", err)
 			}

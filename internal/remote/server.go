@@ -14,18 +14,15 @@ package remote
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"vizq/internal/obs"
 	"vizq/internal/tde/engine"
 	"vizq/internal/tde/exec"
+	"vizq/internal/wire"
 )
 
 // Config is the server's performance model.
@@ -60,15 +57,10 @@ type Stats struct {
 
 // Server is a simulated remote database.
 type Server struct {
-	eng *engine.Engine
-	cfg Config
-	ln  net.Listener
-	wg  sync.WaitGroup
-
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	sessSeq int64
+	eng     *engine.Engine
+	cfg     Config
+	srv     *wire.Server
+	sessSeq atomic.Int64
 
 	// The live form of Stats; none has a process-wide name. inFlight's
 	// high-water mark is MaxInFlight.
@@ -87,7 +79,7 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 	o := eng.Options()
 	o.MaxDOP = cfg.QueryDOP
 	eng.SetOptions(o)
-	s := &Server{eng: eng, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	s := &Server{eng: eng, cfg: cfg}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
@@ -96,18 +88,18 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral).
 func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	srv, err := wire.Listen(addr, func(conn net.Conn) {
+		s.serveSession(conn, s.sessSeq.Add(1))
+	})
 	if err != nil {
 		return err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv = srv
 	return nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
@@ -122,50 +114,10 @@ func (s *Server) Stats() Stats {
 
 // Close stops the server and drops all sessions.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
+	if s.srv == nil {
+		return nil
 	}
-	s.mu.Unlock()
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.sessSeq++
-		sessID := s.sessSeq
-		s.mu.Unlock()
-
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveSession(conn, sessID)
-		}()
-	}
+	return s.srv.Close()
 }
 
 // session-local state: temp tables created over this connection.
@@ -186,7 +138,7 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	for {
-		req, err := readFrame[Request](r)
+		req, err := wire.ReadFrame[Request](r)
 		if err != nil {
 			return
 		}
@@ -194,7 +146,7 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 			time.Sleep(s.cfg.Latency) //vizlint:allow sleep -- simulated network round trip (performance model)
 		}
 		if req.Op != OpQuery {
-			if err := writeFrame(w, s.handle(sess, req)); err != nil {
+			if err := wire.WriteFrame(w, s.handle(sess, req)); err != nil {
 				return
 			}
 			continue
@@ -206,7 +158,7 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 		s.requests.Inc()
 		s.queries.Add(int64(len(req.Stmts)))
 		for _, stmt := range req.Stmts {
-			if err := writeFrame(w, s.handleQuery(stmt)); err != nil {
+			if err := wire.WriteFrame(w, s.handleQuery(stmt)); err != nil {
 				return
 			}
 		}
@@ -280,7 +232,7 @@ func (s *Server) handleTempDrop(sess *session, req *Request) *Response {
 	return &Response{}
 }
 
-// ---- wire protocol: u32 length-prefixed JSON frames ----
+// ---- wire protocol: one wire frame per message ----
 //
 // Every request is one frame. A query request carries one or more statements
 // and is answered by one response frame per statement, in order; every other
@@ -313,58 +265,4 @@ type Response struct {
 	Result *exec.Result `json:",omitempty"`
 	Name   string       `json:",omitempty"`
 	ExecNS int64        `json:",omitempty"`
-}
-
-func writeFrame[T any](w *bufio.Writer, v *T) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// frameChunk is how much of a frame readFrame allocates before any of it
-// has arrived.
-const frameChunk = 64 << 10
-
-// readFrame reads one frame. The length in its header is the peer's claim,
-// not a fact: the buffer starts at frameChunk and doubles only as bytes
-// arrive, so a peer that announces a large frame and then stalls or hangs
-// up costs at most twice what it actually sent.
-func readFrame[T any](r *bufio.Reader) (*T, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > 1<<30 {
-		return nil, fmt.Errorf("remote: frame too large (%d)", n)
-	}
-	data := make([]byte, 0, min(n, frameChunk))
-	for len(data) < n {
-		if len(data) == cap(data) {
-			data = slices.Grow(data, min(n-len(data), len(data)))
-		}
-		k, err := io.ReadFull(r, data[len(data):min(n, cap(data))])
-		data = data[:len(data)+k]
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the header arrived: the frame is cut short
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	v := new(T)
-	if err := json.Unmarshal(data, v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }

@@ -24,8 +24,9 @@
 package sched
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -55,7 +56,7 @@ const clusterHold = 10 * time.Second
 
 // Bus is the coordination transport: a shared key-value namespace with
 // TTL and prefix listing. internal/kvstore provides both an in-process
-// implementation (LocalBus) and a reconnecting networked one (RemoteBus);
+// implementation (LocalBus) and a reconnecting networked one (Client);
 // sched depends only on this shape.
 type Bus interface {
 	Set(key string, val []byte, ttl time.Duration) error
@@ -90,138 +91,33 @@ func (d Digest) pressured(shedRate float64) bool {
 
 // digestVersion guards the wire codec; unknown versions are rejected so
 // a mixed-version fleet degrades to local-only instead of misreading.
-// v2 appended the flags byte (bit 0: draining).
-const digestVersion = 2
+// v3 is JSON; a binary v2 payload fails to parse and is rejected too.
+const digestVersion = 3
 
-// digestFlagDraining is bit 0 of the trailing flags byte.
-const digestFlagDraining = 1 << 0
+// wireDigest is the encoded form: the digest's fields beside a version.
+type wireDigest struct {
+	V int
+	Digest
+}
 
-// Encode serializes the digest (version byte, length-prefixed strings,
-// little-endian fixed-width numbers).
+// Encode serializes the digest as versioned JSON.
 func (d Digest) Encode() []byte {
-	out := make([]byte, 0, 80+len(d.Node)+len(d.Source))
-	out = append(out, digestVersion)
-	out = appendBusString(out, d.Node)
-	out = appendBusString(out, d.Source)
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.Published.UnixNano()))
-	out = binary.LittleEndian.AppendUint32(out, uint32(d.Limit))
-	out = binary.LittleEndian.AppendUint32(out, uint32(d.QueueDepth))
-	out = binary.LittleEndian.AppendUint32(out, uint32(d.Inflight))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.EWMAService))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.EWMAWait))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.ShedRate))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.ShedTotal))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.AdmittedTotal))
-	var flags byte
-	if d.Draining {
-		flags |= digestFlagDraining
-	}
-	out = append(out, flags)
+	out, _ := json.Marshal(wireDigest{V: digestVersion, Digest: d}) // the rate is finite and the time in range: Marshal cannot fail
 	return out
 }
 
-func appendBusString(out []byte, s string) []byte {
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s)))
-	return append(out, s...)
-}
-
 // DecodeDigest parses an encoded digest, rejecting torn or
-// unknown-version payloads.
+// unknown-version payloads: every strict prefix of a JSON object fails
+// to parse.
 func DecodeDigest(b []byte) (Digest, error) {
-	var d Digest
-	if len(b) < 1 {
-		return d, errors.New("sched: empty digest")
+	var w wireDigest
+	if err := json.Unmarshal(b, &w); err != nil {
+		return Digest{}, fmt.Errorf("sched: torn digest: %w", err)
 	}
-	if b[0] != digestVersion {
-		return d, errors.New("sched: unknown digest version")
+	if w.V != digestVersion {
+		return Digest{}, errors.New("sched: unknown digest version")
 	}
-	b = b[1:]
-	str := func() (string, error) {
-		if len(b) < 2 {
-			return "", errors.New("sched: torn digest")
-		}
-		n := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < n {
-			return "", errors.New("sched: torn digest")
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(b) < 8 {
-			return 0, errors.New("sched: torn digest")
-		}
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v, nil
-	}
-	u32 := func() (uint32, error) {
-		if len(b) < 4 {
-			return 0, errors.New("sched: torn digest")
-		}
-		v := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		return v, nil
-	}
-	var err error
-	if d.Node, err = str(); err != nil {
-		return d, err
-	}
-	if d.Source, err = str(); err != nil {
-		return d, err
-	}
-	pub, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.Published = time.Unix(0, int64(pub))
-	lim, err := u32()
-	if err != nil {
-		return d, err
-	}
-	d.Limit = int(lim)
-	depth, err := u32()
-	if err != nil {
-		return d, err
-	}
-	d.QueueDepth = int(depth)
-	inf, err := u32()
-	if err != nil {
-		return d, err
-	}
-	d.Inflight = int(inf)
-	svc, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.EWMAService = time.Duration(svc)
-	wait, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.EWMAWait = time.Duration(wait)
-	rate, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.ShedRate = math.Float64frombits(rate)
-	shed, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.ShedTotal = int64(shed)
-	adm, err := u64()
-	if err != nil {
-		return d, err
-	}
-	d.AdmittedTotal = int64(adm)
-	if len(b) < 1 {
-		return d, errors.New("sched: torn digest")
-	}
-	d.Draining = b[0]&digestFlagDraining != 0
-	return d, nil
+	return w.Digest, nil
 }
 
 const (

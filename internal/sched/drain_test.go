@@ -132,8 +132,8 @@ func TestNilSchedulerDrainOps(t *testing.T) {
 	}
 }
 
-// TestDigestCarriesDraining: the draining bit survives the wire codec,
-// and a v2 digest missing its flags byte is rejected as torn.
+// TestDigestCarriesDraining: the draining flag survives the wire codec,
+// and a digest missing its last byte is rejected as torn.
 func TestDigestCarriesDraining(t *testing.T) {
 	d := Digest{Node: "n1", Source: "src", Published: time.Unix(5, 0), Limit: 4, Draining: true}
 	got, err := DecodeDigest(d.Encode())
@@ -149,7 +149,7 @@ func TestDigestCarriesDraining(t *testing.T) {
 	}
 	enc := d.Encode()
 	if _, err := DecodeDigest(enc[:len(enc)-1]); err == nil {
-		t.Fatal("digest without flags byte decoded")
+		t.Fatal("digest without its last byte decoded")
 	}
 }
 

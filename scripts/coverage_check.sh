@@ -30,7 +30,8 @@ check() {
 }
 
 check ./internal/remote     77.8
-check ./internal/kvstore    88.4
+check ./internal/kvstore    94.8
+check ./internal/wire       87.9
 check ./internal/connection 93.1
 check ./internal/cache      93.6
 check ./internal/obs        90.2
