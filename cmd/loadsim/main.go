@@ -218,11 +218,10 @@ func main() {
 		renderCtx := func(sess int) (context.Context, context.CancelFunc) {
 			ctx := context.Background()
 			if sc != nil {
-				// Dashboard renders are interactive traffic. Sessions are
-				// distributed round-robin across the simulated users, and the
-				// scheduler fair-queues users first, sessions within a user
-				// second.
-				ctx = sched.WithClass(ctx, sched.Interactive)
+				// Dashboard renders are interactive traffic, the class of an
+				// untagged context. Sessions are distributed round-robin
+				// across the simulated users, and the scheduler fair-queues
+				// users first, sessions within a user second.
 				ctx = sched.WithUser(ctx, fmt.Sprintf("user-%d", sess%*users))
 				ctx = sched.WithSession(ctx, fmt.Sprintf("sess-%d", sess))
 			}
@@ -431,7 +430,7 @@ func runCluster(nodes, users, rounds, rows int, latency time.Duration, seed int6
 		Rows:           rows,
 		Seed:           seed,
 		PoolMax:        2,
-		Scheduler:      sched.Config{MaxQueue: 16, MaxUserQueue: 4, AdjustEvery: 1 << 30},
+		Scheduler:      sched.Config{MaxQueue: 16, MaxUserQueue: 4},
 		BackendLatency: latency,
 	})
 	if err != nil {

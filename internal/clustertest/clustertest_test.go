@@ -12,12 +12,11 @@ import (
 )
 
 // tightSched is a scheduler config that makes overload easy to script:
-// one slot, a two-deep source queue, and a frozen governor.
+// one slot and a two-deep source queue.
 func tightSched() sched.Config {
 	return sched.Config{
 		Limit: 1, MinLimit: 1, MaxLimit: 1,
 		MaxQueue: 2, MaxUserQueue: 2, MaxSessionQueue: 4,
-		AdjustEvery: 1 << 30,
 	}
 }
 
@@ -258,7 +257,7 @@ func TestPressureSteersDispatch(t *testing.T) {
 func TestSeededWorkloadUnderChaos(t *testing.T) {
 	cl := newCluster(t, Config{
 		Nodes:          3,
-		Scheduler:      sched.Config{Limit: 2, AdjustEvery: 1 << 30},
+		Scheduler:      sched.Config{Limit: 2},
 		PoolMax:        2,
 		BackendLatency: 2 * time.Millisecond,
 	})

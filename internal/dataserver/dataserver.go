@@ -390,10 +390,10 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 	c.mu.Unlock()
 	c.srv.queries.Inc()
 	// Client queries are someone waiting on a spinner: Interactive unless
-	// the caller tagged otherwise, fair-queued per user and, within the
-	// user, per client connection — so a user's share of the source is the
-	// same whether they hold one connection or ten.
-	ctx = sched.EnsureClass(ctx, sched.Interactive)
+	// the caller tagged otherwise (sched.ClassOf's default), fair-queued
+	// per user and, within the user, per client connection — so a user's
+	// share of the source is the same whether they hold one connection or
+	// ten.
 	ctx = sched.EnsureUser(ctx, c.user)
 	ctx = sched.EnsureSession(ctx, c.id)
 	ctx, sp := obs.StartSpan(ctx, obs.SpanDSQuery)

@@ -54,7 +54,7 @@ func TestSchedulerPerSource(t *testing.T) {
 	}
 
 	// A caller-supplied Background tag must not be overridden by the
-	// server's Interactive default (EnsureClass semantics).
+	// server's Interactive default.
 	bg := sched.WithClass(context.Background(), sched.Background)
 	q2 := q.Clone()
 	q2.Dims = []query.Dim{{Col: "origin"}}

@@ -86,10 +86,10 @@ func runOverloadArm(s Scale, scheduled bool) (*overloadArm, error) {
 	var sc *sched.Scheduler
 	if scheduled {
 		arm.mode = "scheduler ON"
-		// Limit pinned to the pool size: with the governor free to raise it,
-		// admitted queries would stack up in the pool queue and re-inflate
-		// exactly the unbounded wait this experiment measures.
-		sc = sched.New(sched.Config{Limit: 2, MinLimit: 2, MaxLimit: 2, MaxQueue: 4, MaxSessionQueue: 2})
+		// Limit equal to the pool size: a higher one would let admitted
+		// queries stack up in the pool queue and re-inflate exactly the
+		// unbounded wait this experiment measures.
+		sc = sched.New(sched.Config{Limit: 2, MaxQueue: 4, MaxSessionQueue: 2})
 		opt.Scheduler = sc
 	}
 	p := core.NewProcessor(pool, cache.NewIntelligentCache(cache.DefaultOptions()),

@@ -195,9 +195,9 @@ func setupFairnessArm(s Scale, mode fairnessMode) (*fairnessArm, error) {
 	opt.DisableIntelligentCache = true
 	opt.DisableLiteralCache = true
 	opt.DisableSingleFlight = true
-	// Limit pinned to the pool size (as in E11): the experiment measures
-	// queue discipline, not the governor.
-	sc := sched.New(sched.Config{Limit: 2, MinLimit: 2, MaxLimit: 2})
+	// Limit equal to the pool size (as in E11): the experiment measures
+	// queue discipline, not pool queueing.
+	sc := sched.New(sched.Config{Limit: 2})
 	opt.Scheduler = sc
 	p := core.NewProcessor(pool, cache.NewIntelligentCache(cache.DefaultOptions()),
 		cache.NewLiteralCache(cache.DefaultOptions()), opt)

@@ -31,7 +31,7 @@ import (
 //     Per-node-only, the calm node never sheds the hot user —
 //     inconsistent fleet behaviour; coordinated, the majority clamp
 //     sheds the hot user's overflow on all 3 nodes.
-//   - convergence: nodes start with divergent AIMD limits {1,4,2} for
+//   - convergence: nodes start with divergent limits {1,4,2} for
 //     the same source. Per-node-only they stay divergent (spread 3);
 //     coordinated, each ObservePeers nudges one step toward the fleet
 //     mean and the spread closes to <=1.
@@ -72,7 +72,7 @@ func E13ClusterCoordination(s Scale) (*Table, error) {
 		"steer: 8 sticky hot sessions saturate node 0; 3 victims dispatch through the balancer each round; p50/p99 are per-block percentiles, median of 3 blocks",
 		"steer coordinated shows cluster sheds = 0: one pressured node is a minority, so coordination steers but never clamps (advisory, not consensus)",
 		"majority: hot saturates nodes 0-1 and keeps 3 closed-loop sessions on node 2, exactly at node 2's local queue bounds — only the majority clamp makes node 2 shed it",
-		"converge: limits start {1,4,2} with the local governor frozen; each coordinated ObservePeers moves a node one step toward the fleet mean",
+		"converge: limits start {1,4,2} and only ObservePeers moves them: each coordinated round moves a node one step toward the fleet mean",
 		"all scenarios run on the deterministic clustertest harness: fake digest clock, per-node kvstore links, seeded workloads")
 	return t, nil
 }
@@ -148,12 +148,10 @@ func e13WaitFor(what string, cond func() bool) error {
 func e13Steering(s Scale, coordinate bool) (renders int, p50, p99 time.Duration, clusterSheds int64, err error) {
 	lat := e13Latency(s)
 	cl, err := clustertest.New(clustertest.Config{
-		Nodes:   3,
-		Rows:    2000,
-		PoolMax: 2,
-		Scheduler: sched.Config{
-			MaxQueue: 16, MaxUserQueue: 4, AdjustEvery: 1 << 30,
-		},
+		Nodes:          3,
+		Rows:           2000,
+		PoolMax:        2,
+		Scheduler:      sched.Config{MaxQueue: 16, MaxUserQueue: 4},
 		BackendLatency: lat,
 	})
 	if err != nil {
@@ -242,7 +240,6 @@ func e13Majority(s Scale, coordinate bool) (nodesShedding int, clusterSheds int6
 		Scheduler: sched.Config{
 			Limit: 1, MinLimit: 1, MaxLimit: 1,
 			MaxQueue: 4, MaxUserQueue: 2, MaxSessionQueue: 4,
-			AdjustEvery: 1 << 30,
 		},
 		BackendLatency: lat,
 	})
@@ -288,18 +285,15 @@ func e13Majority(s Scale, coordinate bool) (nodesShedding int, clusterSheds int6
 }
 
 // e13Convergence: three schedulers for the same source start with limits
-// {1,4,2} and frozen local governors. Coordinated, they publish through
-// one in-process bus and each ObservePeers nudges one step toward the
-// fleet mean; per-node-only, nothing moves. Returns max-min limit after
-// four publish rounds. This phase is fully deterministic: no queries, no
+// {1,4,2}. Coordinated, they publish through one in-process bus and each
+// ObservePeers nudges one step toward the fleet mean; per-node-only,
+// nothing moves. Returns max-min limit after four publish rounds. This phase is fully deterministic: no queries, no
 // goroutines, a hand-advanced clock.
 func e13Convergence(coordinate bool) (spread int, err error) {
 	limits := []int{1, 4, 2}
 	scheds := make([]*sched.Scheduler, len(limits))
 	for i, lim := range limits {
-		scheds[i] = sched.New(sched.Config{
-			Limit: lim, MinLimit: 1, MaxLimit: 8, AdjustEvery: 1 << 30,
-		})
+		scheds[i] = sched.New(sched.Config{Limit: lim, MinLimit: 1, MaxLimit: 8})
 	}
 	if coordinate {
 		bus := kvstore.NewLocalBus(kvstore.NewStore(0))

@@ -84,12 +84,10 @@ func e14Query() int { return int(e14seq.Add(1)) }
 // propagation + failover sessions; abrupt kills with sessions pinned.
 func e14Rolling(s Scale, graceful bool) (errs, renders, moves int, sheds int64, err error) {
 	cl, err := clustertest.New(clustertest.Config{
-		Nodes:   3,
-		Rows:    2000,
-		PoolMax: 2,
-		Scheduler: sched.Config{
-			MaxQueue: 16, MaxUserQueue: 4, AdjustEvery: 1 << 30,
-		},
+		Nodes:     3,
+		Rows:      2000,
+		PoolMax:   2,
+		Scheduler: sched.Config{MaxQueue: 16, MaxUserQueue: 4},
 	})
 	if err != nil {
 		return 0, 0, 0, 0, err

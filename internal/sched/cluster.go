@@ -3,15 +3,15 @@
 // admission alone lets a hot source shed on one node while its replicas
 // keep queueing, so fleet behavior under overload is inconsistent. Each
 // node therefore periodically publishes a compact per-source load digest
-// (current AIMD limit, queue depth, EWMA queued wait, shed rate) through
-// the kvstore tier — the same distributed layer that shares caches
-// across the cluster — and blends what it reads back into local
+// (current in-flight limit, queue depth, EWMA queued wait, shed rate)
+// through the kvstore tier — the same distributed layer that shares
+// caches across the cluster — and blends what it reads back into local
 // decisions:
 //
 //   - Deadline-shed estimates inflate with average peer queue depth, so
 //     a query that would starve anywhere is shed everywhere.
-//   - AIMD limits nudge one step toward the fleet mean per observation,
-//     converging instead of oscillating per node.
+//   - In-flight limits nudge one step toward the fleet mean per
+//     observation, so nodes configured apart converge.
 //   - A source shedding on a majority of nodes clamps every node's
 //     per-user queue bound, so the hot user's backlog sheds
 //     consistently fleet-wide (stale-on-shed still applies downstream).
@@ -68,7 +68,7 @@ type Digest struct {
 	Node          string
 	Source        string
 	Published     time.Time // publisher's clock; staleness is judged by the reader's clock
-	Limit         int       // current AIMD in-flight limit
+	Limit         int       // current in-flight limit
 	QueueDepth    int       // waiters right now
 	Inflight      int
 	EWMAService   time.Duration
@@ -348,8 +348,9 @@ func (c *Coordinator) storePeers(name string, peers []Digest) {
 //   - Backlog estimate: remember average peer queue depth for
 //     estimateLocked's inflation term.
 //   - Limit convergence: nudge the local limit one step toward the
-//     fleet's mean limit. One step per observation keeps the governor
-//     authoritative — coordination biases it, never overrides it.
+//     fleet's mean limit, within MinLimit..MaxLimit. This is the only
+//     thing that moves the limit off Config.Limit; one step per
+//     observation keeps a poisoned peer digest from yanking it.
 func (s *Scheduler) ObservePeers(self Digest, peers []Digest) {
 	if s == nil {
 		return

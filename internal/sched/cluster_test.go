@@ -330,10 +330,9 @@ func TestObservePeersSelfPressureCounts(t *testing.T) {
 }
 
 func TestObservePeersLimitConvergence(t *testing.T) {
-	// Disable the AIMD governor (huge AdjustEvery) to isolate the
-	// convergence nudge. Fleet limits {1, 7}: mean 4. Each observation
-	// moves one step toward it from both ends.
-	s := New(Config{Limit: 1, MaxLimit: 16, AdjustEvery: 1 << 30})
+	// Fleet limits {1, 7}: mean 4. Each observation moves one step
+	// toward it from both ends.
+	s := New(Config{Limit: 1, MaxLimit: 16})
 	peer := Digest{Node: "b", Limit: 7}
 	for i := 0; i < 10; i++ {
 		s.ObservePeers(Digest{Node: "a", Limit: s.Stats().Limit}, []Digest{peer})
@@ -353,7 +352,7 @@ func TestObservePeersLimitConvergence(t *testing.T) {
 }
 
 func TestObservePeersRaisedLimitDispatchesWaiters(t *testing.T) {
-	s := New(Config{Limit: 1, MaxLimit: 8, AdjustEvery: 1 << 30})
+	s := New(Config{Limit: 1, MaxLimit: 8})
 	tk, err := s.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 package sched
 
-// White-box tests for the dispatch machinery's edge cases: ring-cursor
-// correctness when queues empty out at or before the cursor, the
-// round-robin order across users and sessions (empty-then-refilled queues
-// included), and the defensive branches that resync a ring whose waiting
-// counts drifted. They drive the locked internals directly so every
-// scenario is deterministic, at both levels of the hierarchy (session
-// rings within a user, user rings within a class).
+// White-box tests for the fair queue: ring-cursor correctness when
+// queues empty out at or before the cursor, the round-robin order across
+// users and sessions (empty-then-refilled queues included), and a seeded
+// comparison against a reference model. They drive the locked internals
+// directly so every scenario is deterministic, at both levels of the
+// hierarchy (session rings within a user, user rings within a class).
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -59,7 +60,7 @@ func TestSessionRingCursorOnRemoval(t *testing.T) {
 				ws[id] = w
 			}
 			s.mu.Lock()
-			s.classes[Interactive].users["u"].cursor = tc.cursor
+			s.classes[Interactive].kids["u"].next = tc.cursor
 			s.removeLocked(Interactive, "u", tc.remove, ws[tc.remove])
 			s.mu.Unlock()
 			got := drainOrder(s, label)
@@ -103,7 +104,7 @@ func TestUserRingCursorOnRemoval(t *testing.T) {
 				}
 			}
 			s.mu.Lock()
-			s.classes[Interactive].cursor = tc.cursor
+			s.classes[Interactive].next = tc.cursor
 			s.removeLocked(Interactive, "ub", "main", wb)
 			s.mu.Unlock()
 			got := drainOrder(s, label)
@@ -177,73 +178,6 @@ func TestRoundRobinOrder(t *testing.T) {
 	}
 }
 
-// TestDefensiveEmptyBranches drives the resync paths: an empty session or
-// user that somehow survives on a ring (the invariant says it cannot, but
-// the scan must not spin or grant nil if one slips through).
-func TestDefensiveEmptyBranches(t *testing.T) {
-	t.Run("empty-session-on-ring", func(t *testing.T) {
-		s := New(Config{Limit: 1})
-		real := enq(s, "u", "real")
-		s.mu.Lock()
-		uq := s.classes[Interactive].users["u"]
-		phantom := &sessionQueue{id: "phantom"}
-		uq.sessions["phantom"] = phantom
-		uq.ring = append([]*sessionQueue{phantom}, uq.ring...)
-		uq.cursor = 0
-		w := s.nextLocked()
-		s.mu.Unlock()
-		if w != real {
-			t.Fatal("scan did not skip the phantom empty session")
-		}
-		if st := s.Stats(); st.Queued != 0 || st.QueuedUsers != 0 {
-			t.Fatalf("residual state after resync: %+v", st)
-		}
-	})
-	t.Run("empty-user-on-ring", func(t *testing.T) {
-		s := New(Config{Limit: 1})
-		real := enq(s, "u", "main")
-		s.mu.Lock()
-		cq := &s.classes[Interactive]
-		phantom := &userQueue{id: "phantom", sessions: map[string]*sessionQueue{}}
-		cq.users["phantom"] = phantom
-		cq.ring = append([]*userQueue{phantom}, cq.ring...)
-		cq.cursor = 0
-		s.queuedUsers++
-		w := s.nextLocked()
-		gone := cq.users["phantom"] == nil
-		s.mu.Unlock()
-		if w != real {
-			t.Fatal("scan did not skip the phantom empty user")
-		}
-		if !gone {
-			t.Fatal("phantom user not dropped by the defensive branch")
-		}
-	})
-	t.Run("user-with-all-empty-sessions", func(t *testing.T) {
-		// waiting>0 but every session ring entry is empty: popSessionLocked
-		// returns nil and nextLocked must resync by dropping the user, then
-		// still grant the real waiter behind it.
-		s := New(Config{Limit: 1})
-		real := enq(s, "u", "main")
-		s.mu.Lock()
-		cq := &s.classes[Interactive]
-		broken := &userQueue{id: "broken", sessions: map[string]*sessionQueue{}, waiting: 1}
-		cq.users["broken"] = broken
-		cq.ring = append([]*userQueue{broken}, cq.ring...)
-		cq.cursor = 0
-		s.queuedUsers++
-		w := s.nextLocked()
-		gone := cq.users["broken"] == nil
-		s.mu.Unlock()
-		if w != real {
-			t.Fatal("scan did not resync past the broken user")
-		}
-		if !gone {
-			t.Fatal("broken user not dropped")
-		}
-	})
-}
-
 // TestDrainAfterEdgeCases exercises the same machinery end-to-end: after
 // cursor surgery the scheduler still grants every waiter exactly once.
 func TestDrainAfterEdgeCases(t *testing.T) {
@@ -271,5 +205,229 @@ func TestDrainAfterEdgeCases(t *testing.T) {
 	}
 	if st := s.Stats(); st.Queued != 0 || st.Inflight != 0 || st.QueuedUsers != 0 {
 		t.Fatalf("residual state: %+v", st)
+	}
+}
+
+// The reference model of the fair queue: per class a ring of users, per
+// user a ring of sessions, per session a FIFO — plain slices searched
+// linearly, each ring with the index of the entry whose turn is next.
+type (
+	modelSess struct {
+		id string
+		ws []*waiter
+	}
+	modelUser struct {
+		id   string
+		ring []*modelSess
+		next int
+	}
+	modelClass struct {
+		ring []*modelUser
+		next int
+	}
+	model [numClasses]modelClass
+)
+
+func (m *model) push(w *waiter, class Class, user, sess string) {
+	c := &m[class]
+	var u *modelUser
+	for _, x := range c.ring {
+		if x.id == user {
+			u = x
+		}
+	}
+	if u == nil {
+		u = &modelUser{id: user}
+		c.ring = append(c.ring, u)
+	}
+	var se *modelSess
+	for _, x := range u.ring {
+		if x.id == sess {
+			se = x
+		}
+	}
+	if se == nil {
+		se = &modelSess{id: sess}
+		u.ring = append(u.ring, se)
+	}
+	se.ws = append(se.ws, w)
+}
+
+// cut deletes ring entry i, keeping next on the entry after it.
+func cut[T any](ring []T, next, i int) ([]T, int) {
+	ring = slices.Delete(ring, i, i+1)
+	if next > i {
+		next--
+	}
+	if next == len(ring) {
+		next = 0
+	}
+	return ring, next
+}
+
+func (m *model) pop() *waiter {
+	for ci := range m {
+		c := &m[ci]
+		if len(c.ring) == 0 {
+			continue
+		}
+		u := c.ring[c.next]
+		se := u.ring[u.next]
+		w := se.ws[0]
+		se.ws = se.ws[1:]
+		if len(se.ws) == 0 {
+			u.ring, u.next = cut(u.ring, u.next, u.next)
+		} else {
+			u.next = (u.next + 1) % len(u.ring)
+		}
+		if len(u.ring) == 0 {
+			c.ring, c.next = cut(c.ring, c.next, c.next)
+		} else {
+			c.next = (c.next + 1) % len(c.ring)
+		}
+		return w
+	}
+	return nil
+}
+
+func (m *model) remove(w *waiter, class Class, user, sess string) bool {
+	c := &m[class]
+	for i, u := range c.ring {
+		for j, se := range u.ring {
+			k := slices.Index(se.ws, w)
+			if u.id != user || se.id != sess || k < 0 {
+				continue
+			}
+			se.ws = slices.Delete(se.ws, k, k+1)
+			if len(se.ws) == 0 {
+				u.ring, u.next = cut(u.ring, u.next, j)
+			}
+			if len(u.ring) == 0 {
+				c.ring, c.next = cut(c.ring, c.next, i)
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainstModel compares every level of q with the model's class c:
+// sizes, ring order and cursor, and that ring and kids name the same
+// children with none of them empty.
+func checkAgainstModel(t *testing.T, q *fairQueue, c modelClass, users, sessions []string) {
+	t.Helper()
+	ids := func(q *fairQueue) string {
+		keys := make([]string, 0, len(q.kids))
+		for k, kid := range q.kids {
+			if kid.n == 0 {
+				t.Fatalf("empty child %q kept", k)
+			}
+			keys = append(keys, k)
+		}
+		ring := slices.Clone(q.ring)
+		slices.Sort(keys)
+		slices.Sort(ring)
+		if !slices.Equal(keys, ring) {
+			t.Fatalf("ring %v and kids %v differ", q.ring, keys)
+		}
+		return fmt.Sprint(q.ring, q.next)
+	}
+	var userIDs []string
+	total := 0
+	for _, u := range c.ring {
+		userIDs = append(userIDs, u.id)
+		var sessIDs []string
+		for _, se := range u.ring {
+			sessIDs = append(sessIDs, se.id)
+		}
+		if got, want := ids(q.kids[u.id]), fmt.Sprint(sessIDs, u.next); got != want {
+			t.Fatalf("user %s session ring %s, want %s", u.id, got, want)
+		}
+	}
+	if got, want := ids(q), fmt.Sprint(userIDs, c.next); got != want {
+		t.Fatalf("user ring %s, want %s", got, want)
+	}
+	for _, user := range users {
+		userN := 0
+		for _, sess := range sessions {
+			want := 0
+			for _, u := range c.ring {
+				for _, se := range u.ring {
+					if u.id == user && se.id == sess {
+						want = len(se.ws)
+					}
+				}
+			}
+			if got := q.size(user, sess); got != want {
+				t.Fatalf("size(%s, %s) = %d, want %d", user, sess, got, want)
+			}
+			if kid := q.kids[user]; kid != nil && kid.kids[sess] != nil && len(kid.kids[sess].items) != want {
+				t.Fatalf("session %s/%s holds %d items, want %d", user, sess, len(kid.kids[sess].items), want)
+			}
+			userN += want
+		}
+		if got := q.size(user); got != userN {
+			t.Fatalf("size(%s) = %d, want %d", user, got, userN)
+		}
+		total += userN
+	}
+	if q.size() != total {
+		t.Fatalf("size() = %d, want %d", q.size(), total)
+	}
+}
+
+// TestFairQueueMatchesModel runs seeded random push/pop/remove sequences
+// through the scheduler's queues and the reference model side by side,
+// checking the grant order and every level's state after each step.
+func TestFairQueueMatchesModel(t *testing.T) {
+	users := []string{"u0", "u1", "u2", "u3"}
+	sessions := []string{"s0", "s1", "s2"}
+	type queued struct {
+		w          *waiter
+		user, sess string
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(Config{})
+		var m model
+		var live []queued
+		s.mu.Lock()
+		for step := 0; step < 1500; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				class := Class(rng.Intn(numClasses))
+				user, sess := users[rng.Intn(len(users))], sessions[rng.Intn(len(sessions))]
+				w := s.enqueueLocked(class, user, sess)
+				m.push(w, class, user, sess)
+				live = append(live, queued{w, user, sess})
+			case op < 8:
+				got, want := s.nextLocked(), m.pop()
+				if got != want {
+					t.Fatalf("seed %d step %d: popped %p, model popped %p", seed, step, got, want)
+				}
+				live = slices.DeleteFunc(live, func(x queued) bool { return x.w == got })
+			case len(live) > 0:
+				i := rng.Intn(len(live))
+				x := live[i]
+				sess := x.sess
+				if rng.Intn(4) == 0 {
+					sess = sessions[rng.Intn(len(sessions))] // maybe the wrong path
+				}
+				got := s.classes[x.w.class].remove(x.w, x.user, sess)
+				if want := m.remove(x.w, x.w.class, x.user, sess); got != want {
+					t.Fatalf("seed %d step %d: remove = %v, model %v", seed, step, got, want)
+				}
+				if got {
+					live = slices.Delete(live, i, i+1)
+				}
+			}
+			for c := range s.classes {
+				checkAgainstModel(t, &s.classes[c], m[c], users, sessions)
+			}
+			if waiters, _ := s.queuedLocked(); waiters != len(live) {
+				t.Fatalf("seed %d step %d: %d queued, %d live", seed, step, waiters, len(live))
+			}
+		}
+		s.mu.Unlock()
 	}
 }

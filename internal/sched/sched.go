@@ -20,10 +20,9 @@
 //     times x the work fair queuing will serve ahead of it, divided by
 //     the concurrency limit) is rejected immediately with ErrShed instead
 //     of timing out slowly.
-//   - An adaptive concurrency governor. The in-flight limit starts at the
-//     pool's Max and adjusts around it using observed service latency:
-//     sustained latency inflation shrinks the limit, headroom with queued
-//     demand grows it.
+//   - A concurrency limit. At most Limit queries (the pool's Max) run at
+//     once; in a fleet, ObservePeers nudges it one step per observation
+//     toward the peers' mean (see cluster.go).
 //
 // A shed is not a backend failure: it never reaches the circuit breaker,
 // and the pipeline may answer it from a stale cache entry (see
@@ -34,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,16 +97,6 @@ func ClassOf(ctx context.Context) Class {
 		return c
 	}
 	return Interactive
-}
-
-// EnsureClass tags the context with c only if no class is set yet, so an
-// upstream tag (an extract refresh marking itself Background) survives
-// the Data Server's default.
-func EnsureClass(ctx context.Context, c Class) context.Context {
-	if _, ok := ctx.Value(classKey{}).(Class); ok {
-		return ctx
-	}
-	return WithClass(ctx, c)
 }
 
 // WithUser tags the context with a fair-queuing user identity (the human
@@ -184,11 +174,11 @@ func (e *ShedError) Unwrap() error { return ErrShed }
 // Config tunes one source's scheduler. Zero fields take the defaults
 // noted on them.
 type Config struct {
-	// Limit is the initial in-flight bound — normally the source's pool
-	// Max, which the Data Server fills in at Publish (default 4).
+	// Limit is the in-flight bound — normally the source's pool Max,
+	// which the Data Server fills in at Publish (default 4).
 	Limit int
-	// MinLimit / MaxLimit bound the governor's adjustment range around
-	// Limit (defaults 1 and 2*Limit).
+	// MinLimit / MaxLimit bound how far ObservePeers' convergence step
+	// may move the limit (defaults 1 and 2*Limit).
 	MinLimit int
 	MaxLimit int
 	// MaxQueue bounds the total number of waiting queries per source
@@ -201,9 +191,6 @@ type Config struct {
 	// MaxSessionQueue bounds one session's waiting queries (default 16):
 	// a chatty dashboard sheds before it can monopolize the queue.
 	MaxSessionQueue int
-	// AdjustEvery is how many completions pass between governor steps
-	// (default 8).
-	AdjustEvery int
 }
 
 const (
@@ -211,9 +198,6 @@ const (
 	// budget its estimated wait may consume before it is shed. Below 1 it
 	// keeps admitted-query latency under the deadline.
 	deadlineSafety = 0.85
-	// tolerance is the governor's latency slack: the limit shrinks when
-	// the service EWMA exceeds tolerance x the observed latency floor.
-	tolerance = 2.0
 	// peerBacklogWeight scales how strongly peer queue depth (from cluster
 	// digests) inflates local deadline-shed estimates: with Q the average
 	// peer queue depth, the local estimate is multiplied by
@@ -252,9 +236,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessionQueue <= 0 {
 		c.MaxSessionQueue = 16
-	}
-	if c.AdjustEvery <= 0 {
-		c.AdjustEvery = 8
 	}
 	return c
 }
@@ -311,46 +292,121 @@ type waiter struct {
 	shed    *ShedError // set (before ready closes) when flushed by a drain
 }
 
-// sessionQueue is one session's FIFO of waiters within a user.
-type sessionQueue struct {
-	id    string
+// fairQueue is one level of the class → user → session hierarchy. The
+// bottom level (a session) holds its waiters FIFO in items; a level above
+// keeps one child per key in kids and serves them round-robin in ring
+// order, next naming the child whose turn is next. A child leaves the
+// ring the moment its count n reaches zero, so every child on the ring
+// holds a waiter, and one that refills rejoins at the back.
+type fairQueue struct {
+	n     int // waiters at and below this level
 	items []*waiter
+	kids  map[string]*fairQueue
+	ring  []string
+	next  int
 }
 
-// userQueue is one user's set of session queues within a class; dequeues
-// round-robin across the user's sessions.
-type userQueue struct {
-	id       string
-	sessions map[string]*sessionQueue
-	ring     []*sessionQueue // visit order; empty sessions are removed
-	cursor   int
-	waiting  int // queued across all of this user's sessions
+// push queues w under path (user, then session), creating the children
+// on first use.
+func (q *fairQueue) push(w *waiter, path ...string) {
+	q.n++
+	if len(path) == 0 {
+		q.items = append(q.items, w)
+		return
+	}
+	k := q.kids[path[0]]
+	if k == nil {
+		if q.kids == nil {
+			q.kids = make(map[string]*fairQueue)
+		}
+		k = &fairQueue{}
+		q.kids[path[0]] = k
+		q.ring = append(q.ring, path[0])
+	}
+	k.push(w, path[1:]...)
 }
 
-// classQueue round-robins across the class's users.
-type classQueue struct {
-	users   map[string]*userQueue
-	ring    []*userQueue // visit order; empty users are removed
-	cursor  int
-	waiting int
+// pop dequeues the next waiter in round-robin order, or nil when empty.
+// Each pop moves every level it passes through on to its next child.
+func (q *fairQueue) pop() *waiter {
+	if q.n == 0 {
+		return nil
+	}
+	q.n--
+	if len(q.items) > 0 {
+		w := q.items[0]
+		q.items = q.items[1:]
+		return w
+	}
+	i := q.next
+	k := q.kids[q.ring[i]]
+	w := k.pop()
+	if k.n == 0 {
+		q.drop(i)
+	} else {
+		q.next = (i + 1) % len(q.ring)
+	}
+	return w
+}
+
+// remove takes w out from under path, reporting whether it was queued
+// there.
+func (q *fairQueue) remove(w *waiter, path ...string) bool {
+	if len(path) == 0 {
+		i := slices.Index(q.items, w)
+		if i < 0 {
+			return false
+		}
+		q.items = slices.Delete(q.items, i, i+1)
+		q.n--
+		return true
+	}
+	k := q.kids[path[0]]
+	if k == nil || !k.remove(w, path[1:]...) {
+		return false
+	}
+	q.n--
+	if k.n == 0 {
+		q.drop(slices.Index(q.ring, path[0]))
+	}
+	return true
+}
+
+// size counts the waiters under path (0 when path names no child).
+func (q *fairQueue) size(path ...string) int {
+	if len(path) == 0 {
+		return q.n
+	}
+	if k := q.kids[path[0]]; k != nil {
+		return k.size(path[1:]...)
+	}
+	return 0
+}
+
+// drop removes the emptied child at ring index i. next keeps naming the
+// child it named, or the one after a dropped one, wrapping at the end.
+func (q *fairQueue) drop(i int) {
+	delete(q.kids, q.ring[i])
+	q.ring = slices.Delete(q.ring, i, i+1)
+	if q.next > i {
+		q.next--
+	}
+	if q.next >= len(q.ring) {
+		q.next = 0
+	}
 }
 
 // Scheduler is one source's admission controller. Safe for concurrent use.
 type Scheduler struct {
 	cfg Config
 
-	mu          sync.Mutex
-	inflight    int
-	limit       int
-	classes     [numClasses]classQueue
-	waiting     int
-	queuedUsers int // user queues holding waiters, across classes
+	mu       sync.Mutex
+	inflight int
+	limit    int
+	classes  [numClasses]fairQueue
 
-	// ewmaNS estimates service time; floorNS tracks the lowest smoothed
-	// latency seen (slowly decaying upward) as the governor's baseline.
-	ewmaNS      float64
-	floorNS     float64
-	sinceAdjust int
+	// ewmaNS estimates service time.
+	ewmaNS float64
 
 	// ewmaWaitNS smooths observed queue waits for the cluster digest.
 	ewmaWaitNS float64
@@ -382,9 +438,7 @@ type Scheduler struct {
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, limit: cfg.Limit}
-	for i := range s.classes {
-		s.classes[i].users = make(map[string]*userQueue)
-	}
+	gLimit.Set(int64(s.limit))
 	s.admittedInteractive.RollUp(cAdmittedInt)
 	s.admittedBackground.RollUp(cAdmittedBg)
 	s.admittedDirect.RollUp(cAdmitDirect)
@@ -403,6 +457,7 @@ func (s *Scheduler) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	queued, users := s.queuedLocked()
 	st := Stats{
 		AdmittedInteractive: s.admittedInteractive.Value(),
 		AdmittedBackground:  s.admittedBackground.Value(),
@@ -416,8 +471,8 @@ func (s *Scheduler) Stats() Stats {
 		Canceled:            s.canceled.Value(),
 		Completed:           s.completed.Value(),
 		Inflight:            s.inflight,
-		Queued:              s.waiting,
-		QueuedUsers:         s.queuedUsers,
+		Queued:              queued,
+		QueuedUsers:         users,
 		Limit:               s.limit,
 		EWMAService:         time.Duration(s.ewmaNS),
 		EWMAWait:            time.Duration(s.ewmaWaitNS),
@@ -439,7 +494,7 @@ type Ticket struct {
 }
 
 // Done releases the slot, feeding the observed service time to the wait
-// estimator and the governor. Nil-safe and idempotent.
+// estimator. Nil-safe and idempotent.
 func (t *Ticket) Done() {
 	if t == nil || t.done {
 		return
@@ -527,16 +582,12 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		userCap = clusterUserQueue
 	}
 	cq := &s.classes[class]
-	uq := cq.users[user]
-	var sq *sessionQueue
-	if uq != nil {
-		sq = uq.sessions[sess]
-	}
-	userFull := uq != nil && uq.waiting >= userCap
-	if s.waiting >= s.cfg.MaxQueue || userFull ||
-		(sq != nil && len(sq.items) >= s.cfg.MaxSessionQueue) {
+	queued, _ := s.queuedLocked()
+	userQueued := cq.size(user)
+	userFull := userQueued >= userCap
+	if queued >= s.cfg.MaxQueue || userFull || cq.size(user, sess) >= s.cfg.MaxSessionQueue {
 		s.shed.Inc()
-		if clusterClamp && userFull && uq.waiting < s.cfg.MaxUserQueue {
+		if clusterClamp && userFull && userQueued < s.cfg.MaxUserQueue {
 			// Only the cluster clamp rejected this query; locally it would
 			// still have queued.
 			s.shedClusterPressure.Inc()
@@ -544,7 +595,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			return nil, &ShedError{Reason: "cluster-pressure", EstWait: est, Budget: budget}
 		}
 		s.shedQueueFull.Inc()
-		if userFull && s.waiting < s.cfg.MaxQueue {
+		if userFull && queued < s.cfg.MaxQueue {
 			s.shedUserQueueFull.Inc()
 		}
 		s.mu.Unlock()
@@ -613,8 +664,8 @@ func (s *Scheduler) SetDraining(on bool) {
 	s.draining = on
 	var flushed []*waiter
 	if on {
-		// nextLocked maintains every queue invariant (counts, rings,
-		// gauges), so draining through it flushes in fair order.
+		// Draining through nextLocked flushes in fair order and keeps
+		// the gauges current.
 		for {
 			w := s.nextLocked()
 			if w == nil {
@@ -643,7 +694,7 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 	}
 	for {
 		s.mu.Lock()
-		if s.inflight == 0 && s.waiting == 0 {
+		if queued, _ := s.queuedLocked(); s.inflight == 0 && queued == 0 {
 			s.mu.Unlock()
 			return nil
 		}
@@ -666,7 +717,7 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 // notifyQuiesceLocked wakes Quiesce waiters when the scheduler goes
 // idle. Callers hold s.mu.
 func (s *Scheduler) notifyQuiesceLocked() {
-	if s.quiesce != nil && s.inflight == 0 && s.waiting == 0 {
+	if queued, _ := s.queuedLocked(); s.quiesce != nil && s.inflight == 0 && queued == 0 {
 		close(s.quiesce)
 		s.quiesce = nil
 	}
@@ -688,7 +739,7 @@ func (s *Scheduler) admitLocked(class Class) {
 // (lower value) is queued.
 func (s *Scheduler) queuedAtOrAbove(c Class) bool {
 	for i := Class(0); i <= c; i++ {
-		if s.classes[i].waiting > 0 {
+		if s.classes[i].n > 0 {
 			return true
 		}
 	}
@@ -711,32 +762,26 @@ func (s *Scheduler) estimateLocked(c Class, user string) time.Duration {
 	}
 	ahead := s.inflight
 	for i := Class(0); i < c; i++ {
-		ahead += s.classes[i].waiting
+		ahead += s.classes[i].n
 	}
 	cq := &s.classes[c]
-	own := 0
-	if uq := cq.users[user]; uq != nil {
-		own = uq.waiting
-	}
+	own := cq.size(user)
 	ahead += own
 	// The user round-robin reaches this arrival at the back of its user's
 	// queue after own+1 rounds; each competitor is served once a round.
-	for id, uq := range cq.users {
+	for id, uq := range cq.kids {
 		if id != user {
-			ahead += min(own+1, uq.waiting)
+			ahead += min(own+1, uq.n)
 		}
 	}
-	limit := s.limit
-	if limit < 1 {
-		limit = 1
-	}
-	est := s.ewmaNS * (float64(ahead)/float64(limit) + 1)
+	limit := float64(s.limit)
+	est := s.ewmaNS * (float64(ahead)/limit + 1)
 	// Fleet-backlog blending: peers queueing deeply for this source mean
 	// the fleet is behind even when this node looks calm — a query sent
 	// anywhere waits longer than the local backlog suggests, so inflate
 	// the estimate and shed deadline-bound arrivals a little earlier.
 	if s.peerQueueAvg > 0 && s.clusterFreshLocked(time.Now()) {
-		est *= 1 + peerBacklogWeight*s.peerQueueAvg/float64(limit)
+		est *= 1 + peerBacklogWeight*s.peerQueueAvg/limit
 	}
 	return time.Duration(est)
 }
@@ -765,109 +810,42 @@ func (s *Scheduler) clusterShedActiveLocked(now time.Time) bool {
 	return s.clusterShed && s.clusterFreshLocked(now)
 }
 
-// enqueueLocked appends a new waiter under (class, user, session),
-// creating the user and session queues on first use. Every enqueue must
-// be balanced by a dequeue (nextLocked) or a removal (removeLocked) —
-// the vizlint release check pins this on the caller's paths.
+// enqueueLocked queues a new waiter under (class, user, session). Every
+// enqueue must be balanced by a dequeue (nextLocked) or a removal
+// (removeLocked) — the vizlint release check pins this on the caller's
+// paths.
 func (s *Scheduler) enqueueLocked(class Class, user, sess string) *waiter {
-	cq := &s.classes[class]
-	uq := cq.users[user]
-	if uq == nil {
-		uq = &userQueue{id: user, sessions: make(map[string]*sessionQueue)}
-		cq.users[user] = uq
-		cq.ring = append(cq.ring, uq)
-		s.queuedUsers++
-		gUsers.Set(int64(s.queuedUsers))
-	}
-	sq := uq.sessions[sess]
-	if sq == nil {
-		sq = &sessionQueue{id: sess}
-		uq.sessions[sess] = sq
-		uq.ring = append(uq.ring, sq)
-	}
 	w := &waiter{class: class, ready: make(chan struct{})}
-	sq.items = append(sq.items, w)
-	uq.waiting++
-	cq.waiting++
-	s.waiting++
-	gDepth.Set(int64(s.waiting))
+	s.classes[class].push(w, user, sess)
+	s.queueGaugesLocked()
 	return w
 }
 
 // removeLocked drops a canceled waiter from its session queue.
 func (s *Scheduler) removeLocked(class Class, user, sess string, w *waiter) {
-	cq := &s.classes[class]
-	uq := cq.users[user]
-	if uq == nil {
-		return
-	}
-	sq := uq.sessions[sess]
-	if sq == nil {
-		return
-	}
-	for i, x := range sq.items {
-		if x == w {
-			sq.items = append(sq.items[:i], sq.items[i+1:]...)
-			uq.waiting--
-			cq.waiting--
-			s.waiting--
-			gDepth.Set(int64(s.waiting))
-			break
-		}
-	}
-	if len(sq.items) == 0 {
-		s.dropSessionLocked(uq, sq)
-	}
-	if uq.waiting == 0 {
-		s.dropUserLocked(cq, uq)
-	}
+	s.classes[class].remove(w, user, sess)
+	s.queueGaugesLocked()
 }
 
-// dropSessionLocked removes an empty session from its user's map and ring.
-func (s *Scheduler) dropSessionLocked(uq *userQueue, sq *sessionQueue) {
-	delete(uq.sessions, sq.id)
-	for i, x := range uq.ring {
-		if x == sq {
-			uq.ring = append(uq.ring[:i], uq.ring[i+1:]...)
-			if uq.cursor > i {
-				uq.cursor--
-			}
-			if len(uq.ring) > 0 {
-				uq.cursor %= len(uq.ring)
-			} else {
-				uq.cursor = 0
-			}
-			return
-		}
+// queuedLocked counts the queued waiters and the user queues holding
+// them, across classes (a user waiting in both classes counts twice).
+func (s *Scheduler) queuedLocked() (waiters, users int) {
+	for i := range s.classes {
+		waiters += s.classes[i].n
+		users += len(s.classes[i].ring)
 	}
+	return waiters, users
 }
 
-// dropUserLocked removes an empty user from the class map and ring.
-func (s *Scheduler) dropUserLocked(cq *classQueue, uq *userQueue) {
-	if _, ok := cq.users[uq.id]; !ok {
-		return
-	}
-	delete(cq.users, uq.id)
-	s.queuedUsers--
-	gUsers.Set(int64(s.queuedUsers))
-	for i, x := range cq.ring {
-		if x == uq {
-			cq.ring = append(cq.ring[:i], cq.ring[i+1:]...)
-			if cq.cursor > i {
-				cq.cursor--
-			}
-			if len(cq.ring) > 0 {
-				cq.cursor %= len(cq.ring)
-			} else {
-				cq.cursor = 0
-			}
-			return
-		}
-	}
+// queueGaugesLocked publishes the queue depth and queued-user gauges.
+func (s *Scheduler) queueGaugesLocked() {
+	waiters, users := s.queuedLocked()
+	gDepth.Set(int64(waiters))
+	gUsers.Set(int64(users))
 }
 
 // finish returns one slot. A completed query (Done) feeds the estimator
-// and the governor and counts toward Completed; a canceled grant only
+// and counts toward Completed; a canceled grant only
 // returns capacity and counts toward Canceled — it never ran, so it must
 // not inflate the completion count or the service estimate. Either way,
 // freed capacity is granted to queued waiters.
@@ -884,14 +862,6 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 		} else {
 			s.ewmaNS = (1-alpha)*s.ewmaNS + alpha*ns
 		}
-		// The floor chases the best smoothed latency seen, decaying upward
-		// slowly so a legitimately slower regime resets the baseline.
-		if s.floorNS == 0 || s.ewmaNS < s.floorNS {
-			s.floorNS = s.ewmaNS
-		} else {
-			s.floorNS *= 1.002
-		}
-		s.governLocked()
 	} else {
 		s.canceled.Inc()
 	}
@@ -899,26 +869,6 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 	gInflight.Set(int64(s.inflight))
 	s.notifyQuiesceLocked()
 	s.mu.Unlock()
-}
-
-// governLocked adapts the in-flight limit around the configured base:
-// additive decrease when the service EWMA inflates past tolerance x the
-// latency floor (the backend is congesting — more concurrency would only
-// queue inside it), additive increase when latency is healthy and demand
-// is queued. Steps at most once per AdjustEvery completions.
-func (s *Scheduler) governLocked() {
-	s.sinceAdjust++
-	if s.sinceAdjust < s.cfg.AdjustEvery {
-		return
-	}
-	s.sinceAdjust = 0
-	switch {
-	case s.ewmaNS > s.floorNS*tolerance && s.limit > s.cfg.MinLimit:
-		s.limit--
-	case s.waiting > 0 && s.ewmaNS <= s.floorNS*tolerance && s.limit < s.cfg.MaxLimit:
-		s.limit++
-	}
-	gLimit.Set(int64(s.limit))
 }
 
 // dispatchLocked grants freed capacity: Interactive before Background,
@@ -936,73 +886,14 @@ func (s *Scheduler) dispatchLocked() {
 	}
 }
 
-// nextLocked pops the next waiter in scheduling order, or nil. The outer
-// loop is the user-level round-robin: each dequeue moves the cursor on
-// to the next user.
+// nextLocked pops the next waiter in scheduling order, or nil:
+// Interactive before Background, then the class's round-robin.
 func (s *Scheduler) nextLocked() *waiter {
-	for ci := range s.classes {
-		cq := &s.classes[ci]
-		if cq.waiting == 0 {
-			continue
-		}
-		for range cq.ring { // at most one full ring scan finds a waiter
-			uq := cq.ring[cq.cursor]
-			if uq.waiting == 0 {
-				// Defensive: empty users are dropped eagerly, but keep the
-				// scan robust if one slips through.
-				s.dropUserLocked(cq, uq)
-				if len(cq.ring) == 0 {
-					break
-				}
-				continue
-			}
-			w := s.popSessionLocked(cq, uq)
-			if w == nil {
-				// The user's session ring was all-empty despite a positive
-				// waiting count; resync by dropping it.
-				s.dropUserLocked(cq, uq)
-				if len(cq.ring) == 0 {
-					break
-				}
-				continue
-			}
-			if uq.waiting == 0 {
-				s.dropUserLocked(cq, uq)
-			} else {
-				cq.cursor = (cq.cursor + 1) % len(cq.ring)
-			}
+	for i := range s.classes {
+		if w := s.classes[i].pop(); w != nil {
+			s.queueGaugesLocked()
 			return w
 		}
-	}
-	return nil
-}
-
-// popSessionLocked dequeues one waiter from the user's session ring in
-// round-robin order, or nil when every session is empty.
-func (s *Scheduler) popSessionLocked(cq *classQueue, uq *userQueue) *waiter {
-	for range uq.ring {
-		sq := uq.ring[uq.cursor]
-		if len(sq.items) == 0 {
-			// Defensive: empty sessions are dropped eagerly, but keep the
-			// scan robust if one slips through.
-			s.dropSessionLocked(uq, sq)
-			if len(uq.ring) == 0 {
-				return nil
-			}
-			continue
-		}
-		w := sq.items[0]
-		sq.items = sq.items[1:]
-		uq.waiting--
-		cq.waiting--
-		s.waiting--
-		gDepth.Set(int64(s.waiting))
-		if len(sq.items) == 0 {
-			s.dropSessionLocked(uq, sq)
-		} else {
-			uq.cursor = (uq.cursor + 1) % len(uq.ring)
-		}
-		return w
 	}
 	return nil
 }

@@ -25,13 +25,9 @@ func TestClassAndSessionContext(t *testing.T) {
 		t.Fatalf("got class=%v session=%q", ClassOf(ctx), SessionOf(ctx))
 	}
 	// Ensure* must not overwrite an existing tag.
-	ctx = EnsureClass(ctx, Interactive)
 	ctx = EnsureSession(ctx, "u2")
 	if ClassOf(ctx) != Background || SessionOf(ctx) != "u1" {
 		t.Fatalf("Ensure overwrote tags: class=%v session=%q", ClassOf(ctx), SessionOf(ctx))
-	}
-	if EnsureClass(context.Background(), Background) == nil || ClassOf(EnsureClass(context.Background(), Background)) != Background {
-		t.Fatal("EnsureClass should tag an untagged context")
 	}
 	if Interactive.String() != "interactive" || Background.String() != "background" {
 		t.Fatalf("bad class names %q %q", Interactive.String(), Background.String())
@@ -322,63 +318,6 @@ func TestCancelWhileQueuedRemovesWaiter(t *testing.T) {
 	tk.Done()
 }
 
-func TestGovernorShrinksOnLatencyGrowsOnDemand(t *testing.T) {
-	s := New(Config{Limit: 4, MinLimit: 1, MaxLimit: 8, AdjustEvery: 1})
-	// Establish a 1ms floor.
-	for i := 0; i < 8; i++ {
-		feedService(s, time.Millisecond)
-	}
-	if got := s.Stats().Limit; got != 4 {
-		t.Fatalf("healthy latency moved the limit to %d", got)
-	}
-	// Latency inflates 10x: the limit must back off toward MinLimit.
-	for i := 0; i < 32; i++ {
-		feedService(s, 10*time.Millisecond)
-	}
-	if got := s.Stats().Limit; got >= 4 {
-		t.Fatalf("limit %d did not shrink under 10x latency inflation", got)
-	}
-	// Latency recovers and demand queues: the limit must grow again.
-	hold := make([]*Ticket, 0, 8)
-	for s.Stats().Inflight < s.Stats().Limit {
-		tk, err := s.Admit(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		hold = append(hold, tk)
-	}
-	queued := make(chan *Ticket, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tk, err := s.Admit(context.Background())
-			if err == nil {
-				queued <- tk
-			}
-		}()
-	}
-	waitUntil(t, func() bool { return s.Stats().Queued == 4 })
-	low := s.Stats().Limit
-	// Healthy completions with demand present raise the limit. The floor
-	// has decayed upward only slightly, so 1ms readings stay in tolerance.
-	for i := 0; i < 64; i++ {
-		feedService(s, time.Millisecond)
-	}
-	if got := s.Stats().Limit; got <= low {
-		t.Fatalf("limit %d did not grow from %d with healthy latency and queued demand", got, low)
-	}
-	for _, tk := range hold {
-		tk.Done()
-	}
-	wg.Wait()
-	close(queued)
-	for tk := range queued {
-		tk.Done()
-	}
-}
-
 // TestAdmitReleaseStress hammers the scheduler from many goroutines with
 // random cancellations and verifies no capacity is leaked: afterwards the
 // scheduler is empty and admits directly.
@@ -460,7 +399,7 @@ func TestShedErrorMessage(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Limit != 4 || c.MinLimit != 1 || c.MaxLimit != 8 || c.MaxQueue != 128 ||
-		c.MaxUserQueue != 64 || c.MaxSessionQueue != 16 || c.AdjustEvery != 8 {
+		c.MaxUserQueue != 64 || c.MaxSessionQueue != 16 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	c = Config{MinLimit: 6, MaxLimit: 2}.withDefaults()
@@ -471,16 +410,6 @@ func TestConfigDefaults(t *testing.T) {
 
 // seedEWMA primes the service-time estimator with one synthetic completion.
 func seedEWMA(s *Scheduler, d time.Duration) {
-	s.mu.Lock()
-	s.inflight++
-	s.mu.Unlock()
-	s.finish(d, true)
-}
-
-// feedService runs one admit/done cycle reporting a fixed service time
-// without actually sleeping (the estimator trusts the Done measurement
-// path, so tests feed finish directly).
-func feedService(s *Scheduler, d time.Duration) {
 	s.mu.Lock()
 	s.inflight++
 	s.mu.Unlock()

@@ -71,6 +71,19 @@ sys.exit(0 if v > 0 else 1)
     echo "metrics smoke FAILED: sched.admitted never incremented" >&2
     exit 1
 fi
+# The in-flight limit is the configured one (loadsim -sched runs
+# Limit 8) from the moment the scheduler exists, so the gauge must read
+# it — a 0 here means the gauge is only set when something moves the limit.
+if ! python3 -c '
+import json, sys
+m = json.load(sys.stdin)
+v = m.get("gauges", {}).get("sched.limit", 0)
+v = v.get("value", 0) if isinstance(v, dict) else v
+sys.exit(0 if v == 8 else 1)
+' <<<"$metrics_json" 2>/dev/null; then
+    echo "metrics smoke FAILED: sched.limit gauge is not the configured limit 8" >&2
+    exit 1
+fi
 # Fleet mode: a 3-node coordinated run must publish load digests and see
 # peers — the sched.cluster.* series are the observable surface of
 # cross-node admission coordination, so a silent coordinator should fail
