@@ -101,7 +101,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-render client timeout (applied when -outage or -arrival is set)")
 	arrival := flag.Float64("arrival", 0, "open-loop session arrival rate in sessions/sec (0 = closed-loop)")
 	think := flag.Duration("think", 0, "user think time between interactions")
-	schedOn := flag.Bool("sched", false, "enable admission control (priority classes, bounded queues, load shedding)")
+	schedOn := flag.Bool("sched", false, "enable admission control (fair queues, bounded queues, load shedding)")
 	clusterN := flag.Int("cluster", 0, "run N in-process Data Server nodes with cross-node admission coordination (fleet mode; most single-process flags don't apply)")
 	restartFlag := flag.String("restart", "", "fleet mode: rolling-restart spec node:at:dur[,node:at:dur...] — node goes down before round at, back dur rounds later")
 	drainFirst := flag.Bool("drainfirst", false, "fleet mode: drain each -restart node (shedding queued work as \"draining\") before taking it down, and give user sessions transparent failover")
@@ -218,10 +218,9 @@ func main() {
 		renderCtx := func(sess int) (context.Context, context.CancelFunc) {
 			ctx := context.Background()
 			if sc != nil {
-				// Dashboard renders are interactive traffic, the class of an
-				// untagged context. Sessions are distributed round-robin
-				// across the simulated users, and the scheduler fair-queues
-				// users first, sessions within a user second.
+				// Sessions are distributed round-robin across the simulated
+				// users, and the scheduler fair-queues users first, sessions
+				// within a user second.
 				ctx = sched.WithUser(ctx, fmt.Sprintf("user-%d", sess%*users))
 				ctx = sched.WithSession(ctx, fmt.Sprintf("sess-%d", sess))
 			}
@@ -346,8 +345,8 @@ func main() {
 		}
 		if sc != nil {
 			sst := sc.Stats()
-			fmt.Printf("  scheduler     admitted=%d/%d (interactive/background, %d direct) shed=%d (%d deadline, %d queue-full of which %d user-quota) limit=%d shedRenders=%d\n",
-				sst.AdmittedInteractive, sst.AdmittedBackground, sst.AdmittedDirect,
+			fmt.Printf("  scheduler     admitted=%d (%d direct) shed=%d (%d deadline, %d queue-full of which %d user-quota) limit=%d shedRenders=%d\n",
+				sst.Admitted, sst.AdmittedDirect,
 				sst.Shed, sst.ShedDeadline, sst.ShedQueueFull, sst.ShedUserQueueFull, sst.Limit, shedCount)
 		}
 		fmt.Println()
@@ -560,8 +559,8 @@ func runCluster(nodes, users, rounds, rows int, latency time.Duration, seed int6
 		ok, shed, failed, hotOK, hotShed)
 	for i := 0; i < nodes; i++ {
 		st := cl.Scheduler(i).Stats()
-		fmt.Printf("  node-%d  admitted=%d/%d (%d direct) shed=%d (%d cluster) limit=%d peers=%d pressure=%.2f state=%s\n",
-			i, st.AdmittedInteractive, st.AdmittedBackground, st.AdmittedDirect,
+		fmt.Printf("  node-%d  admitted=%d (%d direct) shed=%d (%d cluster) limit=%d peers=%d pressure=%.2f state=%s\n",
+			i, st.Admitted, st.AdmittedDirect,
 			st.Shed, st.ShedClusterPressure, st.Limit, st.ClusterPeers, cl.Balancer.Pressure(i),
 			cl.Balancer.State(i))
 	}

@@ -84,7 +84,7 @@ func main() {
 		run(strings.Join(flag.Args(), " "))
 		return
 	}
-	// Interactive: one query per line.
+	// No arguments: read one query per line from stdin.
 	fmt.Println("tql> enter one query per line (tables:", tableList(eng), ")")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

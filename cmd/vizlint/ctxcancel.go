@@ -8,8 +8,9 @@ import (
 // checkCtxCancel verifies that the cancel function returned by
 // context.WithTimeout / context.WithDeadline is called on every return
 // path: a dropped cancel leaks the context's timer and its done channel
-// until the deadline fires, and go vet's lostcancel only catches the
-// never-called case, not the branch that bails out early.
+// until the deadline fires. go vet's lostcancel already flags an early
+// return or a defer on one branch only; what it misses is a cancel rebound
+// before it is called, and one "used" only by `_ = cancel`.
 //
 // The check is an instantiation of the shared must-release engine
 // (dataflow.go) over the function CFG (cfg.go). A cancel func that escapes

@@ -77,8 +77,8 @@ type Options struct {
 	// the pipeline fall back to expired cache entries during outages.
 	Resilience *resilience.Config
 	// Scheduler, when non-nil, admission-controls every remote execution:
-	// queries queue under their context's class, user and session
-	// (hierarchical fair queuing — see sched.WithUser/WithSession), and
+	// queries queue under their context's user and session (hierarchical
+	// fair queuing — see sched.WithUser/WithSession), and
 	// may be shed with sched.ErrShed under overload. Cache hits bypass it
 	// — they consume no backend capacity. A shed never reaches the circuit
 	// breaker (it is refused before the resilience layer runs), but it

@@ -170,7 +170,7 @@ func TestSchedulerAdmitsThroughSingleFlight(t *testing.T) {
 		}
 	}
 	st := sc.Stats()
-	if st.AdmittedInteractive+st.AdmittedBackground > herd {
+	if st.Admitted > herd {
 		t.Fatalf("admissions exceed callers: %+v", st)
 	}
 	if st.Inflight != 0 {

@@ -51,15 +51,6 @@ type PublishedSource struct {
 	BackendSupportsTempTables bool
 	// MaxPoolConnections bounds the proxy's pool to the database.
 	MaxPoolConnections int
-	// Resilience overrides the server-wide retry/breaker/stale policy for
-	// this source (nil = inherit Config.Resilience). Per-source tuning
-	// matters because the server fronts heterogeneous customer-operated
-	// backends with very different failure profiles (Sect. 5).
-	Resilience *resilience.Config
-	// Scheduler overrides the server-wide admission-control policy for
-	// this source (nil = inherit Config.Scheduler). The scheduler's
-	// initial in-flight limit defaults to the source's pool size.
-	Scheduler *sched.Config
 }
 
 // Config tunes the server.
@@ -72,16 +63,15 @@ type Config struct {
 	CacheOptions cache.Options
 	// Resilience, when set, wraps every published source's backend access
 	// in retry/backoff, a per-source circuit breaker, and (if ServeStale)
-	// degraded reads from expired cache entries during outages. Individual
-	// sources may override it via PublishedSource.Resilience.
+	// degraded reads from expired cache entries during outages.
 	Resilience *resilience.Config
 	// Scheduler, when set, places an admission controller in front of
-	// every published source: client queries run as Interactive, fair-
-	// queued hierarchically — per authenticated user, then per client
-	// connection within the user — extract refreshes as Background, and
-	// overload is shed with sched.ErrShed instead of queuing into slow
-	// timeouts. Individual sources may override it via
-	// PublishedSource.Scheduler.
+	// every published source: client queries are fair-queued
+	// hierarchically — per authenticated user, then per client connection
+	// within the user — and overload is shed with sched.ErrShed instead of
+	// queuing into slow timeouts. Each source's in-flight limit defaults
+	// to its pool size. Extract pulls and refreshes dial the live database
+	// on their own connection, outside admission.
 	Scheduler *sched.Config
 	// Cluster, when set (and Node and Bus are filled in), coordinates
 	// admission across Data Server nodes: every published source's
@@ -166,8 +156,8 @@ func NewServer(cfg Config) *Server {
 }
 
 // Coordinator returns the server's cluster admission coordinator, or nil
-// when cluster coordination is not configured. Callers own its lifecycle:
-// Start()/Stop() for the background publish loop, or Step() directly.
+// when cluster coordination is not configured. Callers own its cadence:
+// nothing publishes until the owner calls Step, once per Interval.
 func (s *Server) Coordinator() *sched.Coordinator { return s.coord }
 
 // Publish registers a data source.
@@ -202,19 +192,13 @@ func (s *Server) Publish(src *PublishedSource) error {
 	}
 	pool := connection.NewPool(src.Backend, connection.PoolConfig{Max: max})
 	popt := s.cfg.PipelineOptions
-	if src.Resilience != nil {
-		popt.Resilience = src.Resilience
-	} else if s.cfg.Resilience != nil {
+	if s.cfg.Resilience != nil {
 		popt.Resilience = s.cfg.Resilience
 	}
 	// Admission control: one scheduler per source, its in-flight limit
 	// anchored to the pool size unless the config pins one.
-	schedCfg := src.Scheduler
-	if schedCfg == nil {
-		schedCfg = s.cfg.Scheduler
-	}
-	if schedCfg != nil {
-		sc := *schedCfg
+	if s.cfg.Scheduler != nil {
+		sc := *s.cfg.Scheduler
 		if sc.Limit <= 0 {
 			sc.Limit = max
 		}
@@ -389,13 +373,11 @@ func (c *ClientConn) Query(ctx context.Context, q *query.Query) (*exec.Result, e
 	}
 	c.mu.Unlock()
 	c.srv.queries.Inc()
-	// Client queries are someone waiting on a spinner: Interactive unless
-	// the caller tagged otherwise (sched.ClassOf's default), fair-queued
-	// per user and, within the user, per client connection — so a user's
-	// share of the source is the same whether they hold one connection or
-	// ten.
-	ctx = sched.EnsureUser(ctx, c.user)
-	ctx = sched.EnsureSession(ctx, c.id)
+	// Client queries are fair-queued per user and, within the user, per
+	// client connection — so a user's share of the source is the same
+	// whether they hold one connection or ten.
+	ctx = sched.WithUser(ctx, c.user)
+	ctx = sched.WithSession(ctx, c.id)
 	ctx, sp := obs.StartSpan(ctx, obs.SpanDSQuery)
 	defer sp.Finish()
 
@@ -499,23 +481,35 @@ func valuesResult(col string, vals []storage.Value) *exec.Result {
 		{Name: "$n", Type: storage.TInt},
 	})
 	seen := map[string]bool{}
+	var key []byte
 	for _, v := range vals {
-		k := v.String()
-		if v.Null || seen[k] {
+		if v.Null {
 			continue
 		}
-		seen[k] = true
+		key = valueKey(key[:0], v)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
 		res.AppendRow([]storage.Value{v, storage.IntValue(1)})
 	}
 	return res
 }
 
+// valueKey appends v's type and canonical key. The key is length-prefixed
+// and tags nulls, so two different value lists never encode the same
+// bytes.
+func valueKey(buf []byte, v storage.Value) []byte {
+	return storage.AppendKey(append(buf, byte(v.Type)), v, storage.CollBinary)
+}
+
+// contentHash identifies a temp table's contents: its column name and
+// every value's key, in order.
 func contentHash(col string, vals []storage.Value) string {
-	h := sha256.New()
-	h.Write([]byte(strings.ToLower(col)))
+	buf := storage.AppendKey(nil, storage.StrValue(strings.ToLower(col)), storage.CollBinary)
 	for _, v := range vals {
-		h.Write([]byte{0})
-		h.Write([]byte(v.String()))
+		buf = valueKey(buf, v)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

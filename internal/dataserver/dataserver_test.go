@@ -2,12 +2,16 @@ package dataserver
 
 import (
 	"context"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"vizq/internal/core"
 	"vizq/internal/query"
 	"vizq/internal/remote"
 	"vizq/internal/tde/engine"
+	"vizq/internal/tde/exec"
 	"vizq/internal/tde/storage"
 	"vizq/internal/workload"
 )
@@ -257,5 +261,93 @@ func TestCloseReclaimsState(t *testing.T) {
 		Dims: []query.Dim{{Col: "carrier"}},
 	}); err == nil {
 		t.Error("query on closed connection should fail")
+	}
+}
+
+// TestTempTableSharingKeysOnContent pins that only identical contents
+// share a temp-table definition. Each pair below once encoded the same
+// bytes (values joined by a 0 byte, each rendered by String), so the
+// second connection reused the first one's values.
+func TestTempTableSharingKeysOnContent(t *testing.T) {
+	backend := startBackend(t)
+	ctx := context.Background()
+	pairs := []struct {
+		name string
+		col  string
+		a, b []storage.Value
+	}{
+		{"separator-in-string", "carrier",
+			[]storage.Value{storage.StrValue("WN\x00AA")},
+			[]storage.Value{storage.StrValue("WN"), storage.StrValue("AA")}},
+		{"int-vs-string", "distance",
+			[]storage.Value{storage.IntValue(1)},
+			[]storage.Value{storage.StrValue("1")}},
+		{"null-vs-string", "carrier",
+			[]storage.Value{storage.NullValue(storage.TStr)},
+			[]storage.Value{storage.StrValue("null")}},
+	}
+	// rows renders a result so two answers compare as text.
+	rows := func(res *exec.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var out []string
+		for i := 0; i < res.N; i++ {
+			var row []string
+			for j := range res.Cols {
+				v := res.Value(i, j)
+				row = append(row, fmt.Sprintf("%v:%q", v.Type, v.String()))
+			}
+			out = append(out, strings.Join(row, ","))
+		}
+		sort.Strings(out)
+		return strings.Join(out, "; ")
+	}
+	for _, tc := range pairs {
+		t.Run(tc.name, func(t *testing.T) {
+			s := publishFlights(t, backend, Config{PipelineOptions: core.DefaultOptions()})
+			for i, vals := range [][]storage.Value{tc.a, tc.b} {
+				c, _, err := s.Connect("FAA Flights", fmt.Sprintf("u%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.CreateTempTable("mine", tc.col, vals); err != nil {
+					t.Fatal(err)
+				}
+				// The temp table itself holds this connection's values.
+				var want []string
+				for _, v := range vals {
+					if !v.Null {
+						want = append(want, fmt.Sprintf("%v:%q", v.Type, v.String()))
+					}
+				}
+				sort.Strings(want)
+				got := rows(c.Query(ctx, &query.Query{View: query.View{Table: "mine"}, Dims: []query.Dim{{Col: tc.col}}}))
+				if got != strings.Join(want, "; ") {
+					t.Errorf("connection %d temp table holds %s, want %s", i, got, strings.Join(want, "; "))
+				}
+				// An IN over the temp table answers as the same IN inline.
+				in := func(f query.Filter) *query.Query {
+					return &query.Query{
+						View:     query.View{Table: "flights"},
+						Dims:     []query.Dim{{Col: tc.col}},
+						Measures: []query.Measure{{Fn: query.Count, As: "n"}},
+						Filters:  []query.Filter{f},
+					}
+				}
+				overTemp := rows(c.Query(ctx, in(query.TempFilter(tc.col, "mine"))))
+				inline := rows(c.Query(ctx, in(query.InFilter(tc.col, vals...))))
+				if overTemp != inline {
+					t.Errorf("connection %d: IN over its temp table gave %s, inline IN gave %s", i, overTemp, inline)
+				}
+			}
+			if n := s.Stats().SharedTempReuses; n != 0 {
+				t.Errorf("different contents shared a definition %d times", n)
+			}
+			if n := s.SharedTempCount(); n != 2 {
+				t.Errorf("shared defs = %d, want 2", n)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"vizq/internal/remote"
-	"vizq/internal/sched"
 	"vizq/internal/tde/engine"
 	"vizq/internal/tde/storage"
 )
@@ -17,10 +16,6 @@ import (
 // client queries from it; Refresh re-pulls from the live database —
 // "refreshing a single extract daily — rather than all copies of it —
 // significantly reduces the query load on the underlying database."
-
-// systemUser is the fair-queuing identity maintenance traffic (extract
-// pulls and refreshes) runs under.
-const systemUser = "$system"
 
 // extractState tracks one extracted source.
 type extractState struct {
@@ -43,13 +38,7 @@ func (s *Server) PublishExtract(src *PublishedSource) error {
 		tables = append(tables, j.Table)
 	}
 	localEng := engine.New(storage.NewDatabase("extract:" + src.Name))
-	// Extract pulls are maintenance traffic: Background class under the
-	// server's system identity, so a live source sharing the backend never
-	// starves dashboards for a snapshot and refresh traffic shares one
-	// user-level queue no matter how many extracts pull at once.
-	ctx := sched.WithClass(context.Background(), sched.Background)
-	ctx = sched.WithUser(ctx, systemUser)
-	if err := pullTables(ctx, live, localEng, tables); err != nil {
+	if err := pullTables(context.Background(), live, localEng, tables); err != nil {
 		return err
 	}
 	localSrv := remote.NewServer(localEng, remote.Config{QueryDOP: 2})
@@ -90,9 +79,7 @@ func (s *Server) RefreshExtract(name string) error {
 	for _, t := range st.tables {
 		_ = st.localEng.Database().DropTable("Extract", t)
 	}
-	ctx := sched.WithClass(context.Background(), sched.Background)
-	ctx = sched.WithUser(ctx, systemUser)
-	if err := pullTables(ctx, st.liveBackend, st.localEng, st.tables); err != nil {
+	if err := pullTables(context.Background(), st.liveBackend, st.localEng, st.tables); err != nil {
 		return err
 	}
 	if proc != nil {
@@ -102,8 +89,9 @@ func (s *Server) RefreshExtract(name string) error {
 }
 
 // pullTables snapshots the named tables from a live backend into the local
-// engine's Extract schema. The context carries the caller's priority class
-// (extract pulls are Background).
+// engine's Extract schema. It dials its own connection to the live
+// database, outside the source's pool and admission control: a pull or
+// refresh takes neither a pool connection nor an admission slot.
 func pullTables(ctx context.Context, liveAddr string, localEng *engine.Engine, tables []string) error {
 	conn, err := remote.Dial(liveAddr)
 	if err != nil {

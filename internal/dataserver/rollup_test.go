@@ -174,11 +174,8 @@ func TestStatsRollUpIntoObs(t *testing.T) {
 		"pool.reuses":      func(n *rollupNode) int64 { return n.srv.pools[n.key].Stats().Reuses },
 		"pool.evictions":   func(n *rollupNode) int64 { return n.srv.pools[n.key].Stats().Evictions },
 		"pool.discards":    func(n *rollupNode) int64 { return n.srv.pools[n.key].Stats().Discards },
-		"sched.admitted.interactive": func(n *rollupNode) int64 {
-			return n.srv.Scheduler("FAA Flights").Stats().AdmittedInteractive
-		},
-		"sched.admitted.background": func(n *rollupNode) int64 {
-			return n.srv.Scheduler("FAA Flights").Stats().AdmittedBackground
+		"sched.admitted": func(n *rollupNode) int64 {
+			return n.srv.Scheduler("FAA Flights").Stats().Admitted
 		},
 		"sched.admitted.direct": func(n *rollupNode) int64 {
 			return n.srv.Scheduler("FAA Flights").Stats().AdmittedDirect
@@ -209,7 +206,7 @@ func TestStatsRollUpIntoObs(t *testing.T) {
 	// The workload reaches every stage whose count the paper argues from.
 	for _, name := range []string{"ds.queries", "ds.local_answers", "core.remote_queries", "core.cache_hits",
 		"core.fused_away", "core.temp_tables", "cache.intelligent.derived_hits", "cache.intelligent.evictions",
-		"pool.dials", "pool.reuses", "sched.admitted.interactive"} {
+		"pool.dials", "pool.reuses", "sched.admitted"} {
 		if after[name] == before[name] {
 			t.Errorf("%s never moved: the workload misses that stage", name)
 		}

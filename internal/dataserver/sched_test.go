@@ -13,9 +13,9 @@ import (
 )
 
 // TestSchedulerPerSource pins the Data Server wiring: with a Scheduler
-// config, every published source gets its own admission controller,
-// client queries run as Interactive under a per-connection session, and
-// an upstream Background tag survives the server's default.
+// config, every published source gets its own admission controller whose
+// limit follows that source's pool size, client queries are admitted
+// through it, and Unpublish drops it with the source.
 func TestSchedulerPerSource(t *testing.T) {
 	backend := startBackend(t)
 	s := publishFlights(t, backend, Config{
@@ -48,39 +48,26 @@ func TestSchedulerPerSource(t *testing.T) {
 	if _, err := conn.Query(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	st := sc.Stats()
-	if st.AdmittedInteractive != 1 || st.AdmittedBackground != 0 {
-		t.Fatalf("untagged client query must admit as Interactive: %+v", st)
+	if st := sc.Stats(); st.Admitted != 1 {
+		t.Fatalf("client query admitted %d times, want 1: %+v", st.Admitted, st)
 	}
 
-	// A caller-supplied Background tag must not be overridden by the
-	// server's Interactive default.
-	bg := sched.WithClass(context.Background(), sched.Background)
-	q2 := q.Clone()
-	q2.Dims = []query.Dim{{Col: "origin"}}
-	if _, err := conn.Query(bg, q2); err != nil {
-		t.Fatal(err)
-	}
-	if st := sc.Stats(); st.AdmittedBackground != 1 {
-		t.Fatalf("Background tag lost through ClientConn.Query: %+v", st)
-	}
-
-	// A per-source override beats the server-wide config.
+	// A second source gets its own scheduler, limited by its own pool.
 	if err := s.Publish(&PublishedSource{
-		Name:      "tuned",
-		Backend:   backend.Addr(),
-		View:      query.View{Table: "flights"},
-		Scheduler: &sched.Config{Limit: 2},
+		Name:               "second",
+		Backend:            backend.Addr(),
+		View:               query.View{Table: "flights"},
+		MaxPoolConnections: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Scheduler("tuned").Stats().Limit; got != 2 {
-		t.Fatalf("per-source scheduler limit %d, want 2", got)
+	if got := s.Scheduler("second").Stats().Limit; got != 2 {
+		t.Fatalf("second source's scheduler limit %d, want its pool max 2", got)
 	}
 
 	// Unpublish drops the scheduler with the source.
-	s.Unpublish("tuned")
-	if s.Scheduler("tuned") != nil {
+	s.Unpublish("second")
+	if s.Scheduler("second") != nil {
 		t.Fatal("unpublished source still has a scheduler")
 	}
 }

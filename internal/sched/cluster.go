@@ -3,7 +3,7 @@
 // admission alone lets a hot source shed on one node while its replicas
 // keep queueing, so fleet behavior under overload is inconsistent. Each
 // node therefore periodically publishes a compact per-source load digest
-// (current in-flight limit, queue depth, EWMA queued wait, shed rate)
+// (current in-flight limit, queue depth, shed rate, drain state)
 // through the kvstore tier — the same distributed layer that shares
 // caches across the cluster — and blends what it reads back into local
 // decisions:
@@ -63,19 +63,15 @@ type Bus interface {
 	List(prefix string) (map[string][]byte, error)
 }
 
-// Digest is one node's published load summary for one source.
+// Digest is one node's published load summary for one source: what peers
+// read to decide pressure, limits and steering, and nothing else.
 type Digest struct {
-	Node          string
-	Source        string
-	Published     time.Time // publisher's clock; staleness is judged by the reader's clock
-	Limit         int       // current in-flight limit
-	QueueDepth    int       // waiters right now
-	Inflight      int
-	EWMAService   time.Duration
-	EWMAWait      time.Duration
-	ShedRate      float64 // sheds / (sheds + admissions) over the last publish interval
-	ShedTotal     int64   // cumulative, for cross-node consistency accounting
-	AdmittedTotal int64
+	Node       string
+	Source     string
+	Published  time.Time // publisher's clock; staleness is judged by the reader's clock
+	Limit      int       // current in-flight limit
+	QueueDepth int       // waiters right now
+	ShedRate   float64   // sheds / (sheds + admissions) over the last publish interval
 	// Draining advertises a graceful drain in progress: peers' balancers
 	// stop steering sessions here before the node goes away.
 	Draining bool
@@ -92,6 +88,8 @@ func (d Digest) pressured(shedRate float64) bool {
 // digestVersion guards the wire codec; unknown versions are rejected so
 // a mixed-version fleet degrades to local-only instead of misreading.
 // v3 is JSON; a binary v2 payload fails to parse and is rejected too.
+// Decoding ignores fields Digest does not have, so a v3 payload that
+// carries more fields than these still decodes.
 const digestVersion = 3
 
 // wireDigest is the encoded form: the digest's fields beside a version.
@@ -255,27 +253,21 @@ func (c *Coordinator) stepSource(name string, now time.Time) {
 		return
 	}
 	st := src.sched.Stats()
-	admitted := st.AdmittedInteractive + st.AdmittedBackground
 	dShed := st.Shed - src.prevShed
-	dAdm := admitted - src.prevAdmitted
-	src.prevShed, src.prevAdmitted = st.Shed, admitted
+	dAdm := st.Admitted - src.prevAdmitted
+	src.prevShed, src.prevAdmitted = st.Shed, st.Admitted
 	rate := 0.0
 	if dShed+dAdm > 0 {
 		rate = float64(dShed) / float64(dShed+dAdm)
 	}
 	self := Digest{
-		Node:          c.cfg.Node,
-		Source:        name,
-		Published:     now,
-		Limit:         st.Limit,
-		QueueDepth:    st.Queued,
-		Inflight:      st.Inflight,
-		EWMAService:   st.EWMAService,
-		EWMAWait:      st.EWMAWait,
-		ShedRate:      rate,
-		ShedTotal:     st.Shed,
-		AdmittedTotal: admitted,
-		Draining:      st.Draining,
+		Node:       c.cfg.Node,
+		Source:     name,
+		Published:  now,
+		Limit:      st.Limit,
+		QueueDepth: st.Queued,
+		ShedRate:   rate,
+		Draining:   st.Draining,
 	}
 	src.lastSelf = self
 	sched := src.sched

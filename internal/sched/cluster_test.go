@@ -54,17 +54,13 @@ func (b *memBus) fail(set, list error) {
 
 func TestDigestCodecRoundTrip(t *testing.T) {
 	d := Digest{
-		Node:          "node-b",
-		Source:        "sales",
-		Published:     time.Unix(0, 1723100000000000000),
-		Limit:         7,
-		QueueDepth:    12,
-		Inflight:      7,
-		EWMAService:   83 * time.Millisecond,
-		EWMAWait:      210 * time.Millisecond,
-		ShedRate:      0.375,
-		ShedTotal:     41,
-		AdmittedTotal: 1003,
+		Node:       "node-b",
+		Source:     "sales",
+		Published:  time.Unix(0, 1723100000000000000),
+		Limit:      7,
+		QueueDepth: 12,
+		ShedRate:   0.375,
+		Draining:   true,
 	}
 	got, err := DecodeDigest(d.Encode())
 	if err != nil {
@@ -76,6 +72,57 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 	got.Published = d.Published
 	if got != d {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, d)
+	}
+}
+
+// TestDigestIgnoresRetiredFields pins mixed-version coordination: a v3
+// payload that still carries Inflight, EWMAService, EWMAWait, ShedTotal
+// and AdmittedTotal (the digest before those fields were dropped) decodes
+// to the trimmed digest, and ObservePeers takes the same pressure, clamp
+// and limit decisions from it as from the trimmed digest.
+func TestDigestIgnoresRetiredFields(t *testing.T) {
+	old := []byte(`{"V":3,"Node":"node-b","Source":"sales","Published":"2024-08-08T07:33:20Z",` +
+		`"Limit":8,"QueueDepth":12,"Inflight":8,"EWMAService":83000000,"EWMAWait":210000000,` +
+		`"ShedRate":0.375,"ShedTotal":41,"AdmittedTotal":1003,"Draining":false}`)
+	trimmed := Digest{
+		Node:       "node-b",
+		Source:     "sales",
+		Published:  time.Date(2024, 8, 8, 7, 33, 20, 0, time.UTC),
+		Limit:      8,
+		QueueDepth: 12,
+		ShedRate:   0.375,
+	}
+	got, err := DecodeDigest(old)
+	if err != nil {
+		t.Fatalf("retired fields rejected: %v", err)
+	}
+	if !got.Published.Equal(trimmed.Published) {
+		t.Fatalf("published %v != %v", got.Published, trimmed.Published)
+	}
+	got.Published = trimmed.Published
+	if got != trimmed {
+		t.Fatalf("decoded %+v, want %+v", got, trimmed)
+	}
+
+	// Two peers, both pressured, one of them the old-format digest: the
+	// clamp arms (2 of 3 nodes), and the limit steps toward the mean.
+	self := Digest{Node: "node-a", Source: "sales", Limit: 4}
+	other := Digest{Node: "node-c", Source: "sales", Limit: 8, QueueDepth: 2, ShedRate: 0.5}
+	observe := func(peer Digest) (Stats, float64) {
+		s := New(Config{Limit: 4})
+		s.ObservePeers(self, []Digest{peer, other})
+		s.mu.Lock()
+		q := s.peerQueueAvg
+		s.mu.Unlock()
+		return s.Stats(), q
+	}
+	fromOld, qOld := observe(got)
+	fromNew, qNew := observe(trimmed)
+	if fromOld != fromNew || qOld != qNew {
+		t.Fatalf("old digest: %+v queue %v; trimmed: %+v queue %v", fromOld, qOld, fromNew, qNew)
+	}
+	if !fromOld.ClusterShedActive || fromOld.Limit != 5 || fromOld.ClusterPeers != 2 || qOld != 7 {
+		t.Fatalf("decisions from the old digest: %+v queue %v", fromOld, qOld)
 	}
 }
 
@@ -419,7 +466,7 @@ func TestPeerBacklogInflatesDeadlineEstimate(t *testing.T) {
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel1()
 	s.mu.Lock()
-	est := s.estimateLocked(Interactive, "u")
+	est := s.estimateLocked("u")
 	s.mu.Unlock()
 	if est != 100*time.Millisecond {
 		t.Fatalf("baseline estimate = %v", est)
@@ -433,7 +480,7 @@ func TestPeerBacklogInflatesDeadlineEstimate(t *testing.T) {
 		{Node: "c", Limit: 1, QueueDepth: 2},
 	})
 	s.mu.Lock()
-	est = s.estimateLocked(Interactive, "u")
+	est = s.estimateLocked("u")
 	s.mu.Unlock()
 	if want := time.Duration(float64(100*time.Millisecond) * (1 + peerBacklogWeight*2)); est != want {
 		t.Fatalf("peer-inflated estimate = %v, want %v", est, want)
@@ -532,11 +579,12 @@ func TestClusterShedRateInDigest(t *testing.T) {
 	tk.Done()
 	wg.Wait()
 
-	// Digest totals are cumulative.
+	// Round 3: the queued waiter's grant and no new shed → rate 0; the
+	// rate covers the last interval, not the scheduler's lifetime.
 	c.Step(now)
 	d, _ := c.LastDigest("src")
-	if d.ShedTotal != 1 || d.AdmittedTotal != 2 {
-		t.Fatalf("cumulative totals = shed %d admitted %d", d.ShedTotal, d.AdmittedTotal)
+	if d.ShedRate != 0 {
+		t.Fatalf("round 3 shed rate = %v, want 0", d.ShedRate)
 	}
 	if fmt.Sprintf("%s", d.Source) != "src" {
 		t.Fatalf("source = %q", d.Source)

@@ -5,7 +5,7 @@ package sched
 // users and sessions (empty-then-refilled queues included), and a seeded
 // comparison against a reference model. They drive the locked internals
 // directly so every scenario is deterministic, at both levels of the
-// hierarchy (session rings within a user, user rings within a class).
+// hierarchy (session rings within a user, the ring of users).
 
 import (
 	"context"
@@ -19,7 +19,7 @@ import (
 func enq(s *Scheduler, user, sess string) *waiter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enqueueLocked(Interactive, user, sess)
+	return s.enqueueLocked(user, sess)
 }
 
 // drainOrder pops waiters until the queue is empty, returning the session
@@ -60,8 +60,8 @@ func TestSessionRingCursorOnRemoval(t *testing.T) {
 				ws[id] = w
 			}
 			s.mu.Lock()
-			s.classes[Interactive].kids["u"].next = tc.cursor
-			s.removeLocked(Interactive, "u", tc.remove, ws[tc.remove])
+			s.queue.kids["u"].next = tc.cursor
+			s.removeLocked("u", tc.remove, ws[tc.remove])
 			s.mu.Unlock()
 			got := drainOrder(s, label)
 			if len(got) != len(tc.wantNext) {
@@ -82,7 +82,7 @@ func TestSessionRingCursorOnRemoval(t *testing.T) {
 func TestUserRingCursorOnRemoval(t *testing.T) {
 	cases := []struct {
 		name     string
-		cursor   int // class-level user-ring cursor before the removal
+		cursor   int // user-ring cursor before the removal
 		wantNext []string
 	}{
 		// Ring is [ua ub uc], one single-waiter session each; ub's waiter
@@ -104,8 +104,8 @@ func TestUserRingCursorOnRemoval(t *testing.T) {
 				}
 			}
 			s.mu.Lock()
-			s.classes[Interactive].next = tc.cursor
-			s.removeLocked(Interactive, "ub", "main", wb)
+			s.queue.next = tc.cursor
+			s.removeLocked("ub", "main", wb)
 			s.mu.Unlock()
 			got := drainOrder(s, label)
 			if len(got) != 2 || got[0] != tc.wantNext[0] || got[1] != tc.wantNext[1] {
@@ -116,7 +116,7 @@ func TestUserRingCursorOnRemoval(t *testing.T) {
 }
 
 // TestRoundRobinOrder pins the dequeue order: one grant per user in turn
-// across a class's users, and within a user one grant per session in
+// across users, and within a user one grant per session in
 // turn. A queue that empties drops off its ring and, refilled, rejoins at
 // the back with no turn carried over.
 func TestRoundRobinOrder(t *testing.T) {
@@ -208,9 +208,9 @@ func TestDrainAfterEdgeCases(t *testing.T) {
 	}
 }
 
-// The reference model of the fair queue: per class a ring of users, per
-// user a ring of sessions, per session a FIFO — plain slices searched
-// linearly, each ring with the index of the entry whose turn is next.
+// The reference model of the fair queue: a ring of users, per user a ring
+// of sessions, per session a FIFO — plain slices searched linearly, each
+// ring with the index of the entry whose turn is next.
 type (
 	modelSess struct {
 		id string
@@ -221,24 +221,22 @@ type (
 		ring []*modelSess
 		next int
 	}
-	modelClass struct {
+	model struct {
 		ring []*modelUser
 		next int
 	}
-	model [numClasses]modelClass
 )
 
-func (m *model) push(w *waiter, class Class, user, sess string) {
-	c := &m[class]
+func (m *model) push(w *waiter, user, sess string) {
 	var u *modelUser
-	for _, x := range c.ring {
+	for _, x := range m.ring {
 		if x.id == user {
 			u = x
 		}
 	}
 	if u == nil {
 		u = &modelUser{id: user}
-		c.ring = append(c.ring, u)
+		m.ring = append(m.ring, u)
 	}
 	var se *modelSess
 	for _, x := range u.ring {
@@ -266,33 +264,28 @@ func cut[T any](ring []T, next, i int) ([]T, int) {
 }
 
 func (m *model) pop() *waiter {
-	for ci := range m {
-		c := &m[ci]
-		if len(c.ring) == 0 {
-			continue
-		}
-		u := c.ring[c.next]
-		se := u.ring[u.next]
-		w := se.ws[0]
-		se.ws = se.ws[1:]
-		if len(se.ws) == 0 {
-			u.ring, u.next = cut(u.ring, u.next, u.next)
-		} else {
-			u.next = (u.next + 1) % len(u.ring)
-		}
-		if len(u.ring) == 0 {
-			c.ring, c.next = cut(c.ring, c.next, c.next)
-		} else {
-			c.next = (c.next + 1) % len(c.ring)
-		}
-		return w
+	if len(m.ring) == 0 {
+		return nil
 	}
-	return nil
+	u := m.ring[m.next]
+	se := u.ring[u.next]
+	w := se.ws[0]
+	se.ws = se.ws[1:]
+	if len(se.ws) == 0 {
+		u.ring, u.next = cut(u.ring, u.next, u.next)
+	} else {
+		u.next = (u.next + 1) % len(u.ring)
+	}
+	if len(u.ring) == 0 {
+		m.ring, m.next = cut(m.ring, m.next, m.next)
+	} else {
+		m.next = (m.next + 1) % len(m.ring)
+	}
+	return w
 }
 
-func (m *model) remove(w *waiter, class Class, user, sess string) bool {
-	c := &m[class]
-	for i, u := range c.ring {
+func (m *model) remove(w *waiter, user, sess string) bool {
+	for i, u := range m.ring {
 		for j, se := range u.ring {
 			k := slices.Index(se.ws, w)
 			if u.id != user || se.id != sess || k < 0 {
@@ -303,7 +296,7 @@ func (m *model) remove(w *waiter, class Class, user, sess string) bool {
 				u.ring, u.next = cut(u.ring, u.next, j)
 			}
 			if len(u.ring) == 0 {
-				c.ring, c.next = cut(c.ring, c.next, i)
+				m.ring, m.next = cut(m.ring, m.next, i)
 			}
 			return true
 		}
@@ -311,10 +304,10 @@ func (m *model) remove(w *waiter, class Class, user, sess string) bool {
 	return false
 }
 
-// checkAgainstModel compares every level of q with the model's class c:
-// sizes, ring order and cursor, and that ring and kids name the same
-// children with none of them empty.
-func checkAgainstModel(t *testing.T, q *fairQueue, c modelClass, users, sessions []string) {
+// checkAgainstModel compares every level of q with the model m: sizes,
+// ring order and cursor, and that ring and kids name the same children
+// with none of them empty.
+func checkAgainstModel(t *testing.T, q *fairQueue, m *model, users, sessions []string) {
 	t.Helper()
 	ids := func(q *fairQueue) string {
 		keys := make([]string, 0, len(q.kids))
@@ -334,7 +327,7 @@ func checkAgainstModel(t *testing.T, q *fairQueue, c modelClass, users, sessions
 	}
 	var userIDs []string
 	total := 0
-	for _, u := range c.ring {
+	for _, u := range m.ring {
 		userIDs = append(userIDs, u.id)
 		var sessIDs []string
 		for _, se := range u.ring {
@@ -344,14 +337,14 @@ func checkAgainstModel(t *testing.T, q *fairQueue, c modelClass, users, sessions
 			t.Fatalf("user %s session ring %s, want %s", u.id, got, want)
 		}
 	}
-	if got, want := ids(q), fmt.Sprint(userIDs, c.next); got != want {
+	if got, want := ids(q), fmt.Sprint(userIDs, m.next); got != want {
 		t.Fatalf("user ring %s, want %s", got, want)
 	}
 	for _, user := range users {
 		userN := 0
 		for _, sess := range sessions {
 			want := 0
-			for _, u := range c.ring {
+			for _, u := range m.ring {
 				for _, se := range u.ring {
 					if u.id == user && se.id == sess {
 						want = len(se.ws)
@@ -377,7 +370,7 @@ func checkAgainstModel(t *testing.T, q *fairQueue, c modelClass, users, sessions
 }
 
 // TestFairQueueMatchesModel runs seeded random push/pop/remove sequences
-// through the scheduler's queues and the reference model side by side,
+// through the scheduler's queue and the reference model side by side,
 // checking the grant order and every level's state after each step.
 func TestFairQueueMatchesModel(t *testing.T) {
 	users := []string{"u0", "u1", "u2", "u3"}
@@ -395,10 +388,9 @@ func TestFairQueueMatchesModel(t *testing.T) {
 		for step := 0; step < 1500; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5:
-				class := Class(rng.Intn(numClasses))
 				user, sess := users[rng.Intn(len(users))], sessions[rng.Intn(len(sessions))]
-				w := s.enqueueLocked(class, user, sess)
-				m.push(w, class, user, sess)
+				w := s.enqueueLocked(user, sess)
+				m.push(w, user, sess)
 				live = append(live, queued{w, user, sess})
 			case op < 8:
 				got, want := s.nextLocked(), m.pop()
@@ -413,19 +405,17 @@ func TestFairQueueMatchesModel(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					sess = sessions[rng.Intn(len(sessions))] // maybe the wrong path
 				}
-				got := s.classes[x.w.class].remove(x.w, x.user, sess)
-				if want := m.remove(x.w, x.w.class, x.user, sess); got != want {
+				got := s.queue.remove(x.w, x.user, sess)
+				if want := m.remove(x.w, x.user, sess); got != want {
 					t.Fatalf("seed %d step %d: remove = %v, model %v", seed, step, got, want)
 				}
 				if got {
 					live = slices.Delete(live, i, i+1)
 				}
 			}
-			for c := range s.classes {
-				checkAgainstModel(t, &s.classes[c], m[c], users, sessions)
-			}
-			if waiters, _ := s.queuedLocked(); waiters != len(live) {
-				t.Fatalf("seed %d step %d: %d queued, %d live", seed, step, waiters, len(live))
+			checkAgainstModel(t, &s.queue, &m, users, sessions)
+			if s.queue.n != len(live) {
+				t.Fatalf("seed %d step %d: %d queued, %d live", seed, step, s.queue.n, len(live))
 			}
 		}
 		s.mu.Unlock()

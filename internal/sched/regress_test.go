@@ -29,7 +29,7 @@ func TestGrantedSlotReturnCountsCanceledNotCompleted(t *testing.T) {
 	// granted the slot (admitLocked) but the waiter's context died, so the
 	// slot goes back through the cancel path.
 	s.mu.Lock()
-	s.admitLocked(Interactive)
+	s.admitLocked()
 	s.mu.Unlock()
 	(&Ticket{s: s}).cancel()
 

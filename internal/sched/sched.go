@@ -3,18 +3,18 @@
 // at once, but nothing above it bounds how many queries *wait*: an
 // overload burst queues unboundedly inside the pool, every queued query
 // eventually burns its full client timeout, and interactive p99 collapses
-// to the timeout. Interactive-at-scale systems (Hillview, IDEBench) keep
-// tail latency bounded with explicit arrival discipline, not just caching;
-// this package supplies it per published source:
+// to the timeout. Systems built for interaction at scale (Hillview,
+// IDEBench) keep tail latency bounded with explicit arrival discipline,
+// not just caching; this package supplies it per published source:
 //
-//   - Priority classes. Queries carry a Class (Interactive vs Background)
-//     in their context; dashboard renders outrank extract refreshes.
 //   - Hierarchical fair queuing. Waiting queries are queued per user and,
-//     within a user, per session. Dequeues go class-priority-first,
-//     round-robin across *users* within a class, then round-robin across
-//     the user's *sessions* — so a user's share of the source is constant
-//     no matter how many dashboards (sessions) they open, and within that
-//     share no single session can starve the user's others.
+//     within a user, per session. Dequeues go round-robin across *users*,
+//     then round-robin across the user's *sessions* — so a user's share
+//     of the source is constant no matter how many dashboards (sessions)
+//     they open, and within that share no single session can starve the
+//     user's others. There are no priority classes: extract pulls and
+//     refreshes dial the live database on their own connection and never
+//     pass through admission.
 //   - Deadline-aware load shedding. A query whose context deadline will
 //     expire before its estimated queue wait (EWMA of recent service
 //     times x the work fair queuing will serve ahead of it, divided by
@@ -43,8 +43,6 @@ import (
 // Scheduler metrics, shared process-wide across schedulers.
 var (
 	cAdmitted    = obs.C("sched.admitted")
-	cAdmittedInt = obs.C("sched.admitted.interactive")
-	cAdmittedBg  = obs.C("sched.admitted.background")
 	cAdmitDirect = obs.C("sched.admitted.direct")
 	cShed        = obs.C("sched.shed")
 	cShedFull    = obs.C("sched.shed.queue_full")
@@ -60,44 +58,8 @@ var (
 	mServiceNS   = obs.H("sched.service.ns")
 )
 
-// Class is a query's priority class.
-type Class uint8
-
-// The two classes: dashboard renders are Interactive, extract refreshes
-// and other maintenance traffic are Background. Interactive is the zero
-// value — an untagged context is someone waiting on a spinner.
-const (
-	Interactive Class = iota
-	Background
-)
-
-// numClasses sizes per-class arrays.
-const numClasses = 2
-
-// String names the class.
-func (c Class) String() string {
-	if c == Background {
-		return "background"
-	}
-	return "interactive"
-}
-
-type classKey struct{}
 type userKey struct{}
 type sessionKey struct{}
-
-// WithClass tags the context with a priority class.
-func WithClass(ctx context.Context, c Class) context.Context {
-	return context.WithValue(ctx, classKey{}, c)
-}
-
-// ClassOf reads the context's class; untagged contexts are Interactive.
-func ClassOf(ctx context.Context) Class {
-	if c, ok := ctx.Value(classKey{}).(Class); ok {
-		return c
-	}
-	return Interactive
-}
 
 // WithUser tags the context with a fair-queuing user identity (the human
 // behind the sessions — typically the authenticated Data Server user).
@@ -116,14 +78,6 @@ func UserOf(ctx context.Context) string {
 	return ""
 }
 
-// EnsureUser tags the context with id only if no user is set yet.
-func EnsureUser(ctx context.Context, id string) context.Context {
-	if _, ok := ctx.Value(userKey{}).(string); ok {
-		return ctx
-	}
-	return WithUser(ctx, id)
-}
-
 // WithSession tags the context with a fair-queuing session identity
 // (typically one client connection or one dashboard).
 func WithSession(ctx context.Context, id string) context.Context {
@@ -137,14 +91,6 @@ func SessionOf(ctx context.Context) string {
 		return s
 	}
 	return ""
-}
-
-// EnsureSession tags the context with id only if no session is set yet.
-func EnsureSession(ctx context.Context, id string) context.Context {
-	if _, ok := ctx.Value(sessionKey{}).(string); ok {
-		return ctx
-	}
-	return WithSession(ctx, id)
 }
 
 // ErrShed is the sentinel all load-shedding rejections wrap: the query was
@@ -242,8 +188,7 @@ func (c Config) withDefaults() Config {
 
 // Stats snapshots one scheduler's activity.
 type Stats struct {
-	AdmittedInteractive int64
-	AdmittedBackground  int64
+	Admitted int64
 	// AdmittedDirect counts uncontended fast-path admissions (no queue
 	// wait at all); they are excluded from the queue-wait histogram.
 	AdmittedDirect int64
@@ -257,8 +202,8 @@ type Stats struct {
 	Completed         int64 // ran to completion and returned the slot via Done
 	Inflight          int
 	Queued            int
-	// QueuedUsers is the number of distinct user queues currently holding
-	// waiters (per class; a user waiting in both classes counts twice).
+	// QueuedUsers is the number of distinct users currently holding
+	// waiters.
 	QueuedUsers int
 	Limit       int
 	// EWMAService is the current service-time estimate admission math uses.
@@ -274,8 +219,6 @@ type Stats struct {
 	// Draining reports whether the scheduler is refusing new admissions;
 	// it is advertised in cluster digests so peers stop steering here.
 	Draining bool
-	// EWMAWait is the smoothed queue wait published in cluster digests.
-	EWMAWait time.Duration
 	// ClusterPeers is the number of fresh peer digests currently blended
 	// into admission decisions (0 = running local-only).
 	ClusterPeers int
@@ -286,13 +229,12 @@ type Stats struct {
 
 // waiter is one queued admission request.
 type waiter struct {
-	class   Class
 	ready   chan struct{}
 	granted bool       // guarded by Scheduler.mu
 	shed    *ShedError // set (before ready closes) when flushed by a drain
 }
 
-// fairQueue is one level of the class → user → session hierarchy. The
+// fairQueue is one level of the user → session hierarchy. The
 // bottom level (a session) holds its waiters FIFO in items; a level above
 // keeps one child per key in kids and serves them round-robin in ring
 // order, next naming the child whose turn is next. A child leaves the
@@ -403,13 +345,10 @@ type Scheduler struct {
 	mu       sync.Mutex
 	inflight int
 	limit    int
-	classes  [numClasses]fairQueue
+	queue    fairQueue
 
 	// ewmaNS estimates service time.
 	ewmaNS float64
-
-	// ewmaWaitNS smooths observed queue waits for the cluster digest.
-	ewmaWaitNS float64
 
 	// draining refuses new admissions (graceful drain); quiesce is a
 	// lazily-created broadcast channel closed when inflight and waiting
@@ -429,9 +368,9 @@ type Scheduler struct {
 	// The counts of Stats, each rolled up into its scheduler metric where
 	// one exists. They move and are read under mu, so a snapshot's shed
 	// reasons always add up to Shed.
-	admittedInteractive, admittedBackground, admittedDirect, completed,
-	canceled, shed, shedDeadline, shedQueueFull, shedUserQueueFull,
-	shedClusterPressure, shedDraining obs.Counter
+	admitted, admittedDirect, completed, canceled, shed, shedDeadline,
+	shedQueueFull, shedUserQueueFull, shedClusterPressure,
+	shedDraining obs.Counter
 }
 
 // New builds a scheduler from cfg.
@@ -439,8 +378,7 @@ func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, limit: cfg.Limit}
 	gLimit.Set(int64(s.limit))
-	s.admittedInteractive.RollUp(cAdmittedInt)
-	s.admittedBackground.RollUp(cAdmittedBg)
+	s.admitted.RollUp(cAdmitted)
 	s.admittedDirect.RollUp(cAdmitDirect)
 	s.canceled.RollUp(cCanceled)
 	s.shed.RollUp(cShed)
@@ -457,10 +395,8 @@ func (s *Scheduler) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	queued, users := s.queuedLocked()
 	st := Stats{
-		AdmittedInteractive: s.admittedInteractive.Value(),
-		AdmittedBackground:  s.admittedBackground.Value(),
+		Admitted:            s.admitted.Value(),
 		AdmittedDirect:      s.admittedDirect.Value(),
 		Shed:                s.shed.Value(),
 		ShedDeadline:        s.shedDeadline.Value(),
@@ -471,11 +407,10 @@ func (s *Scheduler) Stats() Stats {
 		Canceled:            s.canceled.Value(),
 		Completed:           s.completed.Value(),
 		Inflight:            s.inflight,
-		Queued:              queued,
-		QueuedUsers:         users,
+		Queued:              s.queue.n,
+		QueuedUsers:         len(s.queue.ring),
 		Limit:               s.limit,
 		EWMAService:         time.Duration(s.ewmaNS),
-		EWMAWait:            time.Duration(s.ewmaWaitNS),
 		Draining:            s.draining,
 	}
 	if s.clusterFreshLocked(time.Now()) {
@@ -515,8 +450,8 @@ func (t *Ticket) cancel() {
 }
 
 // Admit asks for capacity to run one query. It returns immediately when
-// the source has headroom, queues under the context's class, user and
-// session when it does not, and sheds — returning an error wrapping
+// the source has headroom, queues under the context's user and session
+// when it does not, and sheds — returning an error wrapping
 // ErrShed within microseconds — when a queue bound (source, user or
 // session) is hit or the context's deadline would expire before the
 // estimated queue wait. A nil scheduler admits everything with a nil
@@ -527,7 +462,6 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	}
 	_, sp := obs.StartSpan(ctx, obs.SpanSchedAdmit)
 	defer sp.Finish()
-	class := ClassOf(ctx)
 	user := UserOf(ctx)
 	sess := SessionOf(ctx)
 	start := time.Now()
@@ -543,13 +477,13 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		s.mu.Unlock()
 		return nil, &ShedError{Reason: "draining"}
 	}
-	// Fast path: capacity free and nobody of same-or-higher priority
-	// waiting (admitting past waiters would reorder the fair queue).
+	// Fast path: capacity free and nobody waiting (admitting past waiters
+	// would reorder the fair queue).
 	// Direct admissions have no queue wait by definition: they are
 	// counted, not observed, so the wait histogram only describes
 	// queries that actually queued.
-	if s.inflight < s.limit && !s.queuedAtOrAbove(class) {
-		s.admitLocked(class)
+	if s.inflight < s.limit && s.queue.n == 0 {
+		s.admitLocked()
 		s.admittedDirect.Inc()
 		s.mu.Unlock()
 		return &Ticket{s: s, start: time.Now()}, nil
@@ -559,7 +493,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	// the context's remaining budget. The estimate is fair-share aware:
 	// it counts the work hierarchical round-robin would actually serve
 	// ahead of this arrival, not the whole backlog.
-	est := s.estimateLocked(class, user)
+	est := s.estimateLocked(user)
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
 		budget = time.Until(deadline)
@@ -581,11 +515,10 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 	if clusterClamp {
 		userCap = clusterUserQueue
 	}
-	cq := &s.classes[class]
-	queued, _ := s.queuedLocked()
-	userQueued := cq.size(user)
+	queued := s.queue.n
+	userQueued := s.queue.size(user)
 	userFull := userQueued >= userCap
-	if queued >= s.cfg.MaxQueue || userFull || cq.size(user, sess) >= s.cfg.MaxSessionQueue {
+	if queued >= s.cfg.MaxQueue || userFull || s.queue.size(user, sess) >= s.cfg.MaxSessionQueue {
 		s.shed.Inc()
 		if clusterClamp && userFull && userQueued < s.cfg.MaxUserQueue {
 			// Only the cluster clamp rejected this query; locally it would
@@ -604,7 +537,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 		}
 		return nil, &ShedError{Reason: "queue-full", EstWait: est, Budget: budget}
 	}
-	w := s.enqueueLocked(class, user, sess)
+	w := s.enqueueLocked(user, sess)
 	s.mu.Unlock()
 	cQueued.Inc()
 
@@ -616,11 +549,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			// flush; the close of w.ready orders the write of w.shed).
 			return nil, w.shed
 		}
-		wait := time.Since(start)
-		mWaitNS.ObserveDuration(wait)
-		s.mu.Lock()
-		s.observeWaitLocked(wait)
-		s.mu.Unlock()
+		mWaitNS.ObserveDuration(time.Since(start))
 		return &Ticket{s: s, start: time.Now()}, nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -638,7 +567,7 @@ func (s *Scheduler) Admit(ctx context.Context) (*Ticket, error) {
 			(&Ticket{s: s}).cancel()
 			return nil, ctx.Err()
 		}
-		s.removeLocked(class, user, sess, w)
+		s.removeLocked(user, sess, w)
 		s.canceled.Inc()
 		s.notifyQuiesceLocked()
 		s.mu.Unlock()
@@ -694,7 +623,7 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 	}
 	for {
 		s.mu.Lock()
-		if queued, _ := s.queuedLocked(); s.inflight == 0 && queued == 0 {
+		if s.inflight == 0 && s.queue.n == 0 {
 			s.mu.Unlock()
 			return nil
 		}
@@ -717,59 +646,37 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 // notifyQuiesceLocked wakes Quiesce waiters when the scheduler goes
 // idle. Callers hold s.mu.
 func (s *Scheduler) notifyQuiesceLocked() {
-	if queued, _ := s.queuedLocked(); s.quiesce != nil && s.inflight == 0 && queued == 0 {
+	if s.quiesce != nil && s.inflight == 0 && s.queue.n == 0 {
 		close(s.quiesce)
 		s.quiesce = nil
 	}
 }
 
 // admitLocked counts one admission.
-func (s *Scheduler) admitLocked(class Class) {
+func (s *Scheduler) admitLocked() {
 	s.inflight++
 	gInflight.Set(int64(s.inflight))
-	cAdmitted.Inc()
-	if class == Background {
-		s.admittedBackground.Inc()
-	} else {
-		s.admittedInteractive.Inc()
-	}
+	s.admitted.Inc()
 }
 
-// queuedAtOrAbove reports whether any waiter of class c or higher priority
-// (lower value) is queued.
-func (s *Scheduler) queuedAtOrAbove(c Class) bool {
-	for i := Class(0); i <= c; i++ {
-		if s.classes[i].n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// estimateLocked predicts how long a new arrival of class c from the
-// given user would wait. Everything in flight and everything queued in
-// higher-priority classes is served first. Within the arrival's own
-// class, round-robin across users does NOT serve the whole backlog ahead
-// of it: each other user is served at most once per round it takes to
-// drain this user's own queue (plus the new arrival), so a light user's
-// estimate stays small even behind a greedy user's deep backlog. Everything ahead costs one EWMA service time, drained
-// limit-wide, plus the arrival's own service time. An unwarmed estimator
-// (no completions yet) returns 0 and admission falls back to the queue
-// bounds alone.
-func (s *Scheduler) estimateLocked(c Class, user string) time.Duration {
+// estimateLocked predicts how long a new arrival from the given user
+// would wait. Everything in flight is served first. Round-robin across
+// users does NOT serve the whole backlog ahead of it: each other user is
+// served at most once per round it takes to drain this user's own queue
+// (plus the new arrival), so a light user's estimate stays small even
+// behind a greedy user's deep backlog. Everything ahead costs one EWMA
+// service time, drained limit-wide, plus the arrival's own service time.
+// An unwarmed estimator (no completions yet) returns 0 and admission
+// falls back to the queue bounds alone.
+func (s *Scheduler) estimateLocked(user string) time.Duration {
 	if s.ewmaNS <= 0 {
 		return 0
 	}
-	ahead := s.inflight
-	for i := Class(0); i < c; i++ {
-		ahead += s.classes[i].n
-	}
-	cq := &s.classes[c]
-	own := cq.size(user)
-	ahead += own
+	own := s.queue.size(user)
+	ahead := s.inflight + own
 	// The user round-robin reaches this arrival at the back of its user's
 	// queue after own+1 rounds; each competitor is served once a round.
-	for id, uq := range cq.kids {
+	for id, uq := range s.queue.kids {
 		if id != user {
 			ahead += min(own+1, uq.n)
 		}
@@ -786,18 +693,6 @@ func (s *Scheduler) estimateLocked(c Class, user string) time.Duration {
 	return time.Duration(est)
 }
 
-// observeWaitLocked smooths one observed queue wait into the digest's
-// wait estimate.
-func (s *Scheduler) observeWaitLocked(d time.Duration) {
-	const alpha = 0.2
-	ns := float64(d.Nanoseconds())
-	if s.ewmaWaitNS == 0 {
-		s.ewmaWaitNS = ns
-	} else {
-		s.ewmaWaitNS = (1-alpha)*s.ewmaWaitNS + alpha*ns
-	}
-}
-
 // clusterFreshLocked reports whether peer advisory state is recent enough
 // to act on; past the hold window admission falls back to local-only.
 func (s *Scheduler) clusterFreshLocked(now time.Time) bool {
@@ -810,38 +705,26 @@ func (s *Scheduler) clusterShedActiveLocked(now time.Time) bool {
 	return s.clusterShed && s.clusterFreshLocked(now)
 }
 
-// enqueueLocked queues a new waiter under (class, user, session). Every
-// enqueue must be balanced by a dequeue (nextLocked) or a removal
-// (removeLocked) — the vizlint release check pins this on the caller's
-// paths.
-func (s *Scheduler) enqueueLocked(class Class, user, sess string) *waiter {
-	w := &waiter{class: class, ready: make(chan struct{})}
-	s.classes[class].push(w, user, sess)
+// enqueueLocked queues a new waiter under (user, session). Every enqueue
+// must be balanced by a dequeue (nextLocked) or a removal (removeLocked) —
+// the vizlint release check pins this on the caller's paths.
+func (s *Scheduler) enqueueLocked(user, sess string) *waiter {
+	w := &waiter{ready: make(chan struct{})}
+	s.queue.push(w, user, sess)
 	s.queueGaugesLocked()
 	return w
 }
 
 // removeLocked drops a canceled waiter from its session queue.
-func (s *Scheduler) removeLocked(class Class, user, sess string, w *waiter) {
-	s.classes[class].remove(w, user, sess)
+func (s *Scheduler) removeLocked(user, sess string, w *waiter) {
+	s.queue.remove(w, user, sess)
 	s.queueGaugesLocked()
-}
-
-// queuedLocked counts the queued waiters and the user queues holding
-// them, across classes (a user waiting in both classes counts twice).
-func (s *Scheduler) queuedLocked() (waiters, users int) {
-	for i := range s.classes {
-		waiters += s.classes[i].n
-		users += len(s.classes[i].ring)
-	}
-	return waiters, users
 }
 
 // queueGaugesLocked publishes the queue depth and queued-user gauges.
 func (s *Scheduler) queueGaugesLocked() {
-	waiters, users := s.queuedLocked()
-	gDepth.Set(int64(waiters))
-	gUsers.Set(int64(users))
+	gDepth.Set(int64(s.queue.n))
+	gUsers.Set(int64(len(s.queue.ring)))
 }
 
 // finish returns one slot. A completed query (Done) feeds the estimator
@@ -871,9 +754,8 @@ func (s *Scheduler) finish(d time.Duration, completed bool) {
 	s.mu.Unlock()
 }
 
-// dispatchLocked grants freed capacity: Interactive before Background,
-// round-robin across users within a class, round-robin across sessions
-// within a user.
+// dispatchLocked grants freed capacity: round-robin across users,
+// round-robin across sessions within a user.
 func (s *Scheduler) dispatchLocked() {
 	for s.inflight < s.limit {
 		w := s.nextLocked()
@@ -881,19 +763,16 @@ func (s *Scheduler) dispatchLocked() {
 			return
 		}
 		w.granted = true
-		s.admitLocked(w.class)
+		s.admitLocked()
 		close(w.ready)
 	}
 }
 
-// nextLocked pops the next waiter in scheduling order, or nil:
-// Interactive before Background, then the class's round-robin.
+// nextLocked pops the next waiter in round-robin order, or nil.
 func (s *Scheduler) nextLocked() *waiter {
-	for i := range s.classes {
-		if w := s.classes[i].pop(); w != nil {
-			s.queueGaugesLocked()
-			return w
-		}
+	w := s.queue.pop()
+	if w != nil {
+		s.queueGaugesLocked()
 	}
-	return nil
+	return w
 }

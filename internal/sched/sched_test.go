@@ -11,26 +11,14 @@ import (
 	"time"
 )
 
-func TestClassAndSessionContext(t *testing.T) {
+func TestSessionContext(t *testing.T) {
 	ctx := context.Background()
-	if ClassOf(ctx) != Interactive {
-		t.Fatal("untagged context should default to Interactive")
-	}
 	if SessionOf(ctx) != "" {
 		t.Fatal("untagged context should have empty session")
 	}
-	ctx = WithClass(ctx, Background)
 	ctx = WithSession(ctx, "u1")
-	if ClassOf(ctx) != Background || SessionOf(ctx) != "u1" {
-		t.Fatalf("got class=%v session=%q", ClassOf(ctx), SessionOf(ctx))
-	}
-	// Ensure* must not overwrite an existing tag.
-	ctx = EnsureSession(ctx, "u2")
-	if ClassOf(ctx) != Background || SessionOf(ctx) != "u1" {
-		t.Fatalf("Ensure overwrote tags: class=%v session=%q", ClassOf(ctx), SessionOf(ctx))
-	}
-	if Interactive.String() != "interactive" || Background.String() != "background" {
-		t.Fatalf("bad class names %q %q", Interactive.String(), Background.String())
+	if SessionOf(ctx) != "u1" {
+		t.Fatalf("SessionOf = %q", SessionOf(ctx))
 	}
 }
 
@@ -57,7 +45,7 @@ func TestDirectAdmitUpToLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Inflight != 2 || st.AdmittedInteractive != 2 {
+	if st.Inflight != 2 || st.Admitted != 2 {
 		t.Fatalf("stats after two admits: %+v", st)
 	}
 	t1.Done()
@@ -214,34 +202,6 @@ func TestPerSessionQueueBound(t *testing.T) {
 	<-done
 }
 
-func TestInteractiveOutranksBackground(t *testing.T) {
-	s := New(Config{Limit: 1})
-	hold, _ := s.Admit(context.Background())
-
-	order := make(chan Class, 2)
-	start := func(c Class) {
-		go func() {
-			tk, err := s.Admit(WithClass(context.Background(), c))
-			if err != nil {
-				t.Errorf("%v admit: %v", c, err)
-				return
-			}
-			order <- c
-			tk.Done()
-		}()
-	}
-	start(Background) // queued first...
-	waitUntil(t, func() bool { return s.Stats().Queued == 1 })
-	start(Interactive) // ...but interactive must be granted first
-	waitUntil(t, func() bool { return s.Stats().Queued == 2 })
-
-	hold.Done()
-	if first := <-order; first != Interactive {
-		t.Fatalf("first grant went to %v; interactive must outrank background", first)
-	}
-	<-order
-}
-
 // TestFairnessAcrossSessions pins the WFQ property the scheduler exists
 // for: with one chatty session holding a deep queue and one light session
 // holding a single query, the light query is granted on the first or
@@ -333,7 +293,7 @@ func TestAdmitReleaseStress(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ctx := WithSession(context.Background(), fmt.Sprintf("s%d", g%4))
 				if g%2 == 1 {
-					ctx = WithClass(ctx, Background)
+					ctx = WithUser(ctx, "other")
 				}
 				var cancel context.CancelFunc
 				if rng.Intn(4) == 0 {

@@ -17,14 +17,6 @@ func TestUserContext(t *testing.T) {
 	if UserOf(ctx) != "alice" {
 		t.Fatalf("UserOf = %q", UserOf(ctx))
 	}
-	// EnsureUser must not overwrite an existing tag.
-	ctx = EnsureUser(ctx, "bob")
-	if UserOf(ctx) != "alice" {
-		t.Fatalf("EnsureUser overwrote tag: %q", UserOf(ctx))
-	}
-	if UserOf(EnsureUser(context.Background(), "bob")) != "bob" {
-		t.Fatal("EnsureUser should tag an untagged context")
-	}
 }
 
 // TestUserFairnessGreedyVsSingles pins the tentpole property: a user

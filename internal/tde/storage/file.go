@@ -13,7 +13,9 @@ import (
 // single file" as a convenience for moving, sharing and publishing data).
 // Layout: magic, version, table count, then each table with its metadata and
 // column payloads. All integers are little-endian; strings and slices are
-// uvarint-length-prefixed.
+// uvarint-length-prefixed. The reader trusts no length: it allocates only
+// for elements and bytes the input actually holds, so a forged length is an
+// error, not an out-of-memory panic.
 
 const (
 	fileMagic   = "TDE1"
@@ -239,38 +241,22 @@ func writePhysData(e *encoder, p PhysData) {
 func readPhysData(d *decoder) PhysData {
 	switch kind := d.u8(); kind {
 	case 0:
-		n := d.uvarint()
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = d.varint()
-		}
-		return &IntData{Vals: vals, Nulls: d.nulls(int(n))}
+		return &IntData{Vals: readList(d, d.varint), Nulls: d.nulls()}
 	case 1:
-		n := d.uvarint()
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Float64frombits(d.u64())
-		}
-		return &FloatData{Vals: vals, Nulls: d.nulls(int(n))}
+		vals := readList(d, func() float64 { return math.Float64frombits(d.u64()) })
+		return &FloatData{Vals: vals, Nulls: d.nulls()}
 	case 2:
-		vals := d.strs()
-		return &StringData{Vals: vals, Nulls: d.nulls(len(vals))}
+		return &StringData{Vals: d.strs(), Nulls: d.nulls()}
 	case 3:
 		out := &RLEIntData{N: d.varint()}
-		n := d.uvarint()
-		out.Runs = make([]Run, n)
-		for i := range out.Runs {
-			out.Runs[i] = Run{Value: d.varint(), Start: d.varint(), Count: d.varint(), Null: d.boolb()}
-		}
+		out.Runs = readList(d, func() Run {
+			return Run{Value: d.varint(), Start: d.varint(), Count: d.varint(), Null: d.boolb()}
+		})
 		return out
 	case 4:
 		out := &DeltaIntData{Base: d.varint()}
-		n := d.uvarint()
-		out.Deltas = make([]int32, n)
-		for i := range out.Deltas {
-			out.Deltas[i] = int32(d.varint())
-		}
-		out.Nulls = d.nulls(int(n))
+		out.Deltas = readList(d, func() int32 { return int32(d.varint()) })
+		out.Nulls = d.nulls()
 		return out
 	default:
 		d.fail(fmt.Errorf("storage: unknown phys data kind %d", kind))
@@ -408,40 +394,45 @@ func (d *decoder) varint() int64 {
 
 func (d *decoder) boolb() bool { return d.u8() != 0 }
 
-func (d *decoder) str() string {
+// readChunk bounds how many elements or string bytes one read allocates
+// for before the input has shown it holds them.
+const readChunk = 1 << 16
+
+// readList reads a uvarint count, then that many elements with one. Each
+// element takes at least one input byte, and the slice never has room for
+// more than readChunk elements, or twice those read, before they arrive:
+// a count the input does not back fails at the end of the input instead
+// of allocating for it.
+func readList[T any](d *decoder, one func() T) []T {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
-		return ""
+		return nil
 	}
-	b := make([]byte, n)
-	d.bytes(b)
+	out := make([]T, 0, min(n, readChunk))
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		out = append(out, one())
+	}
+	return out
+}
+
+func (d *decoder) str() string {
+	n := d.uvarint()
+	var b []byte
+	for n > 0 && d.err == nil {
+		k := min(n, readChunk)
+		b = append(b, make([]byte, k)...)
+		d.bytes(b[uint64(len(b))-k:])
+		n -= k
+	}
 	return string(b)
 }
 
-func (d *decoder) strs() []string {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-	}
-	return out
-}
+func (d *decoder) strs() []string { return readList(d, d.str) }
 
-func (d *decoder) nulls(n int) []bool {
+// nulls reads an optional null mask: a presence byte, then the list.
+func (d *decoder) nulls() []bool {
 	if d.u8() == 0 {
 		return nil
 	}
-	m := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	_ = n
-	out := make([]bool, m)
-	for i := range out {
-		out[i] = d.boolb()
-	}
-	return out
+	return readList(d, d.boolb)
 }

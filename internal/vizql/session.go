@@ -3,6 +3,7 @@ package vizql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,12 +59,15 @@ func NewSession(d *Dashboard, proc *core.Processor) (*Session, error) {
 func (s *Session) Result(zone string) *exec.Result { return s.results[strings.ToLower(zone)] }
 
 // Select replaces the selection of a chart zone and marks action targets
-// dirty. An empty value list clears the selection.
+// dirty. An empty value list clears the selection. The session keeps its
+// own copy of vals: Render compacts a selection in place when a value
+// vanishes, and that must not write into the caller's slice.
 func (s *Session) Select(zone string, vals ...storage.Value) error {
 	z := s.dash.Zone(zone)
 	if z == nil {
 		return fmt.Errorf("vizql: no zone %q", zone)
 	}
+	vals = slices.Clone(vals)
 	if z.Kind == ZoneQuickFilter {
 		s.quick[strings.ToLower(zone)] = vals
 	} else {

@@ -301,3 +301,68 @@ func TestZoneQueryComposition(t *testing.T) {
 	}
 	_ = query.Query{}
 }
+
+// TestSelectKeepsCallerSlice pins that Select copies its values: when a
+// selected value vanishes (the HNL-OGG shape), Render compacts the
+// session's selection, and the slice the caller passed must not change.
+func TestSelectKeepsCallerSlice(t *testing.T) {
+	proc, _ := newProc(t)
+	sess, err := NewSession(FlightsDashboard("flights"), proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := sess.Render(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A market that some carrier flies and some other carrier does not:
+	// kept is a carrier it has, gone one it lacks.
+	eng := getBackendEngine(t)
+	all := sess.Result("Carrier")
+	markets := sess.Result("Market")
+	var market, gone, kept storage.Value
+	for i := 0; i < markets.N && gone.S == ""; i++ {
+		has := map[string]bool{}
+		for _, c := range carriersForMarket(t, eng, markets.Value(i, 0).S) {
+			has[strings.ToLower(c)] = true
+		}
+		var in, out storage.Value
+		for j := 0; j < all.N; j++ {
+			if c := all.Value(j, 0); has[strings.ToLower(c.S)] {
+				in = c
+			} else {
+				out = c
+			}
+		}
+		if in.S != "" && out.S != "" {
+			market, gone, kept = markets.Value(i, 0), out, in
+		}
+	}
+	if gone.S == "" {
+		t.Skip("no market without some carrier in this seed")
+	}
+
+	sel := []storage.Value{gone, kept}
+	if err := sess.Select("Carrier", sel...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Render(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Select("Market", market); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Render(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Invalidated) != 1 {
+		t.Fatalf("invalidated %v, want the one vanished carrier", rep.Invalidated)
+	}
+	if got := sess.Selection("Carrier"); len(got) != 1 || got[0].S != kept.S {
+		t.Fatalf("carrier selection %v, want [%s]", got, kept.S)
+	}
+	if sel[0].S != gone.S || sel[1].S != kept.S {
+		t.Fatalf("caller's slice reads %v after Render, want [%s %s]", sel, gone.S, kept.S)
+	}
+}
