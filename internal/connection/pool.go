@@ -290,9 +290,7 @@ func (p *Pool) Spread(n int) int {
 // mid-flight leaving a response frame potentially still on the wire — as
 // opposed to a query-level error, where the server answered with a
 // well-formed error response. It is resilience.Classify read without a
-// caller context, and the retry/breaker classifier the resilience layer is
-// built with: transport errors are worth retrying, query errors prove the
-// backend is alive.
+// caller context: the same rule resilience.Do retries by.
 func IsTransport(err error) bool {
 	return resilience.Classify(context.Background(), err).ConnSuspect()
 }

@@ -74,9 +74,17 @@ func TestStaleFallbackMatrix(t *testing.T) {
 			return ctx
 		}, true},
 		{"query error", func(t *testing.T, r rig) context.Context {
-			if err := r.db.DropTable("Extract", "flights"); err != nil {
+			// flights loses every column the query names.
+			col, err := storage.BuildColumn("x", storage.TInt, storage.CollBinary,
+				[]storage.Value{storage.IntValue(1)}, storage.BuildOptions{})
+			if err != nil {
 				t.Fatal(err)
 			}
+			tbl, err := storage.NewTable("Extract", "flights", []*storage.Column{col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.db.Replace(tbl)
 			return context.Background()
 		}, false},
 	}

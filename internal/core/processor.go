@@ -142,7 +142,7 @@ func NewProcessor(pool *connection.Pool, intelligent QueryCache, literal *cache.
 	p.localAnswers.RollUp(cLocal)
 	p.tempTables.RollUp(cTempTables)
 	if opt.Resilience != nil {
-		p.rs = resilience.New(*opt.Resilience, connection.IsTransport)
+		p.rs = resilience.New(*opt.Resilience)
 	}
 	return p
 }

@@ -64,7 +64,10 @@ func (s *Server) PublishExtract(src *PublishedSource) error {
 }
 
 // RefreshExtract re-pulls the extract's tables from the live database and
-// purges the source's query caches so no stale results survive.
+// purges the source's query caches so no stale results survive. The old
+// tables answer every query until the new ones are all pulled; then one
+// step swaps them in. A query bound before the swap keeps its snapshot
+// (tables are immutable); every later one sees the new data.
 func (s *Server) RefreshExtract(name string) error {
 	key := strings.ToLower(name)
 	s.mu.Lock()
@@ -73,11 +76,6 @@ func (s *Server) RefreshExtract(name string) error {
 	s.mu.Unlock()
 	if st == nil {
 		return fmt.Errorf("dataserver: %q is not an extracted source", name)
-	}
-	// Drop and re-pull. Queries running concurrently against the old tables
-	// keep their snapshot (tables are immutable); new queries see new data.
-	for _, t := range st.tables {
-		_ = st.localEng.Database().DropTable("Extract", t)
 	}
 	if err := pullTables(context.Background(), st.liveBackend, st.localEng, st.tables); err != nil {
 		return err
@@ -89,27 +87,26 @@ func (s *Server) RefreshExtract(name string) error {
 }
 
 // pullTables snapshots the named tables from a live backend into the local
-// engine's Extract schema. It dials its own connection to the live
-// database, outside the source's pool and admission control: a pull or
-// refresh takes neither a pool connection nor an admission slot.
+// engine's Extract schema, replacing the old ones in one step once all are
+// pulled. It dials its own connection to the live database, outside the
+// source's pool and admission control: a pull or refresh takes neither a
+// pool connection nor an admission slot.
 func pullTables(ctx context.Context, liveAddr string, localEng *engine.Engine, tables []string) error {
 	conn, err := remote.Dial(liveAddr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	for _, name := range tables {
+	pulled := make([]*storage.Table, len(tables))
+	for i, name := range tables {
 		res, err := conn.Query(ctx, fmt.Sprintf("(table %s)", name))
 		if err != nil {
 			return fmt.Errorf("dataserver: extracting %s: %w", name, err)
 		}
-		tbl, err := engine.ResultToTable("Extract", name, res)
-		if err != nil {
-			return err
-		}
-		if err := localEng.Database().AddTable(tbl); err != nil {
+		if pulled[i], err = engine.ResultToTable("Extract", name, res); err != nil {
 			return err
 		}
 	}
-	return localEng.RefreshSysTables()
+	localEng.Database().Replace(pulled...)
+	return nil
 }

@@ -3,6 +3,7 @@ package dataserver
 import (
 	"context"
 	"testing"
+	"time"
 
 	"vizq/internal/core"
 	"vizq/internal/query"
@@ -109,12 +110,7 @@ func TestRefreshExtractPicksUpNewDataAndPurgesCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	newTbl, _ := bigger.Table("Extract", "flights")
-	if err := liveEng.Database().DropTable("Extract", "flights"); err != nil {
-		t.Fatal(err)
-	}
-	if err := liveEng.Database().AddTable(newTbl); err != nil {
-		t.Fatal(err)
-	}
+	liveEng.Database().Replace(newTbl)
 	if got := countQ(); got != 3000 {
 		t.Fatalf("pre-refresh count should be the cached snapshot, got %d", got)
 	}
@@ -127,6 +123,75 @@ func TestRefreshExtractPicksUpNewDataAndPurgesCaches(t *testing.T) {
 	// Refreshing an unknown source fails.
 	if err := s.RefreshExtract("nope"); err == nil {
 		t.Error("refresh of unknown extract should fail")
+	}
+}
+
+// TestRefreshKeepsExtractQueryable: queries sent while RefreshExtract pulls
+// from a slow live database all succeed. The old tables answer until the
+// new ones are all pulled and swapped in.
+func TestRefreshKeepsExtractQueryable(t *testing.T) {
+	db, err := workload.BuildFlightsDB(workload.FlightsConfig{Rows: 2000, Days: 30, Seed: 52})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := remote.NewServer(engine.New(db), remote.Config{Latency: 20 * time.Millisecond})
+	if err := live.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	opt := core.DefaultOptions()
+	opt.DisableIntelligentCache, opt.DisableLiteralCache = true, true // every query reaches the extract
+	s := NewServer(Config{PipelineOptions: opt})
+	src := &PublishedSource{
+		Name:    "Refreshing",
+		Backend: live.Addr(),
+		View: query.View{Table: "flights",
+			Joins: []query.JoinSpec{{Table: "carriers", LeftCol: "carrier", RightCol: "carrier"}}},
+	}
+	if err := s.PublishExtract(src); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Unpublish("Refreshing")
+	conn, _, err := s.Connect("Refreshing", "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	refreshed := make(chan struct{})
+	var sent, failed int
+	var firstErr error
+	loop := make(chan struct{})
+	go func() {
+		defer close(loop)
+		for {
+			select {
+			case <-refreshed:
+				return
+			default:
+			}
+			sent++
+			if _, err := conn.Query(context.Background(), &query.Query{
+				Dims:     []query.Dim{{Col: "airline_name"}},
+				Measures: []query.Measure{{Fn: query.Count, As: "n"}},
+			}); err != nil {
+				if failed++; firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
+	}()
+	err = s.RefreshExtract("Refreshing")
+	close(refreshed)
+	<-loop
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent == 0 {
+		t.Fatal("no query was sent before the refresh returned")
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d queries failed during the refresh, first: %v", failed, sent, firstErr)
 	}
 }
 

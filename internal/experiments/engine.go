@@ -277,7 +277,7 @@ func E8DataServerTempTables(s Scale) (*Table, error) {
 			sent := mk()
 			if external && size > 9 {
 				// The rewritten text names a temp table as the IN's value set.
-				sent.Filters[0] = query.TempFilter("distance", "TEMP.s0_0_filter0")
+				sent.Filters[0] = query.TempFilter("distance", "TEMP.filter0")
 			}
 			textBytes := len(sent.ToTQL())
 			elapsed, err := median(s.Repeat, func() error {

@@ -225,6 +225,35 @@ func TestShadowPersistence(t *testing.T) {
 	}
 }
 
+// TestShadowPersistsOnlyItsData: a persisted shadow extract holds the
+// extracted table and nothing else; SYS is derived when a query names it,
+// never written to the file.
+func TestShadowPersistsOnlyItsData(t *testing.T) {
+	p := writeTemp(t, sampleCSV)
+	m := NewShadowManager()
+	m.PersistDir = t.TempDir()
+	if _, _, err := m.Engine(p, "flights", ParseOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(m.PersistDir, "*.tde"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("persisted files = %v, %v", files, err)
+	}
+	db, err := storage.OpenDatabase(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, schema := range db.Schemas() {
+		for _, tbl := range db.Tables(schema) {
+			names = append(names, tbl.QualifiedName())
+		}
+	}
+	if len(names) != 1 || names[0] != "Extract.flights" {
+		t.Errorf("persisted tables = %v, want [Extract.flights]", names)
+	}
+}
+
 func TestParseLargeNoLimit(t *testing.T) {
 	// The Jet driver had a 4GB limit; ours parses arbitrarily long input.
 	var b strings.Builder

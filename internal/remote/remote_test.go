@@ -94,8 +94,7 @@ func TestSessionTempTables(t *testing.T) {
 		t.Error("temp join returned nothing")
 	}
 
-	// Another session cannot see it by alias; the unique name is session
-	// independent in the engine but dropped with the owning session.
+	// Another session cannot see it, before or after the owner closes.
 	c2, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestSessionTempTables(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if err == nil {
-		t.Error("session temp table should be reclaimed on close")
+		t.Error("another session's temp table should not resolve")
 	}
 	if srv.Stats().TempCreates != 1 {
 		t.Errorf("temp creates = %d", srv.Stats().TempCreates)
@@ -121,8 +120,8 @@ func TestSessionTempTables(t *testing.T) {
 
 // The pipeline names every externalized filter "filter0", so a session
 // re-creates the same alias once per click. Each re-create must replace the
-// earlier table: before the fix they piled up in the engine until the
-// session closed (and RefreshSysTables grew with them).
+// earlier table, not pile up beside it until the session closes, and none
+// may land in the server's shared database.
 func TestTempTableRecreateDropsEarlierTable(t *testing.T) {
 	srv := startServer(t, Config{})
 	ctx := context.Background()
@@ -135,20 +134,68 @@ func TestTempTableRecreateDropsEarlierTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	temps := func() int { return len(srv.eng.Database().Tables(engine.TempSchema)) }
-	before := temps()
+	shared := func() int { return len(srv.eng.Database().Tables(engine.TempSchema)) }
 	var name string
 	for i := 0; i < 1000; i++ {
 		if name, err = c.CreateTempTable(ctx, "filter0", vals); err != nil {
 			t.Fatal(err)
 		}
-		if got := temps(); got != before+1 {
-			t.Fatalf("after re-create %d: %d temp tables, want %d", i, got, before+1)
+		if got := shared(); got != 0 {
+			t.Fatalf("after re-create %d: %d TEMP tables in the shared database, want 0", i, got)
 		}
 	}
-	// The latest table is the live one.
+	// The session holds one table, and the latest is the live one.
+	listed, err := c.Query(ctx, `(select (table SYS.tables) (= schema "TEMP"))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if listed.N != 1 {
+		t.Fatalf("session lists %d temp tables after 1000 re-creates, want 1", listed.N)
+	}
 	if _, err := c.Query(ctx, `(aggregate (table `+name+`) (groupby) (aggs (n count *)))`); err != nil {
 		t.Fatalf("latest temp table unusable: %v", err)
+	}
+}
+
+// TestTempTablesBelongToTheirConnection: connection B cannot read, list or
+// drop connection A's temp table, by A's alias or by the name A got back.
+func TestTempTablesBelongToTheirConnection(t *testing.T) {
+	srv := startServer(t, Config{})
+	ctx := context.Background()
+	dial := func() *Conn {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	a, b := dial(), dial()
+	vals, err := a.Query(ctx, `(topn (distinct (project (table flights) (carrier carrier))) 3 (asc carrier))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, err := a.CreateTempTable(ctx, "mine", vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Query(ctx, `(table `+name+`)`); err == nil {
+		t.Errorf("B read A's temp table %s", name)
+	}
+	listed, err := b.Query(ctx, `(select (table SYS.tables) (= schema "TEMP"))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if listed.N != 0 {
+		t.Errorf("B's SYS.tables lists A's temp table")
+	}
+	for _, ref := range []string{"mine", name} {
+		if err := b.DropTempTable(ctx, ref); err == nil {
+			t.Errorf("B dropped A's temp table as %q", ref)
+		}
+	}
+	if _, err := a.Query(ctx, `(table `+name+`)`); err != nil {
+		t.Fatalf("A lost its temp table: %v", err)
 	}
 }
 

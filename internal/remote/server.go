@@ -7,8 +7,9 @@
 // behaviour; any vendor engine is interchangeable with this simulator for
 // the experiments.
 //
-// Session-local temporary tables live for the duration of one client
-// connection and are reclaimed when it closes (Sect. 5.4).
+// Each connection is one engine session: its temporary tables are its own,
+// no other connection can read, list or drop them, and they go when the
+// connection closes (Sect. 5.4).
 package remote
 
 import (
@@ -16,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"vizq/internal/obs"
@@ -57,10 +57,9 @@ type Stats struct {
 
 // Server is a simulated remote database.
 type Server struct {
-	eng     *engine.Engine
-	cfg     Config
-	srv     *wire.Server
-	sessSeq atomic.Int64
+	eng *engine.Engine
+	cfg Config
+	srv *wire.Server
 
 	// The live form of Stats; none has a process-wide name. inFlight's
 	// high-water mark is MaxInFlight.
@@ -88,9 +87,7 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 
 // Start listens on addr ("127.0.0.1:0" for ephemeral).
 func (s *Server) Start(addr string) error {
-	srv, err := wire.Listen(addr, func(conn net.Conn) {
-		s.serveSession(conn, s.sessSeq.Add(1))
-	})
+	srv, err := wire.Listen(addr, s.serveSession)
 	if err != nil {
 		return err
 	}
@@ -120,21 +117,8 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// session-local state: temp tables created over this connection.
-type session struct {
-	id    int64
-	temps map[string]string // client alias -> qualified engine name
-	seq   int
-}
-
-func (s *Server) serveSession(conn net.Conn, id int64) {
-	sess := &session{id: id, temps: make(map[string]string)}
-	defer func() {
-		// Reclaim session state when the connection closes (Sect. 5.4).
-		for _, qualified := range sess.temps {
-			_ = s.eng.DropTempTable(qualified)
-		}
-	}()
+func (s *Server) serveSession(conn net.Conn) {
+	sess := s.eng.NewSession()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	for {
@@ -158,14 +142,14 @@ func (s *Server) serveSession(conn net.Conn, id int64) {
 		s.requests.Inc()
 		s.queries.Add(int64(len(req.Stmts)))
 		for _, stmt := range req.Stmts {
-			if err := wire.WriteFrame(w, s.handleQuery(stmt)); err != nil {
+			if err := wire.WriteFrame(w, s.handleQuery(sess, stmt)); err != nil {
 				return
 			}
 		}
 	}
 }
 
-func (s *Server) handle(sess *session, req *Request) *Response {
+func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		return &Response{}
@@ -178,7 +162,7 @@ func (s *Server) handle(sess *session, req *Request) *Response {
 	}
 }
 
-func (s *Server) handleQuery(stmt string) *Response {
+func (s *Server) handleQuery(sess *engine.Session, stmt string) *Response {
 	if s.sem != nil {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
@@ -191,44 +175,33 @@ func (s *Server) handleQuery(stmt string) *Response {
 	if s.cfg.ScanBatchDelay > 0 {
 		ctx = exec.WithConfig(ctx, exec.Config{ScanBatchDelay: s.cfg.ScanBatchDelay})
 	}
-	res, err := s.eng.Query(ctx, stmt)
+	res, err := sess.Query(ctx, stmt)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
 	return &Response{Result: res, ExecNS: time.Since(start).Nanoseconds()}
 }
 
-func (s *Server) handleTempCreate(sess *session, req *Request) *Response {
+// handleTempCreate makes req.Result the session's temp table req.Name.
+// Re-creating a name replaces its table: the pipeline names a query's
+// externalized filters "filter0", "filter1", ... in order.
+func (s *Server) handleTempCreate(sess *engine.Session, req *Request) *Response {
 	if req.Result == nil {
 		return &Response{Err: "remote: temp create without data"}
 	}
 	s.tempCreates.Inc()
-	sess.seq++
-	unique := fmt.Sprintf("s%d_%d_%s", sess.id, sess.seq, req.Name)
-	qualified, err := s.eng.CreateTempTable(unique, req.Result)
+	name, err := sess.CreateTemp(req.Name, req.Result)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	// Re-creating an alias replaces its table (the pipeline names a query's
-	// externalized filters "filter0", "filter1", ... in order): drop the old
-	// one or it stays in the engine until the session ends.
-	if old, ok := sess.temps[req.Name]; ok {
-		_ = s.eng.DropTempTable(old) // best effort: it may already be gone
-	}
-	sess.temps[req.Name] = qualified
-	return &Response{Name: qualified}
+	return &Response{Name: name}
 }
 
-func (s *Server) handleTempDrop(sess *session, req *Request) *Response {
+func (s *Server) handleTempDrop(sess *engine.Session, req *Request) *Response {
 	s.tempDrops.Inc()
-	qualified, ok := sess.temps[req.Name]
-	if !ok {
-		qualified = req.Name
-	}
-	if err := s.eng.DropTempTable(qualified); err != nil {
+	if err := sess.DropTemp(req.Name); err != nil {
 		return &Response{Err: err.Error()}
 	}
-	delete(sess.temps, req.Name)
 	return &Response{}
 }
 

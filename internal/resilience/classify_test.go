@@ -99,7 +99,7 @@ func TestFailureClassification(t *testing.T) {
 			// seeded failure, a recorded failure opens it; otherwise one more
 			// failure opens it iff the call recorded nothing in between.
 			r := resilience.New(resilience.Config{MaxAttempts: 1, BreakerWindow: 2, BreakerMinSamples: 2,
-				BreakerFailureRatio: 1, BreakerOpenFor: time.Hour}, connection.IsTransport)
+				BreakerFailureRatio: 1, BreakerOpenFor: time.Hour})
 			br := r.Breaker()
 			br.RecordFailure()
 			_, _ = resilience.Do(ctx, r, func(context.Context) (int, error) { return 0, c.err })

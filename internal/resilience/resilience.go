@@ -121,9 +121,8 @@ func entropySeed() int64 {
 // Resilience wires a retry policy and one circuit breaker for one data
 // source. Safe for concurrent use.
 type Resilience struct {
-	cfg       Config
-	br        *Breaker
-	retryable func(error) bool
+	cfg Config
+	br  *Breaker
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -132,21 +131,14 @@ type Resilience struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// New builds a Resilience from cfg. retryable classifies errors worth
-// retrying (in production connection.IsTransport, Classify's
-// connection-suspect kinds; tests substitute their own); a nil classifier
-// retries nothing and the breaker never records failures.
-func New(cfg Config, retryable func(error) bool) *Resilience {
+// New builds a Resilience from cfg.
+func New(cfg Config) *Resilience {
 	cfg = cfg.withDefaults()
-	if retryable == nil {
-		retryable = func(error) bool { return false }
-	}
 	return &Resilience{
-		cfg:       cfg,
-		br:        newBreaker(cfg),
-		retryable: retryable,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		sleep:     ctxSleep,
+		cfg:   cfg,
+		br:    newBreaker(cfg),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sleep: ctxSleep,
 	}
 }
 
@@ -222,7 +214,7 @@ func Do[T any](ctx context.Context, r *Resilience, fn func(context.Context) (T, 
 			}
 			return zero, err
 		}
-		if !r.retryable(err) {
+		if !Classify(ctx, err).ConnSuspect() {
 			// The backend answered with a well-formed error: it is alive.
 			r.br.RecordSuccess()
 			return zero, err

@@ -4,14 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 )
 
-var errTransport = errors.New("transport: peer reset")
+// errTransport is shaped like a dropped connection, so Classify calls it
+// Transport and Do retries it.
+var errTransport = fmt.Errorf("transport: peer reset: %w", io.ErrUnexpectedEOF)
 var errQuery = errors.New("remote: no such column")
-
-func isTransport(err error) bool { return errors.Is(err, errTransport) }
 
 // fakeSleeper replaces the backoff sleep and records requested delays.
 func fakeSleeper(r *Resilience) *[]time.Duration {
@@ -24,7 +25,7 @@ func fakeSleeper(r *Resilience) *[]time.Duration {
 }
 
 func TestDoRetriesTransportErrorsThenSucceeds(t *testing.T) {
-	r := New(Config{MaxAttempts: 3, Seed: 7}, isTransport)
+	r := New(Config{MaxAttempts: 3, Seed: 7})
 	slept := fakeSleeper(r)
 	calls := 0
 	got, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
@@ -49,7 +50,7 @@ func TestDoRetriesTransportErrorsThenSucceeds(t *testing.T) {
 }
 
 func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
-	r := New(Config{MaxAttempts: 3, Seed: 7, BreakerMinSamples: 100}, isTransport)
+	r := New(Config{MaxAttempts: 3, Seed: 7, BreakerMinSamples: 100})
 	fakeSleeper(r)
 	calls := 0
 	_, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
@@ -65,7 +66,7 @@ func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 func TestDoDoesNotRetryQueryErrors(t *testing.T) {
-	r := New(Config{MaxAttempts: 5, Seed: 7}, isTransport)
+	r := New(Config{MaxAttempts: 5, Seed: 7})
 	fakeSleeper(r)
 	calls := 0
 	_, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
@@ -87,7 +88,7 @@ func TestDoDoesNotRetryQueryErrors(t *testing.T) {
 func TestDoHonorsDeadlineBudget(t *testing.T) {
 	// Backoffs are at least 50ms; with only 5ms of budget left the retry
 	// must be abandoned before sleeping, not attempted into a dead ctx.
-	r := New(Config{MaxAttempts: 10, BaseBackoff: 50 * time.Millisecond, Seed: 7, BreakerMinSamples: 100}, isTransport)
+	r := New(Config{MaxAttempts: 10, BaseBackoff: 50 * time.Millisecond, Seed: 7, BreakerMinSamples: 100})
 	slept := fakeSleeper(r)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -112,7 +113,7 @@ func TestDoHonorsDeadlineBudget(t *testing.T) {
 }
 
 func TestDoStopsWhenCallerContextDies(t *testing.T) {
-	r := New(Config{MaxAttempts: 5, Seed: 7, BreakerMinSamples: 100}, isTransport)
+	r := New(Config{MaxAttempts: 5, Seed: 7, BreakerMinSamples: 100})
 	fakeSleeper(r)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
@@ -135,7 +136,7 @@ func TestDoAttemptTimeoutBoundsEachTry(t *testing.T) {
 	// attempts run (the caller ctx survives).
 	r := New(Config{MaxAttempts: 3, AttemptTimeout: 20 * time.Millisecond,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		Seed: 7, BreakerMinSamples: 100}, isTransport)
+		Seed: 7, BreakerMinSamples: 100})
 	calls := 0
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -154,7 +155,7 @@ func TestDoAttemptTimeoutBoundsEachTry(t *testing.T) {
 
 func TestDoFastFailsWhenBreakerOpen(t *testing.T) {
 	r := New(Config{MaxAttempts: 1, BreakerWindow: 4, BreakerMinSamples: 2,
-		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7}, isTransport)
+		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7})
 	fakeSleeper(r)
 	for i := 0; i < 2; i++ {
 		if _, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
@@ -185,7 +186,7 @@ func TestDoFastFailsWhenBreakerOpen(t *testing.T) {
 
 func TestHalfOpenProbeSlotReleasedOnCallerExpiry(t *testing.T) {
 	r := New(Config{MaxAttempts: 1, BreakerWindow: 4, BreakerMinSamples: 2,
-		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7}, isTransport)
+		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7})
 	fakeSleeper(r)
 	clock := time.Unix(3_000_000, 0)
 	r.Breaker().setClock(func() time.Time { return clock })
@@ -235,8 +236,8 @@ func TestDefaultSeedIsPerInstance(t *testing.T) {
 	// share a jitter sequence: lockstep backoff across sources defeats
 	// decorrelated jitter exactly when a shared backend is struggling.
 	// (Entropy seeds make a collision astronomically unlikely.)
-	a := New(Config{}, isTransport)
-	b := New(Config{}, isTransport)
+	a := New(Config{})
+	b := New(Config{})
 	if a.cfg.Seed == b.cfg.Seed {
 		t.Fatalf("default seeds collide: %d", a.cfg.Seed)
 	}
@@ -270,7 +271,7 @@ func TestNilResilienceIsPassthrough(t *testing.T) {
 
 func TestBackoffDecorrelatedJitterIsCappedAndSeeded(t *testing.T) {
 	mk := func() []time.Duration {
-		r := New(Config{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Seed: 99}, isTransport)
+		r := New(Config{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Seed: 99})
 		var out []time.Duration
 		prev := r.cfg.BaseBackoff
 		for i := 0; i < 32; i++ {

@@ -1,16 +1,15 @@
 // Package engine is the public façade of the Tableau Data Engine
 // reproduction: it owns a database, compiles TQL text through the binder and
 // the rule-based optimizer, executes plans on the vectorized Volcano
-// runtime, and manages temporary tables. It is used standalone (Desktop
-// extracts), behind the simulated remote database server, and behind Data
-// Server.
+// runtime, and gives each connection a session holding its own temporary
+// tables. It is used standalone (Desktop extracts), behind the simulated
+// remote database server, and behind Data Server.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"vizq/internal/tde/exec"
 	"vizq/internal/tde/opt"
@@ -19,24 +18,18 @@ import (
 	"vizq/internal/tde/tql"
 )
 
-// TempSchema is the schema holding session-created temporary tables.
+// TempSchema is the schema a query names a session's temporary tables in.
 const TempSchema = "TEMP"
 
 // Engine executes TQL queries against one database.
 type Engine struct {
 	db  *storage.Database
 	opt opt.Options
-
-	mu      sync.Mutex
-	tempSeq int
 }
 
-// New wraps a database with default optimizer options and builds the SYS
-// metadata schema.
+// New wraps a database with default optimizer options.
 func New(db *storage.Database) *Engine {
-	e := &Engine{db: db, opt: opt.DefaultOptions()}
-	_ = e.RefreshSysTables() // best-effort: SYS is a convenience view
-	return e
+	return &Engine{db: db, opt: opt.DefaultOptions()}
 }
 
 // Open loads a single-file database from disk.
@@ -59,7 +52,11 @@ func (e *Engine) Options() opt.Options { return e.opt }
 
 // Plan compiles and optimizes a TQL query without executing it.
 func (e *Engine) Plan(src string) (plan.Node, error) {
-	n, err := tql.Compile(src, e.db)
+	return e.plan(src, catalog{db: e.db})
+}
+
+func (e *Engine) plan(src string, cat catalog) (plan.Node, error) {
+	n, err := tql.Compile(src, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +65,11 @@ func (e *Engine) Plan(src string) (plan.Node, error) {
 
 // Query compiles, optimizes and executes a TQL query.
 func (e *Engine) Query(ctx context.Context, src string) (*exec.Result, error) {
-	n, err := e.Plan(src)
+	return e.query(ctx, src, catalog{db: e.db})
+}
+
+func (e *Engine) query(ctx context.Context, src string, cat catalog) (*exec.Result, error) {
+	n, err := e.plan(src, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +79,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*exec.Result, error) {
 // QuerySerial executes with parallel plans disabled, for baselines and
 // ablations.
 func (e *Engine) QuerySerial(ctx context.Context, src string) (*exec.Result, error) {
-	n, err := tql.Compile(src, e.db)
+	n, err := tql.Compile(src, catalog{db: e.db})
 	if err != nil {
 		return nil, err
 	}
@@ -92,37 +93,48 @@ func (e *Engine) Execute(ctx context.Context, n plan.Node) (*exec.Result, error)
 	return exec.Run(ctx, n)
 }
 
-// CreateTempTable materializes a result as a table in the TEMP schema and
-// returns its qualified name. Temporary tables back the large-filter
-// externalization and Data Server features (Sect. 5.3).
-func (e *Engine) CreateTempTable(name string, res *exec.Result) (string, error) {
-	e.mu.Lock()
-	if name == "" {
-		e.tempSeq++
-		name = fmt.Sprintf("t%06d", e.tempSeq)
-	}
-	e.mu.Unlock()
+// Session is one connection's view of the engine: the database plus the
+// temporary tables this connection made (Sect. 5.3). No other session sees
+// them, and they go when the session does (Sect. 5.4). One goroutine uses a
+// session at a time.
+type Session struct {
+	eng   *Engine
+	temps map[string]*storage.Table // lower(name) -> table
+}
+
+// NewSession opens a session with no temporary tables.
+func (e *Engine) NewSession() *Session {
+	return &Session{eng: e, temps: make(map[string]*storage.Table)}
+}
+
+// CreateTemp materializes a result as the session's temporary table name,
+// replacing any earlier one of that name, and returns the qualified name
+// queries reference it by.
+func (s *Session) CreateTemp(name string, res *exec.Result) (string, error) {
 	t, err := ResultToTable(TempSchema, name, res)
 	if err != nil {
 		return "", err
 	}
-	if err := e.db.AddTable(t); err != nil {
-		return "", err
-	}
-	_ = e.RefreshSysTables()
+	s.temps[strings.ToLower(name)] = t
 	return t.QualifiedName(), nil
 }
 
-// DropTempTable removes a temporary table by bare or qualified name.
-func (e *Engine) DropTempTable(name string) error {
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		name = name[i+1:]
+// DropTemp removes one of the session's temporary tables by bare or
+// qualified name.
+func (s *Session) DropTemp(name string) error {
+	name, _ = strings.CutPrefix(name, TempSchema+".")
+	key := strings.ToLower(name)
+	if s.temps[key] == nil {
+		return fmt.Errorf("engine: table %s.%s not found", TempSchema, name)
 	}
-	if err := e.db.DropTable(TempSchema, name); err != nil {
-		return err
-	}
-	_ = e.RefreshSysTables()
+	delete(s.temps, key)
 	return nil
+}
+
+// Query compiles, optimizes and executes a TQL query against the database
+// and the session's temporary tables.
+func (s *Session) Query(ctx context.Context, src string) (*exec.Result, error) {
+	return s.eng.query(ctx, src, catalog{db: s.eng.db, temps: s.temps})
 }
 
 // ResultToTable converts a materialized result into a storage table,

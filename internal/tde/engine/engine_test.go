@@ -395,19 +395,19 @@ func TestTempTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(db)
-	res, err := e.Query(ctx(), `(distinct (project (table flights) (carrier carrier)))`)
+	sess := New(db).NewSession()
+	res, err := sess.Query(ctx(), `(distinct (project (table flights) (carrier carrier)))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := e.CreateTempTable("filtervals", res)
+	name, err := sess.CreateTemp("filtervals", res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "TEMP.filtervals" {
 		t.Errorf("temp name = %q", name)
 	}
-	joined, err := e.Query(ctx(), `
+	joined, err := sess.Query(ctx(), `
 		(aggregate
 			(join (table flights) (table TEMP.filtervals) (on (= flights.carrier TEMP.filtervals.carrier)))
 			(groupby) (aggs (n count *)))`)
@@ -417,10 +417,10 @@ func TestTempTableRoundTrip(t *testing.T) {
 	if joined.Value(0, 0).I != 2000 {
 		t.Errorf("temp-table join count = %d", joined.Value(0, 0).I)
 	}
-	if err := e.DropTempTable(name); err != nil {
+	if err := sess.DropTemp(name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(ctx(), `(table TEMP.filtervals)`); err == nil {
+	if _, err := sess.Query(ctx(), `(table TEMP.filtervals)`); err == nil {
 		t.Error("dropped temp table should not resolve")
 	}
 }
@@ -528,19 +528,23 @@ func TestConcurrentInFiltersOnFreshlyOpenedDB(t *testing.T) {
 	}
 }
 
-// groupTwoRows stores two rows as a temp table and groups them serially on
+// groupTwoRows stores two rows as a table and groups them serially on
 // every column, returning the group sizes.
 func groupTwoRows(t *testing.T, schema []plan.ColInfo, rows [2][]storage.Value) []int64 {
 	t.Helper()
-	e := New(storage.NewDatabase("edge"))
+	db := storage.NewDatabase("edge")
 	res := exec.NewResult(schema)
 	for _, r := range rows {
 		res.AppendRow(r)
 	}
-	name, err := e.CreateTempTable("", res)
+	tbl, err := ResultToTable("Extract", "edge", res)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.AddTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	e, name := New(db), tbl.QualifiedName()
 	cols := make([]string, len(schema))
 	for i, c := range schema {
 		cols[i] = c.Name

@@ -1,96 +1,87 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 
+	"vizq/internal/tde/exec"
+	"vizq/internal/tde/plan"
 	"vizq/internal/tde/storage"
 )
 
-// RefreshSysTables (re)builds the reserved SYS schema from the current
-// catalog: SYS.tables and SYS.columns describe every user table, so the
-// metadata is queryable with ordinary TQL (Sect. 4.1.1: "the metadata is
-// stored in the reserved SYS schema"). It is called automatically by New and
-// after temp-table changes; call it manually after mutating the catalog
-// directly.
-func (e *Engine) RefreshSysTables() error {
-	db := e.db
-	_ = db.DropTable(storage.SysSchema, "tables")
-	_ = db.DropTable(storage.SysSchema, "columns")
+// catalog is what one query binds against (tql.Catalog). The TEMP schema is
+// a session's own tables, SYS describes the tables the query can see, and
+// every other schema is the database's. Binding writes nothing: a session's
+// tables change only between its queries, and the database replaces whole
+// tables under its lock.
+type catalog struct {
+	db    *storage.Database
+	temps map[string]*storage.Table // nil outside a session
+}
 
-	var tSchema, tName, tSorted []storage.Value
-	var tRows []storage.Value
-	var cSchema, cTable, cName, cType, cColl, cEnc, cSorted []storage.Value
-	var cDistinct, cNulls, cDictSize []storage.Value
+func (c catalog) Table(schema, name string) (*storage.Table, error) {
+	switch {
+	case strings.EqualFold(schema, TempSchema):
+		if t := c.temps[strings.ToLower(name)]; t != nil {
+			return t, nil
+		}
+	case strings.EqualFold(schema, storage.SysSchema):
+		if name := strings.ToLower(name); sysSchemas[name] != nil {
+			return c.sysTable(name)
+		}
+	default:
+		return c.db.Table(schema, name)
+	}
+	return nil, fmt.Errorf("engine: table %s.%s not found", schema, name)
+}
 
-	for _, t := range db.AllTables() {
-		tSchema = append(tSchema, storage.StrValue(t.Schema))
-		tName = append(tName, storage.StrValue(t.Name))
-		tRows = append(tRows, storage.IntValue(t.Rows))
-		tSorted = append(tSorted, storage.StrValue(strings.Join(t.SortKey, ",")))
-		for _, c := range t.Cols {
-			cSchema = append(cSchema, storage.StrValue(t.Schema))
-			cTable = append(cTable, storage.StrValue(t.Name))
-			cName = append(cName, storage.StrValue(c.Name))
-			cType = append(cType, storage.StrValue(c.Type.String()))
-			cColl = append(cColl, storage.StrValue(c.Coll.String()))
-			cEnc = append(cEnc, storage.StrValue(c.Encoding().String()))
-			cSorted = append(cSorted, storage.BoolValue(c.Stats.Sorted))
-			cDistinct = append(cDistinct, storage.IntValue(c.Stats.Distinct))
-			cNulls = append(cNulls, storage.IntValue(c.Stats.Nulls))
+// sysSchemas are the columns of SYS.tables and SYS.columns.
+var sysSchemas = map[string][]plan.ColInfo{
+	"tables": {sysCol("schema", storage.TStr), sysCol("name", storage.TStr),
+		sysCol("rows", storage.TInt), sysCol("sorted_by", storage.TStr)},
+	"columns": {sysCol("schema", storage.TStr), sysCol("table", storage.TStr),
+		sysCol("name", storage.TStr), sysCol("type", storage.TStr),
+		sysCol("collation", storage.TStr), sysCol("encoding", storage.TStr),
+		sysCol("sorted", storage.TBool), sysCol("distinct", storage.TInt),
+		sysCol("nulls", storage.TInt), sysCol("dict_size", storage.TInt)},
+}
+
+func sysCol(name string, t storage.Type) plan.ColInfo {
+	return plan.ColInfo{Name: name, Type: t, Coll: storage.CollCI}
+}
+
+// sysTable builds one SYS table when a query names it, so the metadata is
+// queryable with ordinary TQL (Sect. 4.1.1: "the metadata is stored in the
+// reserved SYS schema") and always matches what the query binds against:
+// the database's tables plus the session's own temporary tables.
+func (c catalog) sysTable(name string) (*storage.Table, error) {
+	tables := c.db.AllTables()
+	temps := make([]*storage.Table, 0, len(c.temps))
+	for _, t := range c.temps {
+		temps = append(temps, t)
+	}
+	sort.Slice(temps, func(i, j int) bool { return temps[i].Name < temps[j].Name })
+	tables = append(tables, temps...)
+
+	str := storage.StrValue
+	res := exec.NewResult(sysSchemas[name])
+	for _, t := range tables {
+		if name == "tables" {
+			res.AppendRow([]storage.Value{str(t.Schema), str(t.Name), storage.IntValue(t.Rows),
+				str(strings.Join(t.SortKey, ","))})
+			continue
+		}
+		for _, col := range t.Cols {
 			dictSize := int64(0)
-			if c.Dict != nil {
-				dictSize = int64(c.Dict.Len())
+			if col.Dict != nil {
+				dictSize = int64(col.Dict.Len())
 			}
-			cDictSize = append(cDictSize, storage.IntValue(dictSize))
+			res.AppendRow([]storage.Value{str(t.Schema), str(t.Name), str(col.Name),
+				str(col.Type.String()), str(col.Coll.String()), str(col.Encoding().String()),
+				storage.BoolValue(col.Stats.Sorted), storage.IntValue(col.Stats.Distinct),
+				storage.IntValue(col.Stats.Nulls), storage.IntValue(dictSize)})
 		}
 	}
-	if len(tName) == 0 {
-		return nil
-	}
-
-	build := func(name string, t storage.Type, vals []storage.Value) (*storage.Column, error) {
-		return storage.BuildColumn(name, t, storage.CollCI, vals, storage.BuildOptions{})
-	}
-	var err error
-	mk := func(name string, t storage.Type, vals []storage.Value) *storage.Column {
-		if err != nil {
-			return nil
-		}
-		var c *storage.Column
-		c, err = build(name, t, vals)
-		return c
-	}
-	tablesTbl := []*storage.Column{
-		mk("schema", storage.TStr, tSchema),
-		mk("name", storage.TStr, tName),
-		mk("rows", storage.TInt, tRows),
-		mk("sorted_by", storage.TStr, tSorted),
-	}
-	columnsTbl := []*storage.Column{
-		mk("schema", storage.TStr, cSchema),
-		mk("table", storage.TStr, cTable),
-		mk("name", storage.TStr, cName),
-		mk("type", storage.TStr, cType),
-		mk("collation", storage.TStr, cColl),
-		mk("encoding", storage.TStr, cEnc),
-		mk("sorted", storage.TBool, cSorted),
-		mk("distinct", storage.TInt, cDistinct),
-		mk("nulls", storage.TInt, cNulls),
-		mk("dict_size", storage.TInt, cDictSize),
-	}
-	if err != nil {
-		return err
-	}
-	tt, err := storage.NewTable(storage.SysSchema, "tables", tablesTbl)
-	if err != nil {
-		return err
-	}
-	if err := db.AddTable(tt); err != nil {
-		return err
-	}
-	ct, err := storage.NewTable(storage.SysSchema, "columns", columnsTbl)
-	if err != nil {
-		return err
-	}
-	return db.AddTable(ct)
+	return ResultToTable(storage.SysSchema, name, res)
 }

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"vizq/internal/workload"
@@ -57,30 +61,105 @@ func TestSysTablesTrackTempTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(db)
-	res, err := e.Query(ctx(), `(distinct (project (table flights) (carrier carrier)))`)
+	sess := New(db).NewSession()
+	res, err := sess.Query(ctx(), `(distinct (project (table flights) (carrier carrier)))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := e.CreateTempTable("snapshot", res)
+	name, err := sess.CreateTemp("snapshot", res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, err := e.Query(ctx(), `(select (table SYS.tables) (= schema "TEMP"))`)
+	listed, err := sess.Query(ctx(), `(select (table SYS.tables) (= schema "TEMP"))`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if listed.N != 1 {
 		t.Fatalf("temp tables in SYS = %d", listed.N)
 	}
-	if err := e.DropTempTable(name); err != nil {
+	if err := sess.DropTemp(name); err != nil {
 		t.Fatal(err)
 	}
-	listed, err = e.Query(ctx(), `(select (table SYS.tables) (= schema "TEMP"))`)
+	listed, err = sess.Query(ctx(), `(select (table SYS.tables) (= schema "TEMP"))`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if listed.N != 0 {
 		t.Error("dropped temp table still listed")
+	}
+}
+
+// TestSessionTempTablesLeaveSysReadable: sessions create temp tables while
+// another goroutine reads SYS.tables. Every read succeeds (SYS is derived
+// per query, never dropped and re-added under a reader), and afterwards
+// each session's SYS.tables lists exactly its own temp tables.
+func TestSessionTempTablesLeaveSysReadable(t *testing.T) {
+	db, err := workload.BuildFlightsDB(workload.FlightsConfig{Rows: 200, Days: 5, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(db)
+	vals, err := e.Query(ctx(), `(distinct (project (table flights) (carrier carrier)))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions, creates = 8, 25
+	done := make(chan struct{})
+	readErr := make(chan error, 1)
+	go func() {
+		defer close(readErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			res, err := e.Query(ctx(), `(table SYS.tables)`)
+			if err == nil && res.N != 3 {
+				err = fmt.Errorf("SYS.tables has %d rows outside any session, want 3", res.N)
+			}
+			if err != nil {
+				readErr <- err
+				return
+			}
+		}
+	}()
+	sess := make([]*Session, sessions)
+	var wg sync.WaitGroup
+	for i := range sess {
+		sess[i] = e.NewSession()
+		wg.Add(1)
+		go func(s *Session, i int) {
+			defer wg.Done()
+			for j := 0; j < creates; j++ {
+				if _, err := s.CreateTemp(fmt.Sprintf("s%d_t%d", i, j), vals); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(sess[i], i)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-readErr; err != nil {
+		t.Fatalf("concurrent SYS.tables read: %v", err)
+	}
+	for i, s := range sess {
+		res, err := s.Query(ctx(), `(order (select (table SYS.tables) (= schema "TEMP")) (asc name))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, creates)
+		for j := range want {
+			want[j] = fmt.Sprintf("s%d_t%d", i, j)
+		}
+		sort.Strings(want)
+		var got []string
+		for r := 0; r < res.N; r++ {
+			got = append(got, res.Value(r, res.ColumnIndex("name")).S)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("session %d lists TEMP tables %v, want %v", i, got, want)
+		}
 	}
 }

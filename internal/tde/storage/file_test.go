@@ -142,14 +142,13 @@ func TestDatabaseCatalog(t *testing.T) {
 	if tbl.SortPrefix([]string{"carrier"}) != 0 {
 		t.Error("SortPrefix should be 0")
 	}
-	if err := db.DropTable("Extract", "flights"); err != nil {
-		t.Fatal(err)
+	fresh, _ := NewTable("extract", "FLIGHTS", tbl.Cols)
+	db.Replace(fresh)
+	if got, _ := db.Table("Extract", "flights"); got != fresh {
+		t.Error("Replace should install the new table under the old name")
 	}
-	if _, err := db.Table("Extract", "flights"); err == nil {
-		t.Error("dropped table should not resolve")
-	}
-	if len(db.AllTables()) != 0 {
-		t.Error("AllTables should be empty")
+	if n := len(db.AllTables()); n != 1 {
+		t.Errorf("AllTables after Replace = %d, want 1", n)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"sync"
 )
 
-// SysSchema is the reserved schema name holding database metadata.
+// SysSchema is the reserved schema name of the database metadata a query
+// can read; the engine derives its tables, nothing stores them.
 const SysSchema = "SYS"
 
 // Table is a read-only columnar table with optimizer metadata.
@@ -139,32 +140,32 @@ func (db *Database) Name() string { return db.name }
 func (db *Database) AddTable(t *Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.schemas[strings.ToLower(t.Schema)][strings.ToLower(t.Name)] != nil {
+		return fmt.Errorf("storage: table %s already exists", t.QualifiedName())
+	}
+	db.put(t)
+	return nil
+}
+
+// Replace installs tables under one lock, each replacing any table of its
+// name, so a query binds either all the old tables or all the new ones.
+// Queries already bound keep the tables they hold: tables are immutable.
+func (db *Database) Replace(tables ...*Table) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, t := range tables {
+		db.put(t)
+	}
+}
+
+// put stores t under its name, creating its schema on demand. db.mu is
+// held.
+func (db *Database) put(t *Table) {
 	s := strings.ToLower(t.Schema)
 	if db.schemas[s] == nil {
 		db.schemas[s] = make(map[string]*Table)
 	}
-	n := strings.ToLower(t.Name)
-	if _, ok := db.schemas[s][n]; ok {
-		return fmt.Errorf("storage: table %s already exists", t.QualifiedName())
-	}
-	db.schemas[s][n] = t
-	return nil
-}
-
-// DropTable removes a table.
-func (db *Database) DropTable(schema, name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := db.schemas[strings.ToLower(schema)]
-	if s == nil {
-		return fmt.Errorf("storage: schema %s not found", schema)
-	}
-	n := strings.ToLower(name)
-	if _, ok := s[n]; !ok {
-		return fmt.Errorf("storage: table %s.%s not found", schema, name)
-	}
-	delete(s, n)
-	return nil
+	db.schemas[s][strings.ToLower(t.Name)] = t
 }
 
 // Table resolves a table by schema and name (case-insensitive).
@@ -207,13 +208,10 @@ func (db *Database) Tables(schema string) []*Table {
 	return out
 }
 
-// AllTables returns every table across schemas, SYS excluded.
+// AllTables returns every table, by schema.
 func (db *Database) AllTables() []*Table {
 	var out []*Table
 	for _, s := range db.Schemas() {
-		if strings.EqualFold(s, SysSchema) {
-			continue
-		}
 		out = append(out, db.Tables(s)...)
 	}
 	return out

@@ -5,9 +5,10 @@
 //
 // The layer mirrors the description in Sect. 4.1.1 of "On Improving User
 // Response Times in Tableau" (SIGMOD 2015): each database holds schemas,
-// each schema holds tables, each table holds columns; metadata lives in the
-// reserved SYS schema; dictionary compression is visible to upper layers
-// while run-length/delta encodings are a storage format.
+// each schema holds tables, each table holds columns; metadata is read
+// through the reserved SYS schema, which the engine derives per query;
+// dictionary compression is visible to upper layers while run-length/delta
+// encodings are a storage format.
 package storage
 
 import (
