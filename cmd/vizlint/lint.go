@@ -13,8 +13,8 @@
 //	errors    – Close/Flush/Write error results must not be silently
 //	            discarded in the storage, kvstore and wire packages; fmt.Errorf
 //	            wrapping an error variable must use %w.
-//	sleep     – time.Sleep must not be used for synchronization outside
-//	            tests and simulation code.
+//	sleep     – time.Sleep, time.NewTimer and time.After wait off the clock:
+//	            only internal/clock, tests and simulation code use them.
 //	obs       – a span started with obs.StartSpan must be finished on
 //	            every return path (prefer defer sp.Finish()); spans that
 //	            escape the function are assumed finished elsewhere.

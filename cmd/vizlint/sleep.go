@@ -2,14 +2,19 @@ package main
 
 import (
 	"go/ast"
+	"strings"
 )
 
-// checkSleep flags time.Sleep in non-test code: sleeping is never a
-// synchronization primitive. Simulation code (the remote server's latency
-// model, the executor's simulated block reads) opts out per call site with
-// a `//vizlint:allow sleep` directive that documents why the sleep is
-// modeling time rather than hiding a race.
+// checkSleep flags time.Sleep, time.NewTimer and time.After in non-test
+// code outside internal/clock: every wait goes through a clock.Clock, and
+// sleeping is never a synchronization primitive. Simulation code (the
+// remote server's latency model, the executor's simulated block reads)
+// opts out per call site with a `//vizlint:allow sleep` directive that
+// documents why the sleep is modeling time rather than hiding a race.
 func checkSleep(pkg *pkgInfo, fi *fileInfo) []Finding {
+	if strings.HasSuffix(pkg.ImportPath, "/internal/clock") {
+		return nil
+	}
 	var out []Finding
 	ast.Inspect(fi.File, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -17,7 +22,7 @@ func checkSleep(pkg *pkgInfo, fi *fileInfo) []Finding {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Sleep" {
+		if !ok || (sel.Sel.Name != "Sleep" && sel.Sel.Name != "NewTimer" && sel.Sel.Name != "After") {
 			return true
 		}
 		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "time" {
@@ -29,7 +34,7 @@ func checkSleep(pkg *pkgInfo, fi *fileInfo) []Finding {
 		out = append(out, Finding{
 			Pos:   pkg.Fset.Position(call.Pos()),
 			Check: "sleep",
-			Msg:   "time.Sleep used outside tests (use channels/sync for coordination, or annotate simulation code with //vizlint:allow sleep)",
+			Msg:   "time." + sel.Sel.Name + " used outside tests and internal/clock (wait on a clock.Clock, use channels/sync for coordination, or annotate simulation code with //vizlint:allow sleep)",
 		})
 		return true
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/query"
 	"vizq/internal/tde/exec"
 	"vizq/internal/tde/plan"
@@ -62,15 +63,15 @@ func TestExactHitAccountingOnFailedDerive(t *testing.T) {
 func TestLiteralPutRefreshKeepsUsageHistory(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1})
 	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(t0)
+	c.setClock(clk)
 
 	res := exec.NewResult(nil)
 	c.Put("hot", res, time.Millisecond)
 	for i := 0; i < 5; i++ {
 		c.Get("hot")
 	}
-	now = t0.Add(time.Minute)
+	now := clk.Advance(time.Minute)
 	c.Put("hot", res, time.Millisecond) // refresh
 
 	e := c.shardFor("hot").byKey["hot"]
@@ -90,8 +91,8 @@ func TestLiteralPutRefreshKeepsUsageHistory(t *testing.T) {
 func TestIntelligentPutRefreshKeepsUsageHistory(t *testing.T) {
 	c := NewIntelligentCache(Options{MaxEntries: 8, Shards: 1})
 	t0 := time.Unix(2_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(t0)
+	c.setClock(clk)
 
 	q := &query.Query{
 		DataSource: "flights",
@@ -108,7 +109,7 @@ func TestIntelligentPutRefreshKeepsUsageHistory(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Get(q.Clone())
 	}
-	now = t0.Add(time.Minute)
+	clk.Advance(time.Minute)
 	c.Put(q.Clone(), res, 2*time.Millisecond) // refresh
 
 	e := c.shardFor(q).byKey[q.Key()]

@@ -175,7 +175,6 @@ func (c *store) build(opt Options, level *tierCounters) {
 			opt:     sopt,
 			byKey:   make(map[string]*Entry),
 			buckets: make(map[string][]*Entry),
-			clock:   time.Now,
 			m:       &c.m,
 		}
 	}

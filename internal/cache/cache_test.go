@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/kvstore"
 	"vizq/internal/query"
 	"vizq/internal/tde/engine"
@@ -442,11 +443,11 @@ func TestKVStoreBasics(t *testing.T) {
 	if v, ok := s.Get("a"); !ok || string(v) != "1" {
 		t.Error("get failed")
 	}
-	// TTL expiry with a fake clock.
-	now := time.Now()
-	s.SetClock(func() time.Time { return now })
+	// TTL expiry with a manual clock.
+	clk := clock.Manual(time.Now())
+	s.SetClock(clk)
 	s.Set("b", []byte("2"), time.Second)
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if _, ok := s.Get("b"); ok {
 		t.Error("expired entry served")
 	}

@@ -1,11 +1,11 @@
 package cache
 
-import "time"
+import "vizq/internal/clock"
 
-// setClock pins the cache's clock (tests).
-func (c *store) setClock(fn func() time.Time) {
+// setClock runs every shard on clk (tests).
+func (c *store) setClock(clk *clock.Clock) {
 	for _, s := range c.shards {
-		s.clock = fn
+		s.clock = clk
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/query"
 	"vizq/internal/tde/exec"
 )
@@ -89,8 +90,8 @@ type shard struct {
 	byKey    map[string]*Entry
 	buckets  map[string][]*Entry // GroupKey -> candidates in insertion order
 	curBytes int64
-	clock    func() time.Time
-	m        *counts // the store's, shared by its shards
+	clock    *clock.Clock // nil: the wall clock
+	m        *counts      // the store's, shared by its shards
 }
 
 // get answers from the shard. q is nil for the literal cache (exact key
@@ -101,7 +102,7 @@ type shard struct {
 func (s *shard) get(key string, q *query.Query, stale bool) (*exec.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
+	now := s.clock.Now()
 	usable := (*Entry).fresh
 	if stale {
 		usable = (*Entry).usableStale
@@ -191,7 +192,7 @@ func (s *shard) findLocked(key string, q *query.Query, usable func(*Entry, time.
 func (s *shard) put(e *Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
+	now := s.clock.Now()
 	e.Created, e.LastUsed = now, now
 	if s.opt.FreshFor > 0 {
 		e.FreshUntil = now.Add(s.opt.FreshFor)
@@ -236,7 +237,7 @@ func (s *shard) removeLocked(e *Entry) {
 }
 
 func (s *shard) evictLocked() {
-	now := s.clock()
+	now := s.clock.Now()
 	for (s.opt.MaxEntries > 0 && len(s.byKey) > s.opt.MaxEntries) ||
 		(s.opt.MaxBytes > 0 && s.curBytes > s.opt.MaxBytes) {
 		var worst *Entry

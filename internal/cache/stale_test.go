@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/query"
 	"vizq/internal/tde/exec"
 	"vizq/internal/tde/plan"
@@ -35,19 +36,18 @@ func staleTestResult() *exec.Result {
 func TestLiteralFreshForExpiresGets(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Hour})
-	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1_000_000, 0))
+	c.setClock(clk)
 
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
 	if _, ok := c.Get("q"); !ok {
 		t.Fatal("fresh entry missed")
 	}
-	now = t0.Add(time.Minute) // exactly FreshUntil: still fresh (inclusive)
+	clk.Advance(time.Minute) // exactly FreshUntil: still fresh (inclusive)
 	if _, ok := c.Get("q"); !ok {
 		t.Fatal("entry at its exact FreshUntil instant missed")
 	}
-	now = t0.Add(time.Minute + time.Second)
+	clk.Advance(time.Second)
 	if _, ok := c.Get("q"); ok {
 		t.Fatal("expired entry served by the fresh path")
 	}
@@ -59,12 +59,11 @@ func TestLiteralFreshForExpiresGets(t *testing.T) {
 func TestLiteralGetStaleServesWithinGrace(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Hour})
-	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1_000_000, 0))
+	c.setClock(clk)
 
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
-	now = t0.Add(30 * time.Minute) // expired, inside grace
+	clk.Advance(30 * time.Minute) // expired, inside grace
 	if _, ok := c.Get("q"); ok {
 		t.Fatal("expired entry served fresh")
 	}
@@ -81,7 +80,7 @@ func TestLiteralGetStaleServesWithinGrace(t *testing.T) {
 		t.Fatal("GetStale refused a fresh entry")
 	}
 	// Past the grace window nothing is served, fresh or stale.
-	now = t0.Add(time.Minute + time.Hour + time.Second)
+	clk.Advance(31*time.Minute + time.Second) // 1 s past StaleUntil
 	if _, ok := c.GetStale("q"); ok {
 		t.Fatal("GetStale served past StaleUntil")
 	}
@@ -93,13 +92,12 @@ func TestLiteralGetStaleServesWithinGrace(t *testing.T) {
 func TestLiteralDeadEntryIsDroppedAndAccounted(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Minute})
-	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1_000_000, 0))
+	c.setClock(clk)
 
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
 	sh := c.shardFor("q")
-	now = t0.Add(3 * time.Minute) // past StaleUntil
+	clk.Advance(3 * time.Minute) // past StaleUntil
 	if _, ok := c.Get("q"); ok {
 		t.Fatal("dead entry served")
 	}
@@ -114,30 +112,28 @@ func TestLiteralDeadEntryIsDroppedAndAccounted(t *testing.T) {
 func TestLiteralPutRefreshRestartsFreshness(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Hour})
-	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1_000_000, 0))
+	c.setClock(clk)
 
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
-	now = t0.Add(30 * time.Minute) // stale now
+	clk.Advance(30 * time.Minute) // stale now
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
 	if _, ok := c.Get("q"); !ok {
 		t.Fatal("refreshed entry inherited the old entry's expiry")
 	}
 	e := c.shardFor("q").byKey["q"]
-	if !e.FreshUntil.Equal(now.Add(time.Minute)) {
-		t.Fatalf("FreshUntil = %v, want %v", e.FreshUntil, now.Add(time.Minute))
+	if !e.FreshUntil.Equal(clk.Now().Add(time.Minute)) {
+		t.Fatalf("FreshUntil = %v, want %v", e.FreshUntil, clk.Now().Add(time.Minute))
 	}
 }
 
 func TestZeroFreshForIsFreshForever(t *testing.T) {
 	c := NewLiteralCache(Options{MaxEntries: 8, Shards: 1})
-	t0 := time.Unix(1_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1_000_000, 0))
+	c.setClock(clk)
 
 	c.Put("q", exec.NewResult(nil), time.Millisecond)
-	now = t0.Add(24 * 365 * time.Hour)
+	clk.Advance(24 * 365 * time.Hour)
 	if _, ok := c.Get("q"); !ok {
 		t.Fatal("entry without FreshFor expired")
 	}
@@ -149,16 +145,15 @@ func TestZeroFreshForIsFreshForever(t *testing.T) {
 func TestIntelligentFreshForExpiresGets(t *testing.T) {
 	c := NewIntelligentCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Hour})
-	t0 := time.Unix(2_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(2_000_000, 0))
+	c.setClock(clk)
 
 	q := staleTestQuery()
 	c.Put(q, staleTestResult(), time.Millisecond)
 	if _, ok := c.Get(q.Clone()); !ok {
 		t.Fatal("fresh entry missed")
 	}
-	now = t0.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, ok := c.Get(q.Clone()); ok {
 		t.Fatal("expired entry served by the fresh path")
 	}
@@ -174,14 +169,13 @@ func TestIntelligentFreshForExpiresGets(t *testing.T) {
 func TestIntelligentBucketScanDropsDeadEntries(t *testing.T) {
 	c := NewIntelligentCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Minute})
-	t0 := time.Unix(2_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(2_000_000, 0))
+	c.setClock(clk)
 
 	q := staleTestQuery()
 	c.Put(q, staleTestResult(), time.Millisecond)
 	sh := c.shardFor(q)
-	now = t0.Add(3 * time.Minute) // past StaleUntil: dead weight
+	clk.Advance(3 * time.Minute) // past StaleUntil: dead weight
 
 	// A same-bucket query whose exact key misses exercises the subsumption
 	// scan; it must reclaim the dead entry's budget, not just skip it.
@@ -202,7 +196,7 @@ func TestIntelligentBucketScanDropsDeadEntries(t *testing.T) {
 
 	// The degraded-read scan sweeps the same way.
 	c.Put(q, staleTestResult(), time.Millisecond)
-	now = now.Add(3 * time.Minute)
+	clk.Advance(3 * time.Minute)
 	if _, ok := c.GetStale(r); ok {
 		t.Fatal("GetStale served a dead entry")
 	}
@@ -214,13 +208,12 @@ func TestIntelligentBucketScanDropsDeadEntries(t *testing.T) {
 func TestIntelligentGetStaleExactAndDerived(t *testing.T) {
 	c := NewIntelligentCache(Options{MaxEntries: 8, Shards: 1,
 		FreshFor: time.Minute, StaleGrace: time.Hour})
-	t0 := time.Unix(2_000_000, 0)
-	now := t0
-	c.setClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(2_000_000, 0))
+	c.setClock(clk)
 
 	q := staleTestQuery()
 	c.Put(q, staleTestResult(), time.Millisecond)
-	now = t0.Add(30 * time.Minute) // expired, inside grace
+	clk.Advance(30 * time.Minute) // expired, inside grace
 
 	if _, ok := c.GetStale(q.Clone()); !ok {
 		t.Fatal("GetStale missed the exact stale entry")
@@ -239,7 +232,7 @@ func TestIntelligentGetStaleExactAndDerived(t *testing.T) {
 		t.Fatalf("StaleServed = %d, want 2", st.StaleServed)
 	}
 	// Past grace: dead for GetStale too.
-	now = t0.Add(2 * time.Hour)
+	clk.Advance(90 * time.Minute) // 2 h in: past StaleUntil
 	if _, ok := c.GetStale(q.Clone()); ok {
 		t.Fatal("GetStale served past StaleUntil")
 	}

@@ -5,8 +5,8 @@
 // pressure-aware balancer, all coordinating through a single networked
 // kvstore. Determinism comes from three levers:
 //
-//   - an injectable Clock drives digest publishing: coordinators only
-//     step when the harness Ticks, never on wall-clock timers;
+//   - a manual clock.Clock drives digest publishing, kvstore TTLs and
+//     probe cooldowns: coordinators step only when the harness Ticks;
 //   - each node reaches the kvstore through its own chaos proxy, so
 //     node↔bus partitions are scripted per node and heal on command;
 //   - workloads derive from seeded generators, with per-query distinct
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"vizq/internal/chaos"
+	"vizq/internal/clock"
 	"vizq/internal/connection"
 	"vizq/internal/core"
 	"vizq/internal/dataserver"
@@ -34,31 +35,6 @@ import (
 	"vizq/internal/tde/storage"
 	"vizq/internal/workload"
 )
-
-// Clock is a manually advanced time source shared by the kvstore's TTL
-// engine and every coordinator.
-type Clock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewClock starts a clock at t.
-func NewClock(t time.Time) *Clock { return &Clock{now: t} }
-
-// Now returns the current fake time.
-func (c *Clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward and returns the new time.
-func (c *Clock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	return c.now
-}
 
 // source names the published source on every node.
 const source = "flights"
@@ -154,7 +130,7 @@ func (n *Node) closeConns() {
 // Cluster is the running harness.
 type Cluster struct {
 	Nodes    []*Node
-	Clock    *Clock
+	Clock    *clock.Clock // manual: moves only on Tick or Advance
 	Balancer *connection.Balancer
 	Store    *kvstore.Store
 
@@ -169,14 +145,14 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := NewClock(time.Unix(1_723_000_000, 0))
+	clk := clock.Manual(time.Unix(1_723_000_000, 0))
 	store := kvstore.NewStore(0)
-	store.SetClock(clock.Now)
+	store.SetClock(clk)
 	kvSrv, err := kvstore.Serve("127.0.0.1:0", store)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Clock: clock, Store: store, cfg: cfg, kvSrv: kvSrv}
+	cl := &Cluster{Clock: clk, Store: store, cfg: cfg, kvSrv: kvSrv}
 	pools := make([]*connection.Pool, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node-%d", i)
@@ -240,7 +216,7 @@ func New(cfg Config) (*Cluster, error) {
 	// The balancer's health tracking runs on the harness clock, so probe
 	// cooldowns advance only on Tick/Advance.
 	b.ConfigureHealth(connection.HealthConfig{
-		SuspectAfter: 1, EjectAfter: 2, ProbeAfter: cfg.Interval, Clock: clock.Now,
+		SuspectAfter: 1, EjectAfter: 2, ProbeAfter: cfg.Interval, Clock: clk,
 	})
 	cl.Balancer = b
 	return cl, nil
@@ -257,7 +233,7 @@ func (cl *Cluster) Scheduler(i int) *sched.Scheduler {
 	return cl.Nodes[i].DS.Scheduler(source)
 }
 
-// Tick advances the fake clock one publish interval, steps every node's
+// Tick advances the manual clock one publish interval, steps every node's
 // coordinator in node order (deterministic), and refreshes the
 // balancer's advisory pressure from the freshly published digests. Two
 // Ticks from a cold start give every node a view of every peer.
@@ -333,7 +309,7 @@ func (cl *Cluster) DrainNode(ctx context.Context, i int) error {
 func (cl *Cluster) UndrainNode(i int) { cl.Nodes[i].DS.Undrain() }
 
 // ProbeNode offers node i one half-open health probe (no-op unless the
-// node is ejected and past its cooldown on the fake clock). Returns
+// node is ejected and past its cooldown on the manual clock). Returns
 // whether a probe ran.
 func (cl *Cluster) ProbeNode(i int) bool {
 	return cl.Balancer.MaybeProbe(context.Background(), i)

@@ -51,7 +51,7 @@ func TestLifecycleKillRestartSmoke(t *testing.T) {
 		}
 	}
 
-	// Probes are cooldown-gated on the fake clock: not due yet right
+	// Probes are cooldown-gated on the manual clock: not due yet right
 	// after ejection (the failures happened within the current instant).
 	if cl.ProbeNode(0) {
 		t.Fatal("probe admitted before cooldown")

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/obs"
 )
 
@@ -94,9 +95,8 @@ type HealthConfig struct {
 	// ProbeAfter is the cooldown an ejected node sits out before a probe
 	// may be admitted (default 1s).
 	ProbeAfter time.Duration
-	// Clock supplies the cooldown timebase (default time.Now; the
-	// deterministic cluster harness injects its fake clock).
-	Clock func() time.Time
+	// Clock times the probe cooldown (nil: the wall clock).
+	Clock *clock.Clock
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -111,9 +111,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -263,7 +260,7 @@ func (b *Balancer) ReportResult(i int, err error) {
 // ejectLocked moves a node to ejected and restarts its probe cooldown.
 func (h *healthTracker) ejectLocked(n *nodeHealth) {
 	n.state = NodeEjected
-	n.ejectedAt = h.cfg.Clock()
+	n.ejectedAt = h.cfg.Clock.Now()
 	cHealthEject.Inc()
 	h.updateEjectedGaugeLocked()
 }
@@ -290,7 +287,7 @@ func (h *healthTracker) acquireProbeSlot(i int) bool {
 	if n.draining || n.state != NodeEjected || n.probing {
 		return false
 	}
-	if h.cfg.Clock().Sub(n.ejectedAt) < h.cfg.ProbeAfter {
+	if h.cfg.Clock.Now().Sub(n.ejectedAt) < h.cfg.ProbeAfter {
 		return false
 	}
 	n.state = NodeProbing

@@ -9,38 +9,20 @@ import (
 	"testing"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/remote"
 )
 
-// fakeClock is a manually advanced timebase for deterministic cooldowns.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-func newHealthBalancer(t *testing.T, addrs []string, cfg HealthConfig) (*Balancer, *fakeClock) {
+func newHealthBalancer(t *testing.T, addrs []string, cfg HealthConfig) (*Balancer, *clock.Clock) {
 	t.Helper()
 	b, err := NewBalancer(addrs, PoolConfig{Max: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	cfg.Clock = clk.Now
+	cfg.Clock = clock.Manual(time.Unix(1000, 0))
 	b.ConfigureHealth(cfg)
-	return b, clk
+	return b, cfg.Clock
 }
 
 // TestHealthStreakThresholds walks the passive state machine: transport

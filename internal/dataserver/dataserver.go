@@ -46,8 +46,8 @@ type PublishedSource struct {
 	Calculations map[string]string
 	// UserFilters lists mandatory filters per user name.
 	UserFilters map[string][]query.Filter
-	// BackendSupportsTempTables mirrors the capability probe made when a
-	// client connects (Sect. 5.3).
+	// BackendSupportsTempTables is what connecting clients see as
+	// Metadata.SupportsTempTables (the capability probe of Sect. 5.3).
 	BackendSupportsTempTables bool
 	// MaxPoolConnections bounds the proxy's pool to the database.
 	MaxPoolConnections int
@@ -96,8 +96,6 @@ func (c Config) cacheOptions() cache.Options {
 type Stats struct {
 	Queries          int64
 	LocalAnswers     int64 // evaluated without touching the database
-	BackendTempOps   int64
-	InMemTempTables  int64
 	SharedTempReuses int64
 }
 
@@ -118,7 +116,7 @@ type Server struct {
 
 	// The live form of Stats; Queries and LocalAnswers roll up into their
 	// Data Server metrics.
-	queries, localAnswers, backendTempOps, inMemTempTables, sharedTempReuses obs.Counter
+	queries, localAnswers, sharedTempReuses obs.Counter
 }
 
 // tempDef is one in-memory temporary table definition, shared across client
@@ -250,8 +248,6 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Queries:          s.queries.Value(),
 		LocalAnswers:     s.localAnswers.Value(),
-		BackendTempOps:   s.backendTempOps.Value(),
-		InMemTempTables:  s.inMemTempTables.Value(),
 		SharedTempReuses: s.sharedTempReuses.Value(),
 	}
 }
@@ -355,7 +351,6 @@ func (c *ClientConn) CreateTempTable(alias, col string, vals []storage.Value) er
 	} else {
 		def = &tempDef{hash: h, rows: res, col: col}
 		c.srv.temps[h] = def
-		c.srv.inMemTempTables.Inc()
 	}
 	def.refs++
 	c.temps[alias] = def
@@ -447,8 +442,8 @@ func (c *ClientConn) tryLocalTempQuery(q *query.Query) (*exec.Result, bool, erro
 
 // resolveTempFilters turns FilterTemp conjuncts, which name this
 // connection's in-memory temp tables, into inline IN lists. The pipeline
-// re-externalizes an oversized list into a session temp table on the
-// database when the backend supports it (Sect. 5.3).
+// re-externalizes a list longer than its MaxInlineFilterValues into a
+// session temp table on the database (Sect. 5.3).
 func (c *ClientConn) resolveTempFilters(q *query.Query) error {
 	var keep []query.Filter
 	for _, f := range q.Filters {
@@ -467,9 +462,6 @@ func (c *ClientConn) resolveTempFilters(q *query.Query) error {
 			vals[i] = def.rows.Value(i, 0)
 		}
 		keep = append(keep, query.InFilter(f.Col, vals...))
-		if c.source.BackendSupportsTempTables {
-			c.srv.backendTempOps.Inc()
-		}
 	}
 	q.Filters = keep
 	return nil

@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"vizq/internal/chaos"
+	"vizq/internal/clock"
 )
 
 func TestStoreScan(t *testing.T) {
 	s := NewStore(0)
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1000, 0))
+	s.SetClock(clk)
 	s.Set("dig/a/n2", []byte("2"), 0)
 	s.Set("dig/a/n1", []byte("1"), time.Second)
 	s.Set("dig/b/n1", []byte("3"), 0)
@@ -35,7 +36,7 @@ func TestStoreScan(t *testing.T) {
 
 	// Past the TTL the expired entry disappears from the scan AND from
 	// the store (swept, not just filtered).
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	got = s.Scan("dig/")
 	if len(got) != 2 || got[0].Key != "dig/a/n2" || got[1].Key != "dig/b/n1" {
 		t.Fatalf("post-expiry scan = %+v", got)

@@ -14,10 +14,9 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// Clock abstracts time for tests.
-type Clock func() time.Time
+	"vizq/internal/clock"
+)
 
 // Store is the in-memory KV engine, safe for concurrent use.
 type Store struct {
@@ -26,7 +25,7 @@ type Store struct {
 	lru      *list.List // front = most recently used
 	maxBytes int64
 	curBytes int64
-	clock    Clock
+	clock    *clock.Clock // nil: the wall clock
 
 	hits   int64
 	misses int64
@@ -44,12 +43,11 @@ func NewStore(maxBytes int64) *Store {
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
 		maxBytes: maxBytes,
-		clock:    time.Now,
 	}
 }
 
-// SetClock replaces the time source (tests).
-func (s *Store) SetClock(c Clock) { s.clock = c }
+// SetClock sets the clock entry TTLs run on (nil: the wall clock).
+func (s *Store) SetClock(c *clock.Clock) { s.clock = c }
 
 // Get returns the value for key, if present and unexpired.
 func (s *Store) Get(key string) ([]byte, bool) {
@@ -61,7 +59,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	e := el.Value.(*kvEntry)
-	if !e.expires.IsZero() && s.clock().After(e.expires) {
+	if !e.expires.IsZero() && s.clock.Now().After(e.expires) {
 		s.removeLocked(el)
 		s.misses++
 		return nil, false
@@ -80,7 +78,7 @@ func (s *Store) Set(key string, val []byte, ttl time.Duration) {
 	}
 	e := &kvEntry{key: key, val: val}
 	if ttl > 0 {
-		e.expires = s.clock().Add(ttl)
+		e.expires = s.clock.Now().Add(ttl)
 	}
 	el := s.lru.PushFront(e)
 	s.entries[key] = el
@@ -104,7 +102,7 @@ type KV struct {
 func (s *Store) Scan(prefix string) []KV {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
+	now := s.clock.Now()
 	var expired []*list.Element
 	var out []KV
 	for key, el := range s.entries {

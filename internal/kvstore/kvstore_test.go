@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vizq/internal/clock"
 )
 
 func TestStoreBasics(t *testing.T) {
@@ -29,13 +31,13 @@ func TestStoreBasics(t *testing.T) {
 
 func TestStoreTTL(t *testing.T) {
 	s := NewStore(0)
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
+	clk := clock.Manual(time.Unix(1000, 0))
+	s.SetClock(clk)
 	s.Set("k", []byte("v"), time.Second)
 	if _, ok := s.Get("k"); !ok {
 		t.Fatal("fresh entry missing")
 	}
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if _, ok := s.Get("k"); ok {
 		t.Error("expired entry served")
 	}

@@ -51,7 +51,6 @@ type Stats struct {
 	// Queries counts the statements those requests carried.
 	Queries     int64
 	TempCreates int64
-	TempDrops   int64
 	MaxInFlight int64
 }
 
@@ -63,8 +62,8 @@ type Server struct {
 
 	// The live form of Stats; none has a process-wide name. inFlight's
 	// high-water mark is MaxInFlight.
-	requests, queries, tempCreates, tempDrops obs.Counter
-	inFlight                                  obs.Gauge
+	requests, queries, tempCreates obs.Counter
+	inFlight                       obs.Gauge
 
 	sem chan struct{}
 }
@@ -104,7 +103,6 @@ func (s *Server) Stats() Stats {
 		Requests:    s.requests.Value(),
 		Queries:     s.queries.Value(),
 		TempCreates: s.tempCreates.Value(),
-		TempDrops:   s.tempDrops.Value(),
 		MaxInFlight: s.inFlight.Max(),
 	}
 }
@@ -198,7 +196,6 @@ func (s *Server) handleTempCreate(sess *engine.Session, req *Request) *Response 
 }
 
 func (s *Server) handleTempDrop(sess *engine.Session, req *Request) *Response {
-	s.tempDrops.Inc()
 	if err := sess.DropTemp(req.Name); err != nil {
 		return &Response{Err: err.Error()}
 	}

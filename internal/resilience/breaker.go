@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"vizq/internal/clock"
 	"vizq/internal/obs"
 )
 
@@ -69,12 +70,11 @@ type Breaker struct {
 	minSamples int
 	ratio      float64
 	openFor    time.Duration
+	clock      *clock.Clock // times the cooldown and Do's backoff; nil: wall time
 
 	// The live form of BreakerStats, each rolled up into its breaker
 	// metric.
 	opened, fastFails obs.Counter
-
-	now func() time.Time
 }
 
 // newBreaker builds a breaker from a validated Config.
@@ -84,7 +84,6 @@ func newBreaker(cfg Config) *Breaker {
 		minSamples: cfg.BreakerMinSamples,
 		ratio:      cfg.BreakerFailureRatio,
 		openFor:    cfg.BreakerOpenFor,
-		now:        time.Now,
 	}
 	b.opened.RollUp(cBreakerOpened)
 	b.fastFails.RollUp(cBreakerFastFail)
@@ -103,7 +102,7 @@ func (b *Breaker) allow() (ok, probe bool) {
 	case Closed:
 		return true, false
 	case Open:
-		if b.now().Sub(b.openedAt) < b.openFor {
+		if b.clock.Now().Sub(b.openedAt) < b.openFor {
 			b.fastFails.Inc()
 			return false, false
 		}
@@ -195,7 +194,7 @@ func (b *Breaker) push(failure bool) {
 
 func (b *Breaker) toOpenLocked() {
 	b.state = Open
-	b.openedAt = b.now()
+	b.openedAt = b.clock.Now()
 	b.probing = false
 	b.opened.Inc()
 }

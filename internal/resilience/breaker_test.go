@@ -3,14 +3,15 @@ package resilience
 import (
 	"testing"
 	"time"
+
+	"vizq/internal/clock"
 )
 
-// testBreaker builds a breaker with a pinned, manually advanced clock.
-func testBreaker(cfg Config) (*Breaker, *time.Time) {
+// testBreaker builds a breaker on a manually advanced clock.
+func testBreaker(cfg Config) (*Breaker, *clock.Clock) {
 	b := newBreaker(cfg.withDefaults())
-	now := time.Unix(1_000_000, 0)
-	b.setClock(func() time.Time { return now })
-	return b, &now
+	b.clock = clock.Manual(time.Unix(1_000_000, 0))
+	return b, b.clock
 }
 
 func TestBreakerOpensAtFailureRatio(t *testing.T) {
@@ -68,7 +69,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
-	b, now := testBreaker(Config{
+	b, clk := testBreaker(Config{
 		BreakerWindow: 4, BreakerMinSamples: 2, BreakerFailureRatio: 0.5,
 		BreakerOpenFor: time.Second,
 	})
@@ -81,7 +82,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 		t.Fatal("allowed during cooldown")
 	}
 	// Cooldown elapses: exactly one probe is admitted.
-	*now = now.Add(time.Second)
+	clk.Advance(time.Second)
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker rejected the probe")
 	}
@@ -104,13 +105,13 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b, now := testBreaker(Config{
+	b, clk := testBreaker(Config{
 		BreakerWindow: 4, BreakerMinSamples: 2, BreakerFailureRatio: 0.5,
 		BreakerOpenFor: time.Second,
 	})
 	b.RecordFailure()
 	b.RecordFailure()
-	*now = now.Add(time.Second)
+	clk.Advance(time.Second)
 	if !b.Allow() {
 		t.Fatal("probe rejected")
 	}
@@ -122,7 +123,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("re-opened breaker admitted a request without a fresh cooldown")
 	}
-	*now = now.Add(time.Second)
+	clk.Advance(time.Second)
 	if !b.Allow() {
 		t.Fatal("second probe window never opened")
 	}

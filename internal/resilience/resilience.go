@@ -126,19 +126,15 @@ type Resilience struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-
-	// sleep is swapped by tests; the default waits on a timer or ctx.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // New builds a Resilience from cfg.
 func New(cfg Config) *Resilience {
 	cfg = cfg.withDefaults()
 	return &Resilience{
-		cfg:   cfg,
-		br:    newBreaker(cfg),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sleep: ctxSleep,
+		cfg: cfg,
+		br:  newBreaker(cfg),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -149,17 +145,6 @@ func (r *Resilience) Breaker() *Breaker { return r.br }
 // ServeStale reports whether degraded reads from stale cache entries are
 // allowed.
 func (r *Resilience) ServeStale() bool { return r != nil && r.cfg.ServeStale }
-
-func ctxSleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // nextBackoff computes a decorrelated-jitter delay: uniform in
 // [base, 3*prev), capped. prev carries across attempts of one request.
@@ -232,7 +217,7 @@ func Do[T any](ctx context.Context, r *Resilience, fn func(context.Context) (T, 
 			return zero, fmt.Errorf("resilience: retry budget exhausted after %d attempts: %w", attempt, err)
 		}
 		cRetryAttempts.Inc()
-		if err := r.sleep(ctx, backoff); err != nil {
+		if err := r.br.clock.Sleep(ctx, backoff); err != nil {
 			return zero, err
 		}
 	}

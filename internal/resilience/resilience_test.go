@@ -7,6 +7,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"vizq/internal/clock"
 )
 
 // errTransport is shaped like a dropped connection, so Classify calls it
@@ -14,19 +16,17 @@ import (
 var errTransport = fmt.Errorf("transport: peer reset: %w", io.ErrUnexpectedEOF)
 var errQuery = errors.New("remote: no such column")
 
-// fakeSleeper replaces the backoff sleep and records requested delays.
-func fakeSleeper(r *Resilience) *[]time.Duration {
-	var slept []time.Duration
-	r.sleep = func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return ctx.Err()
-	}
-	return &slept
+// manualClock runs r's breaker cooldown and retry backoff on one manual
+// clock: a backoff moves it at once instead of waiting.
+func manualClock(r *Resilience) *clock.Clock {
+	r.br.clock = clock.Manual(time.Unix(3_000_000, 0))
+	return r.br.clock
 }
 
 func TestDoRetriesTransportErrorsThenSucceeds(t *testing.T) {
 	r := New(Config{MaxAttempts: 3, Seed: 7})
-	slept := fakeSleeper(r)
+	clk := manualClock(r)
+	start := clk.Now()
 	calls := 0
 	got, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
 		calls++
@@ -41,8 +41,9 @@ func TestDoRetriesTransportErrorsThenSucceeds(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("fn ran %d times, want 3", calls)
 	}
-	if len(*slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(*slept))
+	// Two backoffs, each at least BaseBackoff, ran on the manual clock.
+	if moved := clk.Now().Sub(start); moved < 2*r.cfg.BaseBackoff {
+		t.Fatalf("clock moved %v across two backoffs, want >= %v", moved, 2*r.cfg.BaseBackoff)
 	}
 	if r.Breaker().State() != Closed {
 		t.Fatal("two transient failures below the window tripped the breaker")
@@ -51,7 +52,7 @@ func TestDoRetriesTransportErrorsThenSucceeds(t *testing.T) {
 
 func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 	r := New(Config{MaxAttempts: 3, Seed: 7, BreakerMinSamples: 100})
-	fakeSleeper(r)
+	manualClock(r)
 	calls := 0
 	_, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
 		calls++
@@ -67,7 +68,7 @@ func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 
 func TestDoDoesNotRetryQueryErrors(t *testing.T) {
 	r := New(Config{MaxAttempts: 5, Seed: 7})
-	fakeSleeper(r)
+	manualClock(r)
 	calls := 0
 	_, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
 		calls++
@@ -89,7 +90,8 @@ func TestDoHonorsDeadlineBudget(t *testing.T) {
 	// Backoffs are at least 50ms; with only 5ms of budget left the retry
 	// must be abandoned before sleeping, not attempted into a dead ctx.
 	r := New(Config{MaxAttempts: 10, BaseBackoff: 50 * time.Millisecond, Seed: 7, BreakerMinSamples: 100})
-	slept := fakeSleeper(r)
+	clk := manualClock(r)
+	before := clk.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	calls := 0
@@ -104,8 +106,8 @@ func TestDoHonorsDeadlineBudget(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fn ran %d times with no budget for a retry, want 1", calls)
 	}
-	if len(*slept) != 0 {
-		t.Fatalf("slept %v despite the deadline budget", *slept)
+	if moved := clk.Now().Sub(before); moved != 0 {
+		t.Fatalf("slept %v despite the deadline budget", moved)
 	}
 	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
 		t.Fatalf("gave up after %v, should return well before the nominal backoff", elapsed)
@@ -114,7 +116,7 @@ func TestDoHonorsDeadlineBudget(t *testing.T) {
 
 func TestDoStopsWhenCallerContextDies(t *testing.T) {
 	r := New(Config{MaxAttempts: 5, Seed: 7, BreakerMinSamples: 100})
-	fakeSleeper(r)
+	manualClock(r)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	_, err := Do(ctx, r, func(ctx context.Context) (int, error) {
@@ -156,7 +158,7 @@ func TestDoAttemptTimeoutBoundsEachTry(t *testing.T) {
 func TestDoFastFailsWhenBreakerOpen(t *testing.T) {
 	r := New(Config{MaxAttempts: 1, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7})
-	fakeSleeper(r)
+	manualClock(r)
 	for i := 0; i < 2; i++ {
 		if _, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
 			return 0, errTransport
@@ -187,9 +189,7 @@ func TestDoFastFailsWhenBreakerOpen(t *testing.T) {
 func TestHalfOpenProbeSlotReleasedOnCallerExpiry(t *testing.T) {
 	r := New(Config{MaxAttempts: 1, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerFailureRatio: 0.5, BreakerOpenFor: time.Hour, Seed: 7})
-	fakeSleeper(r)
-	clock := time.Unix(3_000_000, 0)
-	r.Breaker().setClock(func() time.Time { return clock })
+	clk := manualClock(r)
 	for i := 0; i < 2; i++ {
 		if _, err := Do(context.Background(), r, func(ctx context.Context) (int, error) {
 			return 0, errTransport
@@ -203,7 +203,7 @@ func TestHalfOpenProbeSlotReleasedOnCallerExpiry(t *testing.T) {
 	// The cooldown elapses and the next request is admitted as the one
 	// half-open probe — but its caller gives up mid-attempt, so Do has no
 	// outcome to record on the breaker.
-	clock = clock.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0

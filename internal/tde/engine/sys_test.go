@@ -1,14 +1,52 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"vizq/internal/tde/storage"
 	"vizq/internal/workload"
 )
+
+// TestStoredSysTablesAreDropped reads a file written when SYS was stored
+// with the data: the stale SYS copy is dropped on read, so the derived
+// SYS.tables lists only the data tables, and AddTable refuses a SYS table.
+func TestStoredSysTablesAreDropped(t *testing.T) {
+	db, err := workload.BuildFlightsDB(workload.FlightsConfig{Rows: 200, Days: 10, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := catalog{db: db}.sysTable("tables")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTable(stored); err == nil {
+		t.Fatal("AddTable accepted a SYS table")
+	}
+	db.Replace(stored) // how a file came to hold one
+	var buf bytes.Buffer
+	if err := storage.WriteDatabase(db, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := storage.ReadDatabase(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbls := back.Tables(storage.SysSchema); len(tbls) != 0 {
+		t.Fatalf("read back %d stored SYS tables, want 0", len(tbls))
+	}
+	res, err := New(back).Query(ctx(), `(table SYS.tables)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.N != 3 { // airports, carriers, flights
+		t.Fatalf("SYS.tables lists %d rows over 3 data tables", res.N)
+	}
+}
 
 func TestSysTablesQueryable(t *testing.T) {
 	db, err := workload.BuildFlightsDB(workload.FlightsConfig{Rows: 1000, Days: 10, Seed: 8})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 )
 
 // The single-file database format (Sect. 4.1.1: "compact a database into a
@@ -58,8 +59,9 @@ func ReadDatabase(r io.Reader) (*Database, error) {
 	db := NewDatabase(d.str())
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
+		// Older files may hold stale SYS tables; the engine derives SYS.
 		t := readTable(d)
-		if d.err == nil {
+		if d.err == nil && !strings.EqualFold(t.Schema, SysSchema) {
 			if err := db.AddTable(t); err != nil {
 				return nil, err
 			}

@@ -136,8 +136,11 @@ func NewDatabase(name string) *Database {
 // Name returns the database name.
 func (db *Database) Name() string { return db.name }
 
-// AddTable registers a table, creating its schema on demand.
+// AddTable registers a table, creating its schema on demand (not SYS's).
 func (db *Database) AddTable(t *Table) error {
+	if strings.EqualFold(t.Schema, SysSchema) {
+		return fmt.Errorf("storage: schema %s is reserved", SysSchema)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.schemas[strings.ToLower(t.Schema)][strings.ToLower(t.Name)] != nil {

@@ -29,6 +29,7 @@ check() {
     fi
 }
 
+check ./internal/clock      98.0
 check ./internal/remote     77.8
 check ./internal/kvstore    94.8
 check ./internal/wire       87.9
