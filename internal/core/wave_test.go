@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,10 +185,7 @@ func frameSizes(t *testing.T, srv *remote.Server, wave []*query.Query) (lo, hi i
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(remote.Response{Result: res, ExecNS: int64(time.Millisecond)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := remote.AppendResponse(nil, &remote.Response{Result: res, ExecNS: int64(time.Millisecond)})
 		n := 4 + len(body) // length prefix + body
 		if lo == 0 || n < lo {
 			lo = n

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -13,7 +14,8 @@ import (
 // Wire protocol: every message is one wire frame. A request names an op
 // and a key; Set adds a value and a TTL, and List treats the key as a
 // prefix and is answered with every unexpired pair under it. Any other op
-// is answered with an error.
+// is answered with an error. A message is its fields in order, written
+// with the wire primitives; a value goes as its length and its bytes.
 
 const (
 	opGet  = "get"
@@ -24,15 +26,47 @@ const (
 type request struct {
 	Op  string
 	Key string
-	TTL time.Duration `json:",omitempty"`
-	Val []byte        `json:",omitempty"`
+	TTL time.Duration
+	Val []byte
 }
 
 type response struct {
-	Err   string            `json:",omitempty"`
-	Found bool              `json:",omitempty"`
-	Val   []byte            `json:",omitempty"`
-	Pairs map[string][]byte `json:",omitempty"`
+	Err   string
+	Found bool
+	Val   []byte
+	Pairs map[string][]byte
+}
+
+func (q *request) append(dst []byte) []byte {
+	dst = wire.AppendString(wire.AppendString(dst, q.Op), q.Key)
+	return wire.AppendString(binary.AppendVarint(dst, int64(q.TTL)), q.Val)
+}
+
+func decodeRequest(frame []byte) (*request, error) {
+	rd := wire.NewReader(frame)
+	q := &request{Op: rd.Str(), Key: rd.Str(), TTL: time.Duration(rd.Varint()), Val: []byte(rd.Str())}
+	return q, rd.Done()
+}
+
+func (p *response) append(dst []byte) []byte {
+	dst = wire.AppendBool(wire.AppendString(dst, p.Err), p.Found)
+	dst = binary.AppendUvarint(wire.AppendString(dst, p.Val), uint64(len(p.Pairs)))
+	for k, v := range p.Pairs {
+		dst = wire.AppendString(wire.AppendString(dst, k), v)
+	}
+	return dst
+}
+
+func decodeResponse(frame []byte) (*response, error) {
+	rd := wire.NewReader(frame)
+	p := &response{Err: rd.Str(), Found: rd.Bool(), Val: []byte(rd.Str())}
+	n := rd.Count(2)
+	p.Pairs = make(map[string][]byte, n)
+	for range n {
+		k := rd.Str()
+		p.Pairs[k] = []byte(rd.Str())
+	}
+	return p, rd.Done()
 }
 
 // Server exposes a Store over TCP.
@@ -50,12 +84,18 @@ func Serve(addr string, store *Store) (*Server, error) {
 func serve(conn net.Conn, store *Store) {
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
+	var buf []byte
 	for {
-		req, err := wire.ReadFrame[request](r)
+		frame, err := wire.ReadFrame(r)
 		if err != nil {
 			return
 		}
-		if err := wire.WriteFrame(w, answer(store, req)); err != nil {
+		req, err := decodeRequest(frame)
+		if err != nil {
+			return
+		}
+		buf = answer(store, req).append(buf[:0])
+		if err := wire.WriteFrame(w, buf); err != nil {
 			return
 		}
 	}
@@ -92,6 +132,7 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	buf  []byte // every request is encoded here
 }
 
 // NewClient creates a client for the kvstore server at addr. timeout 0
@@ -145,10 +186,15 @@ func (c *Client) roundTripLocked(req *request) (*response, error) {
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(c.w, req); err != nil {
+	c.buf = req.append(c.buf[:0])
+	if err := wire.WriteFrame(c.w, c.buf); err != nil {
 		return nil, err
 	}
-	return wire.ReadFrame[response](c.r)
+	frame, err := wire.ReadFrame(c.r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResponse(frame)
 }
 
 // Get fetches a key.

@@ -32,12 +32,16 @@ func slowEchoServer(t *testing.T, delay time.Duration, maxRequests int) net.List
 				r := bufio.NewReader(conn)
 				w := bufio.NewWriter(conn)
 				for served := 0; maxRequests <= 0 || served < maxRequests; served++ {
-					req, err := wire.ReadFrame[Request](r)
+					frame, err := wire.ReadFrame(r)
+					if err != nil {
+						return
+					}
+					req, err := DecodeRequest(frame)
 					if err != nil {
 						return
 					}
 					time.Sleep(delay)
-					if err := wire.WriteFrame(w, &Response{Name: "resp-for-" + req.Name}); err != nil {
+					if err := wire.WriteFrame(w, AppendResponse(nil, &Response{Name: "resp-for-" + req.Name})); err != nil {
 						return
 					}
 				}

@@ -29,6 +29,7 @@ type Conn struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
+	buf    []byte // every request of the connection is encoded here
 	closed bool
 }
 
@@ -80,13 +81,18 @@ func (c *Conn) roundTrip(ctx context.Context, req *Request, n int) ([]*Response,
 	} else {
 		_ = c.conn.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(c.w, req); err != nil {
+	c.buf = AppendRequest(c.buf[:0], req)
+	if err := wire.WriteFrame(c.w, c.buf); err != nil {
 		c.breakLocked()
 		return nil, err
 	}
 	resps := make([]*Response, 0, n)
 	for len(resps) < n {
-		resp, err := wire.ReadFrame[Response](c.r)
+		frame, err := wire.ReadFrame(c.r)
+		var resp *Response
+		if err == nil {
+			resp, err = DecodeResponse(frame)
+		}
 		if err != nil {
 			c.breakLocked()
 			return resps, err

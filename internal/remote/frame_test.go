@@ -1,15 +1,10 @@
 package remote
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
-
-	"vizq/internal/wire"
 )
 
 // TestQueryManyAnswersEachStatement: one query request pays the latency
@@ -57,39 +52,4 @@ func TestQueryManyAnswersEachStatement(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// FuzzReadFrame feeds arbitrary bytes to the frame decoder as a peer would,
-// reading frames until the first error: both directions must fail cleanly,
-// never panic, and a request that decodes must survive re-encoding. The
-// seed corpus (testdata/fuzz/FuzzReadFrame) holds a valid request, a
-// streamed two-statement response, a truncated header and an oversize one.
-func FuzzReadFrame(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		for {
-			if _, err := wire.ReadFrame[Response](r); err != nil {
-				break
-			}
-		}
-		r = bufio.NewReader(bytes.NewReader(data))
-		for {
-			req, err := wire.ReadFrame[Request](r)
-			if err != nil {
-				break
-			}
-			var buf bytes.Buffer
-			w := bufio.NewWriter(&buf)
-			if err := wire.WriteFrame(w, req); err != nil {
-				t.Fatalf("re-encoding a decoded request: %v", err)
-			}
-			again, err := wire.ReadFrame[Request](bufio.NewReader(&buf))
-			if err != nil {
-				t.Fatalf("decoding a re-encoded request: %v", err)
-			}
-			if !reflect.DeepEqual(again, req) {
-				t.Fatalf("request changed in a round trip: %+v -> %+v", req, again)
-			}
-		}
-	})
 }

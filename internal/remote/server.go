@@ -15,6 +15,7 @@ package remote
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -119,8 +120,17 @@ func (s *Server) serveSession(conn net.Conn) {
 	sess := s.eng.NewSession()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
+	var buf []byte // every response of the session is encoded here
+	send := func(resp *Response) error {
+		buf = AppendResponse(buf[:0], resp)
+		return wire.WriteFrame(w, buf)
+	}
 	for {
-		req, err := wire.ReadFrame[Request](r)
+		frame, err := wire.ReadFrame(r)
+		if err != nil {
+			return
+		}
+		req, err := DecodeRequest(frame)
 		if err != nil {
 			return
 		}
@@ -128,7 +138,7 @@ func (s *Server) serveSession(conn net.Conn) {
 			time.Sleep(s.cfg.Latency) //vizlint:allow sleep -- simulated network round trip (performance model)
 		}
 		if req.Op != OpQuery {
-			if err := wire.WriteFrame(w, s.handle(sess, req)); err != nil {
+			if err := send(s.handle(sess, req)); err != nil {
 				return
 			}
 			continue
@@ -140,7 +150,7 @@ func (s *Server) serveSession(conn net.Conn) {
 		s.requests.Inc()
 		s.queries.Add(int64(len(req.Stmts)))
 		for _, stmt := range req.Stmts {
-			if err := wire.WriteFrame(w, s.handleQuery(sess, stmt)); err != nil {
+			if err := send(s.handleQuery(sess, stmt)); err != nil {
 				return
 			}
 		}
@@ -206,7 +216,9 @@ func (s *Server) handleTempDrop(sess *engine.Session, req *Request) *Response {
 //
 // Every request is one frame. A query request carries one or more statements
 // and is answered by one response frame per statement, in order; every other
-// op is answered by one frame.
+// op is answered by one frame. A message is its fields in order, written
+// with the wire primitives; a result is exec.AppendResult's columnar form
+// behind a presence byte.
 
 // Op identifies a request type.
 type Op string
@@ -223,16 +235,65 @@ const (
 // Request is one client->server message.
 type Request struct {
 	Op     Op
-	Stmts  []string     `json:",omitempty"`
-	Name   string       `json:",omitempty"`
-	Result *exec.Result `json:",omitempty"`
+	Stmts  []string
+	Name   string
+	Result *exec.Result
 }
 
 // Response is one server->client message: the answer to one statement of a
 // query request, or to one request of any other op.
 type Response struct {
-	Err    string       `json:",omitempty"`
-	Result *exec.Result `json:",omitempty"`
-	Name   string       `json:",omitempty"`
-	ExecNS int64        `json:",omitempty"`
+	Err    string
+	Result *exec.Result
+	Name   string
+	ExecNS int64
+}
+
+// AppendRequest appends req's frame body to dst.
+func AppendRequest(dst []byte, req *Request) []byte {
+	dst = wire.AppendString(dst, string(req.Op))
+	dst = binary.AppendUvarint(dst, uint64(len(req.Stmts)))
+	for _, s := range req.Stmts {
+		dst = wire.AppendString(dst, s)
+	}
+	return appendResult(wire.AppendString(dst, req.Name), req.Result)
+}
+
+// DecodeRequest decodes a frame body written by AppendRequest.
+func DecodeRequest(frame []byte) (*Request, error) {
+	rd := wire.NewReader(frame)
+	req := &Request{Op: Op(rd.Str())}
+	req.Stmts = make([]string, rd.Count(1))
+	for i := range req.Stmts {
+		req.Stmts[i] = rd.Str()
+	}
+	req.Name, req.Result = rd.Str(), readResult(rd)
+	return req, rd.Done()
+}
+
+// AppendResponse appends resp's frame body to dst.
+func AppendResponse(dst []byte, resp *Response) []byte {
+	dst = appendResult(wire.AppendString(dst, resp.Err), resp.Result)
+	return binary.AppendVarint(wire.AppendString(dst, resp.Name), resp.ExecNS)
+}
+
+// DecodeResponse decodes a frame body written by AppendResponse.
+func DecodeResponse(frame []byte) (*Response, error) {
+	rd := wire.NewReader(frame)
+	resp := &Response{Err: rd.Str(), Result: readResult(rd), Name: rd.Str(), ExecNS: rd.Varint()}
+	return resp, rd.Done()
+}
+
+func appendResult(dst []byte, res *exec.Result) []byte {
+	if res == nil {
+		return append(dst, 0)
+	}
+	return exec.AppendResult(append(dst, 1), res)
+}
+
+func readResult(rd *wire.Reader) *exec.Result {
+	if !rd.Bool() {
+		return nil
+	}
+	return exec.ReadResult(rd)
 }

@@ -39,9 +39,10 @@ else
     go test -shuffle=on ./...
 fi
 
-echo "== fuzz smoke (10 s each: the TQL decoder, the remote frame decoder and the TDE file reader)"
+echo "== fuzz smoke (10 s each: the TQL decoder, the remote frame decoder, the kvstore message decoder and the TDE file reader)"
 go test ./internal/tde/tql -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -parallel 2
 go test ./internal/remote -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s -parallel 2
+go test ./internal/kvstore -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s -parallel 2
 go test ./internal/tde/storage -run '^$' -fuzz '^FuzzReadDatabase$' -fuzztime 10s -parallel 2
 
 echo "== cache and TDE microbenchmarks (one iteration each: they must keep compiling and running)"
