@@ -1,17 +1,20 @@
 package kvstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vizq/internal/chaos"
 	"vizq/internal/clock"
+	"vizq/internal/wire"
 )
 
 func TestStoreScan(t *testing.T) {
@@ -291,6 +294,92 @@ func TestClientReconnects(t *testing.T) {
 	}
 	if string(m["dig/n1"]) != "v" {
 		t.Fatalf("entry lost across the partition: %v", m)
+	}
+}
+
+// TestClientRidesOutIdleCut: a connection cut while no call is using it
+// costs the next call a redial, not an error.
+func TestClientRidesOutIdleCut(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewStore(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy, err := chaos.New(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	c := NewClient(proxy.Addr(), 0)
+	defer c.Close()
+
+	if err := c.Set("k", []byte("v1"), 0); err != nil {
+		t.Fatal(err)
+	}
+	proxy.KillActive() // nothing in flight: the client does not know yet
+	if err := c.Set("k", []byte("v2"), 0); err != nil {
+		t.Fatalf("set after an idle cut: %v", err)
+	}
+	if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("get after an idle cut = %q %v %v", v, ok, err)
+	}
+	if n := proxy.Accepted(); n != 2 {
+		t.Errorf("%d dials, want 2: the first and one redial", n)
+	}
+
+	// A dead server costs a reused connection one dial, then the error.
+	proxy.SetMode(chaos.Fault{Kind: chaos.Refuse})
+	proxy.KillActive()
+	if err := c.Set("k", []byte("v3"), 0); err == nil {
+		t.Fatal("set against a dead server succeeded")
+	}
+	if n := proxy.Accepted(); n != 3 {
+		t.Errorf("%d dials, want 3: a dead server gets one redial", n)
+	}
+}
+
+// TestClientNoRedialOnStall: a reused connection that stops answering fails
+// with its one timeout; the client does not dial again to wait a second.
+func TestClientNoRedialOnStall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			go func() {
+				defer conn.Close()
+				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+				if _, err := wire.ReadFrame(r); err != nil {
+					return
+				}
+				if err := wire.WriteFrame(w, (&response{}).append(nil)); err != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, r) // answer once, then read and never answer
+			}()
+		}
+	}()
+
+	c := NewClient(ln.Addr().String(), 50*time.Millisecond)
+	defer c.Close()
+	if err := c.Set("k", []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = c.Get("k")
+	var nerr net.Error
+	if !asNetError(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("want a timeout error, got %v", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d dials, want 1: a timeout is not retried", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -160,20 +161,22 @@ func (c *Client) closeLocked() error {
 	return err
 }
 
-// call runs one round trip; a server-side error is the call's error.
+// call runs one round trip; a server-side error is the call's error. A
+// connection that sat idle may have been cut while no call was using it,
+// and the client learns of that only now: a transport error other than a
+// timeout on a reused connection redials once and resends, which get, set
+// and list, all idempotent, allow. A stalled link still fails within one
+// timeout, and a dead server after one dial.
 func (c *Client) call(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
-		conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-		if err != nil {
-			return nil, err
-		}
-		c.conn, c.r, c.w = conn, bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16)
-	}
+	reused := c.conn != nil
 	resp, err := c.roundTripLocked(req)
+	var ne net.Error
+	if err != nil && reused && !(errors.As(err, &ne) && ne.Timeout()) {
+		resp, err = c.roundTripLocked(req)
+	}
 	if err != nil {
-		_ = c.closeLocked() // the transport error is the one to report
 		return nil, err
 	}
 	if resp.Err != "" {
@@ -182,7 +185,24 @@ func (c *Client) call(req *request) (*response, error) {
 	return resp, nil
 }
 
+// roundTripLocked sends req and reads the response, dialing first when
+// there is no connection. A transport error closes the connection.
 func (c *Client) roundTripLocked(req *request) (*response, error) {
+	if c.conn == nil {
+		conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+		if err != nil {
+			return nil, err
+		}
+		c.conn, c.r, c.w = conn, bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16)
+	}
+	resp, err := c.exchangeLocked(req)
+	if err != nil {
+		_ = c.closeLocked() // the transport error is the one to report
+	}
+	return resp, err
+}
+
+func (c *Client) exchangeLocked(req *request) (*response, error) {
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return nil, err
 	}

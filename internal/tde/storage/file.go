@@ -1,22 +1,24 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strings"
+
+	"vizq/internal/wire"
 )
 
 // The single-file database format (Sect. 4.1.1: "compact a database into a
-// single file" as a convenience for moving, sharing and publishing data).
-// Layout: magic, version, table count, then each table with its metadata and
-// column payloads. All integers are little-endian; strings and slices are
-// uvarint-length-prefixed. The reader trusts no length: it allocates only
-// for elements and bytes the input actually holds, so a forged length is an
-// error, not an out-of-memory panic.
+// single file" as a convenience for moving, sharing and publishing data) is
+// one wire message: the magic, a u32 little-endian version, the database
+// name, then each table's metadata and column payloads as varints, 8-byte
+// float bits and uvarint-prefixed strings and lists. The reader checks every
+// length with wire.Reader.Count before allocating for it, refuses bytes after
+// the last table and refuses any table Scan could not read as stored: a
+// forged file is an error, not an out-of-memory or a panic in a later query.
 
 const (
 	fileMagic   = "TDE1"
@@ -25,50 +27,47 @@ const (
 
 // WriteDatabase serializes the database into the single-file format.
 func WriteDatabase(db *Database, w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	e := &encoder{w: bw}
-	e.bytes([]byte(fileMagic))
-	e.u32(fileVersion)
-	e.str(db.Name())
-
-	var tables []*Table
-	for _, s := range db.Schemas() {
-		tables = append(tables, db.Tables(s)...)
-	}
-	e.uvarint(uint64(len(tables)))
+	b := binary.LittleEndian.AppendUint32([]byte(fileMagic), fileVersion)
+	b = wire.AppendString(b, db.Name())
+	tables := db.AllTables()
+	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for _, t := range tables {
-		writeTable(e, t)
+		var err error
+		if b, err = appendTable(b, t); err != nil {
+			return err
+		}
 	}
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// ReadDatabase parses a database from the single-file format.
+// ReadDatabase parses a database from the single-file format. Its strings
+// are copies, so the database holds none of the input's bytes.
 func ReadDatabase(r io.Reader) (*Database, error) {
-	d := &decoder{r: bufio.NewReaderSize(r, 1<<16)}
-	magic := make([]byte, 4)
-	d.bytes(magic)
-	if d.err == nil && string(magic) != fileMagic {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	rd := wire.NewReader(data)
+	if magic := rd.Raw(len(fileMagic)); magic != fileMagic {
 		return nil, fmt.Errorf("storage: bad magic %q", magic)
 	}
-	if v := d.u32(); d.err == nil && v != fileVersion {
-		return nil, fmt.Errorf("storage: unsupported file version %d", v)
+	if v := rd.Raw(4); v != "" {
+		if v := binary.LittleEndian.Uint32([]byte(v)); v != fileVersion {
+			return nil, fmt.Errorf("storage: unsupported file version %d", v)
+		}
 	}
-	db := NewDatabase(d.str())
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	db := NewDatabase(str(rd))
+	for range rd.Count(1) {
 		// Older files may hold stale SYS tables; the engine derives SYS.
-		t := readTable(d)
-		if d.err == nil && !strings.EqualFold(t.Schema, SysSchema) {
+		if t := readTable(rd); t != nil && !strings.EqualFold(t.Schema, SysSchema) {
 			if err := db.AddTable(t); err != nil {
-				return nil, err
+				rd.Fail(err)
 			}
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
@@ -96,345 +95,237 @@ func OpenDatabase(path string) (*Database, error) {
 	return ReadDatabase(f)
 }
 
-func writeTable(e *encoder, t *Table) {
-	e.str(t.Schema)
-	e.str(t.Name)
-	e.varint(t.Rows)
-	e.strs(t.SortKey)
-	e.uvarint(uint64(len(t.UniqueKeys)))
-	for _, k := range t.UniqueKeys {
-		e.strs(k)
-	}
-	e.uvarint(uint64(len(t.Cols)))
+func appendTable(b []byte, t *Table) ([]byte, error) {
+	b = wire.AppendString(wire.AppendString(b, t.Schema), t.Name)
+	b = appendStrings(binary.AppendVarint(b, t.Rows), t.SortKey)
+	b = binary.AppendUvarint(appendList(b, t.UniqueKeys, appendStrings), uint64(len(t.Cols)))
 	for _, c := range t.Cols {
-		writeColumn(e, c)
+		var err error
+		if b, err = appendColumn(b, c); err != nil {
+			return nil, err
+		}
 	}
+	return b, nil
 }
 
-func readTable(d *decoder) *Table {
-	t := &Table{}
-	t.Schema = d.str()
-	t.Name = d.str()
-	t.Rows = d.varint()
-	t.SortKey = d.strs()
-	nk := d.uvarint()
-	for i := uint64(0); i < nk && d.err == nil; i++ {
-		t.UniqueKeys = append(t.UniqueKeys, d.strs())
+// readTable reads one table and checks it as NewTable and checkColumn do.
+// A table that fails is the reader's error, and readTable returns nil.
+func readTable(rd *wire.Reader) *Table {
+	schema, name, rows := str(rd), str(rd), rd.Varint()
+	sortKey, uniqueKeys := strs(rd), list(rd, 1, func() []string { return strs(rd) })
+	cols := list(rd, 1, func() *Column { return readColumn(rd) })
+	t, err := NewTable(schema, name, cols)
+	if err == nil && t.Rows != rows {
+		err = fmt.Errorf("storage: table %s.%s claims %d rows, its columns hold %d", schema, name, rows, t.Rows)
 	}
-	nc := d.uvarint()
-	for i := uint64(0); i < nc && d.err == nil; i++ {
-		t.Cols = append(t.Cols, readColumn(d))
+	for _, c := range cols {
+		if err == nil {
+			err = checkColumn(c)
+		}
 	}
+	if err != nil {
+		rd.Fail(err)
+		return nil
+	}
+	t.SortKey, t.UniqueKeys = sortKey, uniqueKeys
 	return t
 }
 
-func writeColumn(e *encoder, c *Column) {
-	e.str(c.Name)
-	e.u8(uint8(c.Type))
-	e.u8(uint8(c.Coll))
+func appendColumn(b []byte, c *Column) ([]byte, error) {
+	b = append(wire.AppendString(b, c.Name), byte(c.Type), byte(c.Coll))
+	b = wire.AppendBool(b, c.Dict != nil)
 	if c.Dict != nil {
-		e.u8(1)
-		e.strs(c.Dict.Values)
-	} else {
-		e.u8(0)
+		b = appendStrings(b, c.Dict.Values)
 	}
-	writeValue(e, c.Stats.Min)
-	writeValue(e, c.Stats.Max)
-	e.varint(c.Stats.Distinct)
-	e.varint(c.Stats.Nulls)
-	e.boolb(c.Stats.Sorted)
-	writePhysData(e, c.Data)
+	b = appendValue(appendValue(b, c.Stats.Min), c.Stats.Max)
+	b = binary.AppendVarint(binary.AppendVarint(b, c.Stats.Distinct), c.Stats.Nulls)
+	return appendPhysData(wire.AppendBool(b, c.Stats.Sorted), c.Data)
 }
 
-func readColumn(d *decoder) *Column {
-	c := &Column{}
-	c.Name = d.str()
-	c.Type = Type(d.u8())
-	c.Coll = Collation(d.u8())
-	if d.u8() == 1 {
+func readColumn(rd *wire.Reader) *Column {
+	c := &Column{Name: str(rd), Type: Type(rd.Byte()), Coll: Collation(rd.Byte())}
+	if rd.Bool() {
 		// Values were stored in sorted order; rebuild without re-sorting.
-		c.Dict = &Dictionary{Values: d.strs(), Coll: c.Coll}
+		c.Dict = &Dictionary{Values: strs(rd), Coll: c.Coll}
 	}
-	c.Stats.Min = readValue(d)
-	c.Stats.Max = readValue(d)
-	c.Stats.Distinct = d.varint()
-	c.Stats.Nulls = d.varint()
-	c.Stats.Sorted = d.boolb()
-	c.Data = readPhysData(d)
+	c.Stats.Min, c.Stats.Max = readValue(rd), readValue(rd)
+	c.Stats.Distinct, c.Stats.Nulls = rd.Varint(), rd.Varint()
+	c.Stats.Sorted = rd.Bool()
+	c.Data = readPhysData(rd)
 	return c
 }
 
-func writeValue(e *encoder, v Value) {
-	e.u8(uint8(v.Type))
-	e.boolb(v.Null)
-	if v.Null {
-		return
+// checkColumn reports the first invariant that Scan and Value rely on and
+// c breaks: type and collation in range, data of the type's kind (a string
+// column holds strings unless it has a dictionary), a null mask as long as
+// the data, run-length runs that tile the rows in order, and tokens that
+// index the dictionary.
+func checkColumn(c *Column) error {
+	if c.Type > TDateTime || c.Coll > CollCI || c.Stats.Min.Type > TDateTime || c.Stats.Max.Type > TDateTime {
+		return fmt.Errorf("storage: column %s: type or collation out of range", c.Name)
 	}
-	switch v.Type {
-	case TFloat:
-		e.u64(math.Float64bits(v.F))
-	case TStr:
-		e.str(v.S)
-	default:
-		e.varint(v.I)
+	ints := c.Dict == nil && (c.Type.IntBacked() || c.Type == TNull) || c.Dict != nil && c.Type == TStr
+	var ok bool
+	switch d := c.Data.(type) {
+	case *IntData:
+		ok = ints && maskFits(d.Nulls, len(d.Vals))
+	case *DeltaIntData:
+		ok = ints && maskFits(d.Nulls, len(d.Deltas))
+	case *RLEIntData:
+		end := int64(0)
+		for _, r := range d.Runs {
+			if r.Start != end || r.Count <= 0 || r.Count > d.N-end || !r.Null && badToken(c, r.Value) {
+				return fmt.Errorf("storage: column %s: a run does not tile %d rows or index the dictionary", c.Name, d.N)
+			}
+			end += r.Count
+		}
+		ok = ints && end == d.N
+	case *FloatData:
+		ok = c.Type == TFloat && c.Dict == nil && maskFits(d.Nulls, len(d.Vals))
+	case *StringData:
+		ok = c.Type == TStr && c.Dict == nil && maskFits(d.Nulls, len(d.Vals))
 	}
+	if !ok {
+		return fmt.Errorf("storage: column %s: %T does not fit type %s (dictionary %t)", c.Name, c.Data, c.Type, c.Dict != nil)
+	}
+	if toks, isInt := c.Data.(IntAccessor); isInt && c.Dict != nil && c.Encoding() != EncRLE {
+		for i := range c.Len() {
+			if !c.Data.NullAt(i) && badToken(c, toks.IntAt(i)) {
+				return fmt.Errorf("storage: column %s: token %d outside a dictionary of %d", c.Name, toks.IntAt(i), c.Dict.Len())
+			}
+		}
+	}
+	return nil
 }
 
-func readValue(d *decoder) Value {
-	v := Value{Type: Type(d.u8())}
-	v.Null = d.boolb()
-	if v.Null {
-		return v
+// badToken reports whether c has a dictionary that tok does not index.
+func badToken(c *Column, tok int64) bool {
+	return c.Dict != nil && (tok < 0 || tok >= int64(c.Dict.Len()))
+}
+
+func maskFits(nulls []bool, n int) bool { return nulls == nil || len(nulls) == n }
+
+func appendValue(b []byte, v Value) []byte {
+	b = wire.AppendBool(append(b, byte(v.Type)), v.Null)
+	switch {
+	case v.Null:
+		return b
+	case v.Type == TFloat:
+		return appendFloat(b, v.F)
+	case v.Type == TStr:
+		return wire.AppendString(b, v.S)
 	}
-	switch v.Type {
-	case TFloat:
-		v.F = math.Float64frombits(d.u64())
-	case TStr:
-		v.S = d.str()
+	return binary.AppendVarint(b, v.I)
+}
+
+func readValue(rd *wire.Reader) Value {
+	v := Value{Type: Type(rd.Byte()), Null: rd.Bool()}
+	switch {
+	case v.Null:
+	case v.Type == TFloat:
+		v.F = readFloat(rd)
+	case v.Type == TStr:
+		v.S = str(rd)
 	default:
-		v.I = d.varint()
+		v.I = rd.Varint()
 	}
 	return v
 }
 
-func writePhysData(e *encoder, p PhysData) {
+// appendPhysData writes a kind byte (0 int, 1 float, 2 string, 3 RLE,
+// 4 delta), then the payload.
+func appendPhysData(b []byte, p PhysData) ([]byte, error) {
 	switch d := p.(type) {
 	case *IntData:
-		e.u8(0)
-		e.uvarint(uint64(len(d.Vals)))
-		for _, v := range d.Vals {
-			e.varint(v)
-		}
-		e.nulls(d.Nulls)
+		return appendNulls(appendList(append(b, 0), d.Vals, binary.AppendVarint), d.Nulls), nil
 	case *FloatData:
-		e.u8(1)
-		e.uvarint(uint64(len(d.Vals)))
-		for _, v := range d.Vals {
-			e.u64(math.Float64bits(v))
-		}
-		e.nulls(d.Nulls)
+		return appendNulls(appendList(append(b, 1), d.Vals, appendFloat), d.Nulls), nil
 	case *StringData:
-		e.u8(2)
-		e.strs(d.Vals)
-		e.nulls(d.Nulls)
+		return appendNulls(appendStrings(append(b, 2), d.Vals), d.Nulls), nil
 	case *RLEIntData:
-		e.u8(3)
-		e.varint(d.N)
-		e.uvarint(uint64(len(d.Runs)))
-		for _, r := range d.Runs {
-			e.varint(r.Value)
-			e.varint(r.Start)
-			e.varint(r.Count)
-			e.boolb(r.Null)
-		}
+		return appendList(binary.AppendVarint(append(b, 3), d.N), d.Runs, func(b []byte, r Run) []byte {
+			b = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(b, r.Value), r.Start), r.Count)
+			return wire.AppendBool(b, r.Null)
+		}), nil
 	case *DeltaIntData:
-		e.u8(4)
-		e.varint(d.Base)
-		e.uvarint(uint64(len(d.Deltas)))
-		for _, v := range d.Deltas {
-			e.varint(int64(v))
-		}
-		e.nulls(d.Nulls)
-	default:
-		e.fail(fmt.Errorf("storage: unknown phys data %T", p))
+		b = appendList(binary.AppendVarint(append(b, 4), d.Base), d.Deltas, func(b []byte, v int32) []byte {
+			return binary.AppendVarint(b, int64(v))
+		})
+		return appendNulls(b, d.Nulls), nil
 	}
+	return nil, fmt.Errorf("storage: unknown phys data %T", p)
 }
 
-func readPhysData(d *decoder) PhysData {
-	switch kind := d.u8(); kind {
+// readPhysData reads one column payload. Every list takes at least one
+// input byte per element (8 per float, 4 per run), which list's Count
+// checks before it allocates.
+func readPhysData(rd *wire.Reader) PhysData {
+	switch kind := rd.Byte(); kind {
 	case 0:
-		return &IntData{Vals: readList(d, d.varint), Nulls: d.nulls()}
+		return &IntData{Vals: list(rd, 1, rd.Varint), Nulls: nulls(rd)}
 	case 1:
-		vals := readList(d, func() float64 { return math.Float64frombits(d.u64()) })
-		return &FloatData{Vals: vals, Nulls: d.nulls()}
+		return &FloatData{Vals: list(rd, 8, func() float64 { return readFloat(rd) }), Nulls: nulls(rd)}
 	case 2:
-		return &StringData{Vals: d.strs(), Nulls: d.nulls()}
+		return &StringData{Vals: strs(rd), Nulls: nulls(rd)}
 	case 3:
-		out := &RLEIntData{N: d.varint()}
-		out.Runs = readList(d, func() Run {
-			return Run{Value: d.varint(), Start: d.varint(), Count: d.varint(), Null: d.boolb()}
-		})
-		return out
+		return &RLEIntData{N: rd.Varint(), Runs: list(rd, 4, func() Run {
+			return Run{Value: rd.Varint(), Start: rd.Varint(), Count: rd.Varint(), Null: rd.Bool()}
+		})}
 	case 4:
-		out := &DeltaIntData{Base: d.varint()}
-		out.Deltas = readList(d, func() int32 { return int32(d.varint()) })
-		out.Nulls = d.nulls()
-		return out
+		return &DeltaIntData{
+			Base:   rd.Varint(),
+			Deltas: list(rd, 1, func() int32 { return int32(rd.Varint()) }),
+			Nulls:  nulls(rd),
+		}
 	default:
-		d.fail(fmt.Errorf("storage: unknown phys data kind %d", kind))
+		rd.Fail(fmt.Errorf("storage: unknown phys data kind %d", kind))
 		return &IntData{}
 	}
 }
 
-// encoder writes primitives with sticky error capture.
-type encoder struct {
-	w   io.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (e *encoder) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-func (e *encoder) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, err := e.w.Write(b)
-	e.fail(err)
-}
-
-func (e *encoder) u8(v uint8) { e.bytes([]byte{v}) }
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.bytes(b[:])
-}
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.bytes(b[:])
-}
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.bytes(e.buf[:n])
-}
-func (e *encoder) varint(v int64) {
-	n := binary.PutVarint(e.buf[:], v)
-	e.bytes(e.buf[:n])
-}
-func (e *encoder) boolb(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.bytes([]byte(s))
-}
-func (e *encoder) strs(s []string) {
-	e.uvarint(uint64(len(s)))
+// appendList writes a uvarint count, then each element with one.
+func appendList[T any](b []byte, s []T, one func([]byte, T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, v := range s {
-		e.str(v)
+		b = one(b, v)
 	}
-}
-func (e *encoder) nulls(n []bool) {
-	if n == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.uvarint(uint64(len(n)))
-	for _, v := range n {
-		e.boolb(v)
-	}
-}
-
-// decoder reads primitives with sticky error capture.
-type decoder struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) bytes(b []byte) {
-	if d.err != nil {
-		return
-	}
-	_, err := io.ReadFull(d.r, b)
-	d.fail(err)
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	d.fail(err)
 	return b
 }
 
-func (d *decoder) u32() uint32 {
-	var b [4]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (d *decoder) u64() uint64 {
-	var b [8]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	d.fail(err)
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	d.fail(err)
-	return v
-}
-
-func (d *decoder) boolb() bool { return d.u8() != 0 }
-
-// readChunk bounds how many elements or string bytes one read allocates
-// for before the input has shown it holds them.
-const readChunk = 1 << 16
-
-// readList reads a uvarint count, then that many elements with one. Each
-// element takes at least one input byte, and the slice never has room for
-// more than readChunk elements, or twice those read, before they arrive:
-// a count the input does not back fails at the end of the input instead
-// of allocating for it.
-func readList[T any](d *decoder, one func() T) []T {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]T, 0, min(n, readChunk))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, one())
+// list reads a count of elements that each take at least size input bytes,
+// then the elements with one: Count refuses a count the input cannot hold.
+func list[T any](rd *wire.Reader, size int, one func() T) []T {
+	out := make([]T, rd.Count(size))
+	for i := range out {
+		out[i] = one()
 	}
 	return out
 }
 
-func (d *decoder) str() string {
-	n := d.uvarint()
-	var b []byte
-	for n > 0 && d.err == nil {
-		k := min(n, readChunk)
-		b = append(b, make([]byte, k)...)
-		d.bytes(b[uint64(len(b))-k:])
-		n -= k
-	}
-	return string(b)
+func appendStrings(b []byte, s []string) []byte { return appendList(b, s, wire.AppendString[string]) }
+
+// str reads a string and copies it out of the reader's buffer.
+func str(rd *wire.Reader) string { return strings.Clone(rd.Str()) }
+
+func strs(rd *wire.Reader) []string { return list(rd, 1, func() string { return str(rd) }) }
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-func (d *decoder) strs() []string { return readList(d, d.str) }
+func readFloat(rd *wire.Reader) float64 { return math.Float64frombits(rd.Uint64()) }
 
-// nulls reads an optional null mask: a presence byte, then the list.
-func (d *decoder) nulls() []bool {
-	if d.u8() == 0 {
+// appendNulls writes an optional null mask: a presence byte, then the list.
+func appendNulls(b []byte, nulls []bool) []byte {
+	if nulls == nil {
+		return append(b, 0)
+	}
+	return appendList(append(b, 1), nulls, wire.AppendBool)
+}
+
+func nulls(rd *wire.Reader) []bool {
+	if !rd.Bool() {
 		return nil
 	}
-	return readList(d, d.boolb)
+	return list(rd, 1, rd.Bool)
 }

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -112,6 +115,111 @@ func TestFileOnDisk(t *testing.T) {
 	}
 	if _, err := got.Table("Extract", "flights"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// v1Database is the database testdata/v1.tde holds, a file written by the
+// first reader-writer pair of the format: plain int, float and string data,
+// run-length and delta data, a dictionary column, null masks, float stats
+// of NaN and -0, two schemas, and sort and unique keys.
+func v1Database(t *testing.T) *Database {
+	t.Helper()
+	build := func(name string, typ Type, coll Collation, opt BuildOptions, vals ...Value) *Column {
+		t.Helper()
+		c, err := BuildColumn(name, typ, coll, vals, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	force := func(e Encoding) BuildOptions { return BuildOptions{ForceEncoding: e, HasForce: true} }
+	negZero := math.Copysign(0, -1)
+	id := build("id", TInt, CollBinary, force(EncPlain),
+		IntValue(7), IntValue(-3), NullValue(TInt), IntValue(1<<40), IntValue(0), IntValue(12))
+	price := build("price", TFloat, CollBinary, BuildOptions{},
+		FloatValue(negZero), FloatValue(1.5), FloatValue(math.NaN()), NullValue(TFloat), FloatValue(-2.25), FloatValue(math.Inf(1)))
+	price.Stats.Min, price.Stats.Max = FloatValue(negZero), FloatValue(math.NaN())
+	carrier := build("carrier", TStr, CollCI, force(EncPlain),
+		StrValue("WN"), StrValue("aa"), StrValue("AA"), NullValue(TStr), StrValue("DL"), StrValue("WN"))
+	note := build("note", TStr, CollBinary, BuildOptions{ForceEncoding: EncPlain, HasForce: true, NoDictionary: true},
+		StrValue("h\u00e9llo"), StrValue(""), NullValue(TStr), StrValue("a\x00b"), StrValue("x"), StrValue("y"))
+	day := build("day", TDate, CollBinary, force(EncRLE),
+		IntValue(16000), IntValue(16000), NullValue(TDate), NullValue(TDate), IntValue(16001), IntValue(16001))
+	ts := build("ts", TDateTime, CollBinary, force(EncDelta),
+		IntValue(1_400_000_000), IntValue(1_400_000_060), NullValue(TDateTime), IntValue(1_400_003_600), IntValue(1_399_999_000), IntValue(1_400_000_001))
+	facts, err := NewTable("Extract", "Facts", []*Column{id, price, carrier, note, day, ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts.SortKey = []string{"day", "ts"}
+	facts.UniqueKeys = [][]string{{"id"}, {"carrier", "ts"}}
+	carriers, err := NewTable("dim", "carriers", []*Column{
+		build("code", TStr, CollBinary, BuildOptions{}, StrValue("WN"), StrValue("AA"), StrValue("DL")),
+		build("active", TBool, CollBinary, BuildOptions{}, BoolValue(true), BoolValue(false), NullValue(TBool)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carriers.UniqueKeys = [][]string{{"code"}}
+	db := NewDatabase("v1")
+	for _, tbl := range []*Table{facts, carriers} {
+		if err := db.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// dumpDatabase prints every field a file carries, NaN and -0 included.
+func dumpDatabase(db *Database) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "database %q\n", db.Name())
+	for _, t := range db.AllTables() {
+		fmt.Fprintf(&b, "table %s rows %d sort %q unique %q\n", t.QualifiedName(), t.Rows, t.SortKey, t.UniqueKeys)
+		for _, c := range t.Cols {
+			var dict []string
+			if c.Dict != nil {
+				dict = append([]string{"dict"}, c.Dict.Values...)
+			}
+			fmt.Fprintf(&b, "  %s %s %s %q %+v %s %+v\n", c.Name, c.Type, c.Coll, dict, c.Stats, c.Encoding(), c.Data)
+		}
+	}
+	return b.String()
+}
+
+// TestFileV1Compat pins the format: a file written when the format was
+// introduced reads back to the database it was written from, and writing
+// that database again reproduces the file byte for byte.
+func TestFileV1Compat(t *testing.T) {
+	file, err := os.ReadFile("testdata/v1.tde")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDatabase(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v1Database(t)
+	if g, w := dumpDatabase(got), dumpDatabase(want); g != w {
+		t.Fatalf("testdata/v1.tde reads as\n%s\nwant\n%s", g, w)
+	}
+	kinds := map[Encoding]bool{}
+	for _, tbl := range got.AllTables() {
+		for _, c := range tbl.Cols {
+			kinds[c.Encoding()] = true
+		}
+	}
+	if len(kinds) != 3 {
+		t.Errorf("the file covers encodings %v, want plain, RLE and delta", kinds)
+	}
+	for _, db := range []*Database{got, want} {
+		var buf bytes.Buffer
+		if err := WriteDatabase(db, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), file) {
+			t.Errorf("writing %q gives %d bytes that differ from testdata/v1.tde's %d", db.Name(), buf.Len(), len(file))
+		}
 	}
 }
 

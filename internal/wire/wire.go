@@ -1,9 +1,11 @@
-// Package wire owns how bytes cross a socket between vizq processes. A
-// message is one frame: a u32 little-endian length followed by that many
-// bytes, which the package that sends them encodes with AppendString and
-// the binary package's Append helpers and decodes with a Reader. ReadFrame
-// and every Reader count treat a length as the peer's claim, not a fact,
-// so a peer that announces a huge frame or column costs only what it sends.
+// Package wire owns the bytes that leave a vizq process: the frames that
+// cross a socket and the single-file databases written to disk. A socket
+// message is one frame, a u32 little-endian length followed by that many
+// bytes; a database file is one message read whole. The package that owns
+// a message encodes it with AppendString, AppendBool and the binary
+// package's Append helpers and decodes it with a Reader. ReadFrame and
+// every Reader count treat a length as a claim, not a fact, so a peer or
+// file that announces a huge frame or column costs only what it holds.
 // Listen is the accept loop every server shares: one goroutine per
 // connection, and Close drops the live ones and waits for them.
 package wire
@@ -83,12 +85,12 @@ func AppendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-var errShort = errors.New("wire: frame shorter than its contents claim")
+var errShort = errors.New("wire: message shorter than its contents claim")
 
-// A Reader decodes one frame. It holds the frame as one string, so every
-// string it returns is a substring of it: decoding allocates once per
-// frame, not once per string. The first error sticks: later reads return
-// zero values, and Done reports it.
+// A Reader decodes one message, a frame or a file. It holds the message as
+// one string, so every string it returns is a substring of it: decoding
+// allocates once per message, not once per string. The first error sticks:
+// later reads return zero values, and Done reports it.
 type Reader struct {
 	s   string
 	err error
