@@ -245,6 +245,41 @@ func BenchmarkCacheDeriveInResidual(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheDeriveInProof derives the detail dashboard's RouteCarrier
+// zone under a 300-market selection from its reuse-adjusted clone, as every
+// answer of a Markets click is derived back: the market IN is not a stored
+// column, so the derivation's cost is proving the two 300-value lists equal.
+func BenchmarkCacheDeriveInProof(b *testing.B) {
+	e := getBenchEngine(b)
+	markets, err := e.Query(context.Background(), `(aggregate (table flights) (groupby market) (aggs (n count *)))`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := make([]storage.Value, 0, 300)
+	for i := 0; i < markets.N && len(in) < 300; i++ {
+		in = append(in, markets.Value(i, 0))
+	}
+	r := &query.Query{
+		View: query.View{Table: "flights"},
+		Dims: []query.Dim{{Col: "origin"}, {Col: "dest"}, {Col: "carrier"}},
+		Measures: []query.Measure{{Fn: query.Count, As: "n"},
+			{Fn: query.Avg, Col: "delay", As: "avgdelay"}, {Fn: query.Sum, Col: "distance", As: "dist"}},
+		Filters: []query.Filter{query.RangeFilter("hour", storage.IntValue(6), storage.IntValue(21)),
+			query.InFilter("market", in...)},
+	}
+	s := cache.AdjustForReuse(r)
+	sres, err := e.Query(context.Background(), s.ToTQL())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cache.Derive(s, sres, r); !ok {
+			b.Fatal("derive failed")
+		}
+	}
+}
+
 func BenchmarkResultJSONCodec(b *testing.B) {
 	e := getBenchEngine(b)
 	q := &query.Query{

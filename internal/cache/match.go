@@ -64,7 +64,8 @@ type measurePlan struct {
 }
 
 // match proves that S, whose result has the given schema, subsumes R, and
-// plans the derivation. Only the schema's collations are read.
+// plans the derivation. Only the schema's column types and collations are
+// read; a filter column the schema lacks is of unknown type.
 func match(s *query.Query, schema []plan.ColInfo, r *query.Query) (derivation, bool) {
 	var d derivation
 	if s.GroupKey() != r.GroupKey() {
@@ -97,29 +98,25 @@ func match(s *query.Query, schema []plan.ColInfo, r *query.Query) (derivation, b
 		d.atGrain = d.atGrain && slices.Contains(d.dimSrc, i)
 	}
 
-	// Every stored filter must be implied by some requested filter.
-	for _, g := range s.Filters {
-		implied := false
-		for _, f := range r.Filters {
-			if f.Implies(g, collForName(schema, g.Col)) {
-				implied = true
-				break
-			}
-		}
-		if !implied {
-			return d, false
+	// Each (requested, stored) filter pair is proven once. Every stored
+	// filter must be implied by some requested filter; a requested filter
+	// equal to none of them is applied locally.
+	var impliedBuf, identicalBuf [8]bool
+	implied := append(impliedBuf[:0], make([]bool, len(s.Filters))...)
+	identical := append(identicalBuf[:0], make([]bool, len(r.Filters))...)
+	for i, f := range r.Filters {
+		col := colInfo(schema, f.Col)
+		for j, g := range s.Filters {
+			fg, gf := f.Relate(g, col.Type, col.Coll)
+			implied[j] = implied[j] || fg
+			identical[i] = identical[i] || fg && gf
 		}
 	}
-	// Requested filters not identically present are applied locally.
-	for _, f := range r.Filters {
-		identical := false
-		for _, g := range s.Filters {
-			if f.Equals(g, collForName(schema, f.Col)) {
-				identical = true
-				break
-			}
-		}
-		if identical {
+	if slices.Contains(implied, false) {
+		return d, false
+	}
+	for i, f := range r.Filters {
+		if identical[i] {
 			continue
 		}
 		if f.Kind == query.FilterTemp {
@@ -363,13 +360,15 @@ func measKey(m query.Measure) string {
 	return string(m.Fn) + "(" + strings.ToLower(m.Col) + ")"
 }
 
-func collForName(schema []plan.ColInfo, col string) storage.Collation {
+// colInfo returns the schema's column named col, or the zero ColInfo (of
+// unknown type, binary collation) when it has none.
+func colInfo(schema []plan.ColInfo, col string) plan.ColInfo {
 	for _, c := range schema {
 		if strings.EqualFold(c.Name, col) {
-			return c.Coll
+			return c
 		}
 	}
-	return storage.CollBinary
+	return plan.ColInfo{}
 }
 
 // applyOrder sorts a derived result by the query's ORDER BY and cuts a

@@ -173,9 +173,14 @@ func TestSchedulerAdmitsThroughSingleFlight(t *testing.T) {
 	if st.Admitted > herd {
 		t.Fatalf("admissions exceed callers: %+v", st)
 	}
-	if st.Inflight != 0 {
-		t.Fatalf("leaked admission slots: %+v", st)
+	// Every slot came back: the one slot of this Limit-1 scheduler admits.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	tk, err := sc.Admit(ctx)
+	if err != nil {
+		t.Fatalf("leaked admission slots: %v (%+v)", err, st)
 	}
+	tk.Done()
 }
 
 // TestUserQuotaThroughPipeline pins that the context's user identity

@@ -12,15 +12,15 @@ func TestTempFilter(t *testing.T) {
 		t.Fatalf("temp filter = %+v", f)
 	}
 	g := TempFilter("carrier", "MAJORS")
-	if !f.Implies(g, storage.CollBinary) || !f.Equals(g, storage.CollBinary) {
+	if !f.Implies(g, storage.TStr, storage.CollBinary) || !f.Equals(g, storage.TStr, storage.CollBinary) {
 		t.Error("temp filters with same name should be equal (case-insensitive)")
 	}
 	other := TempFilter("carrier", "minors")
-	if f.Implies(other, storage.CollBinary) {
+	if f.Implies(other, storage.TStr, storage.CollBinary) {
 		t.Error("different temp names are opaque")
 	}
 	in := InFilter("carrier", storage.StrValue("WN"))
-	if f.Implies(in, storage.CollBinary) || in.Implies(f, storage.CollBinary) {
+	if f.Implies(in, storage.TStr, storage.CollBinary) || in.Implies(f, storage.TStr, storage.CollBinary) {
 		t.Error("temp vs in is unprovable")
 	}
 	// Key stability + validation.
@@ -45,13 +45,13 @@ func TestLtGtFilters(t *testing.T) {
 		t.Fatalf("gt = %+v", gt)
 	}
 	closed := RangeFilter("x", storage.IntValue(1), storage.IntValue(9))
-	if !closed.Implies(lt, storage.CollBinary) {
+	if !closed.Implies(lt, storage.TInt, storage.CollBinary) {
 		t.Error("[1,9] implies <10")
 	}
-	if !closed.Implies(gt, storage.CollBinary) {
+	if !closed.Implies(gt, storage.TInt, storage.CollBinary) {
 		t.Error("[1,9] implies >0")
 	}
-	if lt.Implies(closed, storage.CollBinary) {
+	if lt.Implies(closed, storage.TInt, storage.CollBinary) {
 		t.Error("<10 does not imply [1,9]")
 	}
 }
@@ -59,16 +59,16 @@ func TestLtGtFilters(t *testing.T) {
 func TestFilterEquals(t *testing.T) {
 	a := InFilter("c", storage.StrValue("x"), storage.StrValue("y"))
 	b := InFilter("c", storage.StrValue("y"), storage.StrValue("x"))
-	if !a.Equals(b, storage.CollBinary) {
+	if !a.Equals(b, storage.TStr, storage.CollBinary) {
 		t.Error("order-insensitive equality")
 	}
 	c := InFilter("c", storage.StrValue("x"))
-	if a.Equals(c, storage.CollBinary) {
+	if a.Equals(c, storage.TStr, storage.CollBinary) {
 		t.Error("different sets are unequal")
 	}
 	r1 := RangeFilter("c", storage.IntValue(1), storage.IntValue(2))
 	r2 := RangeFilter("c", storage.IntValue(1), storage.IntValue(2))
-	if !r1.Equals(r2, storage.CollBinary) {
+	if !r1.Equals(r2, storage.TInt, storage.CollBinary) {
 		t.Error("identical ranges are equal")
 	}
 }

@@ -7,8 +7,10 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"vizq/internal/tde/storage"
 )
@@ -207,56 +209,97 @@ func (f Filter) key() string {
 	return b.String()
 }
 
-// Implies reports whether rows satisfying f necessarily satisfy g, for
-// filters on the same column. This is the per-conjunct implication proof
-// the intelligent cache runs (Sect. 3.2: "we attempt to prove that results
-// of the stored query subsume the requested data").
-func (f Filter) Implies(g Filter, coll storage.Collation) bool {
+// proofKeys is the free list of the key-list pairs IN ⊆ IN proofs build
+// in. Unlike a sync.Pool it keeps them across garbage collections, so a
+// warmed proof allocates nothing even where long lists are proven rarely.
+var proofKeys struct {
+	sync.Mutex
+	free []*[2]storage.KeyList
+}
+
+// inWithin proves f.In ⊆ g.In and g.In ⊆ f.In in one merge.
+func inWithin(f, g Filter, typ storage.Type, coll storage.Collation) (implies, implied bool) {
+	var keys *[2]storage.KeyList
+	proofKeys.Lock()
+	if n := len(proofKeys.free); n > 0 {
+		keys, proofKeys.free = proofKeys.free[n-1], proofKeys.free[:n-1]
+	}
+	proofKeys.Unlock()
+	if keys == nil {
+		keys = new([2]storage.KeyList)
+	}
+	keys[0].Build(typ, coll, f.In)
+	keys[1].Build(typ, coll, g.In)
+	implies, implied = keys[0].Within(&keys[1])
+	proofKeys.Lock()
+	proofKeys.free = append(proofKeys.free, keys)
+	proofKeys.Unlock()
+	return implies, implied
+}
+
+// Relate proves f ⇒ g and g ⇒ f at once, for filters on the same column,
+// of type typ under coll: the per-conjunct implication proof the
+// intelligent cache runs (Sect. 3.2: "we attempt to prove that results of
+// the stored query subsume the requested data"). IN lists are compared
+// under the executor's membership rule (storage.ColumnValue, then
+// AppendKey), as sorted key lists in one merge; a member the column cannot
+// hold selects no rows and is left out.
+func (f Filter) Relate(g Filter, typ storage.Type, coll storage.Collation) (implies, implied bool) {
 	if !strings.EqualFold(f.Col, g.Col) {
-		return false
+		return false, false
 	}
 	if f.Kind == FilterTemp || g.Kind == FilterTemp {
 		// Temp contents are opaque: only identity is provable.
-		return f.Kind == g.Kind && strings.EqualFold(f.Temp, g.Temp)
+		same := f.Kind == g.Kind && strings.EqualFold(f.Temp, g.Temp)
+		return same, same
 	}
 	switch {
 	case f.Kind == FilterIn && g.Kind == FilterIn:
-		for _, v := range f.In {
-			if !containsValue(g.In, v, coll) {
-				return false
-			}
-		}
-		return true
-	case f.Kind == FilterIn && g.Kind == FilterRange:
-		for _, v := range f.In {
-			if !g.RangeContains(v, coll) {
-				return false
-			}
-		}
-		return true
-	case f.Kind == FilterRange && g.Kind == FilterRange:
-		if g.LoSet {
-			if !f.LoSet {
-				return false
-			}
-			c := storage.Compare(f.Lo, g.Lo, coll)
-			if c < 0 || (c == 0 && g.LoOpen && !f.LoOpen) {
-				return false
-			}
-		}
-		if g.HiSet {
-			if !f.HiSet {
-				return false
-			}
-			c := storage.Compare(f.Hi, g.Hi, coll)
-			if c > 0 || (c == 0 && g.HiOpen && !f.HiOpen) {
-				return false
-			}
-		}
-		return true
-	default: // range ⊆ finite set: not provable without the domain
-		return false
+		return inWithin(f, g, typ, coll)
+	// A range within a finite set is not provable without the domain.
+	case f.Kind == FilterIn:
+		return g.holdsAll(f.In, typ, coll), false
+	case g.Kind == FilterIn:
+		return false, f.holdsAll(g.In, typ, coll)
 	}
+	return rangeImplies(f, g, coll), rangeImplies(g, f, coll)
+}
+
+// rangeImplies reports whether range filter f's bounds lie within g's.
+func rangeImplies(f, g Filter, coll storage.Collation) bool {
+	if g.LoSet {
+		if !f.LoSet {
+			return false
+		}
+		c := storage.Compare(f.Lo, g.Lo, coll)
+		if c < 0 || (c == 0 && g.LoOpen && !f.LoOpen) {
+			return false
+		}
+	}
+	if g.HiSet {
+		if !f.HiSet {
+			return false
+		}
+		c := storage.Compare(f.Hi, g.Hi, coll)
+		if c > 0 || (c == 0 && g.HiOpen && !f.HiOpen) {
+			return false
+		}
+	}
+	return true
+}
+
+// holdsAll reports whether range filter f contains every member of vals a
+// column of type typ can hold. A NaN member is refused: whether a range
+// keeps a NaN row is not decided alike by the executor's comparison kernels
+// and by the optimizer's folding of bounds against column statistics.
+func (f Filter) holdsAll(vals []storage.Value, typ storage.Type, coll storage.Collation) bool {
+	for _, v := range vals {
+		v, ok := storage.ColumnValue(typ, v)
+		if ok && (v.Type == storage.TFloat && math.IsNaN(v.F) || !f.RangeContains(v, coll)) {
+			return false
+		}
+	}
+	return true
 }
 
 // RangeContains reports whether v lies within the range filter f's bounds.
@@ -274,20 +317,6 @@ func (f Filter) RangeContains(v storage.Value, coll storage.Collation) bool {
 		}
 	}
 	return true
-}
-
-func containsValue(set []storage.Value, v storage.Value, coll storage.Collation) bool {
-	for _, s := range set {
-		if storage.Equal(s, v, coll) {
-			return true
-		}
-	}
-	return false
-}
-
-// Equals reports structural filter equality (up to In order).
-func (f Filter) Equals(g Filter, coll storage.Collation) bool {
-	return f.Implies(g, coll) && g.Implies(f, coll)
 }
 
 // Order is one sort key of the query output.

@@ -15,7 +15,7 @@ func iv(i int64) storage.Value  { return storage.IntValue(i) }
 func sv(s string) storage.Value { return storage.StrValue(s) }
 
 func TestFilterImplication(t *testing.T) {
-	coll := storage.CollBinary
+	coll := storage.CollBinary // over a column of unknown type: members keyed as they are
 	cases := []struct {
 		name string
 		a, b Filter
@@ -36,7 +36,7 @@ func TestFilterImplication(t *testing.T) {
 		{"range into in unprovable", RangeFilter("c", iv(3), iv(4)), InFilter("c", iv(3), iv(4)), false},
 	}
 	for _, c := range cases {
-		if got := c.a.Implies(c.b, coll); got != c.want {
+		if got := c.a.Implies(c.b, storage.TNull, coll); got != c.want {
 			t.Errorf("%s: Implies = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -51,10 +51,10 @@ func TestFilterImpliesReflexiveQuick(t *testing.T) {
 		a := InFilter("c", in...)
 		r := RangeFilter("c", iv(int64(lo)), iv(int64(hi)))
 		// Reflexivity.
-		if len(in) > 0 && !a.Implies(a, storage.CollBinary) {
+		if len(in) > 0 && !a.Implies(a, storage.TInt, storage.CollBinary) {
 			return false
 		}
-		return r.Implies(r, storage.CollBinary)
+		return r.Implies(r, storage.TInt, storage.CollBinary)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -72,7 +72,7 @@ func TestFilterImplicationTransitiveQuick(t *testing.T) {
 		}
 		a, b, c := mk(a1, a2), mk(b1, b2), mk(c1, c2)
 		coll := storage.CollBinary
-		if a.Implies(b, coll) && b.Implies(c, coll) && !a.Implies(c, coll) {
+		if a.Implies(b, storage.TInt, coll) && b.Implies(c, storage.TInt, coll) && !a.Implies(c, storage.TInt, coll) {
 			return false
 		}
 		return true

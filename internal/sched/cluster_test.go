@@ -108,13 +108,13 @@ func TestDigestIgnoresRetiredFields(t *testing.T) {
 	// clamp arms (2 of 3 nodes), and the limit steps toward the mean.
 	self := Digest{Node: "node-a", Source: "sales", Limit: 4}
 	other := Digest{Node: "node-c", Source: "sales", Limit: 8, QueueDepth: 2, ShedRate: 0.5}
-	observe := func(peer Digest) (Stats, float64) {
+	observe := func(peer Digest) (probe, float64) {
 		s := New(Config{Limit: 4})
 		s.ObservePeers(self, []Digest{peer, other})
 		s.mu.Lock()
 		q := s.peerQueueAvg
 		s.mu.Unlock()
-		return s.Stats(), q
+		return s.probe(), q
 	}
 	fromOld, qOld := observe(got)
 	fromNew, qNew := observe(trimmed)
@@ -243,7 +243,7 @@ func TestCoordinatorBusFailureFallsBackToLocal(t *testing.T) {
 	}
 	bus.fail(errors.New("down"), errors.New("down"))
 	ca.Step(*now)
-	if st := sa.Stats(); st.ClusterPeers != 0 || st.ClusterShedActive {
+	if st := sa.probe(); st.ClusterPeers != 0 || st.ClusterShedActive {
 		t.Fatalf("bus failure must drop to local-only, stats=%+v", st)
 	}
 	bus.fail(nil, nil)
@@ -312,7 +312,7 @@ func TestObservePeersMajorityShedClamp(t *testing.T) {
 		{Node: "c", ShedRate: 0.2, Limit: 1, QueueDepth: 2},
 	}
 	s.ObservePeers(self, peers)
-	if st := s.Stats(); !st.ClusterShedActive || st.ClusterPeers != 2 {
+	if st := s.probe(); !st.ClusterShedActive || st.ClusterPeers != 2 {
 		t.Fatalf("majority pressure should arm the clamp, stats=%+v", st)
 	}
 
@@ -352,7 +352,7 @@ func TestObservePeersMajorityShedClamp(t *testing.T) {
 		{Node: "b", ShedRate: 0.0, Limit: 4, QueueDepth: 0},
 		{Node: "c", ShedRate: 0.0, Limit: 4, QueueDepth: 0},
 	})
-	if st := s.Stats(); st.ClusterShedActive {
+	if st := s.probe(); st.ClusterShedActive {
 		t.Fatalf("minority pressure should disarm the clamp, stats=%+v", st)
 	}
 	tk.Done()
@@ -366,12 +366,12 @@ func TestObservePeersSelfPressureCounts(t *testing.T) {
 	self := Digest{Node: "a", ShedRate: 0.9, Limit: 1, QueueDepth: 5}
 	calm := Digest{Node: "b", Limit: 4}
 	s.ObservePeers(self, []Digest{calm})
-	if s.Stats().ClusterShedActive {
+	if s.probe().ClusterShedActive {
 		t.Fatal("1 of 2 pressured is not a strict majority")
 	}
 	hot := Digest{Node: "b", ShedRate: 0.9, Limit: 1, QueueDepth: 5}
 	s.ObservePeers(self, []Digest{hot})
-	if !s.Stats().ClusterShedActive {
+	if !s.probe().ClusterShedActive {
 		t.Fatal("2 of 2 pressured is a majority")
 	}
 }
@@ -431,14 +431,14 @@ func TestObservePeersExpiryFallsBackToLocal(t *testing.T) {
 		{Node: "c", ShedRate: 0.9, Limit: 1, QueueDepth: 9},
 	}
 	s.ObservePeers(Digest{Node: "a"}, hot)
-	if !s.Stats().ClusterShedActive {
+	if !s.probe().ClusterShedActive {
 		t.Fatal("clamp should arm")
 	}
 	// Simulate a dead coordinator: force the hold window into the past.
 	s.mu.Lock()
 	s.peerExpiry = time.Now().Add(-time.Second)
 	s.mu.Unlock()
-	if st := s.Stats(); st.ClusterShedActive || st.ClusterPeers != 0 {
+	if st := s.probe(); st.ClusterShedActive || st.ClusterPeers != 0 {
 		t.Fatalf("expired advisory state must read as local-only, stats=%+v", st)
 	}
 	// And Admit must not clamp either.
@@ -502,7 +502,7 @@ func TestObservePeersNilAndEmpty(t *testing.T) {
 	s := New(Config{Limit: 2})
 	s.ObservePeers(Digest{Node: "a"}, []Digest{{Node: "b", ShedRate: 1, QueueDepth: 9, Limit: 1}})
 	s.ObservePeers(Digest{Node: "a"}, nil)
-	if st := s.Stats(); st.ClusterPeers != 0 || st.ClusterShedActive {
+	if st := s.probe(); st.ClusterPeers != 0 || st.ClusterShedActive {
 		t.Fatalf("empty peer set must clear advisory state, stats=%+v", st)
 	}
 }

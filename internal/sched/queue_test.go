@@ -72,7 +72,7 @@ func TestSessionRingCursorOnRemoval(t *testing.T) {
 					t.Fatalf("drain order %v, want %v", got, tc.wantNext)
 				}
 			}
-			if st := s.Stats(); st.Queued != 0 || st.QueuedUsers != 0 {
+			if st := s.probe(); st.Queued != 0 || st.QueuedUsers != 0 {
 				t.Fatalf("residual queue state: %+v", st)
 			}
 		})
@@ -203,7 +203,7 @@ func TestDrainAfterEdgeCases(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-got
 	}
-	if st := s.Stats(); st.Queued != 0 || st.Inflight != 0 || st.QueuedUsers != 0 {
+	if st := s.probe(); st.Queued != 0 || st.Inflight != 0 || st.QueuedUsers != 0 {
 		t.Fatalf("residual state: %+v", st)
 	}
 }

@@ -33,7 +33,7 @@ func TestGrantedSlotReturnCountsCanceledNotCompleted(t *testing.T) {
 	s.mu.Unlock()
 	(&Ticket{s: s}).cancel()
 
-	st := s.Stats()
+	st := s.probe()
 	if st.Completed != 1 {
 		t.Fatalf("Completed = %d, want 1: a canceled grant must not count as completed", st.Completed)
 	}

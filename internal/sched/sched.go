@@ -199,15 +199,8 @@ type Stats struct {
 	// bound specifically (the source queue still had room).
 	ShedUserQueueFull int64
 	Canceled          int64 // left the queue, or returned a granted slot, on context cancellation
-	Completed         int64 // ran to completion and returned the slot via Done
-	Inflight          int
 	Queued            int
-	// QueuedUsers is the number of distinct users currently holding
-	// waiters.
-	QueuedUsers int
-	Limit       int
-	// EWMAService is the current service-time estimate admission math uses.
-	EWMAService time.Duration
+	Limit             int
 	// ShedClusterPressure counts sheds forced by the fleet-majority rule:
 	// this node still had queue room, but the source was shedding on a
 	// majority of nodes.
@@ -222,9 +215,6 @@ type Stats struct {
 	// ClusterPeers is the number of fresh peer digests currently blended
 	// into admission decisions (0 = running local-only).
 	ClusterPeers int
-	// ClusterShedActive reports whether the fleet-majority shed clamp is
-	// in force right now.
-	ClusterShedActive bool
 }
 
 // waiter is one queued admission request.
@@ -405,17 +395,12 @@ func (s *Scheduler) Stats() Stats {
 		ShedClusterPressure: s.shedClusterPressure.Value(),
 		ShedDraining:        s.shedDraining.Value(),
 		Canceled:            s.canceled.Value(),
-		Completed:           s.completed.Value(),
-		Inflight:            s.inflight,
 		Queued:              s.queue.n,
-		QueuedUsers:         len(s.queue.ring),
 		Limit:               s.limit,
-		EWMAService:         time.Duration(s.ewmaNS),
 		Draining:            s.draining,
 	}
 	if s.clusterFreshLocked(time.Now()) {
 		st.ClusterPeers = s.peerCount
-		st.ClusterShedActive = s.clusterShed
 	}
 	return st
 }
@@ -728,7 +713,7 @@ func (s *Scheduler) queueGaugesLocked() {
 }
 
 // finish returns one slot. A completed query (Done) feeds the estimator
-// and counts toward Completed; a canceled grant only
+// and counts as completed; a canceled grant only
 // returns capacity and counts toward Canceled — it never ran, so it must
 // not inflate the completion count or the service estimate. Either way,
 // freed capacity is granted to queued waiters.

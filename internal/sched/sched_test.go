@@ -44,14 +44,14 @@ func TestDirectAdmitUpToLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.probe()
 	if st.Inflight != 2 || st.Admitted != 2 {
 		t.Fatalf("stats after two admits: %+v", st)
 	}
 	t1.Done()
 	t2.Done()
 	t2.Done() // idempotent
-	if st := s.Stats(); st.Inflight != 0 || st.Completed != 2 {
+	if st := s.probe(); st.Inflight != 0 || st.Completed != 2 {
 		t.Fatalf("stats after release: %+v", st)
 	}
 }
@@ -319,7 +319,7 @@ func TestAdmitReleaseStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.Stats()
+	st := s.probe()
 	if st.Inflight != 0 || st.Queued != 0 {
 		t.Fatalf("leaked capacity: %+v", st)
 	}

@@ -58,7 +58,7 @@ func TestUserFairnessGreedyVsSingles(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		enqueue(fmt.Sprintf("single-%d", i), "main")
 	}
-	if st := s.Stats(); st.QueuedUsers != 4 {
+	if st := s.probe(); st.QueuedUsers != 4 {
 		t.Fatalf("QueuedUsers = %d, want 4", st.QueuedUsers)
 	}
 
@@ -158,7 +158,7 @@ func TestSameSessionIDDifferentUsers(t *testing.T) {
 	// queued fine above, proving the bound did not cross users.
 	hold.Done()
 	wg.Wait()
-	if st := s.Stats(); st.Queued != 0 || st.QueuedUsers != 0 {
+	if st := s.probe(); st.Queued != 0 || st.QueuedUsers != 0 {
 		t.Fatalf("leaked queue state: %+v", st)
 	}
 }

@@ -12,9 +12,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -319,11 +321,36 @@ func AppendKey(buf []byte, v Value, coll Collation) []byte {
 	}
 }
 
+// ColumnValue returns v as a value of a column of type t: a value of
+// another numeric type is coerced to t. It reports false when no value of
+// the column can equal v: a fractional or out-of-range float for an
+// int-backed column, and a string for a non-string column or the reverse. A
+// column of unknown type (TNull) takes every value as it is. With AppendKey
+// under the column's collation it is the one membership rule of IN: the
+// executor's and the cache's residual filter's (KeySet), and the cache's
+// subsumption proof's (KeyList).
+func ColumnValue(t Type, v Value) (Value, bool) {
+	switch {
+	case v.Null || v.Type == t || t == TNull:
+		return v, true
+	case (v.Type == TStr) != (t == TStr):
+		return v, false
+	case t == TFloat:
+		return FloatValue(v.AsFloat()), true
+	case v.Type == TFloat:
+		if v.F != math.Trunc(v.F) || v.F < math.MinInt64 || v.F >= math.MaxInt64 {
+			return v, false
+		}
+		return Value{Type: t, I: int64(v.F)}, true
+	}
+	return v, true
+}
+
 // KeySet is a set of values matched against one column: Index(v) answers
-// as Equal would against each member, in one AppendKey and one map probe.
-// Members and probes of another numeric type are coerced to the column's
-// type (a fractional float matches no int-backed value); a string never
-// matches a non-string. It reuses one key buffer: not for concurrent use.
+// as Equal would against each member, except that a NaN equals no number
+// and a value the column cannot hold (ColumnValue) matches nothing, in one
+// AppendKey and one map probe. It reuses one key buffer: not for
+// concurrent use.
 type KeySet struct {
 	typ  Type
 	coll Collation
@@ -356,24 +383,64 @@ func (s *KeySet) Index(v Value) int {
 // Has reports whether some member equals v.
 func (s *KeySet) Has(v Value) bool { return s.Index(v) >= 0 }
 
-// key leaves in s.buf the key of v as a value of the column's type; false
-// when no such value can equal v.
+// key leaves in s.buf the column key of v; false when no value of the
+// column can equal v.
 func (s *KeySet) key(v Value) bool {
-	if !v.Null && v.Type != s.typ {
-		switch {
-		case (v.Type == TStr) != (s.typ == TStr):
+	if !v.Null && v.Type != s.typ { // ColumnValue's own test, kept off the per-row call
+		var ok bool
+		if v, ok = ColumnValue(s.typ, v); !ok {
 			return false
-		case s.typ == TFloat:
-			v = FloatValue(v.AsFloat())
-		case v.Type == TFloat:
-			if v.F != math.Trunc(v.F) || v.F < math.MinInt64 || v.F >= math.MaxInt64 {
-				return false
-			}
-			v = Value{Type: s.typ, I: int64(v.F)}
 		}
 	}
 	s.buf = AppendKey(s.buf[:0], v, s.coll)
 	return true
+}
+
+// KeyList is the sorted, distinct column keys of a list of values: the form
+// in which two IN lists are compared, in one merge. Build reuses its
+// buffers, so a warmed KeyList allocates nothing; not for concurrent use.
+type KeyList struct {
+	buf  []byte
+	ends []int
+	keys [][]byte
+}
+
+// Build replaces l's keys with those of vals as values of a column of type t
+// under coll (ColumnValue, then AppendKey). A value the column cannot hold
+// is left out: as an IN member it selects no rows.
+func (l *KeyList) Build(t Type, coll Collation, vals []Value) {
+	l.buf, l.ends, l.keys = l.buf[:0], l.ends[:0], l.keys[:0]
+	for _, v := range vals {
+		if v, ok := ColumnValue(t, v); ok {
+			l.buf = AppendKey(l.buf, v, coll)
+			l.ends = append(l.ends, len(l.buf))
+		}
+	}
+	start := 0
+	for _, end := range l.ends {
+		l.keys = append(l.keys, l.buf[start:end])
+		start = end
+	}
+	slices.SortFunc(l.keys, bytes.Compare)
+	l.keys = slices.CompactFunc(l.keys, bytes.Equal)
+}
+
+// Within reports whether every key of l is one of o's, and whether every
+// key of o is one of l's.
+func (l *KeyList) Within(o *KeyList) (lInO, oInL bool) {
+	lInO, oInL = len(l.keys) <= len(o.keys), len(o.keys) <= len(l.keys)
+	i, j := 0, 0
+	for (lInO || oInL) && i < len(l.keys) && j < len(o.keys) {
+		switch c := bytes.Compare(l.keys[i], o.keys[j]); {
+		case c < 0:
+			lInO, i = false, i+1
+		case c > 0:
+			oInL, j = false, j+1
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return lInO && i == len(l.keys), oInL && j == len(o.keys)
 }
 
 func foldASCII(s string) string {

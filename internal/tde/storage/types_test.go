@@ -217,3 +217,71 @@ func TestKeySetAnswersLikeEqual(t *testing.T) {
 		t.Error("binary set matched across case")
 	}
 }
+
+// TestKeyListWithin: two lists compare as sets of column keys, duplicates
+// and member order aside, and a member the column cannot hold is left out.
+func TestKeyListWithin(t *testing.T) {
+	s := func(vs ...string) []Value {
+		out := make([]Value, len(vs))
+		for i, v := range vs {
+			out[i] = StrValue(v)
+		}
+		return out
+	}
+	cases := []struct {
+		name       string
+		typ        Type
+		coll       Collation
+		a, b       []Value
+		aInB, bInA bool
+	}{
+		{"equal, reordered, duplicated", TStr, CollBinary, s("x", "y", "x"), s("y", "x"), true, true},
+		{"proper subset", TStr, CollBinary, s("x"), s("y", "x"), true, false},
+		{"disjoint", TStr, CollBinary, s("x", "z"), s("y", "w"), false, false},
+		{"overlap", TStr, CollBinary, s("a", "b"), s("b", "c"), false, false},
+		{"case folds under ci", TStr, CollCI, s("LAX", "sfo"), s("lax", "SFO"), true, true},
+		{"case differs under binary", TStr, CollBinary, s("LAX"), s("lax"), false, false},
+		{"empty within anything", TStr, CollBinary, nil, s("x"), true, false},
+		{"whole float is the int", TInt, CollBinary, []Value{IntValue(2), FloatValue(3)}, []Value{FloatValue(2), IntValue(3)}, true, true},
+		{"fractional float and string left out", TInt, CollBinary, []Value{FloatValue(2.5), StrValue("2"), IntValue(1)}, []Value{IntValue(1)}, true, true},
+		{"±0 is one key", TFloat, CollBinary, []Value{FloatValue(math.Copysign(0, -1))}, []Value{IntValue(0)}, true, true},
+		{"null is a key of its own", TInt, CollBinary, []Value{NullValue(TInt), IntValue(0)}, []Value{IntValue(0)}, false, true},
+		{"unknown type keeps every value", TNull, CollBinary, []Value{StrValue("1")}, []Value{IntValue(1)}, false, false},
+	}
+	var a, b KeyList
+	for _, c := range cases {
+		a.Build(c.typ, c.coll, c.a)
+		b.Build(c.typ, c.coll, c.b)
+		if aInB, bInA := a.Within(&b); aInB != c.aInB || bInA != c.bInA {
+			t.Errorf("%s: Within = %v, %v; want %v, %v", c.name, aInB, bInA, c.aInB, c.bInA)
+		}
+	}
+}
+
+// TestColumnValue: a member is coerced to the column's type, or refused
+// when no value of the column can equal it.
+func TestColumnValue(t *testing.T) {
+	for _, c := range []struct {
+		typ  Type
+		in   Value
+		want Value
+		ok   bool
+	}{
+		{TInt, FloatValue(3), IntValue(3), true},
+		{TDate, FloatValue(3), Value{Type: TDate, I: 3}, true},
+		{TInt, FloatValue(3.5), FloatValue(3.5), false},
+		{TInt, FloatValue(math.NaN()), FloatValue(math.NaN()), false},
+		{TInt, FloatValue(1e19), FloatValue(1e19), false},
+		{TFloat, IntValue(2), FloatValue(2), true},
+		{TStr, IntValue(2), IntValue(2), false},
+		{TInt, StrValue("2"), StrValue("2"), false},
+		{TStr, NullValue(TInt), NullValue(TInt), true},
+		{TNull, StrValue("x"), StrValue("x"), true},
+		{TInt, Value{Type: TDate, I: 4}, Value{Type: TDate, I: 4}, true},
+	} {
+		got, ok := ColumnValue(c.typ, c.in)
+		if ok != c.ok || ok && got != c.want {
+			t.Errorf("ColumnValue(%v, %#v) = %#v, %v; want %#v, %v", c.typ, c.in, got, ok, c.want, c.ok)
+		}
+	}
+}

@@ -36,6 +36,7 @@ check ./internal/wire       87.9
 check ./internal/tde/storage 82.8
 check ./internal/connection 93.1
 check ./internal/cache      93.6
+check ./internal/query      90.4
 check ./internal/obs        90.2
 check ./internal/resilience 91.2
 check ./internal/sched      93.5
