@@ -210,7 +210,7 @@ func TestDeriveGlobalAggregateOverEmptyInput(t *testing.T) {
 			if len(c.stored) > 0 && sres.N != 0 {
 				t.Fatalf("stored result has %d rows, want 0", sres.N)
 			}
-			want, err := getEngine(t).QuerySerial(context.Background(), r.ToTQL())
+			want, err := getEngine(t).QueryReference(context.Background(), r.ToTQL())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestCachedEntriesSurviveTheirAnswers(t *testing.T) {
 	}
 	eng := engine.New(db)
 	run := func(q *query.Query) *exec.Result {
-		res, err := eng.QuerySerial(context.Background(), q.ToTQL())
+		res, err := eng.QueryReference(context.Background(), q.ToTQL())
 		if err != nil {
 			t.Fatalf("%s: %v", q.ToTQL(), err)
 		}

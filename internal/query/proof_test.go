@@ -11,12 +11,16 @@ import (
 
 // TestInProofUsesTheKeyRule pins two proofs a member-by-member Equal scan
 // got wrong: the executor's IN (storage.KeySet) matches neither a NaN
-// against 1.0 nor "" against 0, so neither list implies the other.
+// against 1.0 nor "" against 0, so neither list implies the other. Every
+// NaN is one key, whatever its sign.
 func TestInProofUsesTheKeyRule(t *testing.T) {
 	nan, one := storage.FloatValue(math.NaN()), storage.FloatValue(1)
 	for _, typ := range []storage.Type{storage.TFloat, storage.TNull} {
 		if InFilter("x", nan).Implies(InFilter("x", one), typ, storage.CollBinary) {
 			t.Errorf("%v column: {NaN} ⊆ {1.0} proven", typ)
+		}
+		if !InFilter("x", nan).Equals(InFilter("x", storage.FloatValue(-nan.F)), typ, storage.CollBinary) {
+			t.Errorf("%v column: {NaN} ≠ {-NaN}", typ)
 		}
 	}
 	for _, typ := range []storage.Type{storage.TStr, storage.TNull} {
@@ -33,23 +37,30 @@ func TestInProofUsesTheKeyRule(t *testing.T) {
 	}
 }
 
-// TestInWithinRangeRefusesNaN: no IN list with a NaN the column can hold is
-// proven within a range, closed or open, while a column that cannot hold
-// the NaN (an int column) leaves it out of the proof.
-func TestInWithinRangeRefusesNaN(t *testing.T) {
+// TestInWithinRangeOrdersNaN: a NaN lies below every number, as the
+// executor orders it. An IN list with a NaN the column can hold is within a
+// range with no lower bound and within no range with one, -Inf included,
+// while a column that cannot hold the NaN (an int column) leaves it out of
+// the proof.
+func TestInWithinRangeOrdersNaN(t *testing.T) {
 	nanIn := InFilter("x", storage.FloatValue(math.NaN()), iv(2))
-	for _, g := range []Filter{
-		RangeFilter("x", storage.FloatValue(1), storage.FloatValue(5)),
-		GtFilter("x", storage.FloatValue(1)),
-		RangeFilter("x", storage.FloatValue(math.Inf(-1)), storage.FloatValue(math.Inf(1))),
+	for _, c := range []struct {
+		g      Filter
+		within bool
+	}{
+		{RangeFilter("x", storage.FloatValue(1), storage.FloatValue(5)), false},
+		{GtFilter("x", storage.FloatValue(1)), false},
+		{RangeFilter("x", storage.FloatValue(math.Inf(-1)), storage.FloatValue(math.Inf(1))), false},
+		{RangeFilter("x", storage.NullValue(storage.TFloat), storage.FloatValue(5)), true},
+		{RangeFilter("x", storage.FloatValue(math.NaN()), storage.FloatValue(2)), true},
 	} {
 		for _, typ := range []storage.Type{storage.TFloat, storage.TNull} {
-			if nanIn.Implies(g, typ, storage.CollBinary) {
-				t.Errorf("%v column: {NaN, 2} ⊆ %s proven", typ, FilterTQL(g))
+			if nanIn.Implies(c.g, typ, storage.CollBinary) != c.within {
+				t.Errorf("%v column: {NaN, 2} ⊆ %s is %v, want %v", typ, FilterTQL(c.g), !c.within, c.within)
 			}
 		}
-		if !nanIn.Implies(g, storage.TInt, storage.CollBinary) {
-			t.Errorf("int column: {NaN, 2} ⊆ %s not proven, yet the column holds no NaN", FilterTQL(g))
+		if !nanIn.Implies(c.g, storage.TInt, storage.CollBinary) {
+			t.Errorf("int column: {NaN, 2} ⊆ %s not proven, yet the column holds no NaN", FilterTQL(c.g))
 		}
 	}
 }

@@ -7,7 +7,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -289,13 +288,11 @@ func rangeImplies(f, g Filter, coll storage.Collation) bool {
 }
 
 // holdsAll reports whether range filter f contains every member of vals a
-// column of type typ can hold. A NaN member is refused: whether a range
-// keeps a NaN row is not decided alike by the executor's comparison kernels
-// and by the optimizer's folding of bounds against column statistics.
+// column of type typ can hold.
 func (f Filter) holdsAll(vals []storage.Value, typ storage.Type, coll storage.Collation) bool {
 	for _, v := range vals {
 		v, ok := storage.ColumnValue(typ, v)
-		if ok && (v.Type == storage.TFloat && math.IsNaN(v.F) || !f.RangeContains(v, coll)) {
+		if ok && !f.RangeContains(v, coll) {
 			return false
 		}
 	}

@@ -21,12 +21,12 @@ import (
 // a residual IN on each stored column dimension (three in four stored values
 // in alternating case, up to 300 of them, plus a null and a value not
 // stored; on a float column also a list of ints) and under a residual range
-// on it. Every answer must equal engine.QuerySerial of the same request:
+// on it. Every answer must equal engine.QueryReference of the same request:
 // order-free, but in OrderBy order where the query has one.
 func TestDeriveMatchesEngine(t *testing.T) {
 	e, _ := flightsPair(t)
-	serial := func(q *query.Query) *exec.Result {
-		res, err := e.QuerySerial(context.Background(), q.ToTQL())
+	reference := func(q *query.Query) *exec.Result {
+		res, err := e.QueryReference(context.Background(), q.ToTQL())
 		if err != nil {
 			t.Fatalf("%s: %v", q.ToTQL(), err)
 		}
@@ -62,7 +62,7 @@ func TestDeriveMatchesEngine(t *testing.T) {
 	checked, longest := 0, 0
 	for _, q := range zones {
 		s := cache.AdjustForReuse(q)
-		sres := serial(s)
+		sres := reference(s)
 		requests := []*query.Query{q}
 		for _, d := range q.Dims {
 			if d.Expr != "" {
@@ -90,7 +90,7 @@ func TestDeriveMatchesEngine(t *testing.T) {
 				t.Errorf("Derive refused %s from %s", r.ToTQL(), s.ToTQL())
 				continue
 			}
-			want := serial(r)
+			want := reference(r)
 			if g, w := render(got), render(want); g != w {
 				t.Errorf("%s derived from %s:\n got  %s\n want %s", r.ToTQL(), s.ToTQL(), g, w)
 			}

@@ -76,8 +76,20 @@ func (e *Engine) query(ctx context.Context, src string, cat catalog) (*exec.Resu
 	return exec.Run(ctx, n)
 }
 
-// QuerySerial executes with parallel plans disabled, for baselines and
-// ablations.
+// QueryReference executes the compiled plan as it is bound, with no
+// optimizer rule: the reference the optimized paths are checked against.
+//
+//vizlint:allow unused -- the engine, cache and core tests check every optimized path against it
+func (e *Engine) QueryReference(ctx context.Context, src string) (*exec.Result, error) {
+	n, err := tql.Compile(src, catalog{db: e.db})
+	if err != nil {
+		return nil, err
+	}
+	return exec.Run(ctx, n)
+}
+
+// QuerySerial executes at DOP 1 under every logical rule, for baselines and
+// ablations. It shares the optimizer's rules, so it is no reference.
 func (e *Engine) QuerySerial(ctx context.Context, src string) (*exec.Result, error) {
 	n, err := tql.Compile(src, catalog{db: e.db})
 	if err != nil {

@@ -321,8 +321,9 @@ func TestCountDistinct(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial is the core execution invariant: every parallel
-// plan must produce exactly the rows of the serial plan.
+// TestParallelMatchesSerial is the core execution invariant: every
+// optimized plan, serial or parallel, must produce exactly the rows of the
+// plan run as compiled.
 func TestParallelMatchesSerial(t *testing.T) {
 	e := getEngine(t)
 	queries := []string{
@@ -337,16 +338,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 		`(distinct (project (table flights) (carrier carrier) (origin origin)))`,
 	}
 	for qi, q := range queries {
-		serial, err := e.QuerySerial(ctx(), q)
+		ref, err := e.QueryReference(ctx(), q)
 		if err != nil {
-			t.Fatalf("query %d serial: %v", qi, err)
-		}
-		par, err := e.Query(ctx(), q)
-		if err != nil {
-			t.Fatalf("query %d parallel: %v", qi, err)
+			t.Fatalf("query %d reference: %v", qi, err)
 		}
 		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {
-			sameRows(t, serial, par)
+			for _, run := range []func(context.Context, string) (*exec.Result, error){e.QuerySerial, e.Query} {
+				res, err := run(ctx(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRows(t, ref, res)
+			}
 		})
 	}
 }
@@ -354,7 +357,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestMaxDOPVariants(t *testing.T) {
 	e := getEngine(t)
 	q := `(aggregate (table flights) (groupby carrier origin) (aggs (n count *) (a avg delay)))`
-	base, err := e.QuerySerial(ctx(), q)
+	base, err := e.QueryReference(ctx(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestRangePartitionMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.QuerySerial(ctx(), q)
+	base, err := e.QueryReference(ctx(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

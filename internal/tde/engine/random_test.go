@@ -1,55 +1,56 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"vizq/internal/tde/exec"
 	"vizq/internal/tde/opt"
 )
 
 // TestRandomQueriesOptimizedEqualsNaive generates random TQL queries over
-// the flights schema and checks three pipelines agree row-for-row:
-// unoptimized serial, logically-optimized serial, and fully parallelized.
-// This is the optimizer's broadest correctness net.
+// the flights schema and checks that three optimized plans (DOP 1, the
+// default DOP and a forced DOP 3) give the rows of the plan run as compiled,
+// which no optimizer rule touches. This is the optimizer's broadest
+// correctness net.
 func TestRandomQueriesOptimizedEqualsNaive(t *testing.T) {
 	e := getEngine(t)
+	forced := New(e.Database())
+	o := opt.DefaultOptions()
+	o.GrainWork = 1
+	o.MaxDOP = 3
+	forced.SetOptions(o)
+	runs := []struct {
+		name string
+		fn   func(context.Context, string) (*exec.Result, error)
+	}{{"dop 1", e.QuerySerial}, {"default dop", e.Query}, {"dop 3", forced.Query}}
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		src := randomQuery(rng)
-		naive, err := e.QuerySerial(ctx(), src)
+		ref, err := e.QueryReference(ctx(), src)
 		if err != nil {
-			t.Fatalf("trial %d serial failed: %v\n%s", trial, err, src)
+			t.Fatalf("trial %d reference failed: %v\n%s", trial, err, src)
 		}
-		par, err := e.Query(ctx(), src)
-		if err != nil {
-			t.Fatalf("trial %d parallel failed: %v\n%s", trial, err, src)
-		}
-		forced := New(e.Database())
-		o := opt.DefaultOptions()
-		o.GrainWork = 1
-		o.MaxDOP = 3
-		forced.SetOptions(o)
-		maxPar, err := forced.Query(ctx(), src)
-		if err != nil {
-			t.Fatalf("trial %d forced-parallel failed: %v\n%s", trial, err, src)
-		}
-		if strings.HasPrefix(src, "(topn") {
-			// Row membership of a top-n can differ on ranking ties; compare
-			// counts only.
-			if naive.N != par.N || naive.N != maxPar.N {
-				t.Fatalf("trial %d: topn row counts %d/%d/%d\n%s", trial, naive.N, par.N, maxPar.N, src)
+		want := rowsAsStrings(ref)
+		for _, run := range runs {
+			res, err := run.fn(ctx(), src)
+			if err != nil {
+				t.Fatalf("trial %d %s failed: %v\n%s", trial, run.name, err, src)
 			}
-			continue
-		}
-		a, b, c := rowsAsStrings(naive), rowsAsStrings(par), rowsAsStrings(maxPar)
-		if len(a) != len(b) || len(a) != len(c) {
-			t.Fatalf("trial %d: row counts %d/%d/%d\n%s", trial, len(a), len(b), len(c), src)
-		}
-		for i := range a {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("trial %d row %d differs:\n%s\n%s\n%s\nquery: %s", trial, i, a[i], b[i], c[i], src)
+			if strings.HasPrefix(src, "(topn") {
+				// Row membership of a top-n can differ on ranking ties;
+				// compare counts only.
+				if res.N != ref.N {
+					t.Fatalf("trial %d %s: topn rows %d, reference %d\n%s", trial, run.name, res.N, ref.N, src)
+				}
+				continue
+			}
+			if got := rowsAsStrings(res); !slices.Equal(got, want) {
+				t.Fatalf("trial %d %s: %d rows, reference %d\n%s", trial, run.name, len(got), len(want), src)
 			}
 		}
 	}

@@ -91,7 +91,7 @@ func evalCmp(c *plan.Cmp, b *storage.Batch) (*storage.Vector, error) {
 		lf, rf := asFloats(l), asFloats(r)
 		for i := 0; i < n; i++ {
 			if !out.IsNull(i) {
-				setBool(out, i, cmpHolds(c.Op, cmpFloat(lf[i], rf[i])))
+				setBool(out, i, cmpHolds(c.Op, cmp.Compare(lf[i], rf[i])))
 			}
 		}
 	default:
@@ -133,17 +133,6 @@ func cmpInts(op plan.CmpOp, l, r []int64, out *storage.Vector) {
 			setBool(out, i, cmpHolds(op, cmp.Compare(l[i], r[i])))
 		}
 	}
-}
-
-// cmpFloat orders two floats; a NaN compares equal to everything.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 func cmpHolds(op plan.CmpOp, c int) bool {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -450,17 +451,10 @@ func narrowCmp(c *plan.Cmp, b *storage.Batch, in, out []int32) (_ []int32, ok bo
 }
 
 // keepCmp appends to out the rows i of in at which holds[c+1] is true, for c
-// xs[i]'s order against lit as cmp.Compare or cmpFloat gives it: a NaN
-// compares equal to everything.
+// xs[i]'s order against lit as cmp.Compare gives it.
 func keepCmp[X, L int64 | float64](in, out []int32, xs []X, holds [3]bool, lit L) []int32 {
 	for _, i := range in {
-		c := 1
-		if x := L(xs[i]); x < lit {
-			c = 0
-		} else if x > lit {
-			c = 2
-		}
-		if holds[c] {
+		if holds[cmp.Compare(L(xs[i]), lit)+1] {
 			out = append(out, i)
 		}
 	}

@@ -50,7 +50,8 @@ func (d *Dictionary) buildIndex() {
 }
 
 // ColStats carries the column metadata the optimizer consumes: domain
-// bounds, distinct/null counts and physical sortedness.
+// bounds, distinct/null counts and physical sortedness, all under Compare's
+// order and AppendKey's keys, so a NaN is a column's Min when it holds one.
 type ColStats struct {
 	Min, Max Value
 	Distinct int64
@@ -141,6 +142,7 @@ func BuildColumn(name string, t Type, coll Collation, vals []Value, opt BuildOpt
 	col := &Column{Name: name, Type: t, Coll: coll}
 	stats := ColStats{Sorted: true}
 	var prev Value
+	var key []byte
 	first := true
 	distinct := make(map[string]struct{})
 	for _, v := range vals {
@@ -168,7 +170,8 @@ func BuildColumn(name string, t Type, coll Collation, vals []Value, opt BuildOpt
 			}
 		}
 		prev = v
-		distinct[distinctKey(v, coll)] = struct{}{}
+		key = AppendKey(key[:0], v, coll)
+		distinct[string(key)] = struct{}{}
 	}
 	stats.Distinct = int64(len(distinct))
 	col.Stats = stats
@@ -182,16 +185,6 @@ func BuildColumn(name string, t Type, coll Collation, vals []Value, opt BuildOpt
 		buildInt(col, vals, opt, stats.Sorted)
 	}
 	return col, nil
-}
-
-func distinctKey(v Value, coll Collation) string {
-	if v.Type == TStr {
-		return "s" + coll.Key(v.S)
-	}
-	if v.Type == TFloat {
-		return fmt.Sprintf("f%g", v.F)
-	}
-	return fmt.Sprintf("i%d", v.I)
 }
 
 func buildString(col *Column, vals []Value, opt BuildOptions) {

@@ -138,7 +138,9 @@ func v1Database(t *testing.T) *Database {
 		IntValue(7), IntValue(-3), NullValue(TInt), IntValue(1<<40), IntValue(0), IntValue(12))
 	price := build("price", TFloat, CollBinary, BuildOptions{},
 		FloatValue(negZero), FloatValue(1.5), FloatValue(math.NaN()), NullValue(TFloat), FloatValue(-2.25), FloatValue(math.Inf(1)))
-	price.Stats.Min, price.Stats.Max = FloatValue(negZero), FloatValue(math.NaN())
+	// The stats the first writer stored, under the float order of its day,
+	// in which a NaN compared equal to every number.
+	price.Stats.Min, price.Stats.Max, price.Stats.Sorted = FloatValue(negZero), FloatValue(math.NaN()), true
 	carrier := build("carrier", TStr, CollCI, force(EncPlain),
 		StrValue("WN"), StrValue("aa"), StrValue("AA"), NullValue(TStr), StrValue("DL"), StrValue("WN"))
 	note := build("note", TStr, CollBinary, BuildOptions{ForceEncoding: EncPlain, HasForce: true, NoDictionary: true},

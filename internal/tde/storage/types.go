@@ -13,6 +13,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -189,7 +190,9 @@ func (v Value) String() string {
 }
 
 // Compare orders two values of the same (or promoted-compatible) type.
-// Nulls sort first. Strings use the supplied collation.
+// Nulls sort first. Strings use the supplied collation. Numbers compare as
+// cmp.Compare does, widened to float64 when either is a float: a NaN equals
+// a NaN and sorts below every number, and -0 equals +0.
 func Compare(a, b Value, coll Collation) int {
 	switch {
 	case a.Null && b.Null:
@@ -203,22 +206,9 @@ func Compare(a, b Value, coll Collation) int {
 		return coll.Compare(a.S, b.S)
 	}
 	if a.Type == TFloat || b.Type == TFloat {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.AsFloat(), b.AsFloat())
 	}
-	switch {
-	case a.I < b.I:
-		return -1
-	case a.I > b.I:
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.I, b.I)
 }
 
 // Equal reports value equality under the collation.
@@ -283,7 +273,8 @@ func (c Collation) Key(s string) string {
 // buf. Nulls are one tag byte. Int-backed types share a tag, so a date and
 // an int with the same payload group together. Strings are length-prefixed
 // and CI strings are folded into buf as they are copied. Floats use the
-// order-preserving IEEE-754 bits, with -0 and +0 one key.
+// order-preserving IEEE-754 bits, with -0 and +0 one key and every NaN one
+// key that sorts below -Inf, as Compare orders them.
 func AppendKey(buf []byte, v Value, coll Collation) []byte {
 	if v.Null {
 		return append(buf, 0)
@@ -305,14 +296,17 @@ func AppendKey(buf []byte, v Value, coll Collation) []byte {
 		return buf
 	case TFloat:
 		// Flip the sign bit of non-negatives and complement negatives so
-		// the big-endian bytes sort like the floats.
+		// the big-endian bytes sort like the floats. No other float maps
+		// to 0, the NaN key: it would be the complement of a NaN's bits.
 		u := math.Float64bits(v.F)
-		if v.F == 0 {
+		switch {
+		case math.IsNaN(v.F):
 			u = 0
-		}
-		if u&(1<<63) != 0 {
+		case v.F == 0:
+			u = 1 << 63
+		case u&(1<<63) != 0:
 			u = ^u
-		} else {
+		default:
 			u |= 1 << 63
 		}
 		return binary.BigEndian.AppendUint64(append(buf, 2), u)
@@ -347,10 +341,9 @@ func ColumnValue(t Type, v Value) (Value, bool) {
 }
 
 // KeySet is a set of values matched against one column: Index(v) answers
-// as Equal would against each member, except that a NaN equals no number
-// and a value the column cannot hold (ColumnValue) matches nothing, in one
-// AppendKey and one map probe. It reuses one key buffer: not for
-// concurrent use.
+// as Equal would against each member, except that a value the column
+// cannot hold (ColumnValue) matches nothing, in one AppendKey and one map
+// probe. It reuses one key buffer: not for concurrent use.
 type KeySet struct {
 	typ  Type
 	coll Collation

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"math"
 	"testing"
 	"testing/quick"
@@ -76,6 +78,46 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestFloatOrder: nulls first, then floats as cmp.Compare orders them, with
+// one key per NaN; Compare, Equal and AppendKey's byte order agree on every
+// pair.
+func TestFloatOrder(t *testing.T) {
+	negNaN := math.Float64frombits(0xfff8_0000_0000_0001)
+	ascending := [][]Value{
+		{NullValue(TFloat), NullValue(TInt)},
+		{FloatValue(math.NaN()), FloatValue(negNaN), FloatValue(math.Float64frombits(0x7ff0_0000_0000_0001))},
+		{FloatValue(math.Inf(-1))},
+		{FloatValue(-1e300)},
+		{IntValue(math.MinInt64), FloatValue(math.MinInt64)},
+		{FloatValue(-2.5)},
+		{FloatValue(math.Copysign(0, -1)), FloatValue(0), IntValue(0)},
+		{FloatValue(math.SmallestNonzeroFloat64)},
+		{FloatValue(2), IntValue(2)},
+		{FloatValue(math.Inf(1))},
+	}
+	for i, ri := range ascending {
+		for j, rj := range ascending {
+			for _, a := range ri {
+				for _, b := range rj {
+					want := cmp.Compare(i, j)
+					if got := Compare(a, b, CollBinary); got != want {
+						t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+					}
+					if Equal(a, b, CollBinary) != (want == 0) {
+						t.Errorf("Equal(%v, %v) = %v", a, b, want != 0)
+					}
+					if a.Type != TFloat || b.Type != TFloat {
+						continue
+					}
+					if got := bytes.Compare(AppendKey(nil, a, CollBinary), AppendKey(nil, b, CollBinary)); got != want {
+						t.Errorf("AppendKey(%v) vs AppendKey(%v) = %d, want %d", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestValueString(t *testing.T) {
 	if got := DateValue(2015, time.May, 31).String(); got != "2015-05-31" {
 		t.Errorf("date = %q", got)
@@ -136,6 +178,7 @@ func TestAppendKeyEqualIffEqual(t *testing.T) {
 		{CollCI, []Value{StrValue("Abc")}, []Value{StrValue("aBC")}},
 		{CollBinary, []Value{IntValue(7)}, []Value{{Type: TDate, I: 7}}},
 		{CollBinary, []Value{NullValue(TStr)}, []Value{NullValue(TInt)}},
+		{CollBinary, []Value{FloatValue(math.NaN())}, []Value{FloatValue(-math.NaN())}},
 	}
 	for _, c := range same {
 		if key(c.coll, c.a...) != key(c.coll, c.b...) {
@@ -182,12 +225,13 @@ func TestAppendKeyDoesNotAllocate(t *testing.T) {
 func TestKeySetAnswersLikeEqual(t *testing.T) {
 	nz := FloatValue(math.Copysign(0, -1))
 	members := []Value{IntValue(1), FloatValue(2), FloatValue(2.5), nz, {Type: TDate, I: 5},
-		BoolValue(true), NullValue(TInt), FloatValue(math.Inf(1)), FloatValue(1e300)}
+		BoolValue(true), NullValue(TInt), FloatValue(math.Inf(1)), FloatValue(1e300), FloatValue(math.NaN())}
 	columns := map[Type][]Value{
-		TInt:   {IntValue(0), IntValue(1), IntValue(2), IntValue(3), IntValue(5), NullValue(TInt)},
-		TFloat: {FloatValue(0), nz, FloatValue(1), FloatValue(2), FloatValue(2.5), FloatValue(5), FloatValue(math.Inf(1))},
-		TDate:  {{Type: TDate, I: 1}, {Type: TDate, I: 2}, {Type: TDate, I: 5}, NullValue(TDate)},
-		TBool:  {BoolValue(false), BoolValue(true)},
+		TInt: {IntValue(0), IntValue(1), IntValue(2), IntValue(3), IntValue(5), NullValue(TInt)},
+		TFloat: {FloatValue(0), nz, FloatValue(1), FloatValue(2), FloatValue(2.5), FloatValue(5), FloatValue(math.Inf(1)),
+			FloatValue(math.NaN()), FloatValue(math.Float64frombits(0xfff8_0000_0000_0001)), FloatValue(math.Inf(-1))},
+		TDate: {{Type: TDate, I: 1}, {Type: TDate, I: 2}, {Type: TDate, I: 5}, NullValue(TDate)},
+		TBool: {BoolValue(false), BoolValue(true)},
 	}
 	for typ, col := range columns {
 		set := NewKeySet(typ, CollBinary, members)
@@ -271,6 +315,7 @@ func TestColumnValue(t *testing.T) {
 		{TDate, FloatValue(3), Value{Type: TDate, I: 3}, true},
 		{TInt, FloatValue(3.5), FloatValue(3.5), false},
 		{TInt, FloatValue(math.NaN()), FloatValue(math.NaN()), false},
+		{TFloat, FloatValue(math.NaN()), FloatValue(math.NaN()), true},
 		{TInt, FloatValue(1e19), FloatValue(1e19), false},
 		{TFloat, IntValue(2), FloatValue(2), true},
 		{TStr, IntValue(2), IntValue(2), false},
@@ -280,7 +325,7 @@ func TestColumnValue(t *testing.T) {
 		{TInt, Value{Type: TDate, I: 4}, Value{Type: TDate, I: 4}, true},
 	} {
 		got, ok := ColumnValue(c.typ, c.in)
-		if ok != c.ok || ok && got != c.want {
+		if ok != c.ok || ok && (got.Type != c.want.Type || !Equal(got, c.want, CollBinary)) {
 			t.Errorf("ColumnValue(%v, %#v) = %#v, %v; want %#v, %v", c.typ, c.in, got, ok, c.want, c.ok)
 		}
 	}

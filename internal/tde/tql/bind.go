@@ -559,6 +559,9 @@ func (b *binder) bindExpr(s *SExpr, sc *scope) (plan.Expr, error) {
 			return &plan.Lit{Val: storage.BoolValue(false)}, nil
 		case "null":
 			return &plan.Lit{Val: storage.NullValue(storage.TNull)}, nil
+		case "nan", "+inf", "-inf": // Value.String's spelling of the floats with no digits
+			f, _ := strconv.ParseFloat(s.Atom, 64) // each of the three parses
+			return &plan.Lit{Val: storage.FloatValue(f)}, nil
 		}
 		idx, info, ok, err := sc.resolve(s.Atom)
 		if err != nil {

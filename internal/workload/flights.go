@@ -159,7 +159,7 @@ func BuildFlightsDB(cfg FlightsConfig) (*storage.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	fact.SortKey = []string{"date", "hour"}
+	fact.SortKey = []string{"date"} // hour is random within a day
 	if err := db.AddTable(fact); err != nil {
 		return nil, err
 	}

@@ -34,6 +34,8 @@ check ./internal/remote     77.8
 check ./internal/kvstore    94.8
 check ./internal/wire       87.9
 check ./internal/tde/storage 82.8
+check ./internal/tde/exec   82.0
+check ./internal/tde/opt    75.7
 check ./internal/connection 93.1
 check ./internal/cache      93.6
 check ./internal/query      90.4
